@@ -7,8 +7,9 @@ P), and together H and K close into the symmetric group S3 -- the outer
 automorphism group.
 """
 
-from triality import (QUARTETS, apply_outer, outer_h, outer_k, s3_closure,
+from triality import (apply_outer, outer_h, outer_k, s3_closure,
                       vector_basis, spinor_bases, P_MATRIX, GEN_INDICES)
+from triality.outer import QUARTETS
 
 print(__doc__)
 

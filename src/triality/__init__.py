@@ -15,15 +15,15 @@ from .clifford import (EUCLIDEAN, LORENTZIAN, GammaBasis, Signature,
                        chiral_transform, cl7_basis, cl8_basis, cl17_basis,
                        dirac_gammas, volume_element)
 from .field import (ExactScalar, HALF, I, MINUS_ONE, ONE, OMEGA, OMEGA_BAR,
-                    SQRT2, SQRT3, SQRT6, ZERO, from_parts, rational, scalar,
-                    scalar_mul)
+                    SQRT2, SQRT3, SQRT6, ZERO, from_parts, rational, scalar)
 from .linalg import (CoordSolver, StructureConstants, Subspace, det,
                      is_closed, kernel_basis, rref, rref_kernel,
                      structure_constants)
 from .matrix import Matrix, anticommutator, commutator, kron
-from .outer import (GradedBasis, OuterOp, QUARTETS, apply_outer, diagonalize,
+from .outer import (GradedBasis, OuterOp, apply_outer, diagonalize,
                     graded_basis, killing_form, killing_trace, outer_conj,
-                    outer_h, outer_k, outer_op, outer_t, s3_closure, unpack)
+                    outer_h, outer_k, outer_op, outer_t, quartet_terms,
+                    s3_closure, signature_ops, unpack)
 from .representations import (GEN_INDICES, LieBasis, M_MATRIX, P_MATRIX,
                               basis, real_span, same_span,
                               same_structure_constants, spinor_bases,

@@ -20,8 +20,8 @@ from .field import HALF, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO, rational
 from .linalg import Subspace, det, is_closed
 from .matrix import Matrix, commutator
 from .outer import (OuterOp, apply_outer, diagonalize, graded_basis,
-                    killing_form, killing_trace, outer_conj, outer_h, outer_k,
-                    outer_t, s3_closure, unpack)
+                    killing_form, killing_trace, outer_conj, outer_k,
+                    outer_t, s3_closure, signature_ops, unpack)
 from .representations import (GEN_INDICES, P_MATRIX, same_span,
                               same_structure_constants, spinor_bases,
                               vector_basis)
@@ -110,40 +110,35 @@ class _Failures(list):
                            f"{success_detail} ({self.passed} exact sub-checks)")
 
 
-def _h_core(fault) -> OuterOp:
-    """H, or a sign-corrupted copy when the negative control is active."""
-    h = outer_h()
-    if fault != FAULT_H_SIGN:
-        return h
-    rows = [list(r) for r in h.core.rows]
+def _faulted(op: OuterOp, fault) -> OuterOp:
+    """The operator, or a sign-corrupted H when the negative control is on."""
+    if fault != FAULT_H_SIGN or op.name != "H":
+        return op
+    rows = [list(r) for r in op.core.rows]
     rows[0][0] = -rows[0][0]
-    return OuterOp("H", Matrix(rows), False, h.signature)
+    return OuterOp("H", Matrix(rows), False, op.signature)
 
 
-@lru_cache(maxsize=None)
-def _euclid():
-    v = vector_basis(EUCLIDEAN)
-    left, right = spinor_bases(EUCLIDEAN)
-    return v, left, right
+def _signatures(scopes):
+    """(label, signature) of each signature in the scopes, Euclidean first."""
+    return [(label, sig) for label, sig in (("euclidean", EUCLIDEAN),
+                                            ("lorentzian", LORENTZIAN))
+            if label in scopes]
 
 
-@lru_cache(maxsize=None)
-def _lorentz():
-    v = vector_basis(LORENTZIAN)
-    left, right = spinor_bases(LORENTZIAN)
-    return v, left, right
+def _bases(signature):
+    """The V, L, R bases of a signature."""
+    return (vector_basis(signature),) + spinor_bases(signature)
 
 
 @lru_cache(maxsize=None)
 def _graded(signature):
-    v = vector_basis(signature)
-    op = outer_h() if signature == EUCLIDEAN else outer_t()
-    return graded_basis(v, op)
+    return graded_basis(vector_basis(signature), signature_ops(signature)[0])
 
 
 @lru_cache(maxsize=None)
 def _intersections():
-    v, left, right = _euclid()
+    v, left, right = _bases(EUCLIDEAN)
     rv, rl, rr = restrict(v, 0), restrict(left, 0), restrict(right, 0)
     return (intersect_pair(rv, rl), intersect_pair(rv, rr),
             intersect_pair(rl, rr), rv, rl, rr)
@@ -193,7 +188,7 @@ def _check_02(scopes, fault):
 def _check_03(scopes, fault):
     f = _Failures()
     if "euclidean" in scopes:
-        v, left, right = _euclid()
+        v, left, right = _bases(EUCLIDEAN)
         for b in (v, left, right):
             for idx in GEN_INDICES:
                 f.check(b[idx].is_real and b[idx].is_antisymmetric,
@@ -208,18 +203,12 @@ def _check_03(scopes, fault):
 
 def _check_04(scopes, fault):
     f = _Failures()
-    if "euclidean" in scopes:
-        v, left, right = _euclid()
+    for label, sig in _signatures(scopes):
+        v, left, right = _bases(sig)
         f.check(same_structure_constants(v, left).equal,
-                "euclidean V/L structure constants differ")
+                f"{label} V/L structure constants differ")
         f.check(same_structure_constants(left, right).equal,
-                "euclidean L/R structure constants differ")
-    if "lorentzian" in scopes:
-        v, left, right = _lorentz()
-        f.check(same_structure_constants(v, left).equal,
-                "lorentzian V/L structure constants differ")
-        f.check(same_structure_constants(left, right).equal,
-                "lorentzian L/R structure constants differ")
+                f"{label} L/R structure constants differ")
     return f
 
 
@@ -237,23 +226,20 @@ def _cycle_exact(op, v, left, right, f, label):
 
 def _check_05(scopes, fault):
     f = _Failures()
-    if "euclidean" in scopes:
-        v, left, right = _euclid()
-        _cycle_exact(_h_core(fault), v, left, right, f, "H")
-        f.check(unpack(outer_h()).matrix.power(3) == Matrix.identity(28),
-                "unpacked H does not cube to the identity")
-    if "lorentzian" in scopes:
-        v, left, right = _lorentz()
-        _cycle_exact(outer_t(), v, left, right, f, "T")
-        f.check(unpack(outer_t()).matrix.power(3) == Matrix.identity(28),
-                "unpacked T does not cube to the identity")
+    for _, sig in _signatures(scopes):
+        rotation = signature_ops(sig)[0]
+        v, left, right = _bases(sig)
+        _cycle_exact(_faulted(rotation, fault), v, left, right, f,
+                     rotation.name)
+        f.check(unpack(rotation).matrix.power(3) == Matrix.identity(28),
+                f"unpacked {rotation.name} does not cube to the identity")
     return f
 
 
 def _check_06(scopes, fault):
     f = _Failures()
     if "euclidean" in scopes:
-        v, left, right = _euclid()
+        v, left, right = _bases(EUCLIDEAN)
         mapped = apply_outer(outer_k(), left)
         for idx in GEN_INDICES:
             f.check(P_MATRIX @ mapped[idx] @ P_MATRIX.T == right[idx],
@@ -263,7 +249,7 @@ def _check_06(scopes, fault):
             f.check(mapped_v[idx] == P_MATRIX @ v[idx] @ P_MATRIX.T,
                     f"K(V) != P V P^T at {idx}")
     if "lorentzian" in scopes:
-        v, left, right = _lorentz()
+        v, left, right = _bases(LORENTZIAN)
         mapped = apply_outer(outer_conj(), left)
         for idx in GEN_INDICES:
             f.check(mapped[idx] == right[idx], f"conj(L) != R at {idx}")
@@ -272,18 +258,12 @@ def _check_06(scopes, fault):
 
 def _check_07(scopes, fault):
     f = _Failures()
-    if "euclidean" in scopes:
-        closure = s3_closure([outer_h(), outer_k()])
+    for label, sig in _signatures(scopes):
+        closure = s3_closure(signature_ops(sig))
         f.check(len(closure.elements) == 6,
-                f"euclidean closure has {len(closure.elements)} elements")
+                f"{label} closure has {len(closure.elements)} elements")
         f.check(closure.is_s3 and closure.relation_holds,
-                "euclidean closure is not S3")
-    if "lorentzian" in scopes:
-        closure = s3_closure([outer_t(), outer_conj()])
-        f.check(len(closure.elements) == 6,
-                f"lorentzian closure has {len(closure.elements)} elements")
-        f.check(closure.is_s3 and closure.relation_holds,
-                "lorentzian closure is not S3")
+                f"{label} closure is not S3")
     return f, "raw 4x4 cores closed at 6 elements; no P-cleanup path needed"
 
 
@@ -386,11 +366,9 @@ def _check_11(scopes, fault):
 
 
 def _grading_checks(signature, f, label):
-    v = vector_basis(signature)
-    op = outer_h() if signature == EUCLIDEAN else outer_t()
-    left_basis = spinor_bases(signature)[0]
+    op = signature_ops(signature)[0]
     graded = _graded(signature)
-    graded_left = graded_basis(left_basis, op)
+    graded_left = graded_basis(spinor_bases(signature)[0], op)
     # eigenvalue labeling, coefficient level (under the unpacked operator)
     unpacked = unpack(op)
     for pos, vec in enumerate(graded.coeff_vectors):
@@ -442,10 +420,8 @@ def _grading_checks(signature, f, label):
 
 def _check_12(scopes, fault):
     f = _Failures()
-    if "euclidean" in scopes:
-        _grading_checks(EUCLIDEAN, f, "euclidean")
-    if "lorentzian" in scopes:
-        _grading_checks(LORENTZIAN, f, "lorentzian")
+    for label, sig in _signatures(scopes):
+        _grading_checks(sig, f, label)
     return f
 
 
@@ -455,7 +431,7 @@ def _check_13(scopes, fault):
     minus14 = rational(-14)
     detail = "euclidean originals -28 each; graded bases -14; handed null"
     if "euclidean" in scopes:
-        v, left, right = _euclid()
+        v, left, right = _bases(EUCLIDEAN)
         for b in (v, left, right):
             f.check(killing_trace(b.matrices()) == minus28,
                     f"euclidean {b.kind} trace != -28")
@@ -466,7 +442,7 @@ def _check_13(scopes, fault):
             f.check(killing_form(x, x) == ZERO,
                     f"euclidean handed generator {k} not null")
     if "lorentzian" in scopes:
-        v, left, right = _lorentz()
+        v, left, right = _bases(LORENTZIAN)
         graded = _graded(LORENTZIAN)
         f.check(killing_trace(graded.all_generators()) == minus14,
                 "lorentzian graded trace != -14")
@@ -504,7 +480,7 @@ def _check_14(scopes, fault):
 def _check_15(scopes, fault):
     f = _Failures()
     if "lorentzian" in scopes:
-        _, left, right = _lorentz()
+        _, left, right = _bases(LORENTZIAN)
         for b in (left, right):
             for (i, j) in GEN_INDICES:
                 x = b[(i, j)]

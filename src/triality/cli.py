@@ -23,9 +23,9 @@ from .clifford import (EUCLIDEAN, LORENTZIAN, cl7_basis, cl8_basis,
                        cl17_basis)
 from .emit import matrix_to_json, matrix_to_latex, scalar_to_json
 from .errors import TrialityError
-from .outer import (apply_outer, graded_basis, outer_conj, outer_h,
-                    outer_k, outer_op, outer_t, s3_closure)
-from .representations import basis, spinor_bases, vector_basis
+from .outer import (apply_outer, graded_basis, outer_op, quartet_terms,
+                    s3_closure, signature_ops)
+from .representations import basis, vector_basis
 from .subalgebras import g2_basis, intersect_pair, restrict, su3_embedding
 
 USAGE_EXIT = 64
@@ -52,51 +52,45 @@ def _parse_signature(text):
     return None
 
 
-def _named_matrices(obj, signature):
-    """The (name, matrix) list for an emit object, in deterministic order."""
-    if obj == "gammas-cl7":
-        return [(f"g_{k}", m) for k, m in
-                enumerate(cl7_basis().gammas, start=1)]
-    if obj == "gammas-cl8":
-        return [(f"Gamma_{k}", m) for k, m in enumerate(cl8_basis().gammas)]
-    if obj == "gammas-cl17":
-        return [(f"Gamma_{k}", m) for k, m in enumerate(cl17_basis().gammas)]
-    if obj == "H":
-        return [("H", outer_h().core)]
-    if obj == "K":
-        return [("K", outer_k().core)]
-    if obj == "T":
-        return [("T", outer_t().core)]
-    if obj == "vector":
-        b = vector_basis(signature)
-        return [(b.name_of(idx), m) for idx, m in b.items()]
-    if obj == "spinor-left":
-        b = spinor_bases(signature)[0]
-        return [(b.name_of(idx), m) for idx, m in b.items()]
-    if obj == "spinor-right":
-        b = spinor_bases(signature)[1]
-        return [(b.name_of(idx), m) for idx, m in b.items()]
-    if obj == "g2-lambda":
-        return [(f"Lambda_{k}", m) for k, m in
-                enumerate(g2_basis().lambdas, start=1)]
-    if obj == "su3-blocks":
-        emb = su3_embedding(g2_basis())
-        return [(f"U_Lambda_{k}_Udagger", m) for k, m in
-                enumerate(emb.conjugated, start=1)]
-    if obj == "graded":
-        op = outer_h() if signature == EUCLIDEAN else outer_t()
-        g = graded_basis(vector_basis(signature), op)
-        out = [(f"invariant_{k}", m) for k, m in enumerate(g.g2_part, 1)]
-        out += [(f"right_{k}", m) for k, m in enumerate(g.right_part, 1)]
-        out += [(f"left_{k}", m) for k, m in enumerate(g.left_part, 1)]
-        return out
-    return None
+def _numbered(prefix, mats, start=1, suffix=""):
+    return [(f"{prefix}_{k}{suffix}", m) for k, m in enumerate(mats, start)]
+
+
+def _basis_items(kind, signature):
+    b = basis(kind, signature)
+    return [(b.name_of(idx), m) for idx, m in b.items()]
+
+
+def _su3_blocks(emb):
+    return _numbered("U_Lambda", emb.conjugated, suffix="_Udagger")
+
+
+def _graded_items(signature):
+    g = graded_basis(vector_basis(signature), signature_ops(signature)[0])
+    return (_numbered("invariant", g.g2_part)
+            + _numbered("right", g.right_part)
+            + _numbered("left", g.left_part))
+
+
+# emit object -> signature -> its (name, matrix) list, in deterministic order
+_NAMED_MATRICES = {
+    "gammas-cl7": lambda sig: _numbered("g", cl7_basis().gammas),
+    "gammas-cl8": lambda sig: _numbered("Gamma", cl8_basis().gammas, 0),
+    "gammas-cl17": lambda sig: _numbered("Gamma", cl17_basis().gammas, 0),
+    "H": lambda sig: [("H", outer_op("H").core)],
+    "K": lambda sig: [("K", outer_op("K").core)],
+    "T": lambda sig: [("T", outer_op("T").core)],
+    "vector": lambda sig: _basis_items("V", sig),
+    "spinor-left": lambda sig: _basis_items("L", sig),
+    "spinor-right": lambda sig: _basis_items("R", sig),
+    "g2-lambda": lambda sig: _numbered("Lambda", g2_basis().lambdas),
+    "su3-blocks": lambda sig: _su3_blocks(su3_embedding(g2_basis())),
+    "graded": _graded_items,
+}
 
 
 def _emit_constraints(fmt):
-    v = vector_basis(EUCLIDEAN)
-    left = spinor_bases(EUCLIDEAN)[0]
-    system = intersect_pair(restrict(v, 0), restrict(left, 0))
+    system = intersect_pair(restrict(basis("V"), 0), restrict(basis("L"), 0))
     records = [{"dependent": c.dependent,
                 "terms": [{"coefficient": str(coeff), "variable": var}
                           for coeff, var in c.terms]}
@@ -131,12 +125,7 @@ def _render(obj, named, fmt, signature):
 
 
 def cmd_verify(args) -> int:
-    fault = args.inject_fault
-    try:
-        report = run_suite(args.suite, fault=fault)
-    except Exception as exc:  # construction failure, not a check failure
-        print(f"internal construction error: {exc}", file=sys.stderr)
-        return 2
+    report = run_suite(args.suite, fault=args.inject_fault)
     text = report.to_json_text() if args.format == "json" else report.to_text()
     _write(args.out, text)
     return 1 if report.failed else 0
@@ -157,15 +146,11 @@ def cmd_emit(args) -> int:
         print(f"object {args.object!r} does not take a signature",
               file=sys.stderr)
         return USAGE_EXIT
-    try:
-        if args.object == "g2-constraints":
-            text = _emit_constraints(args.format)
-        else:
-            named = _named_matrices(args.object, signature)
-            text = _render(args.object, named, args.format, signature)
-    except Exception as exc:
-        print(f"internal construction error: {exc}", file=sys.stderr)
-        return 2
+    if args.object == "g2-constraints":
+        text = _emit_constraints(args.format)
+    else:
+        named = _NAMED_MATRICES[args.object](signature)
+        text = _render(args.object, named, args.format, signature)
     _write(args.out, text)
     return 0
 
@@ -178,29 +163,17 @@ def _write(path, text):
         sys.stdout.write(text)
 
 
-_OP_SIGNATURE = {"H": EUCLIDEAN, "K": EUCLIDEAN,
-                 "T": LORENTZIAN, "conj": LORENTZIAN}
-
-
 def cmd_map(args) -> int:
     op = outer_op(args.op)
-    source = basis(args.source, _OP_SIGNATURE[args.op])
+    source = basis(args.source, op.signature)
     mapped = apply_outer(op, source)
-    items = []
-    for k in range(7):
-        from .outer import QUARTETS
-        for t in range(4):
-            idx = QUARTETS[t][k]
-            coeffs = []
-            for s in range(4):
-                c = op.core[t, s]
-                if c._nz:
-                    coeffs.append({"generator": source.name_of(QUARTETS[s][k]),
-                                   "coefficient": scalar_to_json(c),
-                                   "conjugated": op.antilinear})
-            items.append({"name": mapped.name_of(idx),
-                          "coefficients": coeffs,
-                          "matrix": matrix_to_json(mapped[idx])})
+    items = [{"name": mapped.name_of(new),
+              "coefficients": [{"generator": source.name_of(old),
+                                "coefficient": scalar_to_json(c),
+                                "conjugated": op.antilinear}
+                               for old, c in terms],
+              "matrix": matrix_to_json(mapped[new])}
+             for new, terms in quartet_terms(op.core).items()]
     items.sort(key=lambda x: x["name"])
     payload = {"op": args.op, "from": args.source, "to": mapped.kind,
                "signature": str(op.signature), "items": items}
@@ -210,10 +183,7 @@ def cmd_map(args) -> int:
 
 def cmd_grade(args) -> int:
     signature = _parse_signature(args.signature)
-    if signature is None:
-        print(f"unknown signature {args.signature!r}", file=sys.stderr)
-        return USAGE_EXIT
-    op = outer_h() if signature == EUCLIDEAN else outer_t()
+    op = signature_ops(signature)[0]
     graded = graded_basis(vector_basis(signature), op)
     def part(name, gens, eigenvalue):
         return [{"name": f"{name}_{k}", "eigenvalue": eigenvalue,
@@ -233,19 +203,11 @@ def cmd_grade(args) -> int:
 
 def cmd_s3(args) -> int:
     signature = _parse_signature(args.signature)
-    if signature is None:
-        print(f"unknown signature {args.signature!r}", file=sys.stderr)
-        return USAGE_EXIT
-    if signature == EUCLIDEAN:
-        gens = [outer_h(), outer_k()]
-        names = ["H", "K"]
-    else:
-        gens = [outer_t(), outer_conj()]
-        names = ["T", "conj"]
-    closure = s3_closure(gens)
+    ops = signature_ops(signature)
+    closure = s3_closure(ops)
     payload = {
         "signature": str(signature),
-        "generators": names,
+        "generators": [op.name for op in ops],
         "element_count": len(closure.elements),
         "element_orders": {str(k): v for k, v in
                            sorted(closure.order_counts.items())},
@@ -260,10 +222,11 @@ def cmd_s3(args) -> int:
 
 def cmd_g2(args) -> int:
     if args.emit == "lambda":
-        named = _named_matrices("g2-lambda", None)
-        _write(args.out, _render("g2-lambda", named, args.format, None))
-        return 0
-    _write(args.out, _emit_constraints(args.format))
+        named = _NAMED_MATRICES["g2-lambda"](None)
+        text = _render("g2-lambda", named, args.format, None)
+    else:
+        text = _emit_constraints(args.format)
+    _write(args.out, text)
     return 0
 
 
@@ -277,9 +240,8 @@ def cmd_su3(args) -> int:
         "check": "pass",
         "block_factor": scalar_to_json(emb.block_factor),
         "transform": matrix_to_json(emb.transform),
-        "blocks": [{"name": f"U_Lambda_{k}_Udagger",
-                    "matrix": matrix_to_json(m)}
-                   for k, m in enumerate(emb.conjugated, start=1)],
+        "blocks": [{"name": name, "matrix": matrix_to_json(m)}
+                   for name, m in _su3_blocks(emb)],
     }
     _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
@@ -338,8 +300,6 @@ def build_parser() -> _Parser:
     g2.add_argument("--out", default=None)
 
     su3 = sub.add_parser("su3", help="verify and emit the su(3) embedding")
-    su3.add_argument("--check", action="store_true",
-                     help="exit 1 if the block decomposition fails")
     su3.add_argument("--out", default=None)
     return parser
 
@@ -349,7 +309,11 @@ def main(argv=None) -> int:
     handlers = {"verify": cmd_verify, "emit": cmd_emit, "map": cmd_map,
                 "grade": cmd_grade, "s3": cmd_s3, "g2": cmd_g2,
                 "su3": cmd_su3}
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except Exception as exc:  # construction failure, not a check failure
+        print(f"internal construction error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -91,10 +91,9 @@ class GammaBasis:
 
 @dataclass(frozen=True)
 class VolumeElement:
-    """The ordered product of all gammas, its square, and what it does."""
+    """The ordered product of all gammas and what it does."""
 
     omega: Matrix
-    square: Matrix
     squares_to_plus_identity: bool
     squares_to_minus_identity: bool
     anticommutes_with_all: bool
@@ -186,7 +185,6 @@ def volume_element(basis: GammaBasis) -> VolumeElement:
     ident = Matrix.identity(basis.dim)
     return VolumeElement(
         omega=omega,
-        square=square,
         squares_to_plus_identity=(square == ident),
         squares_to_minus_identity=(square == -ident),
         anticommutes_with_all=all(anticommutator(omega, g).is_zero

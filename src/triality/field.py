@@ -72,10 +72,6 @@ class ExactScalar:
     def is_rational(self) -> bool:
         return self._nz in ((), (0,))
 
-    @property
-    def rational_part(self) -> Fraction:
-        return self.coords[0]
-
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
@@ -276,8 +272,3 @@ SQRT6 = from_parts(re=(0, 0, 0, 1))
 # Third roots of unity: the triality eigenvalues.
 OMEGA = from_parts(re=(Fraction(-1, 2), 0, 0, 0), im=(0, 0, Fraction(1, 2), 0))
 OMEGA_BAR = OMEGA.conj()
-
-
-def scalar_mul(a: ExactScalar, b: ExactScalar) -> ExactScalar:
-    """Exact field product (function form of ``a * b``)."""
-    return scalar(a) * scalar(b)

@@ -167,9 +167,6 @@ class Subspace:
     def __hash__(self):
         return hash((self.ambient_dim, self.rows))
 
-    def is_subspace_of(self, other: "Subspace") -> bool:
-        return all(other.contains(row) for row in self.rows)
-
     def intersection(self, other: "Subspace") -> "Subspace":
         """Exact intersection of two spans via the stacked-kernel method."""
         if self.ambient_dim != other.ambient_dim:

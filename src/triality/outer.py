@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature
-from .errors import ClosureExceeded, SignatureMismatch
+from .errors import ClosureExceeded, SignatureMismatch, TrialityError
 from .field import (HALF, I, OMEGA, OMEGA_BAR, ONE, SQRT2, SQRT3, SQRT6,
                     ZERO, ExactScalar, rational)
 from .matrix import Matrix
@@ -93,29 +93,51 @@ def outer_op(name: str) -> OuterOp:
     return {"H": outer_h, "K": outer_k, "T": outer_t, "conj": outer_conj}[name]()
 
 
-def apply_outer(op: OuterOp, b: LieBasis) -> LieBasis:
-    """Map a basis through an outer operator, quartet by quartet.
+def signature_ops(signature: Signature) -> tuple:
+    """The (order-3, order-2) operator pair that generates a signature's S3."""
+    names = {EUCLIDEAN: ("H", "K"), LORENTZIAN: ("T", "conj")}[signature]
+    return tuple(outer_op(name) for name in names)
 
-    The generator at quartet slot t becomes sum_s core[t][s] times the old
-    generator at slot s (conjugated first for antilinear operators).  The
-    result is tagged with the successor representation kind.
+
+def quartet_terms(core: Matrix) -> dict:
+    """How a 4x4 core recombines the 28 generators, quartet by quartet.
+
+    Maps each new generator index to its ((old index, coefficient), ...)
+    terms: the generator at quartet slot t becomes sum_s core[t][s] times
+    the old generator at slot s, in each of the seven quartets.  Zero
+    coefficients are left out.
     """
+    return {new: tuple((old, core[t, s]) for s, old in enumerate(quartet)
+                       if not core[t, s].is_zero)
+            for quartet in zip(*QUARTETS) for t, new in enumerate(quartet)}
+
+
+def _combine(b: LieBasis, terms, antilinear=False) -> dict:
+    """Each new generator as its terms' combination of the old ones."""
+    olds = {idx: m.conj() for idx, m in b.items()} if antilinear else b.gens
+    gens = {}
+    for new, pairs in terms.items():
+        acc = Matrix.zero(8)
+        for old, c in pairs:
+            acc = acc + olds[old].scale(c)
+        gens[new] = acc
+    return gens
+
+
+def _require_signature(op: OuterOp, b: LieBasis):
     if op.signature != b.signature:
         raise SignatureMismatch(
             f"operator {op.name} is {op.signature}, basis is {b.signature}")
-    gens = {}
-    core = op.core
-    for k in range(7):
-        olds = [b[QUARTETS[s][k]] for s in range(4)]
-        if op.antilinear:
-            olds = [m.conj() for m in olds]
-        for t in range(4):
-            acc = Matrix.zero(8)
-            for s in range(4):
-                c = core[t, s]
-                if c._nz:
-                    acc = acc + olds[s].scale(c)
-            gens[QUARTETS[t][k]] = acc
+
+
+def apply_outer(op: OuterOp, b: LieBasis) -> LieBasis:
+    """Map a basis through an outer operator by its quartet terms.
+
+    Antilinear operators conjugate the old generators first.  The result
+    is tagged with the successor representation kind.
+    """
+    _require_signature(op, b)
+    gens = _combine(b, quartet_terms(op.core), op.antilinear)
     return _make_basis(_SUCCESSOR[op.name][b.kind], b.signature, gens)
 
 
@@ -144,15 +166,9 @@ class UnpackedOp:
 
 def unpack(op: OuterOp) -> UnpackedOp:
     """Unpack a 4x4 core to the full 28-dimensional coefficient operator."""
-    entries = {}
-    for k in range(7):
-        for t in range(4):
-            for s in range(4):
-                c = op.core[t, s]
-                if c._nz:
-                    row = _GEN_POS[QUARTETS[s][k]]
-                    col = _GEN_POS[QUARTETS[t][k]]
-                    entries[(row, col)] = c
+    entries = {(_GEN_POS[old], _GEN_POS[new]): c
+               for new, pairs in quartet_terms(op.core).items()
+               for old, c in pairs}
     return UnpackedOp(Matrix.from_entries(28, entries), op.antilinear)
 
 
@@ -242,25 +258,33 @@ _INV_SQRT2 = SQRT2 * HALF               # 1/sqrt2
 _INV_SQRT6 = SQRT6 * rational(1, 6)     # 1/sqrt6
 
 
+# The first entry of each complex eigenvector column, per order-3 operator.
+_FIRST_ENTRY = {
+    "H": I * SQRT3 * _INV_SQRT6,          # i sqrt3 / sqrt6 = i/sqrt2
+    "T": -SQRT3 * _INV_SQRT6,             # the i -> 1 replacement, -1/sqrt2
+}
+
+
 @lru_cache(maxsize=None)
 def diagonalize(op_name: str) -> Diagonalization:
-    """Exact eigenvector matrix for H or T with D = diag(1, 1, w, conj w)."""
+    """Exact eigenvector matrix for H or T with D = diag(1, 1, w, conj w).
+
+    Raises TrialityError if the columns fail to be unitary or to satisfy
+    the similarity, which would mean a transcription error in the core.
+    """
+    if op_name not in _FIRST_ENTRY:
+        raise ValueError(f"no diagonalization for operator {op_name!r}")
     col1 = (ZERO, _INV_SQRT2, ZERO, _INV_SQRT2)
     col2 = (ZERO, _INV_SQRT6, _INV_SQRT6 * 2, -_INV_SQRT6)
-    if op_name == "H":
-        first = I * SQRT3 * _INV_SQRT6          # i sqrt3 / sqrt6 = i/sqrt2
-        op = outer_h()
-    elif op_name == "T":
-        first = -SQRT3 * _INV_SQRT6             # the i -> 1 replacement, -1/sqrt2
-        op = outer_t()
-    else:
-        raise ValueError(f"no diagonalization for operator {op_name!r}")
-    col3 = (first, -_INV_SQRT6, _INV_SQRT6, _INV_SQRT6)
-    col4 = (-first,) + col3[1:]
+    col3 = (_FIRST_ENTRY[op_name], -_INV_SQRT6, _INV_SQRT6, _INV_SQRT6)
+    col4 = (-col3[0],) + col3[1:]
     u = Matrix(tuple(zip(col1, col2, col3, col4)))
     d = Matrix.diag((ONE, ONE, OMEGA, OMEGA_BAR))
-    assert u.is_unitary, "eigenvector matrix must be unitary"
-    assert (op.core.T @ u) == (u @ d), "eigenvector matrix fails the similarity"
+    if not u.is_unitary:
+        raise TrialityError(f"{op_name} eigenvector matrix is not unitary")
+    if outer_op(op_name).core.T @ u != u @ d:
+        raise TrialityError(
+            f"{op_name} eigenvector matrix fails the similarity")
     return Diagonalization(op_name, u, d)
 
 
@@ -292,42 +316,29 @@ class GradedBasis:
         return OMEGA if position < 21 else OMEGA_BAR
 
 
-RIGHT_EIGENVALUE = OMEGA
-LEFT_EIGENVALUE = OMEGA_BAR
-
-
 def graded_basis(b: LieBasis, op: OuterOp) -> GradedBasis:
     """Regroup a basis by triality eigenvalue using the diagonalizer columns.
 
-    For each quartet the four new generators are the column-coefficient
-    combinations sum_s U[s][t] gen_s; column t inherits the eigenvalue
-    D[t][t] under the action of the outer operator.
+    The quartet terms of U^T give, in each quartet, the combinations
+    sum_s U[s][t] gen_s; column t inherits the eigenvalue D[t][t] under
+    the action of the outer operator.
     """
-    if op.signature != b.signature:
-        raise SignatureMismatch(
-            f"operator {op.name} is {op.signature}, basis is {b.signature}")
-    diag = diagonalize(op.name)
-    u = diag.change_of_basis
-    parts = ([], [], [], [])
-    coeffs = ([], [], [], [])
-    for k in range(7):
-        olds = [b[QUARTETS[s][k]] for s in range(4)]
-        for t in range(4):
-            acc = Matrix.zero(8)
-            vec = [ZERO] * 28
-            for s in range(4):
-                c = u[s, t]
-                if c._nz:
-                    acc = acc + olds[s].scale(c)
-                    vec[_GEN_POS[QUARTETS[s][k]]] = c
-            parts[t].append(acc)
-            coeffs[t].append(tuple(vec))
+    _require_signature(op, b)
+    terms = quartet_terms(diagonalize(op.name).change_of_basis.T)
+    gens = _combine(b, terms)
+    parts = [tuple(gens[idx] for idx in row) for row in QUARTETS]
+    coeffs = []
+    for idx in (idx for row in QUARTETS for idx in row):
+        vec = [ZERO] * 28
+        for old, c in terms[idx]:
+            vec[_GEN_POS[old]] = c
+        coeffs.append(tuple(vec))
     return GradedBasis(
         provenance=f"{b.kind}{b.signature} graded by {op.name}",
-        g2_part=tuple(parts[0] + parts[1]),
-        right_part=tuple(parts[2]),
-        left_part=tuple(parts[3]),
-        coeff_vectors=tuple(coeffs[0] + coeffs[1] + coeffs[2] + coeffs[3]),
+        g2_part=parts[0] + parts[1],
+        right_part=parts[2],
+        left_part=parts[3],
+        coeff_vectors=tuple(coeffs),
     )
 
 

@@ -105,14 +105,28 @@ def test_out_flag_writes_a_file(tmp_path):
     assert data["suite"] == "lorentzian"
 
 
-def test_construction_error_exits_2(monkeypatch):
+# one request per verb, with a builder it calls through triality.cli
+_VERB_BUILDERS = [
+    (["verify", "--suite", "all"], "run_suite"),
+    (["emit", "--object", "gammas-cl7"], "cl7_basis"),
+    (["map", "--op", "H", "--from", "V"], "apply_outer"),
+    (["grade", "--signature", "8,0"], "graded_basis"),
+    (["s3", "--signature", "1,7"], "s3_closure"),
+    (["g2", "--emit", "lambda"], "g2_basis"),
+    (["su3"], "su3_embedding"),
+]
+
+
+def test_construction_error_exits_2(monkeypatch, capsys):
     import triality.cli as cli
 
-    def boom(suite, fault=None):
+    def boom(*args, **kwargs):
         raise RuntimeError("synthetic construction failure")
 
-    monkeypatch.setattr(cli, "run_suite", boom)
-    assert cli.main(["verify", "--suite", "all"]) == 2
+    for argv, builder in _VERB_BUILDERS:
+        monkeypatch.setattr(cli, builder, boom)
+        assert cli.main(argv) == 2, argv
+        assert "synthetic construction failure" in capsys.readouterr().err
 
 
 def test_map_verb_lands_on_the_left_basis():
@@ -126,6 +140,28 @@ def test_map_verb_lands_on_the_left_basis():
     by_name = {item["name"]: item for item in payload["items"]}
     got = matrix_from_json(by_name["L_{0,1}"]["matrix"])
     assert got == left[(0, 1)]
+
+
+@pytest.mark.parametrize("op_name", ["H", "K", "T", "conj"])
+def test_map_coefficients_rebuild_every_matrix(capsys, op_name):
+    import triality.cli as cli
+    from triality.emit import scalar_from_json
+    from triality.outer import outer_op
+    from triality.representations import basis
+    signature = outer_op(op_name).signature
+    for source_kind in ("V", "L", "R"):
+        assert cli.main(["map", "--op", op_name, "--from", source_kind]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        source = basis(source_kind, signature)
+        by_name = {source.name_of(idx): m for idx, m in source.items()}
+        for item in payload["items"]:
+            acc = Matrix.zero(8)
+            for term in item["coefficients"]:
+                m = by_name[term["generator"]]
+                if term["conjugated"]:
+                    m = m.conj()
+                acc = acc + m.scale(scalar_from_json(term["coefficient"]))
+            assert acc == matrix_from_json(item["matrix"]), item["name"]
 
 
 def test_map_conj_verb():
@@ -162,7 +198,7 @@ def test_g2_verb():
 
 
 def test_su3_verb():
-    out = run_cli("su3", "--check")
+    out = run_cli("su3")
     assert out.returncode == 0
     payload = json.loads(out.stdout)
     assert payload["check"] == "pass" and len(payload["blocks"]) == 14

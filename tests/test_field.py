@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from triality.field import (ExactScalar, HALF, I, ONE, SQRT2, SQRT3, SQRT6,
-                            ZERO, from_parts, rational, scalar_mul)
+                            ZERO, from_parts, rational)
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=4)
@@ -17,7 +17,7 @@ nonzero_scalars = scalars.filter(lambda x: not x.is_zero)
 
 def test_inverse_sqrt2_squares_to_half():
     inv = ONE / SQRT2
-    assert scalar_mul(inv, inv) == HALF
+    assert inv * inv == HALF
 
 
 def test_sqrt2_times_sqrt3_is_sqrt6():

@@ -3,14 +3,15 @@
 import pytest
 
 from triality.clifford import EUCLIDEAN, LORENTZIAN
-from triality.errors import SignatureMismatch
+from triality.errors import SignatureMismatch, TrialityError
 from triality.field import (HALF, I, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO,
                             rational)
 from triality.linalg import Subspace, is_closed
 from triality.matrix import Matrix, commutator
-from triality.outer import (QUARTETS, apply_outer, diagonalize, graded_basis,
-                            killing_form, killing_trace, outer_conj, outer_h,
-                            outer_k, outer_op, outer_t, s3_closure, unpack)
+from triality.outer import (QUARTETS, OuterOp, apply_outer, diagonalize,
+                            graded_basis, killing_form, killing_trace,
+                            outer_conj, outer_h, outer_k, outer_op, outer_t,
+                            quartet_terms, s3_closure, signature_ops, unpack)
 from triality.representations import (GEN_INDICES, P_MATRIX, basis,
                                       spinor_bases, vector_basis)
 
@@ -19,6 +20,35 @@ def test_quartets_partition_the_28_indices():
     seen = [idx for row in QUARTETS for idx in row]
     assert len(seen) == 28
     assert sorted(seen) == list(GEN_INDICES)
+
+
+@pytest.mark.parametrize("op_name", ["H", "K", "T", "conj"])
+def test_quartet_terms_walk_the_quartets(op_name):
+    core = outer_op(op_name).core
+    expected = {}
+    for k in range(7):
+        for t in range(4):
+            expected[QUARTETS[t][k]] = tuple(
+                (QUARTETS[s][k], core[t, s]) for s in range(4)
+                if core[t, s] != ZERO)
+    assert quartet_terms(core) == expected
+
+
+def test_signature_ops_pair_each_signature():
+    assert [op.name for op in signature_ops(EUCLIDEAN)] == ["H", "K"]
+    assert [op.name for op in signature_ops(LORENTZIAN)] == ["T", "conj"]
+    for sig in (EUCLIDEAN, LORENTZIAN):
+        assert all(op.signature == sig for op in signature_ops(sig))
+
+
+def test_graded_coefficients_are_the_unpacked_eigenvectors():
+    u = diagonalize("H").change_of_basis
+    columns = unpack(OuterOp("U^T", u.T, False, EUCLIDEAN)).matrix
+    graded = graded_basis(vector_basis(EUCLIDEAN), outer_h())
+    order = [idx for row in QUARTETS for idx in row]
+    for vec, idx in zip(graded.coeff_vectors, order):
+        col = GEN_INDICES.index(idx)
+        assert vec == tuple(columns[r, col] for r in range(28))
 
 
 def test_h_core_as_printed():
@@ -130,6 +160,17 @@ def test_diagonalize_h():
     k_prime = u.dagger() @ outer_k().core @ u
     assert k_prime == Matrix(((1, 0, 0, 0), (0, 1, 0, 0),
                               (0, 0, 0, 1), (0, 0, 1, 0)))
+
+
+def test_diagonalize_rejects_a_corrupted_core(monkeypatch):
+    import triality.outer as outer
+    h = outer_h()
+    rows = [list(r) for r in h.core.rows]
+    rows[0][0] = -rows[0][0]
+    corrupted = OuterOp("H", Matrix(rows), False, h.signature)
+    monkeypatch.setattr(outer, "outer_h", lambda: corrupted)
+    with pytest.raises(TrialityError, match="similarity"):
+        diagonalize.__wrapped__("H")
 
 
 def test_diagonalize_t_is_real_orthogonal():
