@@ -17,8 +17,7 @@ from .clifford import (EUCLIDEAN, LORENTZIAN, GammaBasis, Signature,
 from .field import (ExactScalar, HALF, I, MINUS_ONE, ONE, OMEGA, OMEGA_BAR,
                     SQRT2, SQRT3, SQRT6, ZERO, from_parts, rational, scalar)
 from .linalg import (CoordSolver, StructureConstants, Subspace, det,
-                     is_closed, kernel_basis, rref, rref_kernel,
-                     structure_constants)
+                     is_closed, kernel_basis, rref, structure_constants)
 from .matrix import Matrix, anticommutator, commutator, kron
 from .outer import (GradedBasis, OuterOp, apply_outer, diagonalize,
                     graded_basis, killing_form, killing_trace, outer_conj,

@@ -50,7 +50,8 @@ class ExactScalar:
     __slots__ = ("coords", "_nz")
 
     def __init__(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(c if isinstance(c, Fraction) else _int_coord(c)
+                       for c in coords)
         if len(coords) != 8:
             raise ValueError("ExactScalar needs 8 coordinates")
         object.__setattr__(self, "coords", coords)
@@ -195,7 +196,8 @@ class ExactScalar:
         return self.coords == other.coords
 
     def __hash__(self):
-        return hash(self.coords)
+        # A rational hashes as its Fraction, as ``==`` with ints demands.
+        return hash(self.coords[0] if self.is_rational else self.coords)
 
     def __bool__(self):
         return bool(self._nz)
@@ -232,6 +234,12 @@ class ExactScalar:
         for t in terms[1:]:
             out += " - " + t[1:] if t.startswith("-") else " + " + t
         return out
+
+
+def _int_coord(c) -> Fraction:
+    if isinstance(c, int):
+        return Fraction(c)
+    raise TypeError(f"ExactScalar coordinates are int or Fraction, not {c!r}")
 
 
 def _coerce(value):

@@ -4,6 +4,10 @@ The workhorse is a deterministic RREF over Q(i, sqrt2, sqrt3): pivots are
 chosen as the leftmost nonzero column and the first nonzero row in index
 order (magnitude-based pivoting is meaningless in exact arithmetic), so
 constraint presentations are reproducible run to run.
+
+This module is the only place that eliminates: ``stacked_solve`` solves
+sum a_i x_i = sum b_j y_j for every intersection, and
+``Subspace.eliminate`` is the one reducer, also behind ``CoordSolver``.
 """
 
 from __future__ import annotations
@@ -55,27 +59,50 @@ def rref(rows, pivot_cols_limit=None):
     return tuple(tuple(row) for row in m[:r]), tuple(pivots)
 
 
-def kernel_basis(rows, ncols: int):
-    """Exact basis of the right kernel of the system ``rows`` x = 0.
-
-    The basis is itself returned in reduced row echelon form, so the
-    presentation of a kernel is canonical.
-    """
-    red, pivots = rref(rows)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+def _free_expansion(red, pivots, ncols: int):
+    """One kernel vector per free column of an RREF: 1 there, and minus
+    that column's entry of each pivot row at the row's pivot."""
     vecs = []
-    for f in free:
+    for f in (c for c in range(ncols) if c not in pivots):
         v = [ZERO] * ncols
         v[f] = ONE
         for row, p in zip(red, pivots):
             if row[f]._nz:
                 v[p] = -row[f]
         vecs.append(v)
-    if not vecs:
-        return ()
-    canon, _ = rref(vecs)
-    return canon
+    return vecs
+
+
+def kernel_basis(rows, ncols: int):
+    """Exact basis of the right kernel of the system ``rows`` x = 0.
+
+    The basis is itself returned in reduced row echelon form, so the
+    presentation of a kernel is canonical.
+    """
+    return rref(_free_expansion(*rref(rows), ncols))[0]
+
+
+def stacked_solve(a_vecs, b_vecs):
+    """Solve sum_i x_i a_i = sum_j y_j b_j exactly.
+
+    The unknowns are (x, y), with the vectors in the order given, so the
+    caller's order decides the pivots.  Returns ``(rref_rows, pivots,
+    common)``, where ``common`` is the Subspace spanned by sum_j y_j b_j
+    over the kernel vector of each free column.
+    """
+    dim = len(a_vecs[0] if a_vecs else b_vecs[0])
+    system = [tuple(a[e] for a in a_vecs) + tuple(-b[e] for b in b_vecs)
+              for e in range(dim)]
+    red, pivots = rref(system)
+    p = len(a_vecs)
+    vecs = []
+    for kv in _free_expansion(red, pivots, p + len(b_vecs)):
+        v = [ZERO] * dim
+        for y, b in zip(kv[p:], b_vecs):
+            if y._nz:
+                v = [xi + y * xr if xr._nz else xi for xi, xr in zip(v, b)]
+        vecs.append(v)
+    return red, pivots, Subspace.from_vectors(vecs, dim)
 
 
 def det(m: Matrix) -> ExactScalar:
@@ -109,17 +136,18 @@ def det(m: Matrix) -> ExactScalar:
 class Subspace:
     """A subspace of coordinate space held in exact reduced row echelon form.
 
-    ``constraint_form``, when present, lists the solved linear relations
-    among named coefficients produced by an intersection computation.
+    Each row's support (its nonzero columns) is found once, here, so that
+    elimination touches only those entries.
     """
 
-    __slots__ = ("ambient_dim", "rows", "pivots", "constraint_form")
+    __slots__ = ("ambient_dim", "rows", "pivots", "_supports")
 
-    def __init__(self, ambient_dim, rows, pivots, constraint_form=None):
+    def __init__(self, ambient_dim, rows, pivots):
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "pivots", pivots)
-        object.__setattr__(self, "constraint_form", constraint_form)
+        object.__setattr__(self, "_supports", tuple(
+            tuple(i for i, x in enumerate(row) if x._nz) for row in rows))
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -144,13 +172,23 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
+    def eliminate(self, v):
+        """Reduce the list ``v`` in place against the basis rows; return
+        the (row index, multiplier) pairs of the rows it used."""
+        used = []
+        for k, (row, p, support) in enumerate(
+                zip(self.rows, self.pivots, self._supports)):
+            c = v[p]
+            if c._nz:
+                for i in support:
+                    v[i] = v[i] - c * row[i]
+                used.append((k, c))
+        return used
+
     def reduce(self, vector):
         """Residual of ``vector`` after elimination against the basis rows."""
         v = [scalar(x) for x in vector]
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c._nz:
-                v = [xi - c * xr if xr._nz else xi for xi, xr in zip(v, row)]
+        self.eliminate(v)
         return tuple(v)
 
     def contains(self, vector) -> bool:
@@ -171,70 +209,39 @@ class Subspace:
         """Exact intersection of two spans via the stacked-kernel method."""
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimensions differ")
-        p, q = self.dim, other.dim
-        if p == 0 or q == 0:
+        if not self.rows or not other.rows:
             return Subspace(self.ambient_dim, (), ())
-        # columns: coefficients on self.rows then on other.rows
-        stacked = [tuple(self.rows[a][c] for a in range(p))
-                   + tuple(-other.rows[b][c] for b in range(q))
-                   for c in range(self.ambient_dim)]
-        ker = kernel_basis(stacked, p + q)
-        vecs = []
-        for kv in ker:
-            v = [ZERO] * self.ambient_dim
-            for a in range(p):
-                if kv[a]._nz:
-                    v = [xi + kv[a] * xr if xr._nz else xi
-                         for xi, xr in zip(v, self.rows[a])]
-            vecs.append(v)
-        return Subspace.from_vectors(vecs, self.ambient_dim)
+        return stacked_solve(self.rows, other.rows)[2]
 
     def __repr__(self):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-def rref_kernel(rows, ncols=None) -> Subspace:
-    """Kernel of a rows x cols scalar array as a Subspace (exact)."""
-    rows = [tuple(scalar(x) for x in row) for row in rows]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    vecs = kernel_basis(rows, ncols)
-    return Subspace.from_vectors(vecs, ncols) if vecs else Subspace(ncols, (), ())
-
-
 class CoordSolver:
     """Expands matrices in a fixed list of linearly independent generators.
 
-    Built once per basis from an identity-augmented RREF; each solve is a
-    sparse reduction of the flattened target against the pivot rows.
+    Built once per basis from an identity-augmented RREF: ``span`` holds
+    the generator half of its rows, and ``_terms`` the nonzero
+    (generator, coefficient) pairs of each row's identity half.  A solve
+    eliminates the flattened target along ``span`` and adds up the terms
+    of the rows it used.
     """
 
-    __slots__ = ("k", "n2", "_rows")
+    __slots__ = ("span", "_terms")
 
     def __init__(self, gens):
         gens = list(gens)
         k = len(gens)
         n2 = gens[0].n * gens[0].n
-        aug = []
-        for idx, g in enumerate(gens):
-            row = list(g.flat()) + [ZERO] * k
-            row[n2 + idx] = ONE
-            aug.append(row)
+        aug = [tuple(g.flat()) + tuple(ONE if j == i else ZERO for j in range(k))
+               for i, g in enumerate(gens)]
         red, pivots = rref(aug, pivot_cols_limit=n2)
         if len(red) != k:
             raise LinearlyDependent(f"only {len(red)} of {k} generators independent")
-        rows = []
-        for row, p in zip(red, pivots):
-            vec = row[:n2]
-            coeff = row[n2:]
-            rows.append((p,
-                         vec,
-                         tuple(i for i, x in enumerate(vec) if x._nz),
-                         coeff,
-                         tuple(i for i, x in enumerate(coeff) if x._nz)))
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "n2", n2)
-        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "span",
+                           Subspace(n2, tuple(row[:n2] for row in red), pivots))
+        object.__setattr__(self, "_terms", tuple(
+            tuple((i, x) for i, x in enumerate(row[n2:]) if x._nz) for row in red))
 
     def __setattr__(self, name, value):
         raise AttributeError("CoordSolver is immutable")
@@ -242,15 +249,10 @@ class CoordSolver:
     def solve(self, m: Matrix):
         """Coefficients c with sum c_i gen_i = m, or None if m is outside."""
         v = list(m.flat())
-        coeffs = [ZERO] * self.k
-        for p, vec, vec_nz, coeff, coeff_nz in self._rows:
-            c = v[p]
-            if not c._nz:
-                continue
-            for idx in vec_nz:
-                v[idx] = v[idx] - c * vec[idx]
-            for idx in coeff_nz:
-                coeffs[idx] = coeffs[idx] + c * coeff[idx]
+        coeffs = [ZERO] * len(self._terms)
+        for r, c in self.span.eliminate(v):
+            for i, x in self._terms[r]:
+                coeffs[i] = coeffs[i] + c * x
         if any(x._nz for x in v):
             return None
         return tuple(coeffs)

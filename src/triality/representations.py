@@ -58,16 +58,8 @@ class LieBasis:
     def name_of(self, idx) -> str:
         return f"{self.kind}_{{{idx[0]},{idx[1]}}}"
 
-    def span(self) -> Subspace:
-        return _cached_span(self)
-
     def structure_constants(self):
         return _cached_structure_constants(self)
-
-
-@lru_cache(maxsize=None)
-def _cached_span(b: "LieBasis") -> Subspace:
-    return Subspace.from_matrices(b.matrices())
 
 
 @lru_cache(maxsize=None)

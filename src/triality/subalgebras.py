@@ -16,7 +16,7 @@ from functools import lru_cache
 from .errors import BlockMismatch, ClosureFailure
 from .field import (HALF, I, MINUS_ONE, ONE, SQRT2, SQRT3, ZERO, ExactScalar,
                     rational)
-from .linalg import CoordSolver, Subspace, rref
+from .linalg import CoordSolver, Subspace, stacked_solve
 from .matrix import Matrix, commutator
 from .representations import GEN_INDICES, LieBasis
 
@@ -71,10 +71,6 @@ class Constraint:
         return f"{self.dependent} = {joined}"
 
 
-def _coeff_name(prefix: str, idx) -> str:
-    return f"{prefix}{idx[0]}{idx[1]}"
-
-
 # Dependent coefficients, in presentation order: the seven solved b's.
 DEPENDENT_B = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3))
 
@@ -100,42 +96,20 @@ class IntersectionSystem:
 
 def intersect_pair(first: RestrictedBasis, second: RestrictedBasis) -> IntersectionSystem:
     """Exact intersection of two restricted spans with named constraints."""
-    fi, si = first.indices, second.indices
-    n_f, n_s = len(fi), len(si)
     # column order: a's (first basis), dependent b's, then free b's
-    s_order = [idx for idx in DEPENDENT_B if idx in si]
-    s_order += [idx for idx in si if idx not in s_order]
-    columns = [("a", idx) for idx in fi] + [("b", idx) for idx in s_order]
-    mats = {("a", idx): first[idx] for idx in fi}
-    mats.update({("b", idx): -second[idx] for idx in s_order})
-    rows = [[mats[col][divmod(e, 8)] for col in columns] for e in range(64)]
-    red, pivots = rref(rows)
-    rank = len(red)
-    free_cols = [c for c in range(len(columns)) if c not in pivots]
-    constraints = []
-    for row, p in zip(red, pivots):
-        prefix, idx = columns[p]
-        terms = tuple((-row[f], _coeff_name(columns[f][0], columns[f][1]))
-                      for f in free_cols if row[f]._nz)
-        constraints.append(Constraint(_coeff_name(prefix, idx), terms))
-    # members of the intersection: plug each free b into the solved system
-    vectors = []
-    col_pos = {col: k for k, col in enumerate(columns)}
-    for f in free_cols:
-        coeffs = {columns[f]: ONE}
-        for row, p in zip(red, pivots):
-            if row[f]._nz:
-                coeffs[columns[p]] = -row[f]
-        m = Matrix.zero(8)
-        for idx in si:
-            c = coeffs.get(("b", idx), ZERO)
-            if c._nz:
-                m = m + second[idx].scale(c)
-        vectors.append(tuple(m.flat()))
-    subspace = Subspace.from_vectors(vectors, 64)
-    return IntersectionSystem(subspace=subspace,
-                              constraints=tuple(constraints),
-                              rank=rank, unknowns=len(columns))
+    s_order = [idx for idx in DEPENDENT_B if idx in second.indices]
+    s_order += [idx for idx in second.indices if idx not in s_order]
+    names = ([f"a{i}{j}" for i, j in first.indices]
+             + [f"b{i}{j}" for i, j in s_order])
+    red, pivots, subspace = stacked_solve(
+        [tuple(m.flat()) for m in first.gens],
+        [tuple(second[idx].flat()) for idx in s_order])
+    free = [c for c in range(len(names)) if c not in pivots]
+    constraints = tuple(
+        Constraint(names[p], tuple((-row[f], names[f]) for f in free if row[f]._nz))
+        for row, p in zip(red, pivots))
+    return IntersectionSystem(subspace=subspace, constraints=constraints,
+                              rank=len(red), unknowns=len(names))
 
 
 def intersect(span_lists) -> Subspace:

@@ -1,5 +1,6 @@
 """Field arithmetic over Q(i, sqrt2, sqrt3): examples and axioms."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,22 @@ def test_division_by_zero_raises():
         ONE / ZERO
     with pytest.raises(ZeroDivisionError):
         ZERO.inverse()
+
+
+def test_coordinates_must_be_exact():
+    for inexact in (0.1, "1/10", Decimal("0.1")):
+        with pytest.raises(TypeError):
+            from_parts(re=(inexact, 0, 0, 0))
+    tenth = Fraction(1, 10)
+    assert from_parts(re=(tenth, 0, 0, 0)).coords[0] is tenth
+    assert from_parts(im=(3, 0, 0, 0)).coords[4] == Fraction(3)
+
+
+def test_rationals_hash_like_the_numbers_they_equal():
+    assert len({ONE, 1}) == 1
+    assert hash(HALF) == hash(Fraction(1, 2))
+    assert hash(ZERO) == hash(0)
+    assert {rational(2, 3): "x"}[Fraction(2, 3)] == "x"
 
 
 def test_third_root_of_unity():

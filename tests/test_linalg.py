@@ -4,27 +4,39 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cofactor_det, matrix_in_span, naive_rank
+from oracles import cofactor_det, in_span, matrix_in_span, naive_rank
+from triality.clifford import EUCLIDEAN
 from triality.errors import LinearlyDependent, NotClosed
-from triality.field import ONE, ZERO, rational
+from triality.field import ONE, ZERO, ExactScalar, rational
 from triality.linalg import (CoordSolver, Subspace, det, is_closed,
-                             kernel_basis, rref, rref_kernel,
-                             structure_constants)
+                             kernel_basis, rref, structure_constants)
 from triality.matrix import Matrix, commutator
-from triality.representations import vector_basis
+from triality.representations import spinor_bases, vector_basis
 from triality.subalgebras import g2_basis
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# short lists of 4-vectors: small enough that spans meet and miss often
+vectors4 = st.lists(st.lists(fractions, min_size=4, max_size=4),
+                    min_size=1, max_size=3)
+
+
+def _exact(vectors):
+    return [[rational(x) for x in v] for v in vectors]
+
+
+def _as_matrix(v):
+    """A 4-vector as the 2x2 matrix it flattens from."""
+    return Matrix([v[:2], v[2:]])
 
 
 def test_kernel_of_identity_is_trivial():
     rows = Matrix.identity(8).rows
-    assert rref_kernel(rows).dim == 0
+    assert kernel_basis(rows, 8) == ()
 
 
 def test_kernel_of_zero_map_is_everything():
     rows = [[ZERO] * 5 for _ in range(3)]
-    assert rref_kernel(rows, 5).dim == 5
+    assert len(kernel_basis(rows, 5)) == 5
 
 
 def test_rref_pivots_are_deterministic_and_normalized():
@@ -97,6 +109,65 @@ def test_coord_solver_round_trip():
     assert rebuilt == target
     outside = Matrix.identity(8)
     assert solver.solve(outside) is None
+
+
+@given(vectors4, st.lists(fractions, min_size=3, max_size=3),
+       st.one_of(st.none(), st.lists(fractions, min_size=4, max_size=4)))
+@settings(max_examples=60, deadline=None)
+def test_membership_and_solve_agree_with_the_rank_oracle(vecs, coeffs, extra):
+    vecs = _exact(vecs)
+    target = [ZERO] * 4
+    for c, v in zip(coeffs, vecs):
+        target = [t + rational(c) * x for t, x in zip(target, v)]
+    if extra is not None:
+        target = [t + x for t, x in zip(target, _exact([extra])[0])]
+    inside = in_span(vecs, target)
+    assert Subspace.from_vectors(vecs, 4).contains(target) == inside
+    if naive_rank(vecs) < len(vecs):
+        with pytest.raises(LinearlyDependent):
+            CoordSolver(map(_as_matrix, vecs))
+        return
+    solved = CoordSolver(map(_as_matrix, vecs)).solve(_as_matrix(target))
+    assert (solved is not None) == inside
+    if inside:
+        rebuilt = [ZERO] * 4
+        for c, v in zip(solved, vecs):
+            rebuilt = [r + c * x for r, x in zip(rebuilt, v)]
+        assert rebuilt == target
+
+
+@given(vectors4, vectors4)
+@settings(max_examples=60, deadline=None)
+def test_intersection_dimension_matches_the_rank_oracle(a, b):
+    a, b = _exact(a), _exact(b)
+    meet = Subspace.from_vectors(a, 4).intersection(Subspace.from_vectors(b, 4))
+    assert meet.dim == naive_rank(a) + naive_rank(b) - naive_rank(a + b)
+    assert all(in_span(a, v) and in_span(b, v) for v in meet.rows)
+
+
+def test_euclidean_left_solves_stay_within_their_op_count(monkeypatch):
+    """Solving all 378 brackets of L(8,0) builds at most 7,056 scalars.
+
+    Only an upper bound: a change may lower the count, and one that raises
+    it must say why.
+    """
+    gens = spinor_bases(EUCLIDEAN)[0].matrices()
+    solver = CoordSolver(gens)
+    brackets = [commutator(gens[a], gens[b])
+                for a in range(28) for b in range(a + 1, 28)]
+    built = 0
+    init = ExactScalar.__init__
+
+    def counted(self, coords):
+        nonlocal built
+        built += 1
+        init(self, coords)
+
+    monkeypatch.setattr(ExactScalar, "__init__", counted)
+    solved = [solver.solve(x) for x in brackets]
+    monkeypatch.undo()
+    assert len(brackets) == 378 and None not in solved
+    assert built <= 7056
 
 
 def test_subspace_intersection_is_idempotent():

@@ -84,6 +84,8 @@ def test_pairwise_intersections_coincide(restricted, vl_system):
     lr = intersect_pair(rl, rr)
     assert vr.subspace == vl_system.subspace
     assert lr.subspace == vl_system.subspace
+    # the two callers of the stacked solve order their columns differently
+    assert rv.span().intersection(rl.span()) == vl_system.subspace
     triple = intersect([rv.matrices(), rl.matrices(), rr.matrices()])
     assert triple == vl_system.subspace
 
