@@ -114,9 +114,8 @@ def _faulted(op: OuterOp, fault) -> OuterOp:
     """The operator, or a sign-corrupted H when the negative control is on."""
     if fault != FAULT_H_SIGN or op.name != "H":
         return op
-    rows = [list(r) for r in op.core.rows]
-    rows[0][0] = -rows[0][0]
-    return OuterOp("H", Matrix(rows), False, op.signature)
+    flip = Matrix.from_entries(op.core.n, {(0, 0): -2 * op.core[0, 0]})
+    return OuterOp("H", op.core + flip, False, op.signature)
 
 
 def _signatures(scopes):

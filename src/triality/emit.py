@@ -7,11 +7,13 @@ nested arrays of scalars.  Both directions round-trip exactly.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
-from .field import ExactScalar
+from .field import ZERO, ExactScalar
 from .matrix import Matrix
 
+_P_OVER_Q = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
 _RADICAL_LATEX = ("", r"\sqrt{2}", r"\sqrt{3}", r"\sqrt{6}")
 
 
@@ -24,12 +26,17 @@ def scalar_to_json(x: ExactScalar) -> dict:
 
 
 def scalar_from_json(obj) -> ExactScalar:
-    parts = [Fraction(s) for s in obj["re"]] + [Fraction(s) for s in obj["im"]]
-    return ExactScalar(parts)
+    """Decode a scalar; "re" and "im" must each be four "p/q" strings."""
+    parts = [obj.get(key) if isinstance(obj, dict) else None for key in ("re", "im")]
+    if not all(isinstance(part, list) and len(part) == 4
+               and all(isinstance(s, str) and _P_OVER_Q.fullmatch(s) for s in part)
+               for part in parts):
+        raise ValueError(f'a scalar is {{"re": [4 "p/q"], "im": [4 "p/q"]}}, not {obj!r}')
+    return ExactScalar([Fraction(s) for part in parts for s in part])
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[scalar_to_json(x) for x in row] for row in m.rows]
+    return [[scalar_to_json(row.get(j, ZERO)) for j in range(m.n)] for row in m.rows]
 
 
 def matrix_from_json(rows) -> Matrix:
@@ -65,6 +72,6 @@ def scalar_to_latex(x: ExactScalar) -> str:
 
 
 def matrix_to_latex(m: Matrix) -> str:
-    body = r" \\ ".join(" & ".join(scalar_to_latex(x) for x in row)
+    body = r" \\ ".join(" & ".join(scalar_to_latex(row.get(j, ZERO)) for j in range(m.n))
                         for row in m.rows)
     return r"\begin{pmatrix} %s \end{pmatrix}" % body

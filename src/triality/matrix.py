@@ -1,8 +1,10 @@
-"""Dense square matrices over Q(i, sqrt2, sqrt3).
+"""Sparse square matrices over Q(i, sqrt2, sqrt3).
 
-Dimensions stay tiny (at most 28), so everything is dense and pure Python.
-All predicates are exact: a matrix either is Hermitian or it is not, with
-no tolerance anywhere.
+Each row is a dict {column: entry} that holds only the nonzero entries,
+so every operation costs time in proportion to the nonzeros and the
+stored form is canonical: two matrices are equal exactly when their rows
+are.  All predicates are exact: a matrix either is Hermitian or it is
+not, with no tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -11,18 +13,45 @@ from .errors import DimensionMismatch
 from .field import ZERO, ONE, ExactScalar, scalar
 
 
+def accumulate(v: dict, w: dict, op) -> dict:
+    """Set v[k] = op(v.get(k, ZERO), x) for each entry x of w, in place.
+
+    Entries that come out zero are dropped, so a sparse row stays
+    canonical; returns v.
+    """
+    for k, x in w.items():
+        y = op(v.get(k, ZERO), x)
+        if y:
+            v[k] = y
+        else:
+            v.pop(k, None)
+    return v
+
+
 class Matrix:
-    """Immutable square matrix of ExactScalar entries."""
+    """Immutable square matrix of ExactScalar entries, stored sparsely."""
 
     __slots__ = ("rows", "n")
 
     def __init__(self, rows):
-        rows = tuple(tuple(scalar(x) for x in row) for row in rows)
-        n = len(rows)
-        if any(len(row) != n for row in rows):
+        """Build from dense rows of anything ``scalar`` accepts."""
+        rows = list(rows)
+        if any(isinstance(row, dict) for row in rows):
+            raise TypeError("Matrix(rows) takes dense rows, not sparse dicts")
+        rows = [tuple(row) for row in rows]
+        if any(len(row) != len(rows) for row in rows):
             raise DimensionMismatch("matrix must be square")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "rows", tuple(
+            {j: s for j, s in enumerate(map(scalar, row)) if s} for row in rows))
+        object.__setattr__(self, "n", len(rows))
+
+    @classmethod
+    def _of(cls, rows, n: int) -> "Matrix":
+        """Wrap sparse rows that already hold only nonzero ExactScalars."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "rows", tuple(rows))
+        object.__setattr__(m, "n", n)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
@@ -30,73 +59,85 @@ class Matrix:
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, n: int) -> "Matrix":
-        return cls(tuple((ZERO,) * n for _ in range(n)))
+        return cls._of(({} for _ in range(n)), n)
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(tuple(tuple(ONE if i == j else ZERO for j in range(n))
-                         for i in range(n)))
+        return cls._of(({i: ONE} for i in range(n)), n)
 
     @classmethod
     def diag(cls, entries) -> "Matrix":
-        entries = [scalar(e) for e in entries]
-        n = len(entries)
-        return cls(tuple(tuple(entries[i] if i == j else ZERO for j in range(n))
-                         for i in range(n)))
+        entries = list(entries)
+        return cls.from_entries(len(entries), {(i, i): e for i, e in enumerate(entries)})
 
     @classmethod
     def from_entries(cls, n: int, entries) -> "Matrix":
         """Build an n x n matrix from {(i, j): value} (absent entries zero)."""
-        rows = [[ZERO] * n for _ in range(n)]
+        rows = [{} for _ in range(n)]
         for (i, j), v in entries.items():
-            rows[i][j] = scalar(v)
-        return cls(rows)
+            if not (0 <= i < n and 0 <= j < n):
+                raise DimensionMismatch(f"entry {(i, j)} outside {n}x{n}")
+            if v := scalar(v):
+                rows[i][j] = v
+        return cls._of(rows, n)
 
     @classmethod
     def block2(cls, tl: "Matrix", tr: "Matrix", bl: "Matrix", br: "Matrix") -> "Matrix":
         """Assemble a 2x2 block matrix from four equal-size blocks."""
         m = tl.n
-        rows = [tl.rows[i] + tr.rows[i] for i in range(m)]
-        rows += [bl.rows[i] + br.rows[i] for i in range(m)]
-        return cls(rows)
+        if any(b.n != m for b in (tr, bl, br)):
+            raise DimensionMismatch("block2 needs four blocks of equal size")
+        rows = [{**left, **{m + j: x for j, x in right.items()}}
+                for top, bottom in ((tl, tr), (bl, br))
+                for left, right in zip(top.rows, bottom.rows)]
+        return cls._of(rows, 2 * m)
 
     # -- accessors ---------------------------------------------------------
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        if not (0 <= i < self.n and 0 <= j < self.n):
+            raise IndexError(f"entry {ij} outside {self.n}x{self.n}")
+        return self.rows[i].get(j, ZERO)
 
     def block(self, i0: int, j0: int, size: int) -> "Matrix":
-        return Matrix(tuple(row[j0:j0 + size]
-                            for row in self.rows[i0:i0 + size]))
+        if min(i0, j0, size) < 0 or max(i0, j0) + size > self.n:
+            raise DimensionMismatch(
+                f"{size}x{size} block at {(i0, j0)} outside {self.n}x{self.n}")
+        return Matrix._of(({j - j0: x for j, x in row.items() if j0 <= j < j0 + size}
+                           for row in self.rows[i0:i0 + size]), size)
 
-    def flat(self):
-        """Entries in row-major order."""
-        for row in self.rows:
-            yield from row
+    def vector(self) -> dict:
+        """The entries as a sparse vector {i*n + j: entry}, row-major."""
+        n = self.n
+        return {i * n + j: x for i, row in enumerate(self.rows)
+                for j, x in row.items()}
 
     # -- algebra -----------------------------------------------------------
-    def __add__(self, other):
+    def _merge(self, other, op):
         if not isinstance(other, Matrix):
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} vs {other.n}")
-        return Matrix(tuple(tuple(a + b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)))
+        return Matrix._of((accumulate(dict(ra), rb, op)
+                           for ra, rb in zip(self.rows, other.rows)), self.n)
+
+    def __add__(self, other):
+        return self._merge(other, ExactScalar.__add__)
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} vs {other.n}")
-        return Matrix(tuple(tuple(a - b for a, b in zip(ra, rb))
-                            for ra, rb in zip(self.rows, other.rows)))
+        return self._merge(other, ExactScalar.__sub__)
+
+    def _map(self, fn):
+        """Apply ``fn``, which sends nonzero scalars to nonzero ones, entrywise."""
+        return Matrix._of(({j: fn(x) for j, x in row.items()} for row in self.rows),
+                          self.n)
 
     def __neg__(self):
-        return Matrix(tuple(tuple(-a for a in row) for row in self.rows))
+        return self._map(ExactScalar.__neg__)
 
     def scale(self, c) -> "Matrix":
         c = scalar(c)
-        return Matrix(tuple(tuple(c * a for a in row) for row in self.rows))
+        return self._map(c.__mul__) if c else Matrix.zero(self.n)
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
@@ -110,59 +151,54 @@ class Matrix:
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} vs {other.n}")
-        n = self.n
-        brows = other.rows
         out = []
         for arow in self.rows:
-            acc = [ZERO] * n
-            for k in range(n):
-                a = arow[k]
-                if not a._nz:
-                    continue
-                for j, b in enumerate(brows[k]):
-                    if b._nz:
-                        acc[j] = acc[j] + a * b
+            acc = {}
+            for k, a in arow.items():
+                accumulate(acc, other.rows[k], lambda s, b: s + a * b)
             out.append(acc)
-        return Matrix(out)
+        return Matrix._of(out, self.n)
 
     def power(self, k: int) -> "Matrix":
+        if k < 0:
+            raise ValueError(f"negative matrix power {k}")
         out = Matrix.identity(self.n)
         for _ in range(k):
             out = out @ self
         return out
 
     def transpose(self) -> "Matrix":
-        return Matrix(tuple(zip(*self.rows)))
+        cols = [{} for _ in range(self.n)]
+        for i, row in enumerate(self.rows):
+            for j, x in row.items():
+                cols[j][i] = x
+        return Matrix._of(cols, self.n)
 
     @property
     def T(self) -> "Matrix":
         return self.transpose()
 
     def conj(self) -> "Matrix":
-        return Matrix(tuple(tuple(a.conj() for a in row) for row in self.rows))
+        return self._map(ExactScalar.conj)
 
     def dagger(self) -> "Matrix":
         """Conjugate transpose."""
         return self.conj().transpose()
 
-    @property
-    def H(self) -> "Matrix":
-        return self.dagger()
-
     def trace(self) -> ExactScalar:
         out = ZERO
-        for i in range(self.n):
-            out = out + self.rows[i][i]
+        for i, row in enumerate(self.rows):
+            out = out + row.get(i, ZERO)
         return out
 
     # -- exact predicates ----------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return all(not a._nz for a in self.flat())
+        return not any(self.rows)
 
     @property
     def is_real(self) -> bool:
-        return all(a.is_real for a in self.flat())
+        return all(x.is_real for row in self.rows for x in row.values())
 
     @property
     def is_symmetric(self) -> bool:
@@ -194,13 +230,13 @@ class Matrix:
         return self.n == other.n and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        return hash(tuple(frozenset(row.items()) for row in self.rows))
 
     def __repr__(self):
         return f"Matrix({self.n}x{self.n})"
 
     def __str__(self):
-        cells = [[str(a) for a in row] for row in self.rows]
+        cells = [[str(row.get(j, ZERO)) for j in range(self.n)] for row in self.rows]
         width = max(len(c) for row in cells for c in row)
         return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]"
                          for row in cells)
@@ -217,16 +253,7 @@ def anticommutator(a: Matrix, b: Matrix) -> Matrix:
 
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product; result dimension is a.n * b.n."""
-    m, n = a.n, b.n
-    rows = []
-    for i in range(m):
-        for k in range(n):
-            row = []
-            for j in range(m):
-                aij = a.rows[i][j]
-                if aij._nz:
-                    row.extend(aij * x for x in b.rows[k])
-                else:
-                    row.extend([ZERO] * n)
-            rows.append(row)
-    return Matrix(rows)
+    n = b.n
+    return Matrix._of(({j * n + l: x * y for j, x in arow.items()
+                        for l, y in brow.items()}
+                       for arow in a.rows for brow in b.rows), a.n * n)

@@ -158,10 +158,8 @@ class UnpackedOp:
 
     def apply(self, coeffs):
         vec = [x.conj() for x in coeffs] if self.antilinear else list(coeffs)
-        return tuple(
-            sum((self.matrix[r, c] * vec[c] for c in range(28)
-                 if self.matrix[r, c]._nz), ZERO)
-            for r in range(28))
+        return tuple(sum((x * vec[c] for c, x in row.items()), ZERO)
+                     for row in self.matrix.rows)
 
 
 def unpack(op: OuterOp) -> UnpackedOp:

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature, cl8_basis, cl17_basis
 from .errors import SignatureMismatch
-from .field import HALF, I, MINUS_ONE, ONE
+from .field import HALF, I, MINUS_ONE, ONE, from_parts
 from .linalg import Subspace, structure_constants
 from .matrix import Matrix
 
@@ -162,16 +162,17 @@ class SpanReport:
 
 
 def real_flatten(m: Matrix):
-    """A matrix as 2 n^2 real coordinates (real parts then imaginary parts).
+    """A matrix as a sparse vector over 2 n^2 real coordinates (real parts
+    then imaginary parts).
 
     Spanning over these coordinates asks for REAL linear combinations; the
     complexified spans of the Lorentzian V and L bases coincide, so the
     meaningful span comparison is the real one.
     """
-    flat = tuple(m.flat())
-    re = tuple(HALF * (x + x.conj()) for x in flat)
-    im = tuple(HALF * (x - x.conj()) * (-I) for x in flat)
-    return re + im
+    flat, n2 = m.vector(), m.n ** 2
+    re = {k: from_parts(re=x.coords[:4]) for k, x in flat.items()}
+    im = {n2 + k: from_parts(re=x.coords[4:]) for k, x in flat.items()}
+    return {k: x for k, x in {**re, **im}.items() if x}
 
 
 def real_span(mats) -> Subspace:

@@ -101,13 +101,13 @@ def intersect_pair(first: RestrictedBasis, second: RestrictedBasis) -> Intersect
     s_order += [idx for idx in second.indices if idx not in s_order]
     names = ([f"a{i}{j}" for i, j in first.indices]
              + [f"b{i}{j}" for i, j in s_order])
-    red, pivots, subspace = stacked_solve(
-        [tuple(m.flat()) for m in first.gens],
-        [tuple(second[idx].flat()) for idx in s_order])
+    red, pivots, common = stacked_solve(
+        [m.vector() for m in first.gens], [second[idx].vector() for idx in s_order])
     free = [c for c in range(len(names)) if c not in pivots]
     constraints = tuple(
-        Constraint(names[p], tuple((-row[f], names[f]) for f in free if row[f]._nz))
+        Constraint(names[p], tuple((-row[f], names[f]) for f in free if f in row))
         for row, p in zip(red, pivots))
+    subspace = Subspace.from_vectors(common, first.gens[0].n ** 2)
     return IntersectionSystem(subspace=subspace, constraints=constraints,
                               rank=len(red), unknowns=len(names))
 
@@ -264,11 +264,10 @@ def block_target(k: int) -> Matrix:
     """diag(0, l_k, -l_k^T) as a 7x7 matrix, for k = 1..8."""
     lam = gell_mann()[k - 1]
     entries = {}
-    for i in range(3):
-        for j in range(3):
-            if lam[i, j]._nz:
-                entries[(1 + i, 1 + j)] = lam[i, j]
-                entries[(4 + j, 4 + i)] = -lam[i, j]
+    for i, row in enumerate(lam.rows):
+        for j, x in row.items():
+            entries[(1 + i, 1 + j)] = x
+            entries[(4 + j, 4 + i)] = -x
     return Matrix.from_entries(7, entries)
 
 

@@ -1,16 +1,22 @@
 """Independent oracles used by the tests.
 
 These deliberately avoid the library's own matmul / RREF / determinant
-code paths so that the values they produce count as independent evidence:
-matrix products by the definition sum, rank by a from-scratch elimination,
-determinants by cofactor expansion.
+code paths and its sparse layout, so that the values they produce count
+as independent evidence: matrices read entry by entry through m[i, j]
+into dense rows, products by the definition sum, rank by a from-scratch
+elimination, determinants by cofactor expansion.
 """
 
 from triality.field import ZERO
 from triality.matrix import Matrix
 
 
-def naive_matmul(a: Matrix, b: Matrix) -> Matrix:
+def dense(m: Matrix):
+    """The entries of m as a list of rows, read through m[i, j] only."""
+    return [[m[i, j] for j in range(m.n)] for i in range(m.n)]
+
+
+def dense_product(a: Matrix, b: Matrix):
     """(AB)_ij = sum_k A_ik B_kj, straight from the definition."""
     n = a.n
     rows = []
@@ -22,7 +28,30 @@ def naive_matmul(a: Matrix, b: Matrix) -> Matrix:
                 acc = acc + a[i, k] * b[k, j]
             row.append(acc)
         rows.append(row)
-    return Matrix(rows)
+    return rows
+
+
+def dense_sum(a: Matrix, b: Matrix):
+    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(dense(a), dense(b))]
+
+
+def dense_transpose(a: Matrix):
+    return [list(col) for col in zip(*dense(a))]
+
+
+def dense_kron(a: Matrix, b: Matrix):
+    """(A (x) B)_(i n + k, j n + l) = A_ij B_kl."""
+    return [[a[i, j] * b[k, l] for j in range(a.n) for l in range(b.n)]
+            for i in range(a.n) for k in range(b.n)]
+
+
+def dense_block2(tl: Matrix, tr: Matrix, bl: Matrix, br: Matrix):
+    return ([ra + rb for ra, rb in zip(dense(tl), dense(tr))]
+            + [ra + rb for ra, rb in zip(dense(bl), dense(br))])
+
+
+def naive_matmul(a: Matrix, b: Matrix) -> Matrix:
+    return Matrix(dense_product(a, b))
 
 
 def naive_bracket(a: Matrix, b: Matrix) -> Matrix:
@@ -37,7 +66,7 @@ def naive_rank(vectors) -> int:
     for c in range(ncols):
         pivot = None
         for r in range(rank, len(rows)):
-            if rows[r][c]._nz:
+            if rows[r][c]:
                 pivot = r
                 break
         if pivot is None:
@@ -45,7 +74,7 @@ def naive_rank(vectors) -> int:
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         inv = rows[rank][c].inverse()
         for r in range(rank + 1, len(rows)):
-            if rows[r][c]._nz:
+            if rows[r][c]:
                 f = rows[r][c] * inv
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
         rank += 1
@@ -59,7 +88,7 @@ def in_span(vectors, target) -> bool:
 
 
 def matrix_in_span(mats, target) -> bool:
-    return in_span([list(m.flat()) for m in mats], list(target.flat()))
+    return in_span([sum(dense(m), []) for m in mats], sum(dense(target), []))
 
 
 def cofactor_det(m: Matrix):
@@ -69,7 +98,7 @@ def cofactor_det(m: Matrix):
         return m[0, 0]
     total = ZERO
     for j in range(n):
-        if not m[0, j]._nz:
+        if not m[0, j]:
             continue
         minor = Matrix([[m[r, c] for c in range(n) if c != j]
                         for r in range(1, n)])

@@ -1,6 +1,6 @@
 """Gamma ladders: anticommutators, reality, volume elements, chirality."""
 
-from oracles import naive_matmul
+from oracles import dense, naive_matmul
 from triality.clifford import (EUCLIDEAN, LORENTZIAN, SIGMA_Y,
                                chiral_transform, cl7_basis, cl8_basis,
                                cl17_basis, dirac_gammas, volume_element)
@@ -9,7 +9,7 @@ from triality.matrix import Matrix, anticommutator, kron
 
 
 def purely_imaginary(m):
-    return all((x + x.conj()).is_zero for x in m.flat())
+    return all((x + x.conj()).is_zero for row in dense(m) for x in row)
 
 
 def test_dirac_signature():

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from triality.clifford import cl7_basis
 from triality.emit import (matrix_from_json, matrix_to_json, matrix_to_latex,
                            scalar_from_json, scalar_to_json, scalar_to_latex)
@@ -16,6 +18,19 @@ def test_scalar_json_schema():
     assert obj == {"re": ["1/2", "0/1", "0/1", "0/1"],
                    "im": ["0/1", "0/1", "1/1", "0/1"]}
     assert scalar_from_json(obj) == x
+
+
+@pytest.mark.parametrize("obj", [
+    {"re": [0.1, 0, 0, 0], "im": [0, 0, 0, 0]},          # floats leak
+    {"re": ["1"] * 5, "im": ["0"] * 3},                  # misaligned
+    {"re": ["1/2", "0/1", "0/1"], "im": ["0/1"] * 4},    # too short
+    {"re": ["1/0"] + ["0/1"] * 3, "im": ["0/1"] * 4},    # zero denominator
+    {"re": ["0.5"] + ["0/1"] * 3, "im": ["0/1"] * 4},    # not p/q
+    {"re": ["0/1"] * 4},                                 # no imaginary part
+])
+def test_scalar_json_needs_four_exact_strings_per_part(obj):
+    with pytest.raises(ValueError):
+        scalar_from_json(obj)
 
 
 def test_zero_encodes_as_zero_over_one():

@@ -12,7 +12,7 @@ from triality.linalg import (CoordSolver, Subspace, det, is_closed,
                              kernel_basis, rref, structure_constants)
 from triality.matrix import Matrix, commutator
 from triality.representations import spinor_bases, vector_basis
-from triality.subalgebras import g2_basis
+from triality.subalgebras import g2_basis, intersect_pair, restrict
 
 fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
 # short lists of 4-vectors: small enough that spans meet and miss often
@@ -22,6 +22,16 @@ vectors4 = st.lists(st.lists(fractions, min_size=4, max_size=4),
 
 def _exact(vectors):
     return [[rational(x) for x in v] for v in vectors]
+
+
+def _sparse(v):
+    """A dense row as the sparse vector the library takes, zeros kept so
+    that the entry points have to drop them."""
+    return dict(enumerate(v))
+
+
+def _dense(v, n):
+    return [v.get(k, ZERO) for k in range(n)]
 
 
 def _as_matrix(v):
@@ -35,24 +45,24 @@ def test_kernel_of_identity_is_trivial():
 
 
 def test_kernel_of_zero_map_is_everything():
-    rows = [[ZERO] * 5 for _ in range(3)]
+    rows = [_sparse([ZERO] * 5) for _ in range(3)]
     assert len(kernel_basis(rows, 5)) == 5
 
 
 def test_rref_pivots_are_deterministic_and_normalized():
-    rows = [[rational(0), rational(2), rational(4)],
-            [rational(0), rational(1), rational(3)]]
+    rows = [_sparse([rational(0), rational(2), rational(4)]),
+            _sparse([rational(0), rational(1), rational(3)])]
     red, pivots = rref(rows)
     assert pivots == (1, 2)
     assert red[0][1] == ONE and red[1][2] == ONE
-    assert red[0][2] == ZERO  # fully reduced above and below
+    assert 2 not in red[0]  # fully reduced above and below
 
 
 @given(st.lists(st.lists(fractions, min_size=4, max_size=4),
                 min_size=1, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_rref_is_idempotent(rows):
-    rows = [[rational(x) for x in row] for row in rows]
+    rows = [_sparse(map(rational, row)) for row in rows]
     red, _ = rref(rows)
     again, _ = rref(list(red))
     assert again == red
@@ -62,9 +72,9 @@ def test_rref_is_idempotent(rows):
                 min_size=2, max_size=5))
 @settings(max_examples=40, deadline=None)
 def test_rank_plus_nullity(rows):
-    rows = [[rational(x) for x in row] for row in rows]
-    red, pivots = rref(rows)
-    assert len(red) + len(kernel_basis(rows, 5)) == 5
+    rows = _exact(rows)
+    red, pivots = rref(map(_sparse, rows))
+    assert len(red) + len(kernel_basis(map(_sparse, rows), 5)) == 5
     assert len(red) == naive_rank(rows)
 
 
@@ -104,7 +114,7 @@ def test_coord_solver_round_trip():
     coeffs = solver.solve(target)
     rebuilt = Matrix.zero(8)
     for c, g in zip(coeffs, gens):
-        if c._nz:
+        if c:
             rebuilt = rebuilt + g.scale(c)
     assert rebuilt == target
     outside = Matrix.identity(8)
@@ -122,7 +132,8 @@ def test_membership_and_solve_agree_with_the_rank_oracle(vecs, coeffs, extra):
     if extra is not None:
         target = [t + x for t, x in zip(target, _exact([extra])[0])]
     inside = in_span(vecs, target)
-    assert Subspace.from_vectors(vecs, 4).contains(target) == inside
+    span = Subspace.from_vectors(map(_sparse, vecs), 4)
+    assert span.contains(_sparse(target)) == inside
     if naive_rank(vecs) < len(vecs):
         with pytest.raises(LinearlyDependent):
             CoordSolver(map(_as_matrix, vecs))
@@ -140,21 +151,15 @@ def test_membership_and_solve_agree_with_the_rank_oracle(vecs, coeffs, extra):
 @settings(max_examples=60, deadline=None)
 def test_intersection_dimension_matches_the_rank_oracle(a, b):
     a, b = _exact(a), _exact(b)
-    meet = Subspace.from_vectors(a, 4).intersection(Subspace.from_vectors(b, 4))
+    meet = Subspace.from_vectors(map(_sparse, a), 4).intersection(
+        Subspace.from_vectors(map(_sparse, b), 4))
     assert meet.dim == naive_rank(a) + naive_rank(b) - naive_rank(a + b)
-    assert all(in_span(a, v) and in_span(b, v) for v in meet.rows)
+    assert all(in_span(a, _dense(v, 4)) and in_span(b, _dense(v, 4))
+               for v in meet.rows)
 
 
-def test_euclidean_left_solves_stay_within_their_op_count(monkeypatch):
-    """Solving all 378 brackets of L(8,0) builds at most 7,056 scalars.
-
-    Only an upper bound: a change may lower the count, and one that raises
-    it must say why.
-    """
-    gens = spinor_bases(EUCLIDEAN)[0].matrices()
-    solver = CoordSolver(gens)
-    brackets = [commutator(gens[a], gens[b])
-                for a in range(28) for b in range(a + 1, 28)]
+def _constructions(monkeypatch, fn):
+    """The result of ``fn()`` and the number of scalars it built."""
     built = 0
     init = ExactScalar.__init__
 
@@ -164,10 +169,37 @@ def test_euclidean_left_solves_stay_within_their_op_count(monkeypatch):
         init(self, coords)
 
     monkeypatch.setattr(ExactScalar, "__init__", counted)
-    solved = [solver.solve(x) for x in brackets]
-    monkeypatch.undo()
+    try:
+        return fn(), built
+    finally:
+        monkeypatch.undo()
+
+
+# The op-count ratchets below are upper bounds only: a change may lower a
+# count, and one that raises it must say why.
+
+def test_euclidean_left_solves_stay_within_their_op_count(monkeypatch):
+    """Solving all 378 brackets of L(8,0) builds at most 7,056 scalars."""
+    gens = spinor_bases(EUCLIDEAN)[0].matrices()
+    solver = CoordSolver(gens)
+    brackets = [commutator(gens[a], gens[b])
+                for a in range(28) for b in range(a + 1, 28)]
+    solved, built = _constructions(
+        monkeypatch, lambda: [solver.solve(x) for x in brackets])
     assert len(brackets) == 378 and None not in solved
     assert built <= 7056
+
+
+def test_axis0_restrictions_meet_within_their_op_counts(monkeypatch):
+    """The Euclidean V and L restrictions meet in at most 1,223 built
+    scalars by ``intersect_pair`` and 363 by ``Subspace.intersection``."""
+    rv = restrict(vector_basis(EUCLIDEAN), 0)
+    rl = restrict(spinor_bases(EUCLIDEAN)[0], 0)
+    system, built = _constructions(monkeypatch, lambda: intersect_pair(rv, rl))
+    assert system.subspace.dim == 14 and built <= 1223
+    span_v, span_l = rv.span(), rl.span()
+    meet, built = _constructions(monkeypatch, lambda: span_v.intersection(span_l))
+    assert meet == system.subspace and built <= 363
 
 
 def test_subspace_intersection_is_idempotent():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_bracket, naive_matmul
+from oracles import (dense, dense_block2, dense_kron, dense_product, dense_sum,
+                     dense_transpose, naive_bracket, naive_matmul)
 from triality.clifford import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from triality.errors import DimensionMismatch
 from triality.field import ExactScalar, I, ONE, ZERO
@@ -89,3 +90,35 @@ def test_jacobi_identity(a, b, c):
 @settings(max_examples=25, deadline=None)
 def test_matmul_agrees_with_definition(a, b):
     assert (a @ b) == naive_matmul(a, b)
+
+
+def _canonical(m):
+    """No stored entry is zero, so == on the sparse rows is exact."""
+    return all(x for row in m.rows for x in row.values())
+
+
+@given(sparse_matrix(4), sparse_matrix(4), sparse_matrix(4), sparse_matrix(4))
+@settings(max_examples=40, deadline=None)
+def test_operations_keep_the_canonical_form(a, b, c, d):
+    zero = Matrix.zero(4)
+    assert a - a == zero and (a - a).is_zero
+    assert (a + b) - b == a
+    assert a.scale(0) == zero
+    for got, want in ((a + b, dense_sum(a, b)), (a @ b, dense_product(a, b)),
+                      (a.transpose(), dense_transpose(a)),
+                      (kron(a, b), dense_kron(a, b)),
+                      (Matrix.block2(a, b, c, d), dense_block2(a, b, c, d))):
+        assert _canonical(got) and dense(got) == want
+
+
+def test_shapes_are_checked():
+    with pytest.raises(DimensionMismatch):
+        Matrix.from_entries(2, {(-1, 0): 1})
+    with pytest.raises(DimensionMismatch):
+        Matrix.identity(8).block(6, 6, 4)
+    with pytest.raises(ValueError):
+        Matrix.identity(3).power(-1)
+    with pytest.raises(DimensionMismatch):
+        Matrix.block2(I2, I2, I2, Matrix.identity(3))
+    with pytest.raises(TypeError):  # sparse rows are not dense input
+        Matrix(Matrix.identity(2).rows)

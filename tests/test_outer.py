@@ -2,6 +2,7 @@
 
 import pytest
 
+from oracles import dense
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.errors import SignatureMismatch, TrialityError
 from triality.field import (HALF, I, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO,
@@ -165,7 +166,7 @@ def test_diagonalize_h():
 def test_diagonalize_rejects_a_corrupted_core(monkeypatch):
     import triality.outer as outer
     h = outer_h()
-    rows = [list(r) for r in h.core.rows]
+    rows = dense(h.core)
     rows[0][0] = -rows[0][0]
     corrupted = OuterOp("H", Matrix(rows), False, h.signature)
     monkeypatch.setattr(outer, "outer_h", lambda: corrupted)

@@ -106,8 +106,8 @@ def test_lambda_family_shape():
     g2 = g2_basis()
     for lam in g2.lambdas:
         assert lam.is_real and lam.is_antisymmetric
-        assert all(not lam[(0, j)]._nz for j in range(8))
-        assert all(not lam[(j, 0)]._nz for j in range(8))
+        assert all(not lam[(0, j)] for j in range(8))
+        assert all(not lam[(j, 0)] for j in range(8))
 
 
 def test_lambda_closure_and_su3():
