@@ -18,11 +18,9 @@ _RADICAL_LATEX = ("", r"\sqrt{2}", r"\sqrt{3}", r"\sqrt{6}")
 
 
 def scalar_to_json(x: ExactScalar) -> dict:
-    c = x.coords
-    return {
-        "re": [f"{f.numerator}/{f.denominator}" for f in c[:4]],
-        "im": [f"{f.numerator}/{f.denominator}" for f in c[4:]],
-    }
+    coords = [f"{f.numerator}/{f.denominator}" if (f := x.terms.get(k)) else "0/1"
+              for k in range(8)]
+    return {"re": coords[:4], "im": coords[4:]}
 
 
 def scalar_from_json(obj) -> ExactScalar:
@@ -59,8 +57,7 @@ def scalar_to_latex(x: ExactScalar) -> str:
     if x.is_zero:
         return "0"
     terms = []
-    for k in x._nz:
-        f = x.coords[k]
+    for k, f in sorted(x.terms.items()):
         radical = _RADICAL_LATEX[k % 4]
         if k >= 4:
             radical = "i" + (" " + radical if radical else "")

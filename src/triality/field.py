@@ -2,10 +2,13 @@
 
 Every numeric literal appearing in the constructions lives in this field:
 1/2, 1/sqrt2, 1/sqrt6, 1/(2 sqrt3), i sqrt3, and the third roots of unity
-e^{+-i 2pi/3} = -1/2 +- i sqrt3/2.  Elements carry eight rational
+e^{+-i 2pi/3} = -1/2 +- i sqrt3/2.  Elements have eight rational
 coordinates over the basis {1, sqrt2, sqrt3, sqrt6} x {1, i}, so equality
 is decidable with zero tolerance and every nonzero element has an exact
-inverse.
+inverse.  An element stores only its nonzero coordinates, as
+``terms = {index: Fraction}``: the sparse layout of ``Matrix`` rows and
+``linalg`` vectors, so every operation costs time in proportion to the
+nonzeros and equal elements have equal terms.
 """
 
 from __future__ import annotations
@@ -13,98 +16,104 @@ from __future__ import annotations
 from fractions import Fraction
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
 
-# Multiplication of the radical basis {1, sqrt2, sqrt3, sqrt6}:
-# entry [a][b] = (index, integer factor) with e_a * e_b = factor * e_index.
-_RADICAL_MUL = (
-    ((0, 1), (1, 1), (2, 1), (3, 1)),
-    ((1, 1), (0, 2), (3, 1), (2, 2)),
-    ((2, 1), (3, 1), (0, 3), (1, 3)),
-    ((3, 1), (2, 2), (1, 3), (0, 6)),
-)
-
-# Full 8x8 table over {1, sqrt2, sqrt3, sqrt6} x {1, i}: coordinate p = 4*f + b
-# where f is the imaginary flag.  i*i = -1 contributes the sign.
-_MUL = tuple(
-    tuple(
-        (4 * ((p >= 4) ^ (q >= 4)) + _RADICAL_MUL[p % 4][q % 4][0],
-         (-1 if (p >= 4 and q >= 4) else 1) * _RADICAL_MUL[p % 4][q % 4][1])
-        for q in range(8)
-    )
-    for p in range(8)
-)
+# Coordinate p = 4*f + 2*e3 + e2 stands for i^f sqrt2^e2 sqrt3^e3, so the
+# product of coordinates p and q is a multiple of coordinate p ^ q: times 2
+# if both carry sqrt2, 3 if both carry sqrt3 and -1 if both carry i.
+_MUL = tuple(tuple((p ^ q, (2 if p & q & 1 else 1) * (3 if p & q & 2 else 1)
+                    * (-1 if p & q & 4 else 1)) for q in range(8)) for p in range(8))
 
 _COORD_NAMES = ("1", "sqrt2", "sqrt3", "sqrt6",
                 "i", "i*sqrt2", "i*sqrt3", "i*sqrt6")
+
+_RATIONAL = frozenset({0})
+_REAL = frozenset(range(4))
+_IMAGINARY = frozenset(range(4, 8))
+# The coordinates that sqrt2 -> -sqrt2, sqrt3 -> -sqrt3 and both negate.
+_GALOIS = (frozenset({1, 3, 5, 7}), frozenset({2, 3, 6, 7}), frozenset({1, 2, 5, 6}))
 
 
 class ExactScalar:
     """An element of Q(i, sqrt2, sqrt3), immutable and hashable.
 
-    Arithmetic is total except division by zero.  ``coords`` holds the
-    eight Fractions in the order (1, sqrt2, sqrt3, sqrt6) real block then
-    the same four multiplied by i.
+    Arithmetic is total except division by zero.  ``terms`` maps each
+    coordinate index to its nonzero Fraction, in the order (1, sqrt2,
+    sqrt3, sqrt6) real block then the same four multiplied by i; ``coords``
+    is the dense 8-tuple view.
     """
 
-    __slots__ = ("coords", "_nz")
+    __slots__ = ("terms",)
 
     def __init__(self, coords):
-        coords = tuple(c if isinstance(c, Fraction) else _int_coord(c)
-                       for c in coords)
+        """Build from exactly eight int or Fraction coordinates."""
+        coords = tuple(coords)
         if len(coords) != 8:
             raise ValueError("ExactScalar needs 8 coordinates")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "_nz", tuple(k for k in range(8) if coords[k]))
+        if inexact := [c for c in coords if not isinstance(c, (int, Fraction))]:
+            raise TypeError(
+                f"ExactScalar coordinates are int or Fraction, not {inexact[0]!r}")
+        object.__setattr__(self, "terms", {
+            k: c if isinstance(c, Fraction) else Fraction(c)
+            for k, c in enumerate(coords) if c})
+
+    @classmethod
+    def _of(cls, terms: dict) -> "ExactScalar":
+        """Wrap terms that already hold only nonzero Fractions."""
+        x = object.__new__(cls)
+        object.__setattr__(x, "terms", terms)
+        return x
 
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
 
+    @property
+    def coords(self) -> tuple:
+        """All eight coordinates, zeros included."""
+        return tuple(self.terms.get(k, _F0) for k in range(8))
+
     # -- predicates ------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self._nz
+        return not self.terms
 
     @property
     def is_real(self) -> bool:
-        return all(k < 4 for k in self._nz)
+        return self.terms.keys() <= _REAL
 
     @property
     def is_rational(self) -> bool:
-        return self._nz in ((), (0,))
+        return self.terms.keys() <= _RATIONAL
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.coords[0]
+        return self.terms.get(0, _F0)
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not other._nz:
+        if not other.terms:
             return self
-        if not self._nz:
+        if not self.terms:
             return other
-        a, b = self.coords, other.coords
-        return ExactScalar(tuple(a[k] + b[k] for k in range(8)))
+        return ExactScalar._of(_merge(self.terms, other.terms, False))
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self._nz:
+        if not self.terms:
             return self
-        return ExactScalar(tuple(-c for c in self.coords))
+        return ExactScalar._of({k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not other._nz:
+        if not other.terms:
             return self
-        a, b = self.coords, other.coords
-        return ExactScalar(tuple(a[k] - b[k] for k in range(8)))
+        return ExactScalar._of(_merge(self.terms, other.terms, True))
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -116,62 +125,46 @@ class ExactScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        na, nb = self._nz, other._nz
-        if not na or not nb:
+        a, b = self.terms, other.terms
+        if not a or not b:
             return ZERO
-        a, b = self.coords, other.coords
-        if na == (0,) and nb == (0,):
-            return ExactScalar((a[0] * b[0], _F0, _F0, _F0, _F0, _F0, _F0, _F0))
-        acc = [_F0] * 8
-        for p in na:
-            ap = a[p]
+        acc = {}
+        for p, x in a.items():
             row = _MUL[p]
-            for q in nb:
+            for q, y in b.items():
                 r, m = row[q]
-                acc[r] += ap * b[q] * m
-        return ExactScalar(acc)
+                t = x * y if m == 1 else x * y * m
+                acc[r] = acc[r] + t if r in acc else t
+        return ExactScalar._of({r: t for r, t in acc.items() if t})
 
     __rmul__ = __mul__
 
+    def _negate(self, keys):
+        """This element with the coordinates in ``keys`` negated."""
+        if keys.isdisjoint(self.terms):
+            return self
+        return ExactScalar._of({k: -c if k in keys else c
+                                for k, c in self.terms.items()})
+
     def conj(self):
         """Complex conjugate: negates the imaginary block."""
-        if self.is_real:
-            return self
-        a = self.coords
-        return ExactScalar(a[:4] + tuple(-c for c in a[4:]))
-
-    def _galois(self, flip_sqrt2: bool, flip_sqrt3: bool):
-        signs = [1] * 8
-        if flip_sqrt2:
-            for k in (1, 3, 5, 7):
-                signs[k] = -signs[k]
-        if flip_sqrt3:
-            for k in (2, 3, 6, 7):
-                signs[k] = -signs[k]
-        return ExactScalar(tuple(s * c for s, c in zip(signs, self.coords)))
+        return self._negate(_IMAGINARY)
 
     def inverse(self):
         """Exact multiplicative inverse; raises ZeroDivisionError on zero."""
-        if not self._nz:
+        if not self.terms:
             raise ZeroDivisionError("inverse of zero ExactScalar")
         # z * conj(z) is real; multiplying by its three Galois conjugates
         # over Q(sqrt2, sqrt3) lands in Q, giving the norm to divide by.
         w = self * self.conj()
-        u = w._galois(True, False) * w._galois(False, True) * w._galois(True, True)
-        norm = (w * u).as_rational()
-        inv_norm = 1 / norm
-        return (self.conj() * u) * ExactScalar(
-            (inv_norm, _F0, _F0, _F0, _F0, _F0, _F0, _F0))
+        a, b, c = (w._negate(keys) for keys in _GALOIS)
+        u = a * b * c
+        return (self.conj() * u) * (1 / (w * u).as_rational())
 
     def __truediv__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if other.is_rational:
-            q = other.as_rational()
-            if not q:
-                raise ZeroDivisionError("division by zero ExactScalar")
-            return self * ExactScalar((1 / q, _F0, _F0, _F0, _F0, _F0, _F0, _F0))
         return self * other.inverse()
 
     def __rtruediv__(self, other):
@@ -193,14 +186,16 @@ class ExactScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self.coords == other.coords
+        return self.terms == other.terms
 
     def __hash__(self):
         # A rational hashes as its Fraction, as ``==`` with ints demands.
-        return hash(self.coords[0] if self.is_rational else self.coords)
+        if self.is_rational:
+            return hash(self.terms.get(0, _F0))
+        return hash(frozenset(self.terms.items()))
 
     def __bool__(self):
-        return bool(self._nz)
+        return bool(self.terms)
 
     # -- conversions -----------------------------------------------------
     def __complex__(self):
@@ -215,11 +210,12 @@ class ExactScalar:
         return f"ExactScalar({self})"
 
     def __str__(self):
-        if not self._nz:
+        if not self.terms:
             return "0"
         terms = []
-        for k in self._nz:
-            c = self.coords[k]
+        # Coordinate order, not storage order: products store terms as
+        # they come.
+        for k, c in sorted(self.terms.items()):
             name = _COORD_NAMES[k]
             if k == 0:
                 term = str(c)
@@ -236,17 +232,23 @@ class ExactScalar:
         return out
 
 
-def _int_coord(c) -> Fraction:
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"ExactScalar coordinates are int or Fraction, not {c!r}")
+def _merge(a: dict, b: dict, subtract: bool) -> dict:
+    """The terms of a + b, or of a - b if ``subtract``, zeros dropped."""
+    out = dict(a)
+    for k, y in b.items():
+        s = out.pop(k, None)
+        if s is None:
+            out[k] = -y if subtract else y
+        elif s := s - y if subtract else s + y:
+            out[k] = s
+    return out
 
 
 def _coerce(value):
     if isinstance(value, ExactScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return ExactScalar((Fraction(value), _F0, _F0, _F0, _F0, _F0, _F0, _F0))
+        return ExactScalar._of({0: Fraction(value)} if value else {})
     return None
 
 

@@ -1,10 +1,11 @@
 """Sparse square matrices over Q(i, sqrt2, sqrt3).
 
 Each row is a dict {column: entry} that holds only the nonzero entries,
-so every operation costs time in proportion to the nonzeros and the
-stored form is canonical: two matrices are equal exactly when their rows
-are.  All predicates are exact: a matrix either is Hermitian or it is
-not, with no tolerance anywhere.
+the layout each ``ExactScalar`` uses for its own coordinates, so every
+operation costs time in proportion to the nonzeros and the stored form is
+canonical: two matrices are equal exactly when their rows are.  All
+predicates are exact: a matrix either is Hermitian or it is not, with no
+tolerance anywhere.
 """
 
 from __future__ import annotations

@@ -11,6 +11,7 @@ third roots of unity as eigenvalues.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -216,20 +217,14 @@ def s3_closure(ops) -> S3Closure:
                     frontier.append(nxt)
                     if len(elements) > 12:
                         raise ClosureExceeded(len(elements), elements)
-    orders = {}
-    for e in elements:
-        o = _op_order(e, ident)
-        orders[o] = orders.get(o, 0) + 1
-    is_s3 = (len(elements) == 6 and orders.get(1) == 1
-             and orders.get(2) == 3 and orders.get(3) == 2)
-    # braid relation on one order-3 and one order-2 element
-    relation = False
-    threes = [e for e in elements if _op_order(e, ident) == 3]
-    twos = [e for e in elements if _op_order(e, ident) == 2]
-    if threes and twos:
-        h, k = threes[0], twos[0]
-        relation = _compose(_compose(k, h), k) == _compose(h, h)
-    return S3Closure(tuple(elements), is_s3, orders, relation)
+    orders = [_op_order(e, ident) for e in elements]
+    counts = dict(Counter(orders))
+    is_s3 = counts == {1: 1, 2: 3, 3: 2}
+    # braid relation on the first order-3 and the first order-2 element
+    h, k = (next((e for e, o in zip(elements, orders) if o == n), None) for n in (3, 2))
+    relation = (h is not None and k is not None
+                and _compose(_compose(k, h), k) == _compose(h, h))
+    return S3Closure(tuple(elements), is_s3, counts, relation)
 
 
 # -- diagonalization --------------------------------------------------------

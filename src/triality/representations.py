@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature, cl8_basis, cl17_basis
 from .errors import SignatureMismatch
-from .field import HALF, I, MINUS_ONE, ONE, from_parts
+from .field import HALF, I, MINUS_ONE, ONE, ExactScalar
 from .linalg import Subspace, structure_constants
 from .matrix import Matrix
 
@@ -170,9 +170,11 @@ def real_flatten(m: Matrix):
     meaningful span comparison is the real one.
     """
     flat, n2 = m.vector(), m.n ** 2
-    re = {k: from_parts(re=x.coords[:4]) for k, x in flat.items()}
-    im = {n2 + k: from_parts(re=x.coords[4:]) for k, x in flat.items()}
-    return {k: x for k, x in {**re, **im}.items() if x}
+    re = {k: ExactScalar._of(t) for k, x in flat.items()
+          if (t := {p: c for p, c in x.terms.items() if p < 4})}
+    im = {n2 + k: ExactScalar._of(t) for k, x in flat.items()
+          if (t := {p - 4: c for p, c in x.terms.items() if p >= 4})}
+    return {**re, **im}
 
 
 def real_span(mats) -> Subspace:

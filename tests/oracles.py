@@ -1,14 +1,79 @@
 """Independent oracles used by the tests.
 
-These deliberately avoid the library's own matmul / RREF / determinant
-code paths and its sparse layout, so that the values they produce count
-as independent evidence: matrices read entry by entry through m[i, j]
-into dense rows, products by the definition sum, rank by a from-scratch
-elimination, determinants by cofactor expansion.
+These deliberately avoid the library's own arithmetic, matmul / RREF /
+determinant code paths and its sparse layout, so that the values they
+produce count as independent evidence: scalars as dense 8-tuples of
+Fractions, matrices read entry by entry through m[i, j] into dense rows,
+products by the definition sum, rank by a from-scratch elimination,
+determinants by cofactor expansion.
 """
+
+from fractions import Fraction
 
 from triality.field import ZERO
 from triality.matrix import Matrix
+
+# -- scalars: dense 8-tuples over {1, sqrt2, sqrt3, sqrt6} x {1, i} ----------
+
+# e_a * e_b = factor * e_index over the radical basis {1, sqrt2, sqrt3, sqrt6}.
+_RADICAL_MUL = (
+    ((0, 1), (1, 1), (2, 1), (3, 1)),
+    ((1, 1), (0, 2), (3, 1), (2, 2)),
+    ((2, 1), (3, 1), (0, 3), (1, 3)),
+    ((3, 1), (2, 2), (1, 3), (0, 6)),
+)
+_NAMES = ("1", "sqrt2", "sqrt3", "sqrt6", "i", "i*sqrt2", "i*sqrt3", "i*sqrt6")
+
+
+def dense_add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def dense_sub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def dense_neg(a):
+    return tuple(-x for x in a)
+
+
+def dense_mul(a, b):
+    """The product term by term: radicals by the table, and i * i = -1."""
+    acc = [Fraction(0)] * 8
+    for p in range(8):
+        for q in range(8):
+            r, m = _RADICAL_MUL[p % 4][q % 4]
+            imaginary = (p >= 4) + (q >= 4)
+            sign = -1 if imaginary == 2 else 1
+            acc[4 * (imaginary % 2) + r] += a[p] * b[q] * m * sign
+    return tuple(acc)
+
+
+def dense_conj(a):
+    return tuple(a[:4]) + tuple(-x for x in a[4:])
+
+
+def dense_str(a):
+    """The nonzero coordinates as "c*name" terms in index order."""
+    terms = []
+    for k, c in enumerate(a):
+        if not c:
+            continue
+        if k == 0:
+            terms.append(str(c))
+        elif c in (1, -1):
+            terms.append(("-" if c < 0 else "") + _NAMES[k])
+        else:
+            terms.append(f"{c}*{_NAMES[k]}")
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
+
+
+# -- matrices ----------------------------------------------------------------
 
 
 def dense(m: Matrix):

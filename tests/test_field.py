@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from triality.field import (ExactScalar, HALF, I, ONE, SQRT2, SQRT3, SQRT6,
                             ZERO, from_parts, rational)
 
@@ -14,6 +15,12 @@ small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=4)
 scalars = st.builds(ExactScalar, st.tuples(*([small_fractions] * 8)))
 nonzero_scalars = scalars.filter(lambda x: not x.is_zero)
+
+# Dense 8-tuples with at most three nonzero coordinates drawn from a few
+# values, so sums and products often cancel exactly.
+sparse_coords = st.dictionaries(
+    st.integers(0, 7), st.sampled_from([Fraction(k, 2) for k in (-3, -2, -1, 1, 2)]),
+    max_size=3).map(lambda d: tuple(d.get(k, Fraction(0)) for k in range(8)))
 
 
 def test_inverse_sqrt2_squares_to_half():
@@ -60,6 +67,8 @@ def test_coordinates_must_be_exact():
     for inexact in (0.1, "1/10", Decimal("0.1")):
         with pytest.raises(TypeError):
             from_parts(re=(inexact, 0, 0, 0))
+    with pytest.raises(ValueError):
+        ExactScalar((1,) * 7)
     tenth = Fraction(1, 10)
     assert from_parts(re=(tenth, 0, 0, 0)).coords[0] is tenth
     assert from_parts(im=(3, 0, 0, 0)).coords[4] == Fraction(3)
@@ -118,3 +127,40 @@ def test_conj_is_multiplicative(a, b):
 def test_str_round_readability():
     x = from_parts(re=(Fraction(1, 2), 0, 0, 0), im=(0, 0, Fraction(-1, 2), 0))
     assert str(x) == "1/2 - 1/2*i*sqrt3"
+
+
+def _canonical(x, dense):
+    """``x`` stores exactly the nonzero coordinates of ``dense`` and prints
+    them in coordinate order, whatever order they were stored in."""
+    assert 0 not in x.terms.values()
+    assert x.terms == {k: c for k, c in enumerate(dense) if c}
+    assert x.coords == tuple(dense)
+    assert str(x) == oracles.dense_str(dense)
+
+
+@given(sparse_coords, sparse_coords)
+@settings(max_examples=200, deadline=None)
+def test_sparse_arithmetic_matches_the_dense_oracle(a, b):
+    x, y = ExactScalar(a), ExactScalar(b)
+    _canonical(x, a)
+    _canonical(x + y, oracles.dense_add(a, b))
+    _canonical(x - y, oracles.dense_sub(a, b))
+    _canonical(x * y, oracles.dense_mul(a, b))
+    _canonical(-x, oracles.dense_neg(a))
+    _canonical(x.conj(), oracles.dense_conj(a))
+    assert (x == y) == (a == b)
+    if x:
+        inv = x.inverse()
+        assert 0 not in inv.terms.values() and x * inv == ONE
+    if not any(a[1:]):
+        assert hash(x) == hash(a[0])
+
+
+@given(sparse_coords, sparse_coords)
+@settings(max_examples=200, deadline=None)
+def test_cancellation_leaves_the_canonical_form(a, b):
+    x, y = ExactScalar(a), ExactScalar(b)
+    assert (x - x).terms == {}
+    back = (x + y) - y
+    assert back.terms == x.terms and back == x and hash(back) == hash(x)
+    assert (x * y - y * x).terms == {}

@@ -159,16 +159,23 @@ def test_intersection_dimension_matches_the_rank_oracle(a, b):
 
 
 def _constructions(monkeypatch, fn):
-    """The result of ``fn()`` and the number of scalars it built."""
+    """The result of ``fn()`` and the number of scalars it built, through
+    the validated constructor or the internal ``ExactScalar._of``."""
     built = 0
-    init = ExactScalar.__init__
+    init, wrap = ExactScalar.__init__, ExactScalar._of
 
-    def counted(self, coords):
+    def counted_init(self, coords):
         nonlocal built
         built += 1
         init(self, coords)
 
-    monkeypatch.setattr(ExactScalar, "__init__", counted)
+    def counted_wrap(cls, terms):
+        nonlocal built
+        built += 1
+        return wrap(terms)
+
+    monkeypatch.setattr(ExactScalar, "__init__", counted_init)
+    monkeypatch.setattr(ExactScalar, "_of", classmethod(counted_wrap))
     try:
         return fn(), built
     finally:

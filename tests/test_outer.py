@@ -147,6 +147,25 @@ def test_s3_closures():
     assert len(cyclic.elements) == 3
 
 
+@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN], ids=["8,0", "1,7"])
+def test_s3_closure_orders_each_element_once(monkeypatch, sig):
+    """Closing (H, K) or (T, conj) takes at most 34 4x4 products: the
+    closure itself, each element's order once, and the braid relation."""
+    products = 0
+    matmul = Matrix.__matmul__
+
+    def counted(a, b):
+        nonlocal products
+        products += 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(Matrix, "__matmul__", counted)
+    closure = s3_closure(signature_ops(sig))
+    monkeypatch.undo()
+    assert closure.is_s3 and closure.relation_holds
+    assert products <= 34
+
+
 def test_diagonalize_h():
     d = diagonalize("H")
     u = d.change_of_basis
