@@ -5,15 +5,18 @@ Every numeric literal appearing in the constructions lives in this field:
 e^{+-i 2pi/3} = -1/2 +- i sqrt3/2.  Elements have eight rational
 coordinates over the basis {1, sqrt2, sqrt3, sqrt6} x {1, i}, so equality
 is decidable with zero tolerance and every nonzero element has an exact
-inverse.  An element stores only its nonzero coordinates, as
-``terms = {index: Fraction}``: the sparse layout of ``Matrix`` rows and
-``linalg`` vectors, so every operation costs time in proportion to the
-nonzeros and equal elements have equal terms.
+inverse.  An element stores integer numerators over one shared
+denominator, the layout of FLINT's ``fmpq_poly``: ``den`` is a positive
+int and ``nums`` a tuple of ``(coordinate index, nonzero int)`` pairs
+sorted by index, with ``gcd(den, *numerators) == 1``.  Every operation
+works on ints and reduces its result with one gcd, so equal elements
+have equal ``(den, nums)``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 _F0 = Fraction(0)
 
@@ -26,23 +29,24 @@ _MUL = tuple(tuple((p ^ q, (2 if p & q & 1 else 1) * (3 if p & q & 2 else 1)
 _COORD_NAMES = ("1", "sqrt2", "sqrt3", "sqrt6",
                 "i", "i*sqrt2", "i*sqrt3", "i*sqrt6")
 
-_RATIONAL = frozenset({0})
-_REAL = frozenset(range(4))
+# The coordinates that complex conjugation, sqrt2 -> -sqrt2, sqrt3 -> -sqrt3
+# and both negate.
 _IMAGINARY = frozenset(range(4, 8))
-# The coordinates that sqrt2 -> -sqrt2, sqrt3 -> -sqrt3 and both negate.
 _GALOIS = (frozenset({1, 3, 5, 7}), frozenset({2, 3, 6, 7}), frozenset({1, 2, 5, 6}))
 
 
 class ExactScalar:
     """An element of Q(i, sqrt2, sqrt3), immutable and hashable.
 
-    Arithmetic is total except division by zero.  ``terms`` maps each
-    coordinate index to its nonzero Fraction, in the order (1, sqrt2,
-    sqrt3, sqrt6) real block then the same four multiplied by i; ``coords``
-    is the dense 8-tuple view.
+    Arithmetic is total except division by zero.  The element is
+    ``sum(c * e_k for k, c in nums) / den``, where e_k runs over (1, sqrt2,
+    sqrt3, sqrt6) and then the same four multiplied by i; ``nums`` holds
+    only nonzero numerators, sorted by index, and ``den > 0`` shares no
+    factor with all of them.  ``coords`` (the dense 8-tuple) and ``terms``
+    (``{index: Fraction}``) are views built on demand.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, coords):
         """Build from exactly eight int or Fraction coordinates."""
@@ -52,15 +56,18 @@ class ExactScalar:
         if inexact := [c for c in coords if not isinstance(c, (int, Fraction))]:
             raise TypeError(
                 f"ExactScalar coordinates are int or Fraction, not {inexact[0]!r}")
-        object.__setattr__(self, "terms", {
-            k: c if isinstance(c, Fraction) else Fraction(c)
-            for k, c in enumerate(coords) if c})
+        # Over the lcm of reduced denominators the numerators share no factor.
+        den = lcm(*(c.denominator for c in coords))
+        _set_den(self, den)
+        _set_nums(self, tuple([(k, c.numerator * (den // c.denominator))
+                               for k, c in enumerate(coords) if c]))
 
     @classmethod
-    def _of(cls, terms: dict) -> "ExactScalar":
-        """Wrap terms that already hold only nonzero Fractions."""
-        x = object.__new__(cls)
-        object.__setattr__(x, "terms", terms)
+    def _of(cls, den: int, nums: tuple) -> "ExactScalar":
+        """Wrap a (den, nums) pair already in canonical form."""
+        x = _new(cls)
+        _set_den(x, den)
+        _set_nums(x, nums)
         return x
 
     def __setattr__(self, name, value):
@@ -68,52 +75,64 @@ class ExactScalar:
 
     @property
     def coords(self) -> tuple:
-        """All eight coordinates, zeros included."""
-        return tuple(self.terms.get(k, _F0) for k in range(8))
+        """All eight coordinates as Fractions, zeros included."""
+        out = [_F0] * 8
+        for k, c in self.nums:
+            out[k] = Fraction(c, self.den)
+        return tuple(out)
+
+    @property
+    def terms(self) -> dict:
+        """A fresh ``{index: Fraction}`` dict of the nonzero coordinates."""
+        return {k: Fraction(c, self.den) for k, c in self.nums}
 
     # -- predicates ------------------------------------------------------
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     @property
     def is_real(self) -> bool:
-        return self.terms.keys() <= _REAL
+        return not self.nums or self.nums[-1][0] < 4
 
     @property
     def is_rational(self) -> bool:
-        return self.terms.keys() <= _RATIONAL
+        return not self.nums or self.nums[-1][0] == 0
 
     def as_rational(self) -> Fraction:
         if not self.is_rational:
             raise ValueError(f"{self} is not rational")
-        return self.terms.get(0, _F0)
+        return Fraction(self.nums[0][1], self.den) if self.nums else _F0
 
     # -- arithmetic ------------------------------------------------------
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.terms:
+        if not isinstance(other, ExactScalar):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if not other.nums:
             return self
-        if not self.terms:
+        if not self.nums:
             return other
-        return ExactScalar._of(_merge(self.terms, other.terms, False))
+        return _sum(self, other, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if not self.terms:
+        if not self.nums:
             return self
-        return ExactScalar._of({k: -c for k, c in self.terms.items()})
+        return ExactScalar._of(self.den, tuple([(k, -c) for k, c in self.nums]))
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other.terms:
+        if not isinstance(other, ExactScalar):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        if not other.nums:
             return self
-        return ExactScalar._of(_merge(self.terms, other.terms, True))
+        if not self.nums:
+            return -other
+        return _sum(self, other, -1)
 
     def __rsub__(self, other):
         other = _coerce(other)
@@ -122,37 +141,54 @@ class ExactScalar:
         return other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.terms, other.terms
+        if not isinstance(other, ExactScalar):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.nums, other.nums
+        if len(a) == 1 and len(b) == 1:
+            (p, x), = a
+            (q, y), = b
+            r, m = _MUL[p][q]
+            n, d = x * y * m, self.den * other.den
+            g = gcd(n, d)
+            return ExactScalar._of(d // g, ((r, n // g),))
         if not a or not b:
             return ZERO
-        acc = {}
-        for p, x in a.items():
+        acc = [0] * 8
+        for p, x in a:
             row = _MUL[p]
-            for q, y in b.items():
+            for q, y in b:
                 r, m = row[q]
-                t = x * y if m == 1 else x * y * m
-                acc[r] = acc[r] + t if r in acc else t
-        return ExactScalar._of({r: t for r, t in acc.items() if t})
+                acc[r] += x * y * m
+        return _reduced(self.den * other.den, acc)
 
     __rmul__ = __mul__
 
     def _negate(self, keys):
         """This element with the coordinates in ``keys`` negated."""
-        if keys.isdisjoint(self.terms):
+        nums = self.nums
+        if keys.isdisjoint([k for k, _ in nums]):
             return self
-        return ExactScalar._of({k: -c if k in keys else c
-                                for k, c in self.terms.items()})
+        return ExactScalar._of(self.den, tuple([(k, -c if k in keys else c)
+                                                for k, c in nums]))
 
     def conj(self):
         """Complex conjugate: negates the imaginary block."""
         return self._negate(_IMAGINARY)
 
+    def parts(self):
+        """``(re, im)`` with ``self == re + i*im``; both have real coordinates."""
+        if self.is_real:
+            return self, ZERO
+        re, im = [0] * 8, [0] * 8
+        for k, c in self.nums:
+            (im if k & 4 else re)[k & 3] = c
+        return _reduced(self.den, re), _reduced(self.den, im)
+
     def inverse(self):
         """Exact multiplicative inverse; raises ZeroDivisionError on zero."""
-        if not self.terms:
+        if not self.nums:
             raise ZeroDivisionError("inverse of zero ExactScalar")
         # z * conj(z) is real; multiplying by its three Galois conjugates
         # over Q(sqrt2, sqrt3) lands in Q, giving the norm to divide by.
@@ -183,19 +219,20 @@ class ExactScalar:
 
     # -- comparison / hashing --------------------------------------------
     def __eq__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.terms == other.terms
+        if not isinstance(other, ExactScalar):
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
         # A rational hashes as its Fraction, as ``==`` with ints demands.
         if self.is_rational:
-            return hash(self.terms.get(0, _F0))
-        return hash(frozenset(self.terms.items()))
+            return hash(self.as_rational())
+        return hash((self.den, self.nums))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- conversions -----------------------------------------------------
     def __complex__(self):
@@ -210,12 +247,11 @@ class ExactScalar:
         return f"ExactScalar({self})"
 
     def __str__(self):
-        if not self.terms:
+        if not self.nums:
             return "0"
         terms = []
-        # Coordinate order, not storage order: products store terms as
-        # they come.
-        for k, c in sorted(self.terms.items()):
+        for k, c in self.nums:
+            c = Fraction(c, self.den)
             name = _COORD_NAMES[k]
             if k == 0:
                 term = str(c)
@@ -232,23 +268,48 @@ class ExactScalar:
         return out
 
 
-def _merge(a: dict, b: dict, subtract: bool) -> dict:
-    """The terms of a + b, or of a - b if ``subtract``, zeros dropped."""
-    out = dict(a)
-    for k, y in b.items():
-        s = out.pop(k, None)
-        if s is None:
-            out[k] = -y if subtract else y
-        elif s := s - y if subtract else s + y:
-            out[k] = s
-    return out
+# The slot setters bypass the ``__setattr__`` that keeps instances immutable.
+_new = object.__new__
+_set_den = ExactScalar.den.__set__
+_set_nums = ExactScalar.nums.__set__
+
+
+def _reduced(den: int, acc: list) -> ExactScalar:
+    """The element sum(acc[k] e_k) / den, from eight int numerators."""
+    g = gcd(den, *acc)
+    nums = tuple([(k, c // g) for k, c in enumerate(acc) if c])
+    return ExactScalar._of(den // g, nums) if nums else ZERO
+
+
+def _sum(x: ExactScalar, y: ExactScalar, sign: int) -> ExactScalar:
+    """x + sign * y for nonzero x and y; over a shared denominator the
+    numerators add as they are."""
+    a, b, da, db = x.nums, y.nums, x.den, y.den
+    if da == db:
+        sa, sb, d = 1, sign, da
+    else:
+        sa, sb, d = db, sign * da, da * db
+    if len(a) == 1 and len(b) == 1 and a[0][0] == b[0][0]:
+        n = a[0][1] * sa + b[0][1] * sb
+        if not n:
+            return ZERO
+        g = gcd(n, d)
+        return ExactScalar._of(d // g, ((a[0][0], n // g),))
+    acc = [0] * 8
+    for k, c in a:
+        acc[k] = c * sa
+    for k, c in b:
+        acc[k] += c * sb
+    return _reduced(d, acc)
 
 
 def _coerce(value):
     if isinstance(value, ExactScalar):
         return value
     if isinstance(value, (int, Fraction)):
-        return ExactScalar._of({0: Fraction(value)} if value else {})
+        if not value:
+            return ZERO
+        return ExactScalar._of(value.denominator, ((0, value.numerator),))
     return None
 
 

@@ -16,7 +16,7 @@ from types import MappingProxyType
 
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature, cl8_basis, cl17_basis
 from .errors import SignatureMismatch
-from .field import HALF, I, MINUS_ONE, ONE, ExactScalar
+from .field import HALF, I, MINUS_ONE, ONE
 from .linalg import Subspace, structure_constants
 from .matrix import Matrix
 
@@ -169,11 +169,13 @@ def real_flatten(m: Matrix):
     complexified spans of the Lorentzian V and L bases coincide, so the
     meaningful span comparison is the real one.
     """
-    flat, n2 = m.vector(), m.n ** 2
-    re = {k: ExactScalar._of(t) for k, x in flat.items()
-          if (t := {p: c for p, c in x.terms.items() if p < 4})}
-    im = {n2 + k: ExactScalar._of(t) for k, x in flat.items()
-          if (t := {p - 4: c for p, c in x.terms.items() if p >= 4})}
+    n2, re, im = m.n ** 2, {}, {}
+    for k, x in m.vector().items():
+        x_re, x_im = x.parts()
+        if x_re:
+            re[k] = x_re
+        if x_im:
+            im[n2 + k] = x_im
     return {**re, **im}
 
 

@@ -10,7 +10,6 @@ determinants by cofactor expansion.
 
 from fractions import Fraction
 
-from triality.field import ZERO
 from triality.matrix import Matrix
 
 # -- scalars: dense 8-tuples over {1, sqrt2, sqrt3, sqrt6} x {1, i} ----------
@@ -88,7 +87,7 @@ def dense_product(a: Matrix, b: Matrix):
     for i in range(n):
         row = []
         for j in range(n):
-            acc = ZERO
+            acc = 0
             for k in range(n):
                 acc = acc + a[i, k] * b[k, j]
             row.append(acc)
@@ -161,7 +160,7 @@ def cofactor_det(m: Matrix):
     n = m.n
     if n == 1:
         return m[0, 0]
-    total = ZERO
+    total = 0
     for j in range(n):
         if not m[0, j]:
             continue

@@ -20,17 +20,28 @@ def test_scalar_json_schema():
     assert scalar_from_json(obj) == x
 
 
-@pytest.mark.parametrize("obj", [
+MALFORMED = [
     {"re": [0.1, 0, 0, 0], "im": [0, 0, 0, 0]},          # floats leak
     {"re": ["1"] * 5, "im": ["0"] * 3},                  # misaligned
     {"re": ["1/2", "0/1", "0/1"], "im": ["0/1"] * 4},    # too short
     {"re": ["1/0"] + ["0/1"] * 3, "im": ["0/1"] * 4},    # zero denominator
     {"re": ["0.5"] + ["0/1"] * 3, "im": ["0/1"] * 4},    # not p/q
     {"re": ["0/1"] * 4},                                 # no imaginary part
-])
+]
+
+
+@pytest.mark.parametrize("obj", MALFORMED)
 def test_scalar_json_needs_four_exact_strings_per_part(obj):
     with pytest.raises(ValueError):
         scalar_from_json(obj)
+
+
+@pytest.mark.parametrize("obj", MALFORMED)
+def test_matrix_json_checks_every_entry(obj):
+    zero = scalar_to_json(ZERO)
+    for rows in ([[zero, zero], [zero, obj]], [[obj, zero], [obj, zero]]):
+        with pytest.raises(ValueError):
+            matrix_from_json(rows)
 
 
 def test_zero_encodes_as_zero_over_one():

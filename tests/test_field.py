@@ -2,6 +2,7 @@
 
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -70,8 +71,20 @@ def test_coordinates_must_be_exact():
     with pytest.raises(ValueError):
         ExactScalar((1,) * 7)
     tenth = Fraction(1, 10)
-    assert from_parts(re=(tenth, 0, 0, 0)).coords[0] is tenth
+    first = from_parts(re=(tenth, 0, 0, 0)).coords[0]
+    assert first == tenth and type(first) is Fraction
     assert from_parts(im=(3, 0, 0, 0)).coords[4] == Fraction(3)
+
+
+def test_mutating_terms_cannot_reach_the_scalar():
+    ONE.terms[0] = Fraction(2)
+    assert str(ONE) == "1" and ONE == 1 and ONE != rational(2)
+    x = from_parts(re=(Fraction(1, 2), 0, 0, 0), im=(0, 0, 1, 0))
+    terms = x.terms
+    terms[5] = Fraction(0)
+    del terms[0]
+    assert x.terms == {0: Fraction(1, 2), 6: Fraction(1)}
+    assert str(x) == "1/2 + i*sqrt3" and x == HALF + I * SQRT3
 
 
 def test_rationals_hash_like_the_numbers_they_equal():
@@ -129,10 +142,20 @@ def test_str_round_readability():
     assert str(x) == "1/2 - 1/2*i*sqrt3"
 
 
+def _reduced_form(x):
+    """``x`` stores nonzero integer numerators in strictly increasing
+    coordinate order over a positive denominator, with gcd 1."""
+    assert type(x.den) is int and x.den > 0
+    assert all(type(c) is int and c for _, c in x.nums)
+    indices = [k for k, _ in x.nums]
+    assert indices == sorted(set(indices)) and set(indices) <= set(range(8))
+    assert gcd(x.den, *(c for _, c in x.nums)) == 1
+
+
 def _canonical(x, dense):
-    """``x`` stores exactly the nonzero coordinates of ``dense`` and prints
-    them in coordinate order, whatever order they were stored in."""
-    assert 0 not in x.terms.values()
+    """``x`` is in reduced form, stores exactly the nonzero coordinates of
+    ``dense`` and prints them in coordinate order."""
+    _reduced_form(x)
     assert x.terms == {k: c for k, c in enumerate(dense) if c}
     assert x.coords == tuple(dense)
     assert str(x) == oracles.dense_str(dense)
@@ -151,7 +174,8 @@ def test_sparse_arithmetic_matches_the_dense_oracle(a, b):
     assert (x == y) == (a == b)
     if x:
         inv = x.inverse()
-        assert 0 not in inv.terms.values() and x * inv == ONE
+        _reduced_form(inv)
+        assert x * inv == ONE
     if not any(a[1:]):
         assert hash(x) == hash(a[0])
 
@@ -160,7 +184,9 @@ def test_sparse_arithmetic_matches_the_dense_oracle(a, b):
 @settings(max_examples=200, deadline=None)
 def test_cancellation_leaves_the_canonical_form(a, b):
     x, y = ExactScalar(a), ExactScalar(b)
-    assert (x - x).terms == {}
+    assert (x - x).nums == () and (x - x).den == 1
     back = (x + y) - y
-    assert back.terms == x.terms and back == x and hash(back) == hash(x)
-    assert (x * y - y * x).terms == {}
+    _reduced_form(back)
+    assert (back.den, back.nums) == (x.den, x.nums)
+    assert back == x and hash(back) == hash(x)
+    assert (x * y - y * x).nums == ()

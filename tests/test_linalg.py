@@ -159,8 +159,9 @@ def test_intersection_dimension_matches_the_rank_oracle(a, b):
 
 
 def _constructions(monkeypatch, fn):
-    """The result of ``fn()`` and the number of scalars it built, through
-    the validated constructor or the internal ``ExactScalar._of``."""
+    """The result of ``fn()`` and the number of scalars it built: every
+    internal result passes once through ``ExactScalar._of``, and the
+    validated constructor does not route through it."""
     built = 0
     init, wrap = ExactScalar.__init__, ExactScalar._of
 
@@ -169,10 +170,10 @@ def _constructions(monkeypatch, fn):
         built += 1
         init(self, coords)
 
-    def counted_wrap(cls, terms):
+    def counted_wrap(cls, den, nums):
         nonlocal built
         built += 1
-        return wrap(terms)
+        return wrap(den, nums)
 
     monkeypatch.setattr(ExactScalar, "__init__", counted_init)
     monkeypatch.setattr(ExactScalar, "_of", classmethod(counted_wrap))
@@ -186,7 +187,7 @@ def _constructions(monkeypatch, fn):
 # count, and one that raises it must say why.
 
 def test_euclidean_left_solves_stay_within_their_op_count(monkeypatch):
-    """Solving all 378 brackets of L(8,0) builds at most 7,056 scalars."""
+    """Solving all 378 brackets of L(8,0) builds at most 4,872 scalars."""
     gens = spinor_bases(EUCLIDEAN)[0].matrices()
     solver = CoordSolver(gens)
     brackets = [commutator(gens[a], gens[b])
@@ -194,19 +195,19 @@ def test_euclidean_left_solves_stay_within_their_op_count(monkeypatch):
     solved, built = _constructions(
         monkeypatch, lambda: [solver.solve(x) for x in brackets])
     assert len(brackets) == 378 and None not in solved
-    assert built <= 7056
+    assert built <= 4872
 
 
 def test_axis0_restrictions_meet_within_their_op_counts(monkeypatch):
-    """The Euclidean V and L restrictions meet in at most 1,223 built
-    scalars by ``intersect_pair`` and 363 by ``Subspace.intersection``."""
+    """The Euclidean V and L restrictions meet in at most 958 built
+    scalars by ``intersect_pair`` and 270 by ``Subspace.intersection``."""
     rv = restrict(vector_basis(EUCLIDEAN), 0)
     rl = restrict(spinor_bases(EUCLIDEAN)[0], 0)
     system, built = _constructions(monkeypatch, lambda: intersect_pair(rv, rl))
-    assert system.subspace.dim == 14 and built <= 1223
+    assert system.subspace.dim == 14 and built <= 958
     span_v, span_l = rv.span(), rl.span()
     meet, built = _constructions(monkeypatch, lambda: span_v.intersection(span_l))
-    assert meet == system.subspace and built <= 363
+    assert meet == system.subspace and built <= 270
 
 
 def test_subspace_intersection_is_idempotent():

@@ -5,13 +5,16 @@ the short CLI verbs and the library sweep) and ``bench/expected.json``
 holds the sha256 of each one's stdout.  Both are read, never written.
 Each distinct request runs once through ``triality.cli.main`` in this
 process, so a change in term order or in the JSON encoding of a zero
-coordinate fails here and not only in the benchmark.
+coordinate fails here and not only in the benchmark.  The verify requests
+also run under ``python -O``, which strips ``assert`` statements.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,15 @@ def test_stdout_matches_the_recorded_digest(request_key):
     assert code == want
     assert (hashlib.sha256(out.getvalue().encode()).hexdigest()
             == EXPECTED["digests"][request_key])
+
+
+def test_verify_does_not_rely_on_assert_statements():
+    def run(argv):
+        return subprocess.run([sys.executable, "-O", "-m", "triality.cli", *argv],
+                              capture_output=True)
+
+    out = run(workloads.VERIFY)
+    assert out.returncode == 0, out.stderr
+    assert (hashlib.sha256(out.stdout).hexdigest()
+            == EXPECTED["digests"][workloads.key(workloads.VERIFY)])
+    assert run(workloads.VERIFY_FAULT).returncode == 1
