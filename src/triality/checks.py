@@ -17,13 +17,12 @@ from . import __version__
 from .clifford import EUCLIDEAN, LORENTZIAN, cl8_basis, cl17_basis, volume_element
 from .errors import TrialityError
 from .field import HALF, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO, rational
-from .linalg import Subspace, det, is_closed
+from .linalg import Subspace, det, is_closed, structure_constants
 from .matrix import Matrix, commutator
 from .outer import (OuterOp, apply_outer, diagonalize, graded_basis,
                     killing_form, killing_trace, outer_conj, outer_k,
                     outer_t, s3_closure, signature_ops, unpack)
-from .representations import (GEN_INDICES, P_MATRIX, same_span,
-                              same_structure_constants, spinor_bases,
+from .representations import (GEN_INDICES, P_MATRIX, same_span, spinor_bases,
                               vector_basis)
 from .subalgebras import (g2_basis, intersect, intersect_pair, lambda_gram,
                           restrict, su3_embedding, su3_transform)
@@ -203,11 +202,9 @@ def _check_03(scopes, fault):
 def _check_04(scopes, fault):
     f = _Failures()
     for label, sig in _signatures(scopes):
-        v, left, right = _bases(sig)
-        f.check(same_structure_constants(v, left).equal,
-                f"{label} V/L structure constants differ")
-        f.check(same_structure_constants(left, right).equal,
-                f"{label} L/R structure constants differ")
+        fv, fl, fr = (structure_constants(b.matrices()) for b in _bases(sig))
+        f.check(fv == fl, f"{label} V/L structure constants differ")
+        f.check(fl == fr, f"{label} L/R structure constants differ")
     return f
 
 
@@ -280,9 +277,10 @@ def _check_08(scopes, fault):
         f.check(t.is_symmetric, "T not symmetric")
         f.check(t.power(2) == t.conj(), "T^2 != T*")
         f.check((t.power(2) @ t) == Matrix.identity(4), "T^2 != T^-1")
-        b = diagonalize("T").change_of_basis
+        diag = diagonalize("T")
+        b = diag.change_of_basis
         f.check(b.is_real and b.is_orthogonal, "B not real orthogonal")
-        f.check(t @ b == b @ diagonalize("T").diagonal, "T B != B D")
+        f.check(t @ b == b @ diag.diagonal, "T B != B D")
     return f
 
 

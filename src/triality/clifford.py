@@ -3,8 +3,7 @@
 The construction climbs from the 4-dimensional Dirac algebra to a purely
 imaginary basis g_1..g_7 for Cl(7), doubles to a completely real basis
 Gamma_0..Gamma_7 for Cl(8,0), and separately to a real basis for Cl(1,7)
-together with its chiral change of basis.  Generators carry their axis
-labels 0..7 so representation builders can reference (i, j) pairs.
+together with its chiral change of basis.
 """
 
 from __future__ import annotations
@@ -50,21 +49,11 @@ LORENTZIAN = Signature(1, 7)
 
 @dataclass(frozen=True)
 class GammaBasis:
-    """An ordered gamma ladder satisfying {G_i, G_j} = 2 eta_ij, exactly.
-
-    ``labels`` are the axis indices the generators carry (the Cl(7)
-    ladder is labeled 1..7, the 16-dimensional ladders 0..7).
-    """
+    """An ordered gamma ladder satisfying {G_i, G_j} = 2 eta_ij, exactly."""
 
     signature: Signature
     gammas: tuple
-    labels: tuple = ()
     gamma5: Optional[Matrix] = None
-
-    def __post_init__(self):
-        if not self.labels:
-            object.__setattr__(self, "labels",
-                               tuple(range(len(self.gammas))))
 
     @property
     def dim(self) -> int:
@@ -131,7 +120,7 @@ def cl7_basis() -> GammaBasis:
         kron(SIGMA_X, g0 @ g5).scale(I),
         kron(SIGMA_X, g2 @ g0),
     )
-    return GammaBasis(Signature(7, 0), gs, labels=tuple(range(1, 8)))
+    return GammaBasis(Signature(7, 0), gs)
 
 
 @lru_cache(maxsize=None)

@@ -14,7 +14,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature
 from .errors import ClosureExceeded, SignatureMismatch, TrialityError
@@ -52,7 +51,6 @@ class OuterOp:
     signature: Signature
 
 
-@lru_cache(maxsize=None)
 def outer_h() -> OuterOp:
     """The Euclidean order-3 triality rotation: V -> L -> R -> V."""
     h = Fraction(1, 2)
@@ -61,7 +59,6 @@ def outer_h() -> OuterOp:
     return OuterOp("H", core, False, EUCLIDEAN)
 
 
-@lru_cache(maxsize=None)
 def outer_k() -> OuterOp:
     """The Euclidean duality: reflection through the 0th axis, order 2.
 
@@ -71,7 +68,6 @@ def outer_k() -> OuterOp:
     return OuterOp("K", Matrix.diag((-1, 1, 1, 1)), False, EUCLIDEAN)
 
 
-@lru_cache(maxsize=None)
 def outer_t() -> OuterOp:
     """The Lorentzian order-3 triality rotation, a symmetric core."""
     rows = (
@@ -84,7 +80,6 @@ def outer_t() -> OuterOp:
     return OuterOp("T", core, False, LORENTZIAN)
 
 
-@lru_cache(maxsize=None)
 def outer_conj() -> OuterOp:
     """Entrywise complex conjugation: the Lorentzian duality L <-> R."""
     return OuterOp("conj", Matrix.identity(4), True, LORENTZIAN)
@@ -258,7 +253,6 @@ _FIRST_ENTRY = {
 }
 
 
-@lru_cache(maxsize=None)
 def diagonalize(op_name: str) -> Diagonalization:
     """Exact eigenvector matrix for H or T with D = diag(1, 1, w, conj w).
 

@@ -37,8 +37,10 @@ M_MATRIX = Matrix.diag((I,) + (ONE,) * 7)
 class LieBasis:
     """An ordered set of 28 generators indexed by (i, j) pairs.
 
-    Instances are interned per (kind, signature), so identity comparison
-    and identity-keyed caches are safe.
+    Equality is identity (``eq=False``).  ``vector_basis`` and
+    ``spinor_bases`` intern their results per signature, so
+    ``basis(kind, signature) is basis(kind, signature)`` holds; no cache
+    is keyed on a basis.
     """
 
     kind: str                 # "V" | "L" | "R"
@@ -57,14 +59,6 @@ class LieBasis:
 
     def name_of(self, idx) -> str:
         return f"{self.kind}_{{{idx[0]},{idx[1]}}}"
-
-    def structure_constants(self):
-        return _cached_structure_constants(self)
-
-
-@lru_cache(maxsize=None)
-def _cached_structure_constants(b: "LieBasis"):
-    return structure_constants(b.matrices())
 
 
 def _make_basis(kind, signature, gens) -> LieBasis:
@@ -186,15 +180,10 @@ def real_span(mats) -> Subspace:
                                  2 * mats[0].n * mats[0].n)
 
 
-@lru_cache(maxsize=None)
-def _cached_real_span(b: LieBasis) -> Subspace:
-    return real_span(b.matrices())
-
-
 def same_span(b1: LieBasis, b2: LieBasis) -> SpanReport:
     """Do two bases span the same REAL subspace of flattened matrix space?"""
-    s1 = _cached_real_span(b1)
-    s2 = _cached_real_span(b2)
+    s1 = real_span(b1.matrices())
+    s2 = real_span(b2.matrices())
     union = Subspace.from_vectors(s1.rows + s2.rows, s1.ambient_dim)
     return SpanReport(equal=(s1 == s2), dim_first=s1.dim,
                       dim_second=s2.dim, dim_union=union.dim)
@@ -208,8 +197,8 @@ class StructureMatchReport:
 
 def same_structure_constants(b1: LieBasis, b2: LieBasis) -> StructureMatchReport:
     """Entrywise comparison of the two structure-constant arrays."""
-    f1 = b1.structure_constants()
-    f2 = b2.structure_constants()
+    f1 = structure_constants(b1.matrices())
+    f2 = structure_constants(b2.matrices())
     if f1 == f2:
         return StructureMatchReport(True, None)
     return StructureMatchReport(False, f1.first_mismatch(f2))

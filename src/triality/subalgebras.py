@@ -209,7 +209,6 @@ def lambda_gram(g2: G2Basis):
 
 # -- su(3) embedding ----------------------------------------------------------
 
-@lru_cache(maxsize=None)
 def gell_mann():
     """The eight standard Gell-Mann matrices, tr(l_a l_b) = 2 delta_ab."""
     third_root = SQRT3 * rational(1, 3)  # 1/sqrt3
@@ -225,7 +224,6 @@ def gell_mann():
     )
 
 
-@lru_cache(maxsize=None)
 def su3_transform() -> Matrix:
     """The 7x7 special unitary aligning the su(3) part with 1 + 3 + 3bar."""
     c = SQRT2 * HALF       # 1/sqrt2
@@ -255,7 +253,6 @@ class Su3Embedding:
     """The conjugated Lambda family with its verified block decomposition."""
 
     transform: Matrix         # the 7x7 special unitary
-    gellmann: tuple           # the eight reference matrices
     conjugated: tuple         # U Lambda_k U^dagger for k = 1..14 (7x7)
     block_factor: ExactScalar
 
@@ -288,5 +285,5 @@ def su3_embedding(g2: G2Basis) -> Su3Embedding:
                 for j in range(7):
                     if got[i, j] != expected[i, j]:
                         raise BlockMismatch(k, (i, j), got[i, j], expected[i, j])
-    return Su3Embedding(transform=u, gellmann=gell_mann(),
-                        conjugated=conjugated, block_factor=BLOCK_FACTOR)
+    return Su3Embedding(transform=u, conjugated=conjugated,
+                        block_factor=BLOCK_FACTOR)

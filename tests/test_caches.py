@@ -1,0 +1,94 @@
+"""Which functions memoize, and why each one still does.
+
+A cache stays only where it carries meaning (interned bases whose
+identity is their equality), measurably pays, or is a hook the benchmark
+relies on.  Everything else is rebuilt on each call.
+"""
+
+import ast
+import importlib
+import inspect
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import triality
+from triality import clifford
+from triality.clifford import EUCLIDEAN, LORENTZIAN
+from triality.representations import spinor_bases, vector_basis
+from triality.subalgebras import g2_basis
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+_LADDER = "bench/layers.py clear_ladders calls its cache_clear"
+
+# Every lru_cache in the package, with the reason it stays.
+SURVIVING_CACHES = {
+    "clifford.dirac_gammas": _LADDER,
+    "clifford.cl7_basis": _LADDER,
+    "clifford.cl8_basis": _LADDER,
+    "clifford.chiral_transform": _LADDER,
+    "clifford.cl17_basis": _LADDER,
+    "representations.vector_basis":
+        "interns LieBasis, which is eq=False, so identity is its equality",
+    "representations.spinor_bases":
+        "interns LieBasis; 5-7 ms per build; the bench times its __wrapped__",
+    "subalgebras.g2_basis":
+        "4.6 ms with 91 closure solves, hit 7 times per warm pass; the bench "
+        "times its __wrapped__",
+    "checks._graded": "fixture shared by checks 12-14",
+    "checks._intersections": "fixture shared by checks 09-10",
+    "checks._run_body": "check 16 re-runs the suite through it",
+}
+
+
+def _lru_cached():
+    """'module.qualname' of every lru_cache-wrapped function in triality.*."""
+    found = set()
+    for info in pkgutil.walk_packages(triality.__path__, "triality."):
+        module = importlib.import_module(info.name)
+        owners = [module] + [c for c in vars(module).values()
+                             if inspect.isclass(c)
+                             and c.__module__ == module.__name__]
+        for owner in owners:
+            for obj in vars(owner).values():
+                if (hasattr(obj, "cache_info")
+                        and obj.__module__ == module.__name__):
+                    short = module.__name__.removeprefix("triality.")
+                    found.add(f"{short}.{obj.__qualname__}")
+    return found
+
+
+def test_only_the_listed_functions_are_cached():
+    assert _lru_cached() == set(SURVIVING_CACHES)
+
+
+@pytest.mark.parametrize("signature", [EUCLIDEAN, LORENTZIAN])
+def test_bases_are_interned(signature):
+    assert vector_basis(signature) is vector_basis(signature)
+    assert spinor_bases(signature) is spinor_bases(signature)
+
+
+def _triality_imports(path):
+    """(module, name) of every ``from triality... import name`` in a file."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return [(node.module, alias.name) for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.module or "").split(".")[0] == "triality"
+            for alias in node.names]
+
+
+def test_bench_hooks_resolve():
+    """The names bench/ imports exist, and the caches it clears or
+    unwraps are still caches."""
+    for script in ("layers.py", "trace_child.py"):
+        imports = _triality_imports(BENCH / script)
+        assert imports, script
+        for module, name in imports:
+            assert hasattr(importlib.import_module(module), name), (script, name)
+    for fn in (clifford.dirac_gammas, clifford.cl7_basis, clifford.cl8_basis,
+               clifford.chiral_transform, clifford.cl17_basis):
+        assert callable(fn.cache_clear), fn
+    assert callable(spinor_bases.__wrapped__)
+    assert callable(g2_basis.__wrapped__)

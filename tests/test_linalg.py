@@ -1,5 +1,10 @@
 """RREF, kernels, subspaces, and the structure-constant solver."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -208,6 +213,29 @@ def test_axis0_restrictions_meet_within_their_op_counts(monkeypatch):
     span_v, span_l = rv.span(), rl.span()
     meet, built = _constructions(monkeypatch, lambda: span_v.intersection(span_l))
     assert meet == system.subspace and built <= 270
+
+
+_COLD_SUITE = """
+import pytest
+import triality
+from test_linalg import _constructions
+from triality.checks import run_suite
+report, built = _constructions(pytest.MonkeyPatch(), lambda: run_suite("all"))
+assert not report.failed
+print(built)
+"""
+
+
+def test_cold_suite_stays_within_its_op_count():
+    """A cold ``run_suite("all")`` in a new interpreter builds at most
+    128,155 scalars."""
+    here = Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(here.parent / "src"), str(here)]))
+    out = subprocess.run([sys.executable, "-c", _COLD_SUITE], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) <= 128155
 
 
 def test_subspace_intersection_is_idempotent():

@@ -190,7 +190,7 @@ def test_diagonalize_rejects_a_corrupted_core(monkeypatch):
     corrupted = OuterOp("H", Matrix(rows), False, h.signature)
     monkeypatch.setattr(outer, "outer_h", lambda: corrupted)
     with pytest.raises(TrialityError, match="similarity"):
-        diagonalize.__wrapped__("H")
+        diagonalize("H")
 
 
 def test_diagonalize_t_is_real_orthogonal():

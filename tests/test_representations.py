@@ -3,11 +3,13 @@
 import pytest
 
 from oracles import dense
+from triality import checks
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.field import MINUS_ONE, ONE
 from triality.linalg import Subspace
 from triality.matrix import Matrix
-from triality.representations import (GEN_INDICES, P_MATRIX, basis, same_span,
+from triality.representations import (GEN_INDICES, P_MATRIX, _make_basis,
+                                      basis, same_span,
                                       same_structure_constants, spinor_bases,
                                       vector_basis)
 
@@ -64,6 +66,17 @@ def test_structure_constants_match_within_each_signature():
         assert same_structure_constants(v, left).equal
         assert same_structure_constants(left, right).equal
         assert same_structure_constants(v, right).equal
+
+
+def test_check_04_reports_a_scaled_left_generator(monkeypatch):
+    v, left, right = checks._bases(EUCLIDEAN)
+    gens = dict(left.gens)
+    gens[(0, 1)] = gens[(0, 1)].scale(2)
+    scaled = _make_basis("L", EUCLIDEAN, gens)
+    monkeypatch.setattr(checks, "_bases", lambda sig: (v, scaled, right))
+    failures = checks._check_04({"euclidean"}, None)
+    assert "euclidean V/L structure constants differ" in failures
+    assert "euclidean L/R structure constants differ" in failures
 
 
 def test_lorentzian_vector_preserves_eta():
