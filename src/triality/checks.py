@@ -15,6 +15,7 @@ from functools import lru_cache
 
 from . import __version__
 from .clifford import EUCLIDEAN, LORENTZIAN, cl8_basis, cl17_basis, volume_element
+from .emit import dumps
 from .errors import TrialityError
 from .field import HALF, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO, rational
 from .linalg import Subspace, det, is_closed, structure_constants
@@ -75,7 +76,7 @@ class Report:
         }
 
     def to_json_text(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        return dumps(self.to_json()) + "\n"
 
     def to_text(self) -> str:
         lines = []

@@ -14,14 +14,13 @@ arguments produce byte-identical stdout.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from . import __version__
 from .checks import FAULT_H_SIGN, run_suite
 from .clifford import (EUCLIDEAN, LORENTZIAN, cl7_basis, cl8_basis,
                        cl17_basis)
-from .emit import matrix_to_json, matrix_to_latex, scalar_to_json
+from .emit import dumps, matrix_to_json, matrix_to_latex, scalar_to_json
 from .errors import TrialityError
 from .outer import (apply_outer, graded_basis, outer_op, quartet_terms,
                     s3_closure, signature_ops)
@@ -96,12 +95,11 @@ def _emit_constraints(fmt):
                           for coeff, var in c.terms]}
                for c in system.constraints]
     if fmt == "json":
-        return json.dumps({"object": "g2-constraints",
-                           "rank": system.rank,
-                           "unknowns": system.unknowns,
-                           "dimension": system.subspace.dim,
-                           "constraints": records},
-                          indent=2, sort_keys=True) + "\n"
+        return dumps({"object": "g2-constraints",
+                      "rank": system.rank,
+                      "unknowns": system.unknowns,
+                      "dimension": system.subspace.dim,
+                      "constraints": records}) + "\n"
     if fmt == "latex":
         lines = [f"{c.dependent} &= {str(c).split(' = ')[1]} \\\\"
                  for c in system.constraints]
@@ -117,7 +115,7 @@ def _render(obj, named, fmt, signature):
             "items": [{"name": name, "matrix": matrix_to_json(m)}
                       for name, m in named],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return dumps(payload) + "\n"
     if fmt == "latex":
         return "".join(f"% {name}\n{matrix_to_latex(m)}\n"
                        for name, m in named)
@@ -177,7 +175,7 @@ def cmd_map(args) -> int:
     items.sort(key=lambda x: x["name"])
     payload = {"op": args.op, "from": args.source, "to": mapped.kind,
                "signature": str(op.signature), "items": items}
-    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args.out, dumps(payload) + "\n")
     return 0
 
 
@@ -197,7 +195,7 @@ def cmd_grade(args) -> int:
         "right": part("right", graded.right_part, "e^{+i2pi/3}"),
         "left": part("left", graded.left_part, "e^{-i2pi/3}"),
     }
-    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args.out, dumps(payload) + "\n")
     return 0
 
 
@@ -216,7 +214,7 @@ def cmd_s3(args) -> int:
         "elements": [{"antilinear": flag, "matrix": matrix_to_json(m)}
                      for m, flag in closure.elements],
     }
-    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args.out, dumps(payload) + "\n")
     return 0
 
 
@@ -243,7 +241,7 @@ def cmd_su3(args) -> int:
         "blocks": [{"name": name, "matrix": matrix_to_json(m)}
                    for name, m in _su3_blocks(emb)],
     }
-    _write(args.out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _write(args.out, dumps(payload) + "\n")
     return 0
 
 

@@ -1,14 +1,26 @@
-"""Serialization: the JSON scalar/matrix encoding and LaTeX pmatrix output.
+"""Serialization: the JSON scalar/matrix encoding, the indented JSON
+writer and LaTeX pmatrix output.
 
 A scalar is encoded as {"re": [4 reduced "p/q" strings], "im": [same]}
 with coordinate order (1, sqrt2, sqrt3, sqrt6); matrices are row-major
 nested arrays of scalars.  Both directions round-trip exactly.
+``matrix_to_json`` hands out one dict per distinct entry, so equal
+entries of a matrix are the same object: treat the result as read-only.
+
+``dumps(obj)`` returns exactly ``json.dumps(obj, indent=2,
+sort_keys=True)`` for payloads built from dicts with str keys, lists,
+str, int, bool and None, and raises ``TypeError`` for anything else
+(a float, a tuple, a non-str key).  The stdlib never uses its C encoder
+when it indents; ``dumps`` instead writes a list or dict that recurs at
+the same depth once and reuses its text, which is what makes the shared
+entries of ``matrix_to_json`` cheap.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from math import gcd
 
 from .field import ZERO, ExactScalar
@@ -52,7 +64,16 @@ def scalar_from_json(obj) -> ExactScalar:
 
 
 def matrix_to_json(m: Matrix) -> list:
-    return [[scalar_to_json(row.get(j, ZERO)) for j in range(m.n)] for row in m.rows]
+    """Row-major JSON scalars; equal entries share one dict."""
+    encoded = {}
+
+    def entry(x):
+        key = (x.den, x.nums)
+        if (obj := encoded.get(key)) is None:
+            obj = encoded[key] = scalar_to_json(x)
+        return obj
+
+    return [[entry(row.get(j, ZERO)) for j in range(m.n)] for row in m.rows]
 
 
 def matrix_from_json(rows) -> Matrix:
@@ -67,6 +88,73 @@ def matrix_from_json(rows) -> Matrix:
         return x
 
     return Matrix([[entry(obj) for obj in row] for row in rows])
+
+
+def dumps(obj) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str
+    keys, lists, str, int, bool and None; ``TypeError`` for anything else.
+
+    A list or dict is keyed by ``(id, depth)``, which is sound because
+    ``obj`` keeps every object in it alive for the whole call.  Its text
+    is kept only once that key recurs: the first visit leaves a ``None``
+    marker, the second stores the text, later ones reuse it.
+    """
+    out = []
+    append = out.append
+    texts = {}
+
+    def value(o, depth):
+        if isinstance(o, (list, dict)):
+            key = (id(o), depth)
+            if key not in texts:
+                texts[key] = None
+                container(o, depth)
+            elif (text := texts[key]) is not None:
+                append(text)
+            else:
+                start = len(out)
+                container(o, depth)
+                texts[key] = text = "".join(out[start:])
+                del out[start:]
+                append(text)
+        elif isinstance(o, str):
+            append(_quote(o))
+        elif o is None:
+            append("null")
+        elif o is True:
+            append("true")
+        elif o is False:
+            append("false")
+        elif isinstance(o, int):
+            append(int.__repr__(o))
+        else:
+            raise TypeError(f"dumps writes dict, list, str, int, bool and None, "
+                            f"not {type(o).__name__}")
+
+    def container(o, depth):
+        if not o:
+            append("[]" if isinstance(o, list) else "{}")
+            return
+        depth += 1
+        inner = "\n" + "  " * depth
+        if isinstance(o, list):
+            sep, comma, close = "[" + inner, "," + inner, inner[:-2] + "]"
+            for x in o:
+                append(sep)
+                sep = comma
+                value(x, depth)
+        else:
+            if bad := [k for k in o if not isinstance(k, str)]:
+                raise TypeError(f"dumps takes str keys, not {type(bad[0]).__name__}")
+            sep, comma, close = "{" + inner, "," + inner, inner[:-2] + "}"
+            for k, x in sorted(o.items()):
+                append(sep + _quote(k) + ": ")
+                sep = comma
+                value(x, depth)
+        append(close)
+
+    value(obj, 0)
+    return "".join(out)
 
 
 def _frac_latex(num: int, den: int, radical: str) -> str:

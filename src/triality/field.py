@@ -190,6 +190,12 @@ class ExactScalar:
         """Exact multiplicative inverse; raises ZeroDivisionError on zero."""
         if not self.nums:
             raise ZeroDivisionError("inverse of zero ExactScalar")
+        if len(self.nums) == 1:
+            # (c/den) e_k with e_k * e_k = m: the inverse is den e_k / (c m).
+            (k, c), = self.nums
+            d = c * _MUL[k][k][1]
+            g = gcd(self.den, d) if d > 0 else -gcd(self.den, d)
+            return ExactScalar._of(d // g, ((k, self.den // g),))
         # z * conj(z) is real; multiplying by its three Galois conjugates
         # over Q(sqrt2, sqrt3) lands in Q, giving the norm to divide by.
         w = self * self.conj()

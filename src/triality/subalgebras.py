@@ -259,7 +259,11 @@ class Su3Embedding:
 
 def block_target(k: int) -> Matrix:
     """diag(0, l_k, -l_k^T) as a 7x7 matrix, for k = 1..8."""
-    lam = gell_mann()[k - 1]
+    return _block(gell_mann()[k - 1])
+
+
+def _block(lam: Matrix) -> Matrix:
+    """diag(0, lam, -lam^T) as a 7x7 matrix, for a 3x3 lam."""
     entries = {}
     for i, row in enumerate(lam.rows):
         for j, x in row.items():
@@ -277,8 +281,8 @@ def su3_embedding(g2: G2Basis) -> Su3Embedding:
     u = su3_transform()
     ud = u.dagger()
     conjugated = tuple(u @ lam.block(1, 1, 7) @ ud for lam in g2.lambdas)
-    for k in range(1, 9):
-        expected = block_target(k).scale(BLOCK_FACTOR)
+    for k, lam in enumerate(gell_mann(), start=1):
+        expected = _block(lam).scale(BLOCK_FACTOR)
         got = conjugated[k - 1]
         if got != expected:
             for i in range(7):

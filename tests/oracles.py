@@ -5,9 +5,11 @@ determinant code paths and its sparse layout, so that the values they
 produce count as independent evidence: scalars as dense 8-tuples of
 Fractions, matrices read entry by entry through m[i, j] into dense rows,
 products by the definition sum, rank by a from-scratch elimination,
-determinants by cofactor expansion.
+determinants by cofactor expansion.  The indented JSON layout has the
+stdlib call itself as its reference.
 """
 
+import json
 from fractions import Fraction
 
 from triality.matrix import Matrix
@@ -50,6 +52,16 @@ def dense_mul(a, b):
 
 def dense_conj(a):
     return tuple(a[:4]) + tuple(-x for x in a[4:])
+
+
+def dense_monomial_inverse(a):
+    """The inverse of c * e_k, the one nonzero coordinate of ``a``: e_k * e_k
+    is m * 1 by the table (and i * i = -1), so the inverse is e_k / (c m)."""
+    (k, c), = [(k, c) for k, c in enumerate(a) if c]
+    _, m = _RADICAL_MUL[k % 4][k % 4]
+    out = [Fraction(0)] * 8
+    out[k] = 1 / (c * (-m if k >= 4 else m))
+    return tuple(out)
 
 
 def dense_str(a):
@@ -169,3 +181,11 @@ def cofactor_det(m: Matrix):
         term = m[0, j] * cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+# -- JSON ----------------------------------------------------------------------
+
+
+def indented_json(obj) -> str:
+    """The stdlib's indented, key-sorted layout that ``emit.dumps`` must match."""
+    return json.dumps(obj, indent=2, sort_keys=True)

@@ -1,15 +1,27 @@
-"""JSON round trips and LaTeX rendering."""
+"""JSON round trips, the indented JSON writer and LaTeX rendering."""
 
+import ast
+import contextlib
+import io
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oracles
+from triality import cli, emit
 from triality.clifford import cl7_basis
-from triality.emit import (matrix_from_json, matrix_to_json, matrix_to_latex,
-                           scalar_from_json, scalar_to_json, scalar_to_latex)
+from triality.emit import (dumps, matrix_from_json, matrix_to_json,
+                           matrix_to_latex, scalar_from_json, scalar_to_json,
+                           scalar_to_latex)
 from triality.field import HALF, I, SQRT2, SQRT3, ZERO, from_parts, rational
 from triality.matrix import Matrix, anticommutator
-from triality.outer import outer_h, outer_t
+from triality.outer import outer_h, outer_op, outer_t
+from triality.subalgebras import g2_basis
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "triality"
 
 
 def test_scalar_json_schema():
@@ -73,3 +85,107 @@ def test_scalar_latex():
 def test_matrix_latex_is_a_pmatrix():
     tex = matrix_to_latex(Matrix.identity(2))
     assert tex == r"\begin{pmatrix} 1 & 0 \\ 0 & 1 \end{pmatrix}"
+
+
+# -- the indented JSON writer ------------------------------------------------
+
+SPECIAL_TEXT = ['"', "\\", "\x00", "\x1f", "\x7f", "\u2028", "é", "☃", "𝄞", 'a"b\\c\n']
+json_scalars = (st.none() | st.booleans() | st.sampled_from([0, 1, True, False])
+                | st.integers() | st.integers(max_value=-2**64)
+                | st.sampled_from(SPECIAL_TEXT) | st.text(max_size=6))
+
+
+def _containers(children):
+    return (st.lists(children, max_size=4)
+            | st.dictionaries(st.text(max_size=4) | st.sampled_from(SPECIAL_TEXT),
+                              children, max_size=4))
+
+
+@st.composite
+def payloads(draw):
+    """Nested payloads in which a few drawn objects recur: ``sampled_from``
+    hands out the object itself, so one list or dict can sit at equal and
+    at different depths."""
+    shared = draw(st.lists(st.recursive(json_scalars, _containers, max_leaves=6),
+                           min_size=1, max_size=3))
+    leaves = json_scalars | st.sampled_from(shared)
+    return draw(st.recursive(leaves, _containers, max_leaves=24))
+
+
+@given(payloads())
+@settings(max_examples=100, deadline=None)
+def test_dumps_matches_the_stdlib(payload):
+    assert dumps(payload) == oracles.indented_json(payload)
+
+
+def test_dumps_reuses_shared_containers_byte_for_byte():
+    row = [True, 1, False, 0, None, -10**40]
+    entry = {"re": ["1/2", "0/1"], "im": [], "q": 'a"\\\t\x01é☃'}
+    payload = {"rows": [row, row, [row, entry], entry, entry],
+               "same": [entry] * 3, "empty": [{}, [], ""], "deep": {"x": [[row]]}}
+    assert dumps(payload) == oracles.indented_json(payload)
+    assert dumps(payload) == dumps(payload)
+
+
+@pytest.mark.parametrize("bad", [1.5, (1, 2), {1: "x"}, [{"a": [0.0]}]])
+def test_dumps_rejects_types_outside_the_payload(bad):
+    with pytest.raises(TypeError):
+        dumps(bad)
+
+
+SHARED_ENTRY_MATRICES = ([outer_op(name).core for name in ("H", "K", "T", "conj")]
+                         + list(g2_basis().lambdas))
+
+
+@pytest.mark.parametrize("m", SHARED_ENTRY_MATRICES)
+def test_equal_matrix_entries_share_one_dict(m):
+    rows = matrix_to_json(m)
+    ids = {}
+    for i, row in enumerate(rows):
+        for j, obj in enumerate(row):
+            ids.setdefault(m[i, j], set()).add(id(obj))
+    assert all(len(group) == 1 for group in ids.values())
+    assert len(set().union(*ids.values())) == len(ids)
+    assert matrix_from_json(rows) == m
+
+
+def test_emit_encodes_each_distinct_scalar_once_per_matrix(monkeypatch):
+    """A count ratchet: the (1,7) left spinor JSON encodes at most 112
+    scalars (1,792 when every entry was encoded)."""
+    calls = 0
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return scalar_to_json(x)
+
+    monkeypatch.setattr(emit, "scalar_to_json", counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["emit", "--object", "spinor-left", "--signature", "1,7",
+                         "--format", "json"])
+    assert code == 0 and 0 < calls <= 112
+
+
+def _indented_dumps_calls(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dumps"
+            and any(k.arg == "indent" for k in node.keywords)]
+
+
+def _imports_json(tree):
+    return any((isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] == "json" for a in node.names))
+               or (isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == "json")
+               for node in ast.walk(tree))
+
+
+def test_indented_json_has_one_writer():
+    """No module calls ``json.dumps(..., indent=...)``, whose pure-Python
+    encoder ``emit.dumps`` replaces, and ``cli`` does not import json."""
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    assert "cli.py" in trees and "emit.py" in trees
+    assert not [name for name, tree in trees.items() if _indented_dumps_calls(tree)]
+    assert not _imports_json(trees["cli.py"])

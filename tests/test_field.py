@@ -180,6 +180,15 @@ def test_sparse_arithmetic_matches_the_dense_oracle(a, b):
         assert hash(x) == hash(a[0])
 
 
+@given(st.integers(0, 7), small_fractions.filter(bool))
+@settings(max_examples=200, deadline=None)
+def test_one_term_inverse_matches_the_dense_oracle(k, c):
+    a = tuple(c if i == k else Fraction(0) for i in range(8))
+    inv = ExactScalar(a).inverse()
+    _canonical(inv, oracles.dense_monomial_inverse(a))
+    assert oracles.dense_mul(a, inv.coords) == ONE.coords
+
+
 @given(sparse_coords, sparse_coords)
 @settings(max_examples=200, deadline=None)
 def test_cancellation_leaves_the_canonical_form(a, b):

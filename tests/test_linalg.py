@@ -204,12 +204,12 @@ def test_euclidean_left_solves_stay_within_their_op_count(monkeypatch):
 
 
 def test_axis0_restrictions_meet_within_their_op_counts(monkeypatch):
-    """The Euclidean V and L restrictions meet in at most 958 built
+    """The Euclidean V and L restrictions meet in at most 868 built
     scalars by ``intersect_pair`` and 270 by ``Subspace.intersection``."""
     rv = restrict(vector_basis(EUCLIDEAN), 0)
     rl = restrict(spinor_bases(EUCLIDEAN)[0], 0)
     system, built = _constructions(monkeypatch, lambda: intersect_pair(rv, rl))
-    assert system.subspace.dim == 14 and built <= 958
+    assert system.subspace.dim == 14 and built <= 868
     span_v, span_l = rv.span(), rl.span()
     meet, built = _constructions(monkeypatch, lambda: span_v.intersection(span_l))
     assert meet == system.subspace and built <= 270
