@@ -1,10 +1,11 @@
 """The machine-verification suite: every claim as an exact pass/fail check.
 
 Each acceptance criterion owns exactly one check id (01..16); check 17 is
-the supplementary norm-convention report for the Lambda family.  Checks
-with content in both signatures run the portion selected by the suite.
-All comparisons are zero-tolerance; a check either holds exactly or it
-fails with a counterexample in its detail string.
+the supplementary norm-convention report for the Lambda family.  A check
+body verifies its claim in one signature; a suite's row joins the parts of
+the signatures it runs, Euclidean first.  All comparisons are
+zero-tolerance; a check either holds exactly or it fails with a
+counterexample in its detail string.
 """
 
 from __future__ import annotations
@@ -29,12 +30,19 @@ from .subalgebras import (g2_basis, intersect, intersect_pair, lambda_gram,
                           restrict, su3_embedding, su3_transform)
 
 SCHEMA = "triality-report/1"
-SUITES = ("euclidean", "lorentzian", "all")
+
+_LABEL = {EUCLIDEAN: "euclidean", LORENTZIAN: "lorentzian"}
+_BOTH = (EUCLIDEAN, LORENTZIAN)
+# each suite and the signatures it runs, Euclidean first
+_SUITE_SIGNATURES = {"euclidean": (EUCLIDEAN,), "lorentzian": (LORENTZIAN,),
+                     "all": _BOTH}
+SUITES = tuple(_SUITE_SIGNATURES)
 
 # The only supported fault injection: flip one sign in the H core used by
-# the triality-cycling check.  Scoped to that single check so the negative
-# control flips exactly one result.
+# the triality-cycling check.  Each fault names the one (check, signature)
+# part it corrupts, so the negative control flips exactly one result.
 FAULT_H_SIGN = "h-sign"
+FAULTS = {FAULT_H_SIGN: ("05-triality-cycling", EUCLIDEAN)}
 
 
 @dataclass(frozen=True)
@@ -118,13 +126,6 @@ def _faulted(op: OuterOp, fault) -> OuterOp:
     return OuterOp("H", op.core + flip, False, op.signature)
 
 
-def _signatures(scopes):
-    """(label, signature) of each signature in the scopes, Euclidean first."""
-    return [(label, sig) for label, sig in (("euclidean", EUCLIDEAN),
-                                            ("lorentzian", LORENTZIAN))
-            if label in scopes]
-
-
 def _bases(signature):
     """The V, L, R bases of a signature."""
     return (vector_basis(signature),) + spinor_bases(signature)
@@ -144,69 +145,58 @@ def _intersections():
 
 
 # ---------------------------------------------------------------------------
-# check bodies
+# check bodies: each fills the _Failures of one signature
 # ---------------------------------------------------------------------------
 
-def _check_01(scopes, fault):
-    f = _Failures()
-    if "euclidean" in scopes:
+def _check_01(sig, f):
+    if sig == EUCLIDEAN:
         basis = cl8_basis()
         for i in range(8):
             for j in range(i, 8):
                 f.check(basis.clifford_defect(i, j).is_zero,
                         f"euclidean anticommutator defect at ({i},{j})")
-    if "lorentzian" in scopes:
-        for chiral in (False, True):
-            basis = cl17_basis(chiral=chiral)
-            for i in range(8):
-                for j in range(i, 8):
-                    f.check(basis.clifford_defect(i, j).is_zero,
-                            f"lorentzian({'chiral' if chiral else 'plain'}) "
-                            f"defect at ({i},{j})")
-    return f
+        return
+    for chiral in (False, True):
+        basis = cl17_basis(chiral=chiral)
+        for i in range(8):
+            for j in range(i, 8):
+                f.check(basis.clifford_defect(i, j).is_zero,
+                        f"lorentzian({'chiral' if chiral else 'plain'}) "
+                        f"defect at ({i},{j})")
 
 
-def _check_02(scopes, fault):
-    f = _Failures()
-    if "euclidean" in scopes:
-        vol = volume_element(cl8_basis())
-        f.check(vol.squares_to_plus_identity, "euclidean omega^2 != +I")
-        f.check(vol.anticommutes_with_all,
-                "euclidean omega fails to anticommute")
-        ident = Matrix.identity(16)
-        plus = (ident + vol.omega).scale(HALF)
-        minus = (ident - vol.omega).scale(HALF)
-        f.check(plus @ plus == plus and minus @ minus == minus
-                and plus + minus == ident, "projectors not idempotent")
-    if "lorentzian" in scopes:
+def _check_02(sig, f):
+    if sig == LORENTZIAN:
         vol = volume_element(cl17_basis())
         f.check(vol.squares_to_minus_identity, "lorentzian omega^2 != -I")
-    return f
+        return
+    vol = volume_element(cl8_basis())
+    f.check(vol.squares_to_plus_identity, "euclidean omega^2 != +I")
+    f.check(vol.anticommutes_with_all, "euclidean omega fails to anticommute")
+    ident = Matrix.identity(16)
+    plus = (ident + vol.omega).scale(HALF)
+    minus = (ident - vol.omega).scale(HALF)
+    f.check(plus @ plus == plus and minus @ minus == minus
+            and plus + minus == ident, "projectors not idempotent")
 
 
-def _check_03(scopes, fault):
-    f = _Failures()
-    if "euclidean" in scopes:
-        v, left, right = _bases(EUCLIDEAN)
-        for b in (v, left, right):
-            for idx in GEN_INDICES:
-                f.check(b[idx].is_real and b[idx].is_antisymmetric,
-                        f"{b.kind}{idx} not real antisymmetric")
-        rep_vl = same_span(v, left)
-        rep_vr = same_span(v, right)
-        f.check(rep_vl.equal and rep_vl.dim_first == 28,
-                f"V and L spans differ: {rep_vl}")
-        f.check(rep_vr.equal, f"V and R spans differ: {rep_vr}")
-    return f
+def _check_03(sig, f):
+    v, left, right = _bases(sig)
+    for b in (v, left, right):
+        for idx in GEN_INDICES:
+            f.check(b[idx].is_real and b[idx].is_antisymmetric,
+                    f"{b.kind}{idx} not real antisymmetric")
+    rep_vl = same_span(v, left)
+    rep_vr = same_span(v, right)
+    f.check(rep_vl.equal and rep_vl.dim_first == 28,
+            f"V and L spans differ: {rep_vl}")
+    f.check(rep_vr.equal, f"V and R spans differ: {rep_vr}")
 
 
-def _check_04(scopes, fault):
-    f = _Failures()
-    for label, sig in _signatures(scopes):
-        fv, fl, fr = (structure_constants(b.matrices()) for b in _bases(sig))
-        f.check(fv == fl, f"{label} V/L structure constants differ")
-        f.check(fl == fr, f"{label} L/R structure constants differ")
-    return f
+def _check_04(sig, f):
+    fv, fl, fr = (structure_constants(b.matrices()) for b in _bases(sig))
+    f.check(fv == fl, f"{_LABEL[sig]} V/L structure constants differ")
+    f.check(fl == fr, f"{_LABEL[sig]} L/R structure constants differ")
 
 
 def _cycle_exact(op, v, left, right, f, label):
@@ -221,68 +211,56 @@ def _cycle_exact(op, v, left, right, f, label):
         f.check(step3[idx] == v[idx], f"{label}^3(V) != V at {idx}")
 
 
-def _check_05(scopes, fault):
-    f = _Failures()
-    for _, sig in _signatures(scopes):
-        rotation = signature_ops(sig)[0]
-        v, left, right = _bases(sig)
-        _cycle_exact(_faulted(rotation, fault), v, left, right, f,
-                     rotation.name)
-        f.check(unpack(rotation).matrix.power(3) == Matrix.identity(28),
-                f"unpacked {rotation.name} does not cube to the identity")
-    return f
+def _check_05(sig, f, fault=None):
+    rotation = signature_ops(sig)[0]
+    v, left, right = _bases(sig)
+    _cycle_exact(_faulted(rotation, fault), v, left, right, f, rotation.name)
+    f.check(unpack(rotation).matrix.power(3) == Matrix.identity(28),
+            f"unpacked {rotation.name} does not cube to the identity")
 
 
-def _check_06(scopes, fault):
-    f = _Failures()
-    if "euclidean" in scopes:
-        v, left, right = _bases(EUCLIDEAN)
-        mapped = apply_outer(outer_k(), left)
-        for idx in GEN_INDICES:
-            f.check(P_MATRIX @ mapped[idx] @ P_MATRIX.T == right[idx],
-                    f"P K(L) P^T != R at {idx}")
-        mapped_v = apply_outer(outer_k(), v)
-        for idx in GEN_INDICES:
-            f.check(mapped_v[idx] == P_MATRIX @ v[idx] @ P_MATRIX.T,
-                    f"K(V) != P V P^T at {idx}")
-    if "lorentzian" in scopes:
-        v, left, right = _bases(LORENTZIAN)
+def _check_06(sig, f):
+    v, left, right = _bases(sig)
+    if sig == LORENTZIAN:
         mapped = apply_outer(outer_conj(), left)
         for idx in GEN_INDICES:
             f.check(mapped[idx] == right[idx], f"conj(L) != R at {idx}")
-    return f
+        return
+    mapped = apply_outer(outer_k(), left)
+    for idx in GEN_INDICES:
+        f.check(P_MATRIX @ mapped[idx] @ P_MATRIX.T == right[idx],
+                f"P K(L) P^T != R at {idx}")
+    mapped_v = apply_outer(outer_k(), v)
+    for idx in GEN_INDICES:
+        f.check(mapped_v[idx] == P_MATRIX @ v[idx] @ P_MATRIX.T,
+                f"K(V) != P V P^T at {idx}")
 
 
-def _check_07(scopes, fault):
-    f = _Failures()
-    for label, sig in _signatures(scopes):
-        closure = s3_closure(signature_ops(sig))
-        f.check(len(closure.elements) == 6,
-                f"{label} closure has {len(closure.elements)} elements")
-        f.check(closure.is_s3 and closure.relation_holds,
-                f"{label} closure is not S3")
-    return f, "raw 4x4 cores closed at 6 elements; no P-cleanup path needed"
+def _check_07(sig, f):
+    closure = s3_closure(signature_ops(sig))
+    f.check(len(closure.elements) == 6,
+            f"{_LABEL[sig]} closure has {len(closure.elements)} elements")
+    f.check(closure.is_s3 and closure.relation_holds,
+            f"{_LABEL[sig]} closure is not S3")
 
 
-def _check_08(scopes, fault):
-    f = _Failures()
-    if "euclidean" in scopes:
+def _check_08(sig, f):
+    if sig == EUCLIDEAN:
         u = diagonalize("H").change_of_basis
         f.check(u.is_unitary, "U not unitary")
         k_prime = u.dagger() @ outer_k().core @ u
         expected = Matrix(((1, 0, 0, 0), (0, 1, 0, 0),
                            (0, 0, 0, 1), (0, 0, 1, 0)))
         f.check(k_prime == expected, "U+ K U != K' as printed")
-    if "lorentzian" in scopes:
-        t = outer_t().core
-        f.check(t.is_symmetric, "T not symmetric")
-        f.check(t.power(2) == t.conj(), "T^2 != T*")
-        f.check((t.power(2) @ t) == Matrix.identity(4), "T^2 != T^-1")
-        diag = diagonalize("T")
-        b = diag.change_of_basis
-        f.check(b.is_real and b.is_orthogonal, "B not real orthogonal")
-        f.check(t @ b == b @ diag.diagonal, "T B != B D")
-    return f
+        return
+    t = outer_t().core
+    f.check(t.is_symmetric, "T not symmetric")
+    f.check(t.power(2) == t.conj(), "T^2 != T*")
+    f.check((t.power(2) @ t) == Matrix.identity(4), "T^2 != T^-1")
+    diag = diagonalize("T")
+    b = diag.change_of_basis
+    f.check(b.is_real and b.is_orthogonal, "B not real orthogonal")
+    f.check(t @ b == b @ diag.diagonal, "T B != B D")
 
 
 _EXPECTED_B_CONSTRAINTS = {
@@ -296,77 +274,66 @@ _EXPECTED_B_CONSTRAINTS = {
 }
 
 
-def _check_09(scopes, fault):
-    f = _Failures()
-    if "euclidean" in scopes:
-        sys_vl, sys_vr, sys_lr, rv, rl, rr = _intersections()
-        f.check(sys_vl.subspace.dim == 14,
-                f"intersection dimension {sys_vl.subspace.dim} != 14")
-        f.check(sys_vl.rank == 28 and sys_vl.unknowns == 42,
-                f"stacked system rank {sys_vl.rank}/{sys_vl.unknowns}")
-        solved = {c.dependent: {var: coeff for coeff, var in c.terms}
-                  for c in sys_vl.constraints}
-        for dep, expected in _EXPECTED_B_CONSTRAINTS.items():
-            got = solved.get(dep)
-            want = {var: rational(c) for var, c in expected.items()}
-            f.check(got == want, f"constraint {dep} came out as {got}")
-        # a_ij = b_ij on the whole solution space
-        for idx in rl.indices:
-            a_name = f"a{idx[0]}{idx[1]}"
-            b_name = f"b{idx[0]}{idx[1]}"
-            a_terms = solved.get(a_name)
-            b_terms = solved.get(b_name, {b_name: ONE})
-            f.check(a_terms == b_terms, f"{a_name} != {b_name} on solutions")
-        f.check(sys_vl.subspace == sys_vr.subspace == sys_lr.subspace,
-                "pairwise intersections differ")
-        triple = intersect([rv.matrices(), rl.matrices(), rr.matrices()])
-        f.check(triple == sys_vl.subspace, "triple != pairwise intersection")
-    return f
+def _check_09(sig, f):
+    sys_vl, sys_vr, sys_lr, rv, rl, rr = _intersections()
+    f.check(sys_vl.subspace.dim == 14,
+            f"intersection dimension {sys_vl.subspace.dim} != 14")
+    f.check(sys_vl.rank == 28 and sys_vl.unknowns == 42,
+            f"stacked system rank {sys_vl.rank}/{sys_vl.unknowns}")
+    solved = {c.dependent: {var: coeff for coeff, var in c.terms}
+              for c in sys_vl.constraints}
+    for dep, expected in _EXPECTED_B_CONSTRAINTS.items():
+        got = solved.get(dep)
+        want = {var: rational(c) for var, c in expected.items()}
+        f.check(got == want, f"constraint {dep} came out as {got}")
+    # a_ij = b_ij on the whole solution space
+    for idx in rl.indices:
+        a_name = f"a{idx[0]}{idx[1]}"
+        b_name = f"b{idx[0]}{idx[1]}"
+        a_terms = solved.get(a_name)
+        b_terms = solved.get(b_name, {b_name: ONE})
+        f.check(a_terms == b_terms, f"{a_name} != {b_name} on solutions")
+    f.check(sys_vl.subspace == sys_vr.subspace == sys_lr.subspace,
+            "pairwise intersections differ")
+    triple = intersect([rv.matrices(), rl.matrices(), rr.matrices()])
+    f.check(triple == sys_vl.subspace, "triple != pairwise intersection")
 
 
-def _check_10(scopes, fault):
-    f = _Failures()
-    if "euclidean" in scopes:
-        g2 = g2_basis()   # construction itself verifies bracket closure
-        sys_vl = _intersections()[0]
-        for k, lam in enumerate(g2.lambdas, 1):
-            f.check(sys_vl.subspace.contains_matrix(lam),
-                    f"Lambda{k} outside the intersection")
-        gram = lambda_gram(g2)
-        for a in range(14):
-            for b in range(14):
-                if a != b:
-                    f.check(gram[a, b] == ZERO,
-                            f"Lambda{a+1}, Lambda{b+1} not orthogonal")
-        f.check(is_closed(g2.su3_part()), "Lambda1..8 do not close")
-        swapped = g2.swapped()
-        for k in range(7):
-            f.check(commutator(swapped[k], swapped[k + 7]).is_zero,
-                    f"[Lambda{k+1}, Lambda{k+8}] != 0 after the 8<->10 swap")
-    return (f, "norms uniform at 1/2 under tr(X+Y)/2, i.e. orthonormal "
-               "under tr(X+Y); see check 17")
+def _check_10(sig, f):
+    g2 = g2_basis()   # construction itself verifies bracket closure
+    sys_vl = _intersections()[0]
+    for k, lam in enumerate(g2.lambdas, 1):
+        f.check(sys_vl.subspace.contains_matrix(lam),
+                f"Lambda{k} outside the intersection")
+    gram = lambda_gram(g2)
+    for a in range(14):
+        for b in range(14):
+            if a != b:
+                f.check(gram[a, b] == ZERO,
+                        f"Lambda{a+1}, Lambda{b+1} not orthogonal")
+    f.check(is_closed(g2.su3_part()), "Lambda1..8 do not close")
+    swapped = g2.swapped()
+    for k in range(7):
+        f.check(commutator(swapped[k], swapped[k + 7]).is_zero,
+                f"[Lambda{k+1}, Lambda{k+8}] != 0 after the 8<->10 swap")
 
 
-def _check_11(scopes, fault):
-    f = _Failures()
-    if "euclidean" in scopes:
-        u = su3_transform()
-        f.check(u.is_unitary, "7x7 transform not unitary")
-        f.check(det(u) == ONE, "7x7 transform determinant != 1")
-        try:
-            emb = su3_embedding(g2_basis())
-            f.passed += 8
-        except TrialityError as exc:
-            f.append(f"block decomposition failed: {exc}")
-    return (f, "U Lambda_k U+ = -(i/2) diag(0, l_k, -l_k^T) exact for k=1..8; "
-               "with the physics i the factor becomes the generator "
-               "normalization l_k/2")
+def _check_11(sig, f):
+    u = su3_transform()
+    f.check(u.is_unitary, "7x7 transform not unitary")
+    f.check(det(u) == ONE, "7x7 transform determinant != 1")
+    try:
+        su3_embedding(g2_basis())
+        f.passed += 8
+    except TrialityError as exc:
+        f.append(f"block decomposition failed: {exc}")
 
 
-def _grading_checks(signature, f, label):
-    op = signature_ops(signature)[0]
-    graded = _graded(signature)
-    graded_left = graded_basis(spinor_bases(signature)[0], op)
+def _check_12(sig, f):
+    label = _LABEL[sig]
+    op = signature_ops(sig)[0]
+    graded = _graded(sig)
+    graded_left = graded_basis(spinor_bases(sig)[0], op)
     # eigenvalue labeling, coefficient level (under the unpacked operator)
     unpacked = unpack(op)
     for pos, vec in enumerate(graded.coeff_vectors):
@@ -416,92 +383,62 @@ def _grading_checks(signature, f, label):
                     f"{label}: right {i} has non-sibling kappa partners")
 
 
-def _check_12(scopes, fault):
-    f = _Failures()
-    for label, sig in _signatures(scopes):
-        _grading_checks(sig, f, label)
-    return f
-
-
-def _check_13(scopes, fault):
-    f = _Failures()
-    minus28 = rational(-28)
-    minus14 = rational(-14)
-    detail = "euclidean originals -28 each; graded bases -14; handed null"
-    if "euclidean" in scopes:
-        v, left, right = _bases(EUCLIDEAN)
-        for b in (v, left, right):
-            f.check(killing_trace(b.matrices()) == minus28,
-                    f"euclidean {b.kind} trace != -28")
-        graded = _graded(EUCLIDEAN)
-        f.check(killing_trace(graded.all_generators()) == minus14,
-                "euclidean graded trace != -14")
-        for k, x in enumerate(graded.right_part + graded.left_part):
-            f.check(killing_form(x, x) == ZERO,
-                    f"euclidean handed generator {k} not null")
-    if "lorentzian" in scopes:
-        v, left, right = _bases(LORENTZIAN)
-        graded = _graded(LORENTZIAN)
-        f.check(killing_trace(graded.all_generators()) == minus14,
-                "lorentzian graded trace != -14")
-        for k, x in enumerate(graded.right_part + graded.left_part):
-            f.check(killing_form(x, x) == ZERO,
-                    f"lorentzian handed generator {k} not null")
-        originals = sorted(str(killing_trace(b.matrices()))
-                           for b in (v, left, right))
+def _check_13(sig, f):
+    label = _LABEL[sig]
+    bases = _bases(sig)
+    originals = [killing_trace(b.matrices()) for b in bases]
+    if sig == EUCLIDEAN:
+        for b, trace in zip(bases, originals):
+            f.check(trace == rational(-28), f"euclidean {b.kind} trace != -28")
+    graded = _graded(sig)
+    f.check(killing_trace(graded.all_generators()) == rational(-14),
+            f"{label} graded trace != -14")
+    for k, x in enumerate(graded.right_part + graded.left_part):
+        f.check(killing_form(x, x) == ZERO,
+                f"{label} handed generator {k} not null")
+    if sig == LORENTZIAN:
+        originals = sorted(str(trace) for trace in originals)
         f.check(originals == ["-14", "-14", "-14"],
                 f"lorentzian original traces came out as {originals}")
-        detail += ("; lorentzian originals are -14 (7 boosts at +1, 21 "
-                   "rotations at -1), matching the so(1,7) reading")
-    return f, detail
 
 
-def _check_14(scopes, fault):
-    f = _Failures()
-    if "euclidean" in scopes:
-        graded = _graded(EUCLIDEAN)
-        h_form = Matrix.diag((ONE,) + (MINUS_ONE,) * 7)
-        for k, x in enumerate(graded.all_generators()):
+def _check_14(sig, f):
+    form = Matrix.diag((ONE,) + (MINUS_ONE,) * 7)
+    for k, x in enumerate(_graded(sig).all_generators()):
+        if sig == EUCLIDEAN:
             f.check(x.is_antisymmetric,
                     f"euclidean graded generator {k} not antisymmetric")
-            f.check((x.dagger() @ h_form + h_form @ x).is_zero,
+            f.check((x.dagger() @ form + form @ x).is_zero,
                     f"euclidean V-kind graded generator {k} breaks X+h+hX=0")
-    if "lorentzian" in scopes:
-        graded = _graded(LORENTZIAN)
-        eta = Matrix.diag((ONE,) + (MINUS_ONE,) * 7)
-        for k, x in enumerate(graded.all_generators()):
-            f.check((x.T @ eta + eta @ x).is_zero,
+        else:
+            f.check((x.T @ form + form @ x).is_zero,
                     f"lorentzian graded generator {k} breaks X^T eta+eta X=0")
-    return f
 
 
-def _check_15(scopes, fault):
+def _check_15(sig, f):
+    _, left, right = _bases(sig)
+    for b in (left, right):
+        for (i, j) in GEN_INDICES:
+            x = b[(i, j)]
+            if i == 0:
+                f.check(x.is_hermitian,
+                        f"{b.kind}({i},{j}) boost not Hermitian")
+            else:
+                f.check(x.is_antihermitian,
+                        f"{b.kind}({i},{j}) rotation not anti-Hermitian")
+
+
+def _check_16(run) -> CheckResult:
+    """``run(fault)`` gives the rows of the other checks in both signatures."""
     f = _Failures()
-    if "lorentzian" in scopes:
-        _, left, right = _bases(LORENTZIAN)
-        for b in (left, right):
-            for (i, j) in GEN_INDICES:
-                x = b[(i, j)]
-                if i == 0:
-                    f.check(x.is_hermitian,
-                            f"{b.kind}({i},{j}) boost not Hermitian")
-                else:
-                    f.check(x.is_antihermitian,
-                            f"{b.kind}({i},{j}) rotation not anti-Hermitian")
-    return f
-
-
-def _check_16(scopes, fault):
-    f = _Failures()
-    first = _run_checks("all", None, include_tooling=False)
-    second = _run_checks("all", None, include_tooling=False)
+    first, second = run(None), run(None)
     as_json = lambda results: json.dumps(
         [r.to_json() for r in results], sort_keys=True)
     f.check(as_json(first) == as_json(second),
             "two serializations of the suite differ")
     f.check(all(r.status != "fail" for r in first),
             "baseline run contains failures")
-    injected = _run_checks("all", FAULT_H_SIGN, include_tooling=False)
+    injected = run(FAULT_H_SIGN)
     flipped = [r.check_id for a, r in zip(first, injected)
                if a.status != r.status]
     f.check(flipped == ["05-triality-cycling"],
@@ -509,9 +446,12 @@ def _check_16(scopes, fault):
     injected_by_id = {r.check_id: r for r in injected}
     f.check(injected_by_id["05-triality-cycling"].status == "fail",
             "fault injection did not fail the cycling check")
-    return (f, "serialization deterministic; h-sign fault flips exactly "
-               "05-triality-cycling (cross-process byte-identity is "
-               "exercised by the acceptance tests)")
+    return f.result("16-tooling-determinism",
+                    "byte-identical output across runs; negative control "
+                    "flips exactly one check",
+                    "serialization deterministic; h-sign fault flips exactly "
+                    "05-triality-cycling (cross-process byte-identity is "
+                    "exercised by the acceptance tests)")
 
 
 def _check_17():
@@ -526,99 +466,132 @@ def _check_17():
 
 
 # ---------------------------------------------------------------------------
-# registry and runners
+# registry and runner
 # ---------------------------------------------------------------------------
 
+_VERIFIED = "verified exactly"
+
+# check id, claim, the signatures it runs in, body, success detail
 _CHECKS = (
     ("01-clifford-relations",
      "standard Euclidean Clifford algebra; {Gamma_i, Gamma_j} = 2 eta_ij",
-     {"euclidean", "lorentzian"}, _check_01),
+     _BOTH, _check_01, _VERIFIED),
     ("02-volume-elements",
      "squares to the identity; omega^2 = -1",
-     {"euclidean", "lorentzian"}, _check_02),
+     _BOTH, _check_02, _VERIFIED),
     ("03-reality-and-shared-span",
      "span precisely the same space",
-     {"euclidean"}, _check_03),
+     (EUCLIDEAN,), _check_03, _VERIFIED),
     ("04-structure-constants-match",
      "the structure functions of the bases match; exactly the same "
      "structure constants",
-     {"euclidean", "lorentzian"}, _check_04),
+     _BOTH, _check_04, _VERIFIED),
     ("05-triality-cycling",
      "recover precisely the generators; send V -> L -> R -> V",
-     {"euclidean", "lorentzian"}, _check_05),
+     _BOTH, _check_05, _VERIFIED),
     ("06-duality-maps",
      "must be followed up by a change of basis P; L_ij* = R_ij",
-     {"euclidean", "lorentzian"}, _check_06),
+     _BOTH, _check_06, _VERIFIED),
     ("07-s3-closure",
      "generate a representation of the permutation group S3",
-     {"euclidean", "lorentzian"}, _check_07),
+     _BOTH, _check_07,
+     "raw 4x4 cores closed at 6 elements; no P-cleanup path needed"),
     ("08-operator-identities",
      "T^2 = T* = T^-1; not only unitary but real-orthogonal; swaps the two "
      "seven dimensional eigenspaces",
-     {"euclidean", "lorentzian"}, _check_08),
+     _BOTH, _check_08, _VERIFIED),
     ("09-spin7-intersection",
      "leaving us with 14 free dimensions; 42 parameters, with 7+21 "
      "constraints; as good as demanding all three",
-     {"euclidean"}, _check_09),
+     (EUCLIDEAN,), _check_09, _VERIFIED),
     ("10-g2-lambda-basis",
      "form precisely a standard su(3) sub-algebra; [Lambda_i, "
      "Lambda_{i+7}] = 0",
-     {"euclidean"}, _check_10),
+     (EUCLIDEAN,), _check_10,
+     "norms uniform at 1/2 under tr(X+Y)/2, i.e. orthonormal under "
+     "tr(X+Y); see check 17"),
     ("11-su3-embedding",
      "which is precisely 1 + 3 + 3bar",
-     {"euclidean"}, _check_11),
+     (EUCLIDEAN,), _check_11,
+     "U Lambda_k U+ = -(i/2) diag(0, l_k, -l_k^T) exact for k=1..8; with "
+     "the physics i the factor becomes the generator normalization l_k/2"),
     ("12-triality-grading",
      "it fixes each of those elements in place; commute with precisely one",
-     {"euclidean", "lorentzian"}, _check_12),
+     _BOTH, _check_12, _VERIFIED),
     ("13-killing-traces",
      "originally -28, here is now -14; their squares are traceless",
-     {"euclidean", "lorentzian"}, _check_13),
+     _BOTH, _check_13,
+     "euclidean originals -28 each; graded bases -14; handed null"),
     ("14-form-preservation",
      "still preserve the standard bi-linear inner product; inner product "
      "g = I_{1,7} is still preserved",
-     {"euclidean", "lorentzian"}, _check_14),
+     _BOTH, _check_14, _VERIFIED),
     ("15-hermiticity-split",
      "generators of boosts are Hermitian",
-     {"lorentzian"}, _check_15),
-    ("16-tooling-determinism",
-     "byte-identical output across runs; negative control flips exactly "
-     "one check",
-     {"euclidean", "lorentzian"}, _check_16),
+     (LORENTZIAN,), _check_15, _VERIFIED),
 )
 
+# what a passing (check, signature) part adds to its row's success detail
+_DETAIL_SUFFIX = {
+    ("13-killing-traces", LORENTZIAN):
+        "; lorentzian originals are -14 (7 boosts at +1, 21 rotations at "
+        "-1), matching the so(1,7) reading",
+}
 
-@lru_cache(maxsize=None)
-def _run_body(fn_index: int, scopes: frozenset, fault):
-    """Memoized check body; keys are (registry index, scope set, fault)."""
-    return _CHECKS[fn_index][3](scopes, fault)
 
-
-def _run_checks(suite: str, fault, include_tooling=True):
-    scopes = {"euclidean", "lorentzian"} if suite == "all" else {suite}
-    results = []
-    for n, (check_id, claim, check_scopes, fn) in enumerate(_CHECKS):
-        active = scopes & check_scopes
-        if not active:
-            continue
-        if check_id == "16-tooling-determinism" and not include_tooling:
-            continue
-        # only the cycling check consumes the fault, so only it re-runs
-        # when the negative control is active
-        effective = fault if check_id == "05-triality-cycling" else None
-        out = _run_body(n, frozenset(active), effective)
-        if isinstance(out, tuple):
-            failures, success_detail = out
-        else:
-            failures, success_detail = out, "verified exactly"
-        results.append(failures.result(check_id, claim, success_detail))
-    if "euclidean" in scopes:
-        results.append(_check_17())
-    results.sort(key=lambda r: r.check_id)
-    return results
+def usage_error(suite: str, fault=None):
+    """Why ``run_suite(suite, fault)`` cannot run, or None when it can."""
+    if suite not in _SUITE_SIGNATURES:
+        return f"unknown suite {suite!r}"
+    if fault is None:
+        return None
+    if fault not in FAULTS:
+        return f"unknown fault {fault!r}"
+    check_id, signature = FAULTS[fault]
+    if signature not in _SUITE_SIGNATURES[suite]:
+        return (f"fault {fault!r} corrupts the {_LABEL[signature]} part of "
+                f"{check_id}, which suite {suite!r} does not run")
+    return None
 
 
 def run_suite(suite: str = "all", fault=None) -> Report:
-    """Run the verification suite and return its deterministic Report."""
-    if suite not in SUITES:
-        raise ValueError(f"unknown suite {suite!r}")
-    return Report(suite=suite, results=tuple(_run_checks(suite, fault)))
+    """Run the verification suite and return its deterministic Report.
+
+    Each (check, signature) part runs at most once per call: the suite's
+    rows and check 16, which joins the same parts over both signatures,
+    share one dict of them.  Raises ValueError for an unknown suite or
+    fault, or a fault the suite cannot apply.
+    """
+    reason = usage_error(suite, fault)
+    if reason:
+        raise ValueError(reason)
+    parts = {}
+
+    def rows(signatures, fault):
+        results = []
+        for check_id, claim, check_signatures, body, detail in _CHECKS:
+            row = _Failures()
+            active = [sig for sig in signatures if sig in check_signatures]
+            for sig in active:
+                faulted = FAULTS.get(fault) == (check_id, sig)
+                key = (check_id, sig, faulted)
+                if key not in parts:
+                    parts[key] = _Failures()
+                    if faulted:
+                        body(sig, parts[key], fault)
+                    else:
+                        body(sig, parts[key])
+                row += parts[key]
+                row.passed += parts[key].passed
+                detail += _DETAIL_SUFFIX.get((check_id, sig), "")
+            if active:
+                results.append(row.result(check_id, claim, detail))
+        return results
+
+    signatures = _SUITE_SIGNATURES[suite]
+    lambda_row = _check_17()
+    results = rows(signatures, fault)
+    results.append(_check_16(lambda fault: rows(_BOTH, fault) + [lambda_row]))
+    if EUCLIDEAN in signatures:
+        results.append(lambda_row)
+    return Report(suite=suite, results=tuple(results))

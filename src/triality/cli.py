@@ -17,7 +17,7 @@ import argparse
 import sys
 
 from . import __version__
-from .checks import FAULT_H_SIGN, run_suite
+from .checks import FAULTS, SUITES, run_suite, usage_error
 from .clifford import (EUCLIDEAN, LORENTZIAN, cl7_basis, cl8_basis,
                        cl17_basis)
 from .emit import dumps, matrix_to_json, matrix_to_latex, scalar_to_json
@@ -123,6 +123,10 @@ def _render(obj, named, fmt, signature):
 
 
 def cmd_verify(args) -> int:
+    reason = usage_error(args.suite, args.inject_fault)
+    if reason:
+        print(reason, file=sys.stderr)
+        return USAGE_EXIT
     report = run_suite(args.suite, fault=args.inject_fault)
     text = report.to_json_text() if args.format == "json" else report.to_text()
     _write(args.out, text)
@@ -253,12 +257,11 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     verify = sub.add_parser("verify", help="run the verification suite")
-    verify.add_argument("--suite", choices=("euclidean", "lorentzian", "all"),
-                        default="all")
+    verify.add_argument("--suite", choices=SUITES, default="all")
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", default=None, help="write to a file "
                         "instead of stdout")
-    verify.add_argument("--inject-fault", choices=(FAULT_H_SIGN,),
+    verify.add_argument("--inject-fault", choices=tuple(FAULTS),
                         default=None,
                         help="test-only negative control: corrupt one sign "
                              "in the triality core used by the cycling check")
@@ -302,13 +305,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+# built once: parsing reuses it, so a warm caller pays for it at import only
+_PARSER = build_parser()
+_HANDLERS = {"verify": cmd_verify, "emit": cmd_emit, "map": cmd_map,
+             "grade": cmd_grade, "s3": cmd_s3, "g2": cmd_g2, "su3": cmd_su3}
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    handlers = {"verify": cmd_verify, "emit": cmd_emit, "map": cmd_map,
-                "grade": cmd_grade, "s3": cmd_s3, "g2": cmd_g2,
-                "su3": cmd_su3}
+    args = _PARSER.parse_args(argv)
     try:
-        return handlers[args.command](args)
+        return _HANDLERS[args.command](args)
     except Exception as exc:  # construction failure, not a check failure
         print(f"internal construction error: {exc}", file=sys.stderr)
         return 2

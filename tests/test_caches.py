@@ -39,7 +39,6 @@ SURVIVING_CACHES = {
         "times its __wrapped__",
     "checks._graded": "fixture shared by checks 12-14",
     "checks._intersections": "fixture shared by checks 09-10",
-    "checks._run_body": "check 16 re-runs the suite through it",
 }
 
 

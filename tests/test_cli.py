@@ -94,6 +94,20 @@ def test_usage_errors_exit_64():
     assert run_cli("emit", "--object", "vector",
                    "--signature", "9,9").returncode == 64
     assert run_cli().returncode == 64
+    unused_fault = run_cli("verify", "--suite", "lorentzian",
+                           "--inject-fault", "h-sign")
+    assert unused_fault.returncode == 64
+    assert unused_fault.stdout == "" and "h-sign" in unused_fault.stderr
+
+
+def test_run_suite_rejects_a_fault_it_cannot_apply():
+    from triality.checks import run_suite
+    with pytest.raises(ValueError, match="does not run"):
+        run_suite("lorentzian", fault="h-sign")
+    with pytest.raises(ValueError, match="unknown fault"):
+        run_suite("all", fault="bogus")
+    with pytest.raises(ValueError, match="unknown suite"):
+        run_suite("bogus")
 
 
 def test_out_flag_writes_a_file(tmp_path):

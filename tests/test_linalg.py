@@ -216,23 +216,26 @@ def test_axis0_restrictions_meet_within_their_op_counts(monkeypatch):
 
 
 _COLD_SUITE = """
+import sys
 import pytest
 import triality
 from test_linalg import _constructions
 from triality.checks import run_suite
-report, built = _constructions(pytest.MonkeyPatch(), lambda: run_suite("all"))
+report, built = _constructions(pytest.MonkeyPatch(),
+                               lambda: run_suite(sys.argv[1]))
 assert not report.failed
 print(built)
 """
 
 
-def test_cold_suite_stays_within_its_op_count():
-    """A cold ``run_suite("all")`` in a new interpreter builds at most
-    128,155 scalars."""
+@pytest.mark.parametrize("suite", ["all", "euclidean", "lorentzian"])
+def test_cold_suite_stays_within_its_op_count(suite):
+    """A cold ``run_suite(suite)`` in a new interpreter builds at most
+    128,155 scalars, whichever signatures the suite runs."""
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(here.parent / "src"), str(here)]))
-    out = subprocess.run([sys.executable, "-c", _COLD_SUITE], env=env,
+    out = subprocess.run([sys.executable, "-c", _COLD_SUITE, suite], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) <= 128155

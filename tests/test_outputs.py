@@ -7,6 +7,9 @@ Each distinct request runs once through ``triality.cli.main`` in this
 process, so a change in term order or in the JSON encoding of a zero
 coordinate fails here and not only in the benchmark.  The verify requests
 also run under ``python -O``, which strips ``assert`` statements.
+
+The ``verify`` suite and fault combinations the benchmark does not request
+are pinned here too, by the sha256 of their text and JSON reports.
 """
 
 import contextlib
@@ -19,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from triality.checks import FAULT_H_SIGN, run_suite
 from triality.cli import main
 
 _BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -58,3 +62,30 @@ def test_verify_does_not_rely_on_assert_statements():
     assert (hashlib.sha256(out.stdout).hexdigest()
             == EXPECTED["digests"][workloads.key(workloads.VERIFY)])
     assert run(workloads.VERIFY_FAULT).returncode == 1
+
+
+# (suite, fault) -> format -> (sha256 of the report, verify exit code)
+PINNED_REPORTS = {
+    ("all", None): {
+        "text": ("a12fbfeaf4555e9a1a4995dc7addcbfc46870f9064429010e5d72729f94154f0", 0)},
+    ("all", FAULT_H_SIGN): {
+        "text": ("598a82cb3f687780eb2f380e3174193dfa3249b4041ba41a7748de4c48a4c2eb", 1)},
+    ("euclidean", None): {
+        "text": ("b273511d17d5ab220870cc12ae0f1d89d33ba9c97c36c0b7185c527bb5a51d25", 0),
+        "json": ("8b655ad5ce8151aab91f8e12bf3dea15ebbc08681c35f53112fec9d2355503e6", 0)},
+    ("euclidean", FAULT_H_SIGN): {
+        "text": ("e871928793884c82e45c3f2c886e9550ee2a1143a96528240424993fb1beefde", 1),
+        "json": ("090abe6eeadeddc7c56d5fe05208bf4982c415256c736d2cdf572da273087ef1", 1)},
+    ("lorentzian", None): {
+        "text": ("3e9fa3dc287926cb576ac8780f264a735d3bcfd05df33f0882542033610a3d2d", 0),
+        "json": ("d054f601c79a477d2e5c3390059b7b5e56660c1f2340b1f9efdd92dc0d3df0da", 0)},
+}
+
+
+@pytest.mark.parametrize("suite, fault", sorted(PINNED_REPORTS, key=str))
+def test_verify_reports_match_their_pinned_digests(suite, fault):
+    report = run_suite(suite, fault=fault)
+    rendered = {"text": report.to_text(), "json": report.to_json_text()}
+    for fmt, (digest, code) in PINNED_REPORTS[suite, fault].items():
+        assert (1 if report.failed else 0) == code, fmt
+        assert hashlib.sha256(rendered[fmt].encode()).hexdigest() == digest, fmt

@@ -74,7 +74,8 @@ def test_check_04_reports_a_scaled_left_generator(monkeypatch):
     gens[(0, 1)] = gens[(0, 1)].scale(2)
     scaled = _make_basis("L", EUCLIDEAN, gens)
     monkeypatch.setattr(checks, "_bases", lambda sig: (v, scaled, right))
-    failures = checks._check_04({"euclidean"}, None)
+    failures = checks._Failures()
+    checks._check_04(EUCLIDEAN, failures)
     assert "euclidean V/L structure constants differ" in failures
     assert "euclidean L/R structure constants differ" in failures
 
