@@ -11,10 +11,10 @@ counterexample in its detail string.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import __version__
+from ._record import Record
 from .clifford import EUCLIDEAN, LORENTZIAN, cl8_basis, cl17_basis, volume_element
 from .emit import dumps
 from .errors import TrialityError
@@ -28,39 +28,32 @@ from .representations import (GEN_INDICES, P_MATRIX, same_span, spinor_bases,
                               vector_basis)
 from .subalgebras import (g2_basis, intersect, intersect_pair, lambda_gram,
                           restrict, su3_embedding, su3_transform)
+from .suites import FAULT_H_SIGN, SUITES
 
 SCHEMA = "triality-report/1"
 
 _LABEL = {EUCLIDEAN: "euclidean", LORENTZIAN: "lorentzian"}
 _BOTH = (EUCLIDEAN, LORENTZIAN)
 # each suite and the signatures it runs, Euclidean first
-_SUITE_SIGNATURES = {"euclidean": (EUCLIDEAN,), "lorentzian": (LORENTZIAN,),
-                     "all": _BOTH}
-SUITES = tuple(_SUITE_SIGNATURES)
+_SUITE_SIGNATURES = dict(zip(SUITES, ((EUCLIDEAN,), (LORENTZIAN,), _BOTH)))
 
-# The only supported fault injection: flip one sign in the H core used by
-# the triality-cycling check.  Each fault names the one (check, signature)
-# part it corrupts, so the negative control flips exactly one result.
-FAULT_H_SIGN = "h-sign"
+# Each fault names the one (check, signature) part it corrupts, so the
+# negative control flips exactly one result.
 FAULTS = {FAULT_H_SIGN: ("05-triality-cycling", EUCLIDEAN)}
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    check_id: str
-    claim: str
-    status: str          # "pass" | "fail" | "reported"
-    detail: str
+class CheckResult(Record):
+    __slots__ = ("check_id", "claim",
+                 "status",      # "pass" | "fail" | "reported"
+                 "detail")
 
     def to_json(self) -> dict:
         return {"check_id": self.check_id, "claim": self.claim,
                 "status": self.status, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class Report:
-    suite: str
-    results: tuple
+class Report(Record):
+    __slots__ = ("suite", "results")
 
     @property
     def counts(self) -> dict:

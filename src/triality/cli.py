@@ -9,6 +9,19 @@ operators), ``g2`` (the Lambda basis or the solved constraints), ``su3``
 Exit codes: 0 all checks pass, 1 at least one check failed, 2 internal
 construction error, 64 usage error.  Output is deterministic: identical
 arguments produce byte-identical stdout.
+
+Each verb imports the modules it runs when it runs, so a new interpreter
+loads only those (every verb also loads ``emit``, ``field`` and
+``matrix``):
+
+- ``verify``: ``checks``, and through it every construction module;
+- ``emit``: ``clifford`` for the gamma ladders; ``representations`` (with
+  ``linalg``) for ``vector``, ``spinor-left`` and ``spinor-right``;
+  ``outer`` (with ``representations``) for ``H``, ``K``, ``T`` and
+  ``graded``; ``subalgebras`` (with ``representations``) for
+  ``g2-lambda``, ``g2-constraints`` and ``su3-blocks``;
+- ``map``, ``grade`` and ``s3``: ``outer`` and ``representations``;
+- ``g2`` and ``su3``: ``subalgebras`` and ``representations``.
 """
 
 from __future__ import annotations
@@ -17,15 +30,8 @@ import argparse
 import sys
 
 from . import __version__
-from .checks import FAULTS, SUITES, run_suite, usage_error
-from .clifford import (EUCLIDEAN, LORENTZIAN, cl7_basis, cl8_basis,
-                       cl17_basis)
 from .emit import dumps, matrix_to_json, matrix_to_latex, scalar_to_json
-from .errors import TrialityError
-from .outer import (apply_outer, graded_basis, outer_op, quartet_terms,
-                    s3_closure, signature_ops)
-from .representations import basis, vector_basis
-from .subalgebras import g2_basis, intersect_pair, restrict, su3_embedding
+from .suites import FAULT_NAMES, SUITES
 
 USAGE_EXIT = 64
 
@@ -44,6 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_signature(text):
+    from .clifford import EUCLIDEAN, LORENTZIAN
     if text in ("8,0", "(8,0)"):
         return EUCLIDEAN
     if text in ("1,7", "(1,7)"):
@@ -55,16 +62,39 @@ def _numbered(prefix, mats, start=1, suffix=""):
     return [(f"{prefix}_{k}{suffix}", m) for k, m in enumerate(mats, start)]
 
 
+def _ladder_items(ladder, prefix, start):
+    from . import clifford
+    return _numbered(prefix, getattr(clifford, ladder)().gammas, start)
+
+
+def _core_items(name):
+    from .outer import outer_op
+    return [(name, outer_op(name).core)]
+
+
 def _basis_items(kind, signature):
+    from .representations import basis
     b = basis(kind, signature)
     return [(b.name_of(idx), m) for idx, m in b.items()]
+
+
+def _lambda_items():
+    from .subalgebras import g2_basis
+    return _numbered("Lambda", g2_basis().lambdas)
 
 
 def _su3_blocks(emb):
     return _numbered("U_Lambda", emb.conjugated, suffix="_Udagger")
 
 
+def _su3_items():
+    from .subalgebras import g2_basis, su3_embedding
+    return _su3_blocks(su3_embedding(g2_basis()))
+
+
 def _graded_items(signature):
+    from .outer import graded_basis, signature_ops
+    from .representations import vector_basis
     g = graded_basis(vector_basis(signature), signature_ops(signature)[0])
     return (_numbered("invariant", g.g2_part)
             + _numbered("right", g.right_part)
@@ -73,22 +103,24 @@ def _graded_items(signature):
 
 # emit object -> signature -> its (name, matrix) list, in deterministic order
 _NAMED_MATRICES = {
-    "gammas-cl7": lambda sig: _numbered("g", cl7_basis().gammas),
-    "gammas-cl8": lambda sig: _numbered("Gamma", cl8_basis().gammas, 0),
-    "gammas-cl17": lambda sig: _numbered("Gamma", cl17_basis().gammas, 0),
-    "H": lambda sig: [("H", outer_op("H").core)],
-    "K": lambda sig: [("K", outer_op("K").core)],
-    "T": lambda sig: [("T", outer_op("T").core)],
+    "gammas-cl7": lambda sig: _ladder_items("cl7_basis", "g", 1),
+    "gammas-cl8": lambda sig: _ladder_items("cl8_basis", "Gamma", 0),
+    "gammas-cl17": lambda sig: _ladder_items("cl17_basis", "Gamma", 0),
+    "H": lambda sig: _core_items("H"),
+    "K": lambda sig: _core_items("K"),
+    "T": lambda sig: _core_items("T"),
     "vector": lambda sig: _basis_items("V", sig),
     "spinor-left": lambda sig: _basis_items("L", sig),
     "spinor-right": lambda sig: _basis_items("R", sig),
-    "g2-lambda": lambda sig: _numbered("Lambda", g2_basis().lambdas),
-    "su3-blocks": lambda sig: _su3_blocks(su3_embedding(g2_basis())),
+    "g2-lambda": lambda sig: _lambda_items(),
+    "su3-blocks": lambda sig: _su3_items(),
     "graded": _graded_items,
 }
 
 
 def _emit_constraints(fmt):
+    from .representations import basis
+    from .subalgebras import intersect_pair, restrict
     system = intersect_pair(restrict(basis("V"), 0), restrict(basis("L"), 0))
     records = [{"dependent": c.dependent,
                 "terms": [{"coefficient": str(coeff), "variable": var}
@@ -123,6 +155,7 @@ def _render(obj, named, fmt, signature):
 
 
 def cmd_verify(args) -> int:
+    from .checks import run_suite, usage_error
     reason = usage_error(args.suite, args.inject_fault)
     if reason:
         print(reason, file=sys.stderr)
@@ -134,6 +167,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_emit(args) -> int:
+    from .clifford import EUCLIDEAN
     signature = _parse_signature(args.signature) if args.signature else None
     if args.signature and signature is None:
         print(f"unknown signature {args.signature!r}", file=sys.stderr)
@@ -166,6 +200,8 @@ def _write(path, text):
 
 
 def cmd_map(args) -> int:
+    from .outer import apply_outer, outer_op, quartet_terms
+    from .representations import basis
     op = outer_op(args.op)
     source = basis(args.source, op.signature)
     mapped = apply_outer(op, source)
@@ -184,6 +220,8 @@ def cmd_map(args) -> int:
 
 
 def cmd_grade(args) -> int:
+    from .outer import graded_basis, signature_ops
+    from .representations import vector_basis
     signature = _parse_signature(args.signature)
     op = signature_ops(signature)[0]
     graded = graded_basis(vector_basis(signature), op)
@@ -204,6 +242,7 @@ def cmd_grade(args) -> int:
 
 
 def cmd_s3(args) -> int:
+    from .outer import s3_closure, signature_ops
     signature = _parse_signature(args.signature)
     ops = signature_ops(signature)
     closure = s3_closure(ops)
@@ -233,6 +272,8 @@ def cmd_g2(args) -> int:
 
 
 def cmd_su3(args) -> int:
+    from .errors import TrialityError
+    from .subalgebras import g2_basis, su3_embedding
     try:
         emb = su3_embedding(g2_basis())
     except TrialityError as exc:
@@ -261,7 +302,7 @@ def build_parser() -> _Parser:
     verify.add_argument("--format", choices=("text", "json"), default="text")
     verify.add_argument("--out", default=None, help="write to a file "
                         "instead of stdout")
-    verify.add_argument("--inject-fault", choices=tuple(FAULTS),
+    verify.add_argument("--inject-fault", choices=FAULT_NAMES,
                         default=None,
                         help="test-only negative control: corrupt one sign "
                              "in the triality core used by the cycling check")

@@ -8,10 +8,9 @@ together with its chiral change of basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
+from ._record import Record
 from .field import HALF, I, MINUS_ONE, ONE, SQRT2, ZERO, rational
 from .matrix import Matrix, anticommutator, kron
 
@@ -22,12 +21,10 @@ SIGMA_Z = Matrix(((ONE, ZERO), (ZERO, MINUS_ONE)))
 I2 = Matrix.identity(2)
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Metric signature (p pluses, q minuses); eta = diag(+1^p, -1^q)."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
     @property
     def n(self) -> int:
@@ -47,13 +44,13 @@ EUCLIDEAN = Signature(8, 0)
 LORENTZIAN = Signature(1, 7)
 
 
-@dataclass(frozen=True)
-class GammaBasis:
+class GammaBasis(Record):
     """An ordered gamma ladder satisfying {G_i, G_j} = 2 eta_ij, exactly."""
 
-    signature: Signature
-    gammas: tuple
-    gamma5: Optional[Matrix] = None
+    __slots__ = ("signature", "gammas", "gamma5")
+
+    def __init__(self, signature, gammas, gamma5=None):
+        super().__init__(signature, gammas, gamma5)
 
     @property
     def dim(self) -> int:
@@ -78,14 +75,11 @@ class GammaBasis:
                    for i in range(k) for j in range(i, k))
 
 
-@dataclass(frozen=True)
-class VolumeElement:
+class VolumeElement(Record):
     """The ordered product of all gammas and what it does."""
 
-    omega: Matrix
-    squares_to_plus_identity: bool
-    squares_to_minus_identity: bool
-    anticommutes_with_all: bool
+    __slots__ = ("omega", "squares_to_plus_identity",
+                 "squares_to_minus_identity", "anticommutes_with_all")
 
 
 @lru_cache(maxsize=None)

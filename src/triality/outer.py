@@ -12,9 +12,9 @@ third roots of unity as eigenvalues.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature
 from .errors import ClosureExceeded, SignatureMismatch, TrialityError
 from .field import (HALF, I, OMEGA, OMEGA_BAR, ONE, SQRT2, SQRT3, SQRT6,
@@ -41,14 +41,10 @@ _SUCCESSOR = {
 }
 
 
-@dataclass(frozen=True)
-class OuterOp:
+class OuterOp(Record):
     """A 4x4 core acting on generator quartets, possibly antilinearly."""
 
-    name: str
-    core: Matrix
-    antilinear: bool
-    signature: Signature
+    __slots__ = ("name", "core", "antilinear", "signature")
 
 
 def outer_h() -> OuterOp:
@@ -137,8 +133,7 @@ def apply_outer(op: OuterOp, b: LieBasis) -> LieBasis:
     return _make_basis(_SUCCESSOR[op.name][b.kind], b.signature, gens)
 
 
-@dataclass(frozen=True)
-class UnpackedOp:
+class UnpackedOp(Record):
     """A 28x28 operator on coefficient space (with an antilinear flag).
 
     ``matrix`` is the matrix of the automorphism in the generator basis:
@@ -149,8 +144,7 @@ class UnpackedOp:
     the graded basis come out right.
     """
 
-    matrix: Matrix
-    antilinear: bool
+    __slots__ = ("matrix", "antilinear")
 
     def apply(self, coeffs):
         vec = [x.conj() for x in coeffs] if self.antilinear else list(coeffs)
@@ -168,14 +162,13 @@ def unpack(op: OuterOp) -> UnpackedOp:
 
 # -- S3 closure ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class S3Closure:
+class S3Closure(Record):
     """Multiplicative closure of a set of (possibly antilinear) cores."""
 
-    elements: tuple          # (matrix, antilinear) pairs, discovery order
-    is_s3: bool
-    order_counts: dict       # element order -> count
-    relation_holds: bool     # k h k^-1 == h^2 for the found generators
+    __slots__ = ("elements",         # (matrix, antilinear) pairs, discovery order
+                 "is_s3",
+                 "order_counts",     # element order -> count
+                 "relation_holds")   # k h k^-1 == h^2 for the found generators
 
 
 def _compose(a, b):
@@ -224,8 +217,7 @@ def s3_closure(ops) -> S3Closure:
 
 # -- diagonalization --------------------------------------------------------
 
-@dataclass(frozen=True)
-class Diagonalization:
+class Diagonalization(Record):
     """Eigenvector matrix and diagonal for an order-3 triality core.
 
     Columns are, in order: the sqrt2-normalized (0,1,0,1) vector and the
@@ -237,9 +229,7 @@ class Diagonalization:
     symmetric T this is literally T = B D B^dagger with B real orthogonal.
     """
 
-    op_name: str
-    change_of_basis: Matrix
-    diagonal: Matrix
+    __slots__ = ("op_name", "change_of_basis", "diagonal")
 
 
 _INV_SQRT2 = SQRT2 * HALF               # 1/sqrt2
@@ -277,8 +267,7 @@ def diagonalize(op_name: str) -> Diagonalization:
 
 # -- graded basis ------------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
-class GradedBasis:
+class GradedBasis(Record, eq=False):
     """A basis arranged by triality eigenvalue.
 
     ``g2_part`` holds the 14 invariant generators (7 lambda3-like then 7
@@ -288,11 +277,8 @@ class GradedBasis:
     basis, in the same order (g2, right, left).
     """
 
-    provenance: str
-    g2_part: tuple
-    right_part: tuple
-    left_part: tuple
-    coeff_vectors: tuple
+    __slots__ = ("provenance", "g2_part", "right_part", "left_part",
+                 "coeff_vectors")
 
     def all_generators(self):
         return self.g2_part + self.right_part + self.left_part

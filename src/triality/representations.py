@@ -10,10 +10,10 @@ reflection P = diag(-1, 1, ..., 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
+from ._record import Record
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature, cl8_basis, cl17_basis
 from .errors import SignatureMismatch
 from .field import HALF, I, MINUS_ONE, ONE
@@ -33,8 +33,7 @@ P_MATRIX = Matrix.diag((MINUS_ONE,) + (ONE,) * 7)
 M_MATRIX = Matrix.diag((I,) + (ONE,) * 7)
 
 
-@dataclass(frozen=True, eq=False)
-class LieBasis:
+class LieBasis(Record, eq=False):
     """An ordered set of 28 generators indexed by (i, j) pairs.
 
     Equality is identity (``eq=False``).  ``vector_basis`` and
@@ -43,9 +42,9 @@ class LieBasis:
     is keyed on a basis.
     """
 
-    kind: str                 # "V" | "L" | "R"
-    signature: Signature
-    gens: MappingProxyType
+    __slots__ = ("kind",        # "V" | "L" | "R"
+                 "signature",
+                 "gens")        # MappingProxyType {(i, j): Matrix}
 
     def __getitem__(self, idx) -> Matrix:
         return self.gens[idx]
@@ -147,12 +146,8 @@ def basis(kind: str, signature: Signature = EUCLIDEAN) -> LieBasis:
     raise ValueError(f"unknown basis kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class SpanReport:
-    equal: bool
-    dim_first: int
-    dim_second: int
-    dim_union: int
+class SpanReport(Record):
+    __slots__ = ("equal", "dim_first", "dim_second", "dim_union")
 
 
 def real_flatten(m: Matrix):
@@ -189,10 +184,8 @@ def same_span(b1: LieBasis, b2: LieBasis) -> SpanReport:
                       dim_second=s2.dim, dim_union=union.dim)
 
 
-@dataclass(frozen=True)
-class StructureMatchReport:
-    equal: bool
-    first_mismatch: tuple | None
+class StructureMatchReport(Record):
+    __slots__ = ("equal", "first_mismatch")
 
 
 def same_structure_constants(b1: LieBasis, b2: LieBasis) -> StructureMatchReport:

@@ -10,9 +10,9 @@ su(3).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
+from ._record import Record
 from .errors import BlockMismatch, ClosureFailure
 from .field import (HALF, I, MINUS_ONE, ONE, SQRT2, SQRT3, ZERO, ExactScalar,
                     rational)
@@ -21,14 +21,10 @@ from .matrix import Matrix, commutator
 from .representations import GEN_INDICES, LieBasis
 
 
-@dataclass(frozen=True, eq=False)
-class RestrictedBasis:
+class RestrictedBasis(Record, eq=False):
     """The 21 generators of a basis whose indices avoid one axis."""
 
-    kind: str
-    axis: int
-    indices: tuple
-    gens: tuple
+    __slots__ = ("kind", "axis", "indices", "gens")
 
     def __getitem__(self, idx) -> Matrix:
         return self.gens[self.indices.index(idx)]
@@ -47,12 +43,11 @@ def restrict(b: LieBasis, axis: int) -> RestrictedBasis:
                            indices, tuple(b[idx] for idx in indices))
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """One solved relation: dependent = sum of (coefficient, variable)."""
 
-    dependent: str
-    terms: tuple  # ((ExactScalar, str), ...)
+    __slots__ = ("dependent",
+                 "terms")       # ((ExactScalar, str), ...)
 
     def __str__(self):
         if not self.terms:
@@ -75,8 +70,7 @@ class Constraint:
 DEPENDENT_B = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3))
 
 
-@dataclass(frozen=True, eq=False)
-class IntersectionSystem:
+class IntersectionSystem(Record, eq=False):
     """The stacked linear system sum a_ij V_ij = sum b_ij L_ij, solved.
 
     ``subspace`` is the 14-dimensional common span (of flattened 8x8
@@ -85,10 +79,7 @@ class IntersectionSystem:
     ``rank`` is the rank of the 64 x 42 stacked system.
     """
 
-    subspace: Subspace
-    constraints: tuple
-    rank: int
-    unknowns: int
+    __slots__ = ("subspace", "constraints", "rank", "unknowns")
 
     def b_constraints(self):
         return tuple(c for c in self.constraints if c.dependent.startswith("b"))
@@ -142,8 +133,7 @@ _FAMILY_ROOT3 = (
 )
 
 
-@dataclass(frozen=True, eq=False)
-class G2Basis:
+class G2Basis(Record, eq=False):
     """The 14 orthogonal generators Lambda_1..Lambda_14 of the intersection.
 
     Lambda_1..Lambda_7 carry entries +-1/2 and are "like" the first seven
@@ -153,8 +143,7 @@ class G2Basis:
     (equivalently: orthonormal under the plain trace pairing).
     """
 
-    lambdas: tuple
-    theta_labels: tuple
+    __slots__ = ("lambdas", "theta_labels")
 
     def __getitem__(self, k: int) -> Matrix:
         """1-indexed access matching the generator numbering."""
@@ -248,13 +237,12 @@ def su3_transform() -> Matrix:
 BLOCK_FACTOR = -I * HALF
 
 
-@dataclass(frozen=True, eq=False)
-class Su3Embedding:
+class Su3Embedding(Record, eq=False):
     """The conjugated Lambda family with its verified block decomposition."""
 
-    transform: Matrix         # the 7x7 special unitary
-    conjugated: tuple         # U Lambda_k U^dagger for k = 1..14 (7x7)
-    block_factor: ExactScalar
+    __slots__ = ("transform",     # the 7x7 special unitary
+                 "conjugated",    # U Lambda_k U^dagger for k = 1..14 (7x7)
+                 "block_factor")
 
 
 def block_target(k: int) -> Matrix:

@@ -119,26 +119,30 @@ def test_out_flag_writes_a_file(tmp_path):
     assert data["suite"] == "lorentzian"
 
 
-# one request per verb, with a builder it calls through triality.cli
+# one request per verb, with a builder it calls, patched in the module
+# that triality.cli imports it from when the verb runs
 _VERB_BUILDERS = [
-    (["verify", "--suite", "all"], "run_suite"),
-    (["emit", "--object", "gammas-cl7"], "cl7_basis"),
-    (["map", "--op", "H", "--from", "V"], "apply_outer"),
-    (["grade", "--signature", "8,0"], "graded_basis"),
-    (["s3", "--signature", "1,7"], "s3_closure"),
-    (["g2", "--emit", "lambda"], "g2_basis"),
-    (["su3"], "su3_embedding"),
+    (["verify", "--suite", "all"], "checks.run_suite"),
+    (["emit", "--object", "gammas-cl7"], "clifford.cl7_basis"),
+    (["map", "--op", "H", "--from", "V"], "outer.apply_outer"),
+    (["grade", "--signature", "8,0"], "outer.graded_basis"),
+    (["s3", "--signature", "1,7"], "outer.s3_closure"),
+    (["g2", "--emit", "lambda"], "subalgebras.g2_basis"),
+    (["su3"], "subalgebras.su3_embedding"),
 ]
 
 
 def test_construction_error_exits_2(monkeypatch, capsys):
+    import importlib
     import triality.cli as cli
 
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic construction failure")
 
     for argv, builder in _VERB_BUILDERS:
-        monkeypatch.setattr(cli, builder, boom)
+        module, name = builder.split(".")
+        monkeypatch.setattr(importlib.import_module(f"triality.{module}"),
+                            name, boom)
         assert cli.main(argv) == 2, argv
         assert "synthetic construction failure" in capsys.readouterr().err
 
