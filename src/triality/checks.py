@@ -188,8 +188,11 @@ def _check_03(sig, f):
 
 def _check_04(sig, f):
     fv, fl, fr = (structure_constants(b.matrices()) for b in _bases(sig))
-    f.check(fv == fl, f"{_LABEL[sig]} V/L structure constants differ")
-    f.check(fl == fr, f"{_LABEL[sig]} L/R structure constants differ")
+    for pair, first, second in (("V/L", fv, fl), ("L/R", fl, fr)):
+        same = first == second
+        at = None if same else first.first_mismatch(second)
+        f.check(same, f"{_LABEL[sig]} {pair} structure constants differ "
+                      f"first at (a, b, c) = {at}")
 
 
 def _cycle_exact(op, v, left, right, f, label):

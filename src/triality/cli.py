@@ -30,7 +30,7 @@ import argparse
 import sys
 
 from . import __version__
-from .emit import dumps, matrix_to_json, matrix_to_latex, scalar_to_json
+from .emit import Encoder, dumps, matrix_to_latex
 from .suites import FAULT_NAMES, SUITES
 
 USAGE_EXIT = 64
@@ -141,10 +141,11 @@ def _emit_constraints(fmt):
 
 def _render(obj, named, fmt, signature):
     if fmt == "json":
+        encode = Encoder()
         payload = {
             "object": obj,
             "signature": str(signature) if obj in _SIGNED else None,
-            "items": [{"name": name, "matrix": matrix_to_json(m)}
+            "items": [{"name": name, "matrix": encode.matrix(m)}
                       for name, m in named],
         }
         return dumps(payload) + "\n"
@@ -205,12 +206,13 @@ def cmd_map(args) -> int:
     op = outer_op(args.op)
     source = basis(args.source, op.signature)
     mapped = apply_outer(op, source)
+    encode = Encoder()
     items = [{"name": mapped.name_of(new),
               "coefficients": [{"generator": source.name_of(old),
-                                "coefficient": scalar_to_json(c),
+                                "coefficient": encode.scalar(c),
                                 "conjugated": op.antilinear}
                                for old, c in terms],
-              "matrix": matrix_to_json(mapped[new])}
+              "matrix": encode.matrix(mapped[new])}
              for new, terms in quartet_terms(op.core).items()]
     items.sort(key=lambda x: x["name"])
     payload = {"op": args.op, "from": args.source, "to": mapped.kind,
@@ -225,9 +227,10 @@ def cmd_grade(args) -> int:
     signature = _parse_signature(args.signature)
     op = signature_ops(signature)[0]
     graded = graded_basis(vector_basis(signature), op)
+    encode = Encoder()
     def part(name, gens, eigenvalue):
         return [{"name": f"{name}_{k}", "eigenvalue": eigenvalue,
-                 "matrix": matrix_to_json(m)}
+                 "matrix": encode.matrix(m)}
                 for k, m in enumerate(gens, start=1)]
     payload = {
         "signature": str(signature),
@@ -246,6 +249,7 @@ def cmd_s3(args) -> int:
     signature = _parse_signature(args.signature)
     ops = signature_ops(signature)
     closure = s3_closure(ops)
+    encode = Encoder()
     payload = {
         "signature": str(signature),
         "generators": [op.name for op in ops],
@@ -254,7 +258,7 @@ def cmd_s3(args) -> int:
                            sorted(closure.order_counts.items())},
         "is_s3": closure.is_s3,
         "braid_relation_holds": closure.relation_holds,
-        "elements": [{"antilinear": flag, "matrix": matrix_to_json(m)}
+        "elements": [{"antilinear": flag, "matrix": encode.matrix(m)}
                      for m, flag in closure.elements],
     }
     _write(args.out, dumps(payload) + "\n")
@@ -279,11 +283,12 @@ def cmd_su3(args) -> int:
     except TrialityError as exc:
         print(f"su3 embedding check FAILED: {exc}", file=sys.stderr)
         return 1
+    encode = Encoder()
     payload = {
         "check": "pass",
-        "block_factor": scalar_to_json(emb.block_factor),
-        "transform": matrix_to_json(emb.transform),
-        "blocks": [{"name": name, "matrix": matrix_to_json(m)}
+        "block_factor": encode.scalar(emb.block_factor),
+        "transform": encode.matrix(emb.transform),
+        "blocks": [{"name": name, "matrix": encode.matrix(m)}
                    for name, m in _su3_blocks(emb)],
     }
     _write(args.out, dumps(payload) + "\n")

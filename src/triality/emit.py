@@ -4,8 +4,14 @@ writer and LaTeX pmatrix output.
 A scalar is encoded as {"re": [4 reduced "p/q" strings], "im": [same]}
 with coordinate order (1, sqrt2, sqrt3, sqrt6); matrices are row-major
 nested arrays of scalars.  Both directions round-trip exactly.
-``matrix_to_json`` hands out one dict per distinct entry, so equal
-entries of a matrix are the same object: treat the result as read-only.
+
+One ``Encoder`` builds the scalars and matrices of one payload.  It hands
+out one dict per distinct scalar and one list per distinct row, shared
+across every matrix and coefficient of that payload, so equal entries and
+equal rows are the same object; treat the results as read-only.  The
+sharing is per payload, never across payloads: the memo belongs to the
+encoder and goes when it does.  ``matrix_to_json(m)`` encodes one matrix
+with an encoder of its own.
 
 ``dumps(obj)`` returns exactly ``json.dumps(obj, indent=2,
 sort_keys=True)`` for payloads built from dicts with str keys, lists,
@@ -13,14 +19,17 @@ str, int, bool and None, and raises ``TypeError`` for anything else
 (a float, a tuple, a non-str key).  The stdlib never uses its C encoder
 when it indents; ``dumps`` instead writes a list or dict that recurs at
 the same depth once and reuses its text, which is what makes the shared
-entries of ``matrix_to_json`` cheap.
+rows and scalars of an ``Encoder`` cheap: a payload of 28 matrices
+renders each distinct row at most twice, not all 224 rows.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
+# json.encoder's own C function; importing json.encoder would load the
+# whole json package (json.decoder, json.scanner) in every cold request
+from _json import encode_basestring_ascii as _quote
 from math import gcd
 
 from .field import ZERO, ExactScalar
@@ -63,17 +72,44 @@ def scalar_from_json(obj) -> ExactScalar:
     return _decode(_strings(obj), obj)
 
 
-def matrix_to_json(m: Matrix) -> list:
-    """Row-major JSON scalars; equal entries share one dict."""
-    encoded = {}
+class Encoder:
+    """The JSON scalars and rows of one payload.
 
-    def entry(x):
+    Equal scalars, keyed by ``(den, nums)``, come out as one dict, and equal
+    rows, keyed by their sparse ``(column, den, nums)`` entries, as one
+    list, across every matrix and coefficient encoded through this encoder.
+    Make one per payload and drop it with the payload: it keeps every
+    object it has handed out.
+    """
+
+    __slots__ = ("_scalars", "_rows")
+
+    def __init__(self):
+        self._scalars = {}
+        self._rows = {}
+
+    def scalar(self, x: ExactScalar) -> dict:
         key = (x.den, x.nums)
-        if (obj := encoded.get(key)) is None:
-            obj = encoded[key] = scalar_to_json(x)
+        if (obj := self._scalars.get(key)) is None:
+            obj = self._scalars[key] = scalar_to_json(x)
         return obj
 
-    return [[entry(row.get(j, ZERO)) for j in range(m.n)] for row in m.rows]
+    def matrix(self, m: Matrix) -> list:
+        """Row-major JSON scalars."""
+        rows, scalar, n = self._rows, self.scalar, m.n
+        out = []
+        for row in m.rows:
+            key = (n, *sorted((j, x.den, x.nums) for j, x in row.items()))
+            if (obj := rows.get(key)) is None:
+                obj = rows[key] = [scalar(row.get(j, ZERO)) for j in range(n)]
+            out.append(obj)
+        return out
+
+
+def matrix_to_json(m: Matrix) -> list:
+    """Row-major JSON scalars; equal entries share one dict, equal rows one
+    list."""
+    return Encoder().matrix(m)
 
 
 def matrix_from_json(rows) -> Matrix:

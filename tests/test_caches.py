@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import triality
-from triality import clifford
+from triality import clifford, emit
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.representations import spinor_bases, vector_basis
 from triality.subalgebras import g2_basis
@@ -61,6 +61,19 @@ def _lru_cached():
 
 def test_only_the_listed_functions_are_cached():
     assert _lru_cached() == set(SURVIVING_CACHES)
+
+
+def test_emit_keeps_no_memo_beyond_one_payload():
+    """``emit.Encoder`` holds its memo per instance, so it dies with the
+    payload; a dict, list or set at module or class level would outlive
+    the call and become a cache across requests."""
+    owners = [emit] + [c for c in vars(emit).values()
+                       if inspect.isclass(c) and c.__module__ == emit.__name__]
+    assert emit.Encoder in owners
+    assert not [(owner.__name__, name) for owner in owners
+                for name, value in vars(owner).items()
+                if not name.startswith("__")
+                and isinstance(value, (dict, list, set, bytearray))]
 
 
 @pytest.mark.parametrize("signature", [EUCLIDEAN, LORENTZIAN])

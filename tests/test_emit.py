@@ -149,9 +149,17 @@ def test_equal_matrix_entries_share_one_dict(m):
     assert matrix_from_json(rows) == m
 
 
-def test_emit_encodes_each_distinct_scalar_once_per_matrix(monkeypatch):
-    """A count ratchet: the (1,7) left spinor JSON encodes at most 112
-    scalars (1,792 when every entry was encoded)."""
+MAP_T_L = ["map", "--op", "T", "--from", "L"]
+GRADE_LORENTZ = ["grade", "--signature", "1,7"]
+LEFT_LORENTZ_JSON = ["emit", "--object", "spinor-left", "--signature", "1,7",
+                     "--format", "json"]
+
+
+@pytest.mark.parametrize("argv", [LEFT_LORENTZ_JSON, MAP_T_L],
+                         ids=["emit spinor-left 1,7", "map T L"])
+def test_emit_encodes_each_distinct_scalar_once_per_payload(monkeypatch, argv):
+    """A count ratchet: each payload encodes its 5 distinct scalars once
+    (1,792 when every entry was encoded, 112 when once per matrix)."""
     calls = 0
 
     def counted(x):
@@ -161,9 +169,72 @@ def test_emit_encodes_each_distinct_scalar_once_per_matrix(monkeypatch):
 
     monkeypatch.setattr(emit, "scalar_to_json", counted)
     with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(["emit", "--object", "spinor-left", "--signature", "1,7",
-                         "--format", "json"])
-    assert code == 0 and 0 < calls <= 112
+        code = cli.main(argv)
+    assert code == 0 and 0 < calls <= 5
+
+
+def _payloads(monkeypatch, *requests):
+    """The payload each request hands to ``dumps``; all are kept alive, so
+    no two distinct objects among them can share an id."""
+    seen = []
+
+    def capture(payload):
+        seen.append(payload)
+        return dumps(payload)
+
+    monkeypatch.setattr(cli, "dumps", capture)
+    for argv in requests:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    return seen
+
+
+def _is_scalar(obj):
+    return isinstance(obj, dict) and obj.keys() == {"re", "im"}
+
+
+def _lists_and_dicts(obj):
+    """Every list and dict of a payload, each time it occurs."""
+    stack = [obj]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, (list, dict)):
+            yield o
+            stack.extend(o if isinstance(o, list) else o.values())
+
+
+@pytest.mark.parametrize("argv", [MAP_T_L, GRADE_LORENTZ, ["su3"], LEFT_LORENTZ_JSON],
+                         ids=["map T L", "grade 1,7", "su3", "emit spinor-left 1,7"])
+def test_equal_rows_and_scalars_of_a_payload_are_one_object(monkeypatch, argv):
+    (payload,) = _payloads(monkeypatch, argv)
+    ids, rows = {}, 0
+    for o in _lists_and_dicts(payload):
+        if _is_scalar(o) or (isinstance(o, list) and o and all(map(_is_scalar, o))):
+            ids.setdefault(oracles.indented_json(o), set()).add(id(o))
+            rows += not _is_scalar(o)
+    assert rows and all(len(group) == 1 for group in ids.values())
+
+
+def test_a_map_coefficient_is_the_dict_of_its_equal_matrix_entry(monkeypatch):
+    (payload,) = _payloads(monkeypatch, MAP_T_L)
+    entries = {id(x) for item in payload["items"] for row in item["matrix"] for x in row}
+    coefficients = [c["coefficient"] for item in payload["items"]
+                    for c in item["coefficients"]]
+    assert len(coefficients) == 112 and all(id(c) in entries for c in coefficients)
+
+
+def test_two_payloads_share_no_object(monkeypatch):
+    first, second = _payloads(monkeypatch, MAP_T_L, MAP_T_L)
+    assert first == second
+    ids = [{id(o) for o in _lists_and_dicts(payload)} for payload in (first, second)]
+    assert not ids[0] & ids[1]
+
+
+@pytest.mark.parametrize("argv", [MAP_T_L, GRADE_LORENTZ, ["su3"]],
+                         ids=["map T L", "grade 1,7", "su3"])
+def test_dumps_of_a_shared_payload_matches_the_stdlib(monkeypatch, argv):
+    (payload,) = _payloads(monkeypatch, argv)
+    assert dumps(payload) == oracles.indented_json(payload)
 
 
 def _indented_dumps_calls(tree):

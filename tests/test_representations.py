@@ -76,8 +76,9 @@ def test_check_04_reports_a_scaled_left_generator(monkeypatch):
     monkeypatch.setattr(checks, "_bases", lambda sig: (v, scaled, right))
     failures = checks._Failures()
     checks._check_04(EUCLIDEAN, failures)
-    assert "euclidean V/L structure constants differ" in failures
-    assert "euclidean L/R structure constants differ" in failures
+    assert failures == [
+        "euclidean V/L structure constants differ first at (a, b, c) = (0, 1, 7)",
+        "euclidean L/R structure constants differ first at (a, b, c) = (0, 1, 7)"]
 
 
 def test_lorentzian_vector_preserves_eta():
