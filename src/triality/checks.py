@@ -555,7 +555,9 @@ def run_suite(suite: str = "all", fault=None) -> Report:
 
     Each (check, signature) part runs at most once per call: the suite's
     rows and check 16, which joins the same parts over both signatures,
-    share one dict of them.  Raises ValueError for an unknown suite or
+    share one dict of them.  A ``TrialityError`` raised inside a body
+    fails that part, with the error text as its detail; any other
+    exception propagates.  Raises ValueError for an unknown suite or
     fault, or a fault the suite cannot apply.
     """
     reason = usage_error(suite, fault)
@@ -573,10 +575,13 @@ def run_suite(suite: str = "all", fault=None) -> Report:
                 key = (check_id, sig, faulted)
                 if key not in parts:
                     parts[key] = _Failures()
-                    if faulted:
-                        body(sig, parts[key], fault)
-                    else:
-                        body(sig, parts[key])
+                    try:
+                        if faulted:
+                            body(sig, parts[key], fault)
+                        else:
+                            body(sig, parts[key])
+                    except TrialityError as exc:
+                        parts[key].append(str(exc))
                 row += parts[key]
                 row.passed += parts[key].passed
                 detail += _DETAIL_SUFFIX.get((check_id, sig), "")

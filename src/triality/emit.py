@@ -222,6 +222,20 @@ def scalar_to_latex(x: ExactScalar) -> str:
 
 
 def matrix_to_latex(m: Matrix) -> str:
-    body = r" \\ ".join(" & ".join(scalar_to_latex(row.get(j, ZERO)) for j in range(m.n))
-                        for row in m.rows)
-    return r"\begin{pmatrix} %s \end{pmatrix}" % body
+    """A pmatrix of the entries, row by row.
+
+    Rows start as ``"0"`` cells and get only their nonzero entries; each
+    distinct entry, keyed by ``(den, nums)``, goes through
+    ``scalar_to_latex`` once per call.
+    """
+    texts = {}
+    lines = []
+    for row in m.rows:
+        line = ["0"] * m.n
+        for j, x in row.items():
+            key = (x.den, x.nums)
+            if (text := texts.get(key)) is None:
+                text = texts[key] = scalar_to_latex(x)
+            line[j] = text
+        lines.append(" & ".join(line))
+    return r"\begin{pmatrix} %s \end{pmatrix}" % r" \\ ".join(lines)

@@ -237,15 +237,51 @@ class Matrix:
         return f"Matrix({self.n}x{self.n})"
 
     def __str__(self):
-        cells = [[str(row.get(j, ZERO)) for j in range(self.n)] for row in self.rows]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]"
-                         for row in cells)
+        """One bracketed line per row, every cell right-justified to the
+        longest entry, or to width 1 when all are zero.
+
+        Rows start as ``"0"`` cells and get only their nonzero entries.
+        Each distinct entry, keyed by ``(den, nums)`` because that hashes
+        faster than the scalar, is rendered and padded once; the memo
+        lives for this call only.
+        """
+        texts = {}
+        for row in self.rows:
+            for x in row.values():
+                key = (x.den, x.nums)
+                if key not in texts:
+                    texts[key] = str(x)
+        width = max(map(len, texts.values()), default=1)
+        cells = {key: text.rjust(width) for key, text in texts.items()}
+        blank = ["0".rjust(width)] * self.n
+        lines = []
+        for row in self.rows:
+            line = blank.copy()
+            for j, x in row.items():
+                line[j] = cells[x.den, x.nums]
+            lines.append("[ " + "  ".join(line) + " ]")
+        return "\n".join(lines)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     """The Lie bracket [a, b] = ab - ba, exact."""
     return (a @ b) - (b @ a)
+
+
+def combination(terms, n: int) -> Matrix:
+    """The n x n linear combination sum c * m over (c, m) in ``terms``.
+
+    Each output row accumulates straight from the terms' rows, with no
+    zero matrix, scaled copy or intermediate sum; every entry is built as
+    ``s + c * x``, the same scalar operations as adding up ``m.scale(c)``.
+    """
+    rows = [{} for _ in range(n)]
+    for c, m in terms:
+        if m.n != n:
+            raise DimensionMismatch(f"{m.n} vs {n}")
+        for acc, row in zip(rows, m.rows):
+            accumulate(acc, row, lambda s, x: s + c * x)
+    return Matrix._of(rows, n)
 
 
 def anticommutator(a: Matrix, b: Matrix) -> Matrix:

@@ -19,7 +19,7 @@ from .clifford import EUCLIDEAN, LORENTZIAN, Signature
 from .errors import ClosureExceeded, SignatureMismatch, TrialityError
 from .field import (HALF, I, OMEGA, OMEGA_BAR, ONE, SQRT2, SQRT3, SQRT6,
                     ZERO, ExactScalar, rational)
-from .matrix import Matrix
+from .matrix import Matrix, combination
 from .representations import GEN_INDICES, LieBasis, _make_basis
 
 # The seven quartets: column k of (a, b, c, d) is acted on by the 4x4 cores.
@@ -107,13 +107,8 @@ def quartet_terms(core: Matrix) -> dict:
 def _combine(b: LieBasis, terms, antilinear=False) -> dict:
     """Each new generator as its terms' combination of the old ones."""
     olds = {idx: m.conj() for idx, m in b.items()} if antilinear else b.gens
-    gens = {}
-    for new, pairs in terms.items():
-        acc = Matrix.zero(8)
-        for old, c in pairs:
-            acc = acc + olds[old].scale(c)
-        gens[new] = acc
-    return gens
+    return {new: combination(((c, olds[old]) for old, c in pairs), 8)
+            for new, pairs in terms.items()}
 
 
 def _require_signature(op: OuterOp, b: LieBasis):

@@ -5,13 +5,16 @@ determinant code paths and its sparse layout, so that the values they
 produce count as independent evidence: scalars as dense 8-tuples of
 Fractions, matrices read entry by entry through m[i, j] into dense rows,
 products by the definition sum, rank by a from-scratch elimination,
-determinants by cofactor expansion.  The indented JSON layout has the
-stdlib call itself as its reference.
+determinants by cofactor expansion, linear combinations by scaling and
+adding whole matrices, and text and LaTeX by rendering every one of the
+n*n entries.  The indented JSON layout has the stdlib call itself as its
+reference.
 """
 
 import json
 from fractions import Fraction
 
+from triality.emit import scalar_to_latex
 from triality.matrix import Matrix
 
 # -- scalars: dense 8-tuples over {1, sqrt2, sqrt3, sqrt6} x {1, i} ----------
@@ -181,6 +184,34 @@ def cofactor_det(m: Matrix):
         term = m[0, j] * cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def naive_combination(terms, n: int) -> Matrix:
+    """sum c * m over (c, m) in terms, by scaling each matrix and adding it
+    to a running sum that starts from the zero matrix."""
+    acc = Matrix.zero(n)
+    for c, m in terms:
+        acc = acc + m.scale(c)
+    return acc
+
+
+# -- text and LaTeX --------------------------------------------------------------
+
+
+def dense_matrix_text(m: Matrix) -> str:
+    """Every entry rendered with str, zeros included, and right-justified to
+    the widest of all n*n cells."""
+    cells = [[str(x) for x in row] for row in dense(m)]
+    width = max(len(c) for row in cells for c in row)
+    return "\n".join("[ " + "  ".join(c.rjust(width) for c in row) + " ]"
+                     for row in cells)
+
+
+def dense_matrix_latex(m: Matrix) -> str:
+    """A pmatrix with every entry, zeros included, through scalar_to_latex."""
+    body = r" \\ ".join(" & ".join(scalar_to_latex(x) for x in row)
+                        for row in dense(m))
+    return r"\begin{pmatrix} %s \end{pmatrix}" % body
 
 
 # -- JSON ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import triality
-from triality import clifford, emit
+from triality import clifford, emit, matrix
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.representations import spinor_bases, vector_basis
 from triality.subalgebras import g2_basis
@@ -63,17 +63,30 @@ def test_only_the_listed_functions_are_cached():
     assert _lru_cached() == set(SURVIVING_CACHES)
 
 
+def _module_level_memos(module, memo_owner):
+    """(owner, name) of every dict, list, set or bytearray held by the
+    module or a class it defines; ``memo_owner`` must be one of those."""
+    owners = [module] + [c for c in vars(module).values()
+                         if inspect.isclass(c) and c.__module__ == module.__name__]
+    assert memo_owner in owners
+    return [(owner.__name__, name) for owner in owners
+            for name, value in vars(owner).items()
+            if not name.startswith("__")
+            and isinstance(value, (dict, list, set, bytearray))]
+
+
 def test_emit_keeps_no_memo_beyond_one_payload():
     """``emit.Encoder`` holds its memo per instance, so it dies with the
     payload; a dict, list or set at module or class level would outlive
     the call and become a cache across requests."""
-    owners = [emit] + [c for c in vars(emit).values()
-                       if inspect.isclass(c) and c.__module__ == emit.__name__]
-    assert emit.Encoder in owners
-    assert not [(owner.__name__, name) for owner in owners
-                for name, value in vars(owner).items()
-                if not name.startswith("__")
-                and isinstance(value, (dict, list, set, bytearray))]
+    assert not _module_level_memos(emit, emit.Encoder)
+
+
+def test_matrix_keeps_no_memo_beyond_one_call():
+    """``Matrix.__str__`` keeps its per-entry render memo in a local, so it
+    dies with the call; module or class state would turn it into a cache
+    across matrices and requests."""
+    assert not _module_level_memos(matrix, matrix.Matrix)
 
 
 @pytest.mark.parametrize("signature", [EUCLIDEAN, LORENTZIAN])

@@ -147,6 +147,66 @@ def test_construction_error_exits_2(monkeypatch, capsys):
         assert "synthetic construction failure" in capsys.readouterr().err
 
 
+# Negates the entry Gamma_1[0, 9] of the Cl(8,0) ladder before any module
+# binds cl8_basis, then runs verify; check 04's structure_constants raises
+# NotClosed on the broken bases.
+_GAMMA_FAULT = """
+import sys
+from functools import lru_cache
+
+import triality.clifford as clifford
+from triality.matrix import Matrix
+
+real = clifford.cl8_basis
+
+
+@lru_cache(maxsize=None)
+def faulty():
+    basis = real()
+    g = basis.gammas[1]
+    entries = {(i, j): x for i, row in enumerate(g.rows) for j, x in row.items()}
+    entries[0, 9] = -entries[0, 9]
+    gammas = list(basis.gammas)
+    gammas[1] = Matrix.from_entries(g.n, entries)
+    return clifford.GammaBasis(basis.signature, tuple(gammas), basis.gamma5)
+
+
+clifford.cl8_basis = faulty
+from triality import cli
+sys.exit(cli.main(["verify", "--suite", "all", "--format", "json"]))
+"""
+
+
+def test_a_check_that_raises_is_a_failed_row_with_a_report():
+    out = subprocess.run([sys.executable, "-c", _GAMMA_FAULT],
+                         capture_output=True, text=True)
+    assert out.returncode == 1, out.stderr
+    assert out.stderr == ""
+    report = json.loads(out.stdout)
+    by_id = {r["check_id"]: r for r in report["results"]}
+    assert len(by_id) == 17 and report["summary"]["fail"] >= 2
+    clifford, structure = (by_id["01-clifford-relations"],
+                           by_id["04-structure-constants-match"])
+    assert clifford["status"] == "fail"
+    assert "anticommutator defect" in clifford["detail"]
+    assert structure["status"] == "fail"
+    assert structure["detail"] == "bracket of generators 0 and 1 leaves the span"
+
+
+def test_any_other_error_in_a_check_body_exits_2(monkeypatch, capsys):
+    import triality.checks as checks
+    import triality.cli as cli
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic failure inside a check")
+
+    monkeypatch.setattr(checks, "structure_constants", boom)
+    assert cli.main(["verify", "--suite", "euclidean"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "synthetic failure inside a check" in captured.err
+
+
 def test_map_verb_lands_on_the_left_basis():
     out = run_cli("map", "--op", "H", "--from", "V")
     assert out.returncode == 0

@@ -12,11 +12,12 @@ from hypothesis import strategies as st
 
 import oracles
 from triality import cli, emit
-from triality.clifford import cl7_basis
+from triality.clifford import EUCLIDEAN, LORENTZIAN, cl7_basis
 from triality.emit import (dumps, matrix_from_json, matrix_to_json,
                            matrix_to_latex, scalar_from_json, scalar_to_json,
                            scalar_to_latex)
-from triality.field import HALF, I, SQRT2, SQRT3, ZERO, from_parts, rational
+from triality.field import (HALF, I, OMEGA, SQRT2, SQRT3, SQRT6, ZERO,
+                            ExactScalar, from_parts, rational)
 from triality.matrix import Matrix, anticommutator
 from triality.outer import outer_h, outer_op, outer_t
 from triality.subalgebras import g2_basis
@@ -85,6 +86,66 @@ def test_scalar_latex():
 def test_matrix_latex_is_a_pmatrix():
     tex = matrix_to_latex(Matrix.identity(2))
     assert tex == r"\begin{pmatrix} 1 & 0 \\ 0 & 1 \end{pmatrix}"
+
+
+# -- text and LaTeX against the dense renderers -------------------------------
+
+EMIT_CASES = [(obj, sig) for obj in cli.EMIT_OBJECTS if obj != "g2-constraints"
+              for sig in ((EUCLIDEAN, LORENTZIAN) if obj in cli._SIGNED else (None,))]
+
+
+@pytest.mark.parametrize("obj,signature", EMIT_CASES,
+                         ids=[f"{obj} {sig}" if sig else obj for obj, sig in EMIT_CASES])
+def test_every_emitted_matrix_renders_as_the_dense_oracles(obj, signature):
+    for name, m in cli._NAMED_MATRICES[obj](signature):
+        assert str(m) == oracles.dense_matrix_text(m), name
+        assert matrix_to_latex(m) == oracles.dense_matrix_latex(m), name
+
+
+EDGE_MATRICES = {
+    "zero": Matrix.zero(3),
+    "zero 1x1": Matrix.zero(1),
+    "no zero entry": Matrix([[1, -2, HALF], [SQRT2, I, -I * SQRT3],
+                             [OMEGA, 3, -HALF * SQRT2]]),
+    "mixed width": Matrix([[0, -HALF + I * SQRT3, 0, 7],
+                           [12345, 0, -I, 0],
+                           [0, 0, SQRT2 * rational(-7, 3), 0],
+                           [-1, OMEGA, 0, I * SQRT6 * rational(5, 12)]]),
+}
+
+
+@pytest.mark.parametrize("m", EDGE_MATRICES.values(), ids=EDGE_MATRICES.keys())
+def test_edge_matrices_render_as_the_dense_oracles(m):
+    assert str(m) == oracles.dense_matrix_text(m)
+    assert matrix_to_latex(m) == oracles.dense_matrix_latex(m)
+
+
+SPINOR_LEFT_LORENTZ = ["emit", "--object", "spinor-left", "--signature", "1,7"]
+
+
+@pytest.mark.parametrize("argv,owner,name,bound", [
+    (SPINOR_LEFT_LORENTZ + ["--format", "text"], ExactScalar, "__str__", 84),
+    (SPINOR_LEFT_LORENTZ + ["--format", "latex"], emit, "scalar_to_latex", 84),
+    (["emit", "--object", "su3-blocks", "--format", "latex"], emit,
+     "scalar_to_latex", 48),
+], ids=["spinor-left 1,7 text", "spinor-left 1,7 latex", "su3-blocks latex"])
+def test_emit_renders_each_distinct_entry_once_per_matrix(monkeypatch, argv, owner,
+                                                         name, bound):
+    """A count ratchet: each matrix renders its distinct nonzero entries
+    once (1,792 renders for spinor-left and 686 for su3-blocks when every
+    cell was rendered)."""
+    calls = 0
+    render = getattr(owner, name)
+
+    def counted(x):
+        nonlocal calls
+        calls += 1
+        return render(x)
+
+    monkeypatch.setattr(owner, name, counted)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    assert code == 0 and 0 < calls <= bound
 
 
 # -- the indented JSON writer ------------------------------------------------

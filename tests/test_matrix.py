@@ -1,15 +1,18 @@
 """Matrix algebra: products, brackets, Kronecker products, predicates."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (dense, dense_block2, dense_kron, dense_product, dense_sum,
-                     dense_transpose, naive_bracket, naive_matmul)
+                     dense_transpose, naive_bracket, naive_combination,
+                     naive_matmul)
 from triality.clifford import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from triality.errors import DimensionMismatch
 from triality.field import ExactScalar, I, ONE, ZERO
-from triality.matrix import Matrix, commutator, kron
+from triality.matrix import Matrix, combination, commutator, kron
 from triality.representations import vector_basis
 
 small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=2)
@@ -109,6 +112,27 @@ def test_operations_keep_the_canonical_form(a, b, c, d):
                       (kron(a, b), dense_kron(a, b)),
                       (Matrix.block2(a, b, c, d), dense_block2(a, b, c, d))):
         assert _canonical(got) and dense(got) == want
+
+
+# built from integer pairs: cheaper to draw than st.fractions, zero included
+coefficients = st.builds(lambda nums, den: ExactScalar([Fraction(k, den) for k in nums]),
+                         st.tuples(*([st.integers(-2, 2)] * 8)), st.integers(1, 3))
+
+
+@given(st.lists(st.tuples(coefficients, sparse_matrix(4)), max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_combination_matches_scale_then_add(terms):
+    got = combination(terms, 4)
+    assert _canonical(got) and got == naive_combination(terms, 4)
+
+
+def test_combination_drops_cancelled_entries():
+    a = Matrix(((ONE, I), (ZERO, -ONE)))
+    c = I + ONE
+    assert combination([(c, a), (-c, a)], 2).rows == ({}, {})
+    assert combination([], 3) == Matrix.zero(3)
+    with pytest.raises(DimensionMismatch):
+        combination([(ONE, a)], 3)
 
 
 def test_shapes_are_checked():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import dense
+from oracles import dense, naive_combination
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.errors import SignatureMismatch, TrialityError
 from triality.field import (HALF, I, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO,
@@ -114,6 +114,30 @@ def test_conjugation_needs_no_cleanup():
     assert all(mapped[idx] == right[idx] for idx in GEN_INDICES)
     back = apply_outer(outer_conj(), mapped)
     assert all(back[idx] == left[idx] for idx in GEN_INDICES)
+
+
+@pytest.mark.parametrize("kind", ["V", "L", "R"])
+@pytest.mark.parametrize("op_name", ["H", "K", "T", "conj"])
+def test_apply_outer_matches_scale_then_add(op_name, kind):
+    op = outer_op(op_name)
+    b = basis(kind, op.signature)
+    olds = {idx: m.conj() if op.antilinear else m for idx, m in b.items()}
+    mapped = apply_outer(op, b)
+    for new, pairs in quartet_terms(op.core).items():
+        assert mapped[new] == naive_combination(
+            [(c, olds[old]) for old, c in pairs], 8), new
+
+
+@pytest.mark.parametrize("kind", ["V", "L"])
+@pytest.mark.parametrize("signature", [EUCLIDEAN, LORENTZIAN], ids=["8,0", "1,7"])
+def test_graded_basis_matches_scale_then_add(signature, kind):
+    """Each graded generator is its own coefficient vector over the source
+    basis, summed by scaling and adding whole matrices."""
+    b = basis(kind, signature)
+    graded = graded_basis(b, signature_ops(signature)[0])
+    for gen, vec in zip(graded.all_generators(), graded.coeff_vectors):
+        assert gen == naive_combination(
+            [(c, b[idx]) for idx, c in zip(GEN_INDICES, vec) if c], 8)
 
 
 def test_signature_mismatch_rejected():

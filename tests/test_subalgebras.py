@@ -5,10 +5,11 @@ import pytest
 from oracles import cofactor_det, naive_matmul
 from triality.clifford import EUCLIDEAN
 from triality.field import HALF, I, ONE, ZERO, rational
-from triality.linalg import Subspace, det, is_closed
-from triality.matrix import Matrix, commutator
-from triality.outer import graded_basis, outer_h
-from triality.representations import (P_MATRIX, spinor_bases, vector_basis)
+from triality.linalg import Subspace, det, is_closed, kernel_basis
+from triality.matrix import Matrix, combination, commutator
+from triality.outer import graded_basis, outer_h, outer_k, unpack
+from triality.representations import (GEN_INDICES, P_MATRIX, spinor_bases,
+                                      vector_basis)
 from triality.subalgebras import (BLOCK_FACTOR, block_target, g2_basis,
                                   gell_mann, intersect, intersect_pair,
                                   lambda_gram, restrict, su3_embedding,
@@ -138,6 +139,21 @@ def test_triality_fixed_space_equals_the_lambda_span():
     fixed = Subspace.from_matrices(graded.g2_part)
     lam_span = Subspace.from_matrices(g2_basis().lambdas)
     assert fixed == lam_span
+
+
+def test_the_space_fixed_by_h_and_k_is_the_lambda_span():
+    """g2 as the stabilizer of the whole S3 = <H, K>: the coefficient
+    vectors fixed by both generators span 14 dimensions, and over V they
+    are exactly the span of the Lambdas."""
+    one = Matrix.identity(28)
+    system = [row for op in (outer_h(), outer_k())
+              for row in (unpack(op).matrix - one).rows]
+    fixed = kernel_basis(system, 28)
+    assert len(fixed) == 14
+    v = vector_basis(EUCLIDEAN)
+    mats = [combination(((c, v[GEN_INDICES[k]]) for k, c in vec.items()), 8)
+            for vec in fixed]
+    assert Subspace.from_matrices(mats) == Subspace.from_matrices(g2_basis().lambdas)
 
 
 def test_su3_transform_by_oracles():
