@@ -192,10 +192,18 @@ def cmd_emit(args) -> int:
     return 0
 
 
+class _Unwritable(Exception):
+    """An ``--out`` path that cannot be written: a usage error, exit 64."""
+
+
 def _write(path, text):
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _Unwritable(f"triality: cannot write {path}: "
+                              f"{exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -361,6 +369,9 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
+    except _Unwritable as exc:
+        print(exc, file=sys.stderr)
+        return USAGE_EXIT
     except Exception as exc:  # construction failure, not a check failure
         print(f"internal construction error: {exc}", file=sys.stderr)
         return 2

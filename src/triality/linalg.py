@@ -1,12 +1,12 @@
 """Exact row reduction, kernels, subspaces, and structure constants.
 
 Vectors and rows are sparse dicts {column: nonzero ExactScalar}, the
-layout of ``Matrix`` rows, and every row update goes through
-``matrix.accumulate``.  The workhorse is a deterministic RREF over
-Q(i, sqrt2, sqrt3): pivots are chosen as the leftmost nonzero column and
-the first nonzero row in index order (magnitude-based pivoting is
-meaningless in exact arithmetic), so constraint presentations are
-reproducible run to run.
+layout of ``Matrix`` rows, and every row update v +- c * w goes through
+the in-place row kernel ``matrix.add_scaled`` / ``matrix.sub_scaled``.
+The workhorse is a deterministic RREF over Q(i, sqrt2, sqrt3): pivots
+are chosen as the leftmost nonzero column and the first nonzero row in
+index order (magnitude-based pivoting is meaningless in exact
+arithmetic), so constraint presentations are reproducible run to run.
 
 This module is the only place that eliminates: ``stacked_solve`` solves
 sum a_i x_i = sum b_j y_j for every intersection, and
@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import LinearlyDependent, NotClosed
 from .field import ONE, ZERO, ExactScalar, scalar
-from .matrix import Matrix, accumulate, commutator
+from .matrix import Matrix, add_scaled, commutator, sub_scaled
 
 
 def _exact(vector) -> dict:
@@ -49,8 +49,7 @@ def rref(rows, pivot_cols_limit=None):
             m[r] = {k: x * inv for k, x in m[r].items()}
         for i, row in enumerate(m):
             if i != r and c in row:
-                f = row[c]
-                accumulate(row, m[r], lambda s, x: s - f * x)
+                sub_scaled(row, row[c], m[r])
         pivots.append(c)
         r += 1
     return tuple(m[:r]), tuple(pivots)
@@ -92,7 +91,7 @@ def stacked_solve(a_vecs, b_vecs):
         v = {}
         for j, y in kv.items():
             if j >= p:
-                accumulate(v, b_vecs[j - p], lambda s, x: s + y * x)
+                add_scaled(v, y, b_vecs[j - p])
         common.append(v)
     return red, pivots, common
 
@@ -112,8 +111,7 @@ def det(m: Matrix) -> ExactScalar:
         inv = a[c][c].inverse()
         for row in a[c + 1:]:
             if c in row:
-                f = row[c] * inv
-                accumulate(row, a[c], lambda s, x: s - f * x)
+                sub_scaled(row, row[c] * inv, a[c])
     return out
 
 
@@ -157,7 +155,7 @@ class Subspace:
         for k, (row, p) in enumerate(zip(self.rows, self.pivots)):
             if p in v:
                 c = v[p]
-                accumulate(v, row, lambda s, x: s - c * x)
+                sub_scaled(v, c, row)
                 used.append((k, c))
         return used
 

@@ -14,18 +14,40 @@ from .errors import DimensionMismatch
 from .field import ZERO, ONE, ExactScalar, scalar
 
 
-def accumulate(v: dict, w: dict, op) -> dict:
-    """Set v[k] = op(v.get(k, ZERO), x) for each entry x of w, in place.
+def add_scaled(v: dict, c, w: dict) -> dict:
+    """Set v = v + c * w in place for a nonzero scalar ``c``; returns v.
 
-    Entries that come out zero are dropped, so a sparse row stays
-    canonical; returns v.
+    With ``sub_scaled`` this is the one row kernel: every scaled row update
+    of ``@``, the brackets, ``combination`` and ``linalg``'s elimination
+    runs through it.  Each entry is built as ``s + c * x``, or as ``c * x``
+    where v had none, and entries that cancel are dropped, so a sparse row
+    stays canonical.
     """
     for k, x in w.items():
-        y = op(v.get(k, ZERO), x)
-        if y:
+        s = v.get(k)
+        if s is None:
+            v[k] = c * x
+        elif y := s + c * x:
             v[k] = y
         else:
-            v.pop(k, None)
+            del v[k]
+    return v
+
+
+def sub_scaled(v: dict, c, w: dict) -> dict:
+    """Set v = v - c * w in place for a nonzero scalar ``c``; returns v.
+
+    Each entry is built as ``s - c * x``, or as ``-(c * x)`` where v had
+    none; entries that cancel are dropped.
+    """
+    for k, x in w.items():
+        s = v.get(k)
+        if s is None:
+            v[k] = -(c * x)
+        elif y := s - c * x:
+            v[k] = y
+        else:
+            del v[k]
     return v
 
 
@@ -119,8 +141,16 @@ class Matrix:
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} vs {other.n}")
-        return Matrix._of((accumulate(dict(ra), rb, op)
-                           for ra, rb in zip(self.rows, other.rows)), self.n)
+        out = []
+        for ra, rb in zip(self.rows, other.rows):
+            acc = dict(ra)
+            for k, x in rb.items():
+                if y := op(acc.get(k, ZERO), x):
+                    acc[k] = y
+                else:
+                    del acc[k]
+            out.append(acc)
+        return Matrix._of(out, self.n)
 
     def __add__(self, other):
         return self._merge(other, ExactScalar.__add__)
@@ -152,11 +182,12 @@ class Matrix:
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} vs {other.n}")
+        brows = other.rows
         out = []
         for arow in self.rows:
             acc = {}
             for k, a in arow.items():
-                accumulate(acc, other.rows[k], lambda s, b: s + a * b)
+                add_scaled(acc, a, brows[k])
             out.append(acc)
         return Matrix._of(out, self.n)
 
@@ -263,29 +294,53 @@ class Matrix:
         return "\n".join(lines)
 
 
+def _bracket(a: Matrix, b: Matrix, combine) -> Matrix:
+    """ab - ba or ab + ba, as ``combine`` is ``sub_scaled`` or ``add_scaled``.
+
+    One pass per row into one accumulator: row i adds a_ik times row k of
+    b, then combines b_ik times row k of a, with no intermediate product
+    matrix and no final entrywise pass.
+    """
+    if a.n != b.n:
+        raise DimensionMismatch(f"{a.n} vs {b.n}")
+    arows, brows = a.rows, b.rows
+    out = []
+    for arow, brow in zip(arows, brows):
+        acc = {}
+        for k, x in arow.items():
+            add_scaled(acc, x, brows[k])
+        for k, y in brow.items():
+            combine(acc, y, arows[k])
+        out.append(acc)
+    return Matrix._of(out, a.n)
+
+
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     """The Lie bracket [a, b] = ab - ba, exact."""
-    return (a @ b) - (b @ a)
+    return _bracket(a, b, sub_scaled)
 
 
 def combination(terms, n: int) -> Matrix:
     """The n x n linear combination sum c * m over (c, m) in ``terms``.
 
-    Each output row accumulates straight from the terms' rows, with no
-    zero matrix, scaled copy or intermediate sum; every entry is built as
-    ``s + c * x``, the same scalar operations as adding up ``m.scale(c)``.
+    Each output row accumulates straight from the terms' rows through
+    ``add_scaled``, with no zero matrix, scaled copy or intermediate sum;
+    every entry is built as ``s + c * x``, the same scalar operations as
+    adding up ``m.scale(c)``.  A zero coefficient adds nothing.
     """
     rows = [{} for _ in range(n)]
     for c, m in terms:
         if m.n != n:
             raise DimensionMismatch(f"{m.n} vs {n}")
-        for acc, row in zip(rows, m.rows):
-            accumulate(acc, row, lambda s, x: s + c * x)
+        if c:
+            for acc, row in zip(rows, m.rows):
+                add_scaled(acc, c, row)
     return Matrix._of(rows, n)
 
 
 def anticommutator(a: Matrix, b: Matrix) -> Matrix:
-    return (a @ b) + (b @ a)
+    """{a, b} = ab + ba, exact, in the one pass of ``commutator``."""
+    return _bracket(a, b, add_scaled)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

@@ -8,13 +8,15 @@ products by the definition sum, rank by a from-scratch elimination,
 determinants by cofactor expansion, linear combinations by scaling and
 adding whole matrices, and text and LaTeX by rendering every one of the
 n*n entries.  The indented JSON layout has the stdlib call itself as its
-reference.
+reference.  The intertwiner oracle builds its own equations and takes
+only their kernel from ``linalg.kernel_basis``.
 """
 
 import json
 from fractions import Fraction
 
 from triality.emit import scalar_to_latex
+from triality.linalg import kernel_basis
 from triality.matrix import Matrix
 
 # -- scalars: dense 8-tuples over {1, sqrt2, sqrt3, sqrt6} x {1, i} ----------
@@ -137,6 +139,12 @@ def naive_bracket(a: Matrix, b: Matrix) -> Matrix:
     return naive_matmul(a, b) - naive_matmul(b, a)
 
 
+def naive_anticommutator(a: Matrix, b: Matrix) -> Matrix:
+    """{a, b}_ij = (AB)_ij + (BA)_ij, both products from the definition."""
+    return Matrix([[x + y for x, y in zip(ab, ba)]
+                   for ab, ba in zip(dense_product(a, b), dense_product(b, a))])
+
+
 def naive_rank(vectors) -> int:
     """Row rank by plain forward elimination (no pivot normalization)."""
     rows = [list(v) for v in vectors]
@@ -184,6 +192,30 @@ def cofactor_det(m: Matrix):
         term = m[0, j] * cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def intertwiner_dim(xs, ys) -> int:
+    """The dimension of the space of matrices S with S X_a = Y_a S for
+    every pair (X_a, Y_a) of ``xs`` and ``ys``.
+
+    Each entry (i, j) of each pair is one linear equation in the n*n
+    unknowns S_pq (column p*n + q): sum_k S_ik X_kj - sum_k Y_ik S_kj = 0,
+    with the entries read through m[i, j].  The kernel comes from
+    ``linalg.kernel_basis``.  By Schur's lemma the dimension is 1 when
+    both families are the same absolutely irreducible representation up
+    to a change of basis, and 0 when they are inequivalent irreducibles.
+    """
+    n = xs[0].n
+    rows = []
+    for x, y in zip(xs, ys):
+        for i in range(n):
+            for j in range(n):
+                row = {}
+                for k in range(n):
+                    row[i * n + k] = row.get(i * n + k, 0) + x[k, j]
+                    row[k * n + j] = row.get(k * n + j, 0) - y[i, k]
+                rows.append(row)
+    return len(kernel_basis(rows, n * n))
 
 
 def naive_combination(terms, n: int) -> Matrix:

@@ -119,6 +119,19 @@ def test_out_flag_writes_a_file(tmp_path):
     assert data["suite"] == "lorentzian"
 
 
+@pytest.mark.parametrize("argv", [["emit", "--object", "H"],
+                                  ["verify", "--suite", "euclidean"]])
+def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, argv):
+    import triality.cli as cli
+    target = tmp_path / "missing" / "report"
+    assert cli.main([*argv, "--out", str(target)]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"triality: cannot write {target}: "
+                            "No such file or directory\n")
+    assert not target.parent.exists()
+
+
 # one request per verb, with a builder it calls, patched in the module
 # that triality.cli imports it from when the verb runs
 _VERB_BUILDERS = [

@@ -203,6 +203,14 @@ def test_euclidean_left_solves_stay_within_their_op_count(monkeypatch):
     assert built <= 4872
 
 
+def test_left_brackets_stay_within_their_op_count(monkeypatch):
+    """The 378 commutators of L(8,0) build at most 7,392 scalars."""
+    gens = spinor_bases(EUCLIDEAN)[0].matrices()
+    brackets, built = _constructions(monkeypatch, lambda: [
+        commutator(gens[a], gens[b]) for a in range(28) for b in range(a + 1, 28)])
+    assert len(brackets) == 378 and built <= 7392
+
+
 def test_axis0_restrictions_meet_within_their_op_counts(monkeypatch):
     """The Euclidean V and L restrictions meet in at most 868 built
     scalars by ``intersect_pair`` and 270 by ``Subspace.intersection``."""
@@ -231,14 +239,14 @@ print(built)
 @pytest.mark.parametrize("suite", ["all", "euclidean", "lorentzian"])
 def test_cold_suite_stays_within_its_op_count(suite):
     """A cold ``run_suite(suite)`` in a new interpreter builds at most
-    128,155 scalars, whichever signatures the suite runs."""
+    119,458 scalars, whichever signatures the suite runs."""
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(here.parent / "src"), str(here)]))
     out = subprocess.run([sys.executable, "-c", _COLD_SUITE, suite], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) <= 128155
+    assert int(out.stdout) <= 119458
 
 
 def test_subspace_intersection_is_idempotent():

@@ -7,24 +7,31 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (dense, dense_block2, dense_kron, dense_product, dense_sum,
-                     dense_transpose, naive_bracket, naive_combination,
-                     naive_matmul)
+                     dense_transpose, naive_anticommutator, naive_bracket,
+                     naive_combination, naive_matmul)
 from triality.clifford import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from triality.errors import DimensionMismatch
-from triality.field import ExactScalar, I, ONE, ZERO
-from triality.matrix import Matrix, combination, commutator, kron
+from triality.field import ExactScalar, I, ONE, SQRT2, ZERO
+from triality.matrix import (Matrix, anticommutator, combination, commutator,
+                             kron)
 from triality.representations import vector_basis
 
 small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=2)
 scalars = st.builds(ExactScalar, st.tuples(*([small_fractions] * 8)))
 
 
-def sparse_matrix(n, entries=4):
+def sparse_matrix(n, entries=4, values=scalars):
     return st.lists(
-        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), scalars),
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), values),
         min_size=1, max_size=entries,
     ).map(lambda items: Matrix.from_entries(
         n, {(i, j): v for i, j, v in items}))
+
+
+# Entries from five small values, so that sums of products cancel often and
+# the row kernel has to drop the cancelled entries.
+units = st.sampled_from([ONE, -ONE, I, -I, SQRT2])
+cancelling8 = sparse_matrix(8, entries=16, values=units)
 
 
 def test_commutator_of_equal_arguments_vanishes():
@@ -108,10 +115,37 @@ def test_operations_keep_the_canonical_form(a, b, c, d):
     assert (a + b) - b == a
     assert a.scale(0) == zero
     for got, want in ((a + b, dense_sum(a, b)), (a @ b, dense_product(a, b)),
+                      (commutator(a, b), dense(naive_bracket(a, b))),
+                      (anticommutator(a, b), dense(naive_anticommutator(a, b))),
                       (a.transpose(), dense_transpose(a)),
                       (kron(a, b), dense_kron(a, b)),
                       (Matrix.block2(a, b, c, d), dense_block2(a, b, c, d))):
         assert _canonical(got) and dense(got) == want
+
+
+@given(cancelling8, cancelling8, units)
+@settings(max_examples=30, deadline=None)
+def test_products_with_cancelling_entries_stay_canonical(a, b, c):
+    """Products and brackets of 8x8 matrices with few distinct entries, and
+    the brackets of a with c*a + b, whose a-a terms cancel in the
+    accumulator."""
+    near = a.scale(c) + b
+    for got, want in ((a @ b, naive_matmul(a, b)),
+                      (commutator(a, b), naive_bracket(a, b)),
+                      (anticommutator(a, b), naive_anticommutator(a, b)),
+                      (commutator(a, near), naive_bracket(a, b)),
+                      (anticommutator(a, near), naive_anticommutator(a, near))):
+        assert _canonical(got) and got == want
+
+
+def test_brackets_that_vanish_store_no_entry():
+    from triality.clifford import cl8_basis
+    g = cl8_basis().gammas
+    assert anticommutator(g[0], g[1]).rows == ({},) * 16
+    assert commutator(g[2], g[2]).rows == ({},) * 16
+    assert commutator(g[0] @ g[1], g[2] @ g[3]).rows == ({},) * 16
+    with pytest.raises(DimensionMismatch):
+        anticommutator(Matrix.identity(4), Matrix.identity(8))
 
 
 # built from integer pairs: cheaper to draw than st.fractions, zero included
