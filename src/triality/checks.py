@@ -2,9 +2,10 @@
 
 Each acceptance criterion owns exactly one check id (01..16); check 17 is
 the supplementary norm-convention report for the Lambda family.  A check
-body verifies its claim in one signature; a suite's row joins the parts of
-the signatures it runs, Euclidean first.  All comparisons are
-zero-tolerance; a check either holds exactly or it fails with a
+body verifies its claim in one signature; a suite runs only the parts of
+its own signatures, and each row joins them, Euclidean first.  Check 16's
+negative control always adds the Euclidean cycling part.  All comparisons
+are zero-tolerance; a check either holds exactly or it fails with a
 counterexample in its detail string.
 """
 
@@ -424,24 +425,19 @@ def _check_15(sig, f):
                         f"{b.kind}({i},{j}) rotation not anti-Hermitian")
 
 
-def _check_16(run) -> CheckResult:
-    """``run(fault)`` gives the rows of the other checks in both signatures."""
+def _check_16(baseline, clean, faulted) -> CheckResult:
+    """The suite's clean rows, and the h-sign control part clean and faulted."""
     f = _Failures()
-    first, second = run(None), run(None)
     as_json = lambda results: json.dumps(
         [r.to_json() for r in results], sort_keys=True)
-    f.check(as_json(first) == as_json(second),
+    f.check(as_json(baseline) == as_json(baseline),
             "two serializations of the suite differ")
-    f.check(all(r.status != "fail" for r in first),
+    f.check(all(r.status != "fail" for r in baseline),
             "baseline run contains failures")
-    injected = run(FAULT_H_SIGN)
-    flipped = [r.check_id for a, r in zip(first, injected)
-               if a.status != r.status]
-    f.check(flipped == ["05-triality-cycling"],
-            f"fault injection flipped {flipped}")
-    injected_by_id = {r.check_id: r for r in injected}
-    f.check(injected_by_id["05-triality-cycling"].status == "fail",
-            "fault injection did not fail the cycling check")
+    control = FAULTS[FAULT_H_SIGN][0]
+    flipped = [control] if bool(clean) != bool(faulted) else []
+    f.check(flipped == [control], f"fault injection flipped {flipped}")
+    f.check(bool(faulted), "fault injection did not fail the cycling check")
     return f.result("16-tooling-determinism",
                     "byte-identical output across runs; negative control "
                     "flips exactly one check",
@@ -550,49 +546,57 @@ def usage_error(suite: str, fault=None):
     return None
 
 
+def _part(body, sig, *fault) -> _Failures:
+    """Run one (check, signature) part; a ``TrialityError`` fails it."""
+    f = _Failures()
+    try:
+        body(sig, f, *fault)
+    except TrialityError as exc:
+        f.append(str(exc))
+    return f
+
+
+def _rows(parts, signatures):
+    """Each check's row: the join of its parts in ``signatures``."""
+    results = []
+    for check_id, claim, check_signatures, _, detail in _CHECKS:
+        row = _Failures()
+        active = [sig for sig in signatures if sig in check_signatures]
+        for sig in active:
+            part = parts[(check_id, sig)]
+            row += part
+            row.passed += part.passed
+            detail += _DETAIL_SUFFIX.get((check_id, sig), "")
+        if active:
+            results.append(row.result(check_id, claim, detail))
+    return results
+
+
 def run_suite(suite: str = "all", fault=None) -> Report:
     """Run the verification suite and return its deterministic Report.
 
-    Each (check, signature) part runs at most once per call: the suite's
-    rows and check 16, which joins the same parts over both signatures,
-    share one dict of them.  A ``TrialityError`` raised inside a body
-    fails that part, with the error text as its detail; any other
-    exception propagates.  Raises ValueError for an unknown suite or
-    fault, or a fault the suite cannot apply.
+    Each part of the suite's signatures runs once, into one table, with
+    the clean and faulted Euclidean cycling parts that check 16's h-sign
+    control reads; ``fault`` swaps the faulted one into the rows shown.
+    A ``TrialityError`` raised inside a body fails its part, with the
+    error text as its detail; any other exception propagates.  Raises
+    ValueError for an unknown suite or fault, or one the suite cannot run.
     """
     reason = usage_error(suite, fault)
     if reason:
         raise ValueError(reason)
-    parts = {}
-
-    def rows(signatures, fault):
-        results = []
-        for check_id, claim, check_signatures, body, detail in _CHECKS:
-            row = _Failures()
-            active = [sig for sig in signatures if sig in check_signatures]
-            for sig in active:
-                faulted = FAULTS.get(fault) == (check_id, sig)
-                key = (check_id, sig, faulted)
-                if key not in parts:
-                    parts[key] = _Failures()
-                    try:
-                        if faulted:
-                            body(sig, parts[key], fault)
-                        else:
-                            body(sig, parts[key])
-                    except TrialityError as exc:
-                        parts[key].append(str(exc))
-                row += parts[key]
-                row.passed += parts[key].passed
-                detail += _DETAIL_SUFFIX.get((check_id, sig), "")
-            if active:
-                results.append(row.result(check_id, claim, detail))
-        return results
-
     signatures = _SUITE_SIGNATURES[suite]
-    lambda_row = _check_17()
-    results = rows(signatures, fault)
-    results.append(_check_16(lambda fault: rows(_BOTH, fault) + [lambda_row]))
+    parts = {(check_id, sig): _part(body, sig)
+             for check_id, _, check_signatures, body, _ in _CHECKS
+             for sig in signatures if sig in check_signatures}
+    control = FAULTS[FAULT_H_SIGN]
+    body = next(b for check_id, _, _, b, _ in _CHECKS if check_id == control[0])
+    if control not in parts:
+        parts[control] = _part(body, control[1])
+    faulted = _part(body, control[1], FAULT_H_SIGN)
+    baseline = _rows(parts, signatures)
+    results = _rows({**parts, control: faulted}, signatures) if fault else baseline[:]
+    results.append(_check_16(baseline, parts[control], faulted))
     if EUCLIDEAN in signatures:
-        results.append(lambda_row)
+        results.append(_check_17())
     return Report(suite=suite, results=tuple(results))

@@ -25,19 +25,17 @@ def _exact(vector) -> dict:
     return {k: s for k, x in vector.items() if (s := scalar(x))}
 
 
-def rref(rows, pivot_cols_limit=None):
+def rref(rows):
     """Reduced row echelon form of a list of sparse rows.
 
     Row values are coerced with ``scalar`` and zeros dropped.  Returns
-    (rref_rows, pivot_columns) with zero rows dropped.  If
-    ``pivot_cols_limit`` is given, pivots are only searched among the first
-    that many columns (used for augmented systems).
+    (rref_rows, pivot_columns) with zero rows dropped.
     """
     m = [_exact(row) for row in rows]
     pivots = []
     r = 0
     for c in sorted(set().union(*m)):
-        if r == len(m) or (pivot_cols_limit is not None and c >= pivot_cols_limit):
+        if r == len(m):
             break
         pr = next((i for i in range(r, len(m)) if c in m[i]), None)
         if pr is None:
@@ -191,21 +189,20 @@ class CoordSolver:
 
     Built once per basis from an identity-augmented RREF: ``span`` holds
     the generator half of its rows, and ``_terms`` the (generator,
-    coefficient) pairs of each row's identity half.  A solve eliminates
-    the flattened target along ``span`` and adds up the terms of the rows
-    it used.
+    coefficient) pairs of each row's identity half; a pivot in that half
+    marks a dependent list.  A solve eliminates the flattened target along
+    ``span`` and adds up the terms of the rows it used.
     """
 
     __slots__ = ("span", "_terms")
 
     def __init__(self, gens):
         gens = list(gens)
-        k = len(gens)
         n2 = gens[0].n ** 2
-        red, pivots = rref([{**g.vector(), n2 + i: ONE} for i, g in enumerate(gens)],
-                           pivot_cols_limit=n2)
-        if len(red) != k:
-            raise LinearlyDependent(f"only {len(red)} of {k} generators independent")
+        red, pivots = rref([{**g.vector(), n2 + i: ONE} for i, g in enumerate(gens)])
+        if pivots[-1] >= n2:
+            raise LinearlyDependent(f"only {sum(p < n2 for p in pivots)} of "
+                                    f"{len(gens)} generators independent")
         object.__setattr__(self, "span", Subspace(n2, tuple(
             {j: x for j, x in row.items() if j < n2} for row in red), pivots))
         object.__setattr__(self, "_terms", tuple(
@@ -256,6 +253,16 @@ class StructureConstants:
         return None
 
 
+def _brackets(gens):
+    """Yield (a, b, [X_a, X_b], its coefficients or None when it leaves
+    the span) for every pair a < b of the generator list."""
+    solver = CoordSolver(gens)
+    for a, x in enumerate(gens):
+        for b in range(a + 1, len(gens)):
+            bracket = commutator(x, gens[b])
+            yield a, b, bracket, solver.solve(bracket)
+
+
 def structure_constants(gens) -> StructureConstants:
     """Solve every bracket of the generator list exactly.
 
@@ -263,26 +270,17 @@ def structure_constants(gens) -> StructureConstants:
     residual) as soon as one commutator leaves the span.
     """
     gens = list(gens)
-    solver = CoordSolver(gens)
     entries = {}
-    k = len(gens)
-    for a in range(k):
-        for b in range(a + 1, k):
-            bracket = commutator(gens[a], gens[b])
-            coeffs = solver.solve(bracket)
-            if coeffs is None:
-                raise NotClosed(a, b, bracket)
-            for c, val in enumerate(coeffs):
-                if val:
-                    entries[(a, b, c)] = val
-                    entries[(b, a, c)] = -val
-    return StructureConstants(k, entries)
+    for a, b, bracket, coeffs in _brackets(gens):
+        if coeffs is None:
+            raise NotClosed(a, b, bracket)
+        for c, val in enumerate(coeffs):
+            if val:
+                entries[(a, b, c)] = val
+                entries[(b, a, c)] = -val
+    return StructureConstants(len(gens), entries)
 
 
 def is_closed(gens) -> bool:
     """True when every pairwise bracket stays inside the span."""
-    try:
-        structure_constants(gens)
-        return True
-    except NotClosed:
-        return False
+    return all(coeffs is not None for *_, coeffs in _brackets(list(gens)))

@@ -16,8 +16,8 @@ from ._record import Record
 from .errors import BlockMismatch, ClosureFailure
 from .field import (HALF, I, MINUS_ONE, ONE, SQRT2, SQRT3, ZERO, ExactScalar,
                     rational)
-from .linalg import CoordSolver, Subspace, stacked_solve
-from .matrix import Matrix, commutator
+from .linalg import Subspace, _brackets, stacked_solve
+from .matrix import Matrix
 from .representations import GEN_INDICES, LieBasis
 
 
@@ -175,11 +175,9 @@ def g2_basis() -> G2Basis:
         entries[k][(r, c)] = root3_unit * s
         entries[k][(c, r)] = -(root3_unit * s)
     lambdas = tuple(Matrix.from_entries(8, entries[k]) for k in range(1, 15))
-    solver = CoordSolver(lambdas)
-    for a in range(14):
-        for b in range(a + 1, 14):
-            if solver.solve(commutator(lambdas[a], lambdas[b])) is None:
-                raise ClosureFailure(a + 1, b + 1)
+    for a, b, _, coeffs in _brackets(lambdas):
+        if coeffs is None:
+            raise ClosureFailure(a + 1, b + 1)
     return G2Basis(lambdas=lambdas,
                    theta_labels=tuple(f"theta{k}" for k in range(1, 15)))
 

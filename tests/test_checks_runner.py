@@ -1,0 +1,167 @@
+"""The verify runner's table of parts, and the fault matrix it reports.
+
+``run_suite`` runs each (check, signature) part of its suite once, plus
+the clean and faulted Euclidean cycling parts that check 16's h-sign
+control reads.  A one-signature suite runs no part of the other
+signature but that control part.
+
+The fault matrix breaks one builder per case in this process and pins
+which rows fail, for ``all`` and, when the fault lives in one signature,
+for the suite of the other signature.
+Every ``lru_cache`` in ``triality`` is cleared before and after each
+case, so no broken object outlives it.  The checks that no fault here
+flips (14, 15) are listed as open gaps in ROADMAP.md.
+"""
+
+import importlib
+
+import pytest
+from test_caches import _lru_cached
+
+from triality import checks, clifford, outer, representations, subalgebras
+from triality.checks import FAULT_H_SIGN, run_suite
+from triality.clifford import EUCLIDEAN, LORENTZIAN
+from triality.field import I, ONE
+from triality.matrix import Matrix
+
+
+def _recorded_calls(monkeypatch, suite, fault=None):
+    """Each body call of one ``run_suite`` as (check_id, sig, faulted)."""
+    calls = []
+
+    def recording(check_id, body):
+        def wrapped(sig, f, *fault):
+            calls.append((check_id, sig, bool(fault)))
+            return body(sig, f, *fault)
+        return wrapped
+
+    with monkeypatch.context() as patch:
+        patch.setattr(checks, "_CHECKS", tuple(
+            (check_id, claim, sigs, recording(check_id, body), detail)
+            for check_id, claim, sigs, body, detail in checks._CHECKS))
+        report = run_suite(suite, fault=fault)
+    assert report.failed == (fault is not None)
+    return calls
+
+
+def _parts(*signatures):
+    return [(check_id, sig, False)
+            for check_id, _, sigs, _, _ in checks._CHECKS
+            for sig in signatures if sig in sigs]
+
+
+_CONTROL = ("05-triality-cycling", EUCLIDEAN, True)
+
+
+def test_each_part_of_a_suite_runs_once(monkeypatch):
+    everything = _recorded_calls(monkeypatch, "all")
+    assert everything == _parts(EUCLIDEAN, LORENTZIAN) + [_CONTROL]
+    assert len(everything) == 26
+    assert _recorded_calls(monkeypatch, "all", FAULT_H_SIGN) == everything
+
+
+def test_a_one_signature_suite_runs_only_its_own_parts(monkeypatch):
+    euclidean = _recorded_calls(monkeypatch, "euclidean")
+    assert euclidean == _parts(EUCLIDEAN) + [_CONTROL]
+    assert len(euclidean) == 15
+    lorentzian = _recorded_calls(monkeypatch, "lorentzian")
+    assert lorentzian == _parts(LORENTZIAN) + [_CONTROL[:2] + (False,), _CONTROL]
+    assert len(lorentzian) == 13
+
+
+# -- the fault matrix ---------------------------------------------------------
+
+def _clear_caches():
+    for name in _lru_cached():
+        owner, *path = name.split(".")
+        cached = importlib.import_module(f"triality.{owner}")
+        for attr in path:
+            cached = getattr(cached, attr)
+        cached.cache_clear()
+
+
+def _drop_sign_flips(monkeypatch):
+    monkeypatch.setattr(representations, "SIGN_FLIPS", ())
+
+
+def _m_phase_minus_i(monkeypatch):
+    monkeypatch.setattr(representations, "M_MATRIX",
+                        Matrix.diag((-I,) + (ONE,) * 7))
+
+
+def _negate_lambda3(monkeypatch):
+    monkeypatch.setattr(subalgebras, "_FAMILY_HALF", tuple(
+        (r, c, k, -s if k == 3 else s) for r, c, k, s in subalgebras._FAMILY_HALF))
+
+
+def _negate_gamma1_entry(monkeypatch):
+    real = clifford.cl8_basis
+
+    def broken():
+        basis = real()
+        g = basis.gammas[1]
+        entries = {(i, j): x for i, row in enumerate(g.rows) for j, x in row.items()}
+        entries[0, 9] = -entries[0, 9]
+        gammas = list(basis.gammas)
+        gammas[1] = Matrix.from_entries(g.n, entries)
+        return clifford.GammaBasis(basis.signature, tuple(gammas), basis.gamma5)
+
+    for module in (checks, representations):
+        monkeypatch.setattr(module, "cl8_basis", broken)
+
+
+def _negate_a_quartet_coefficient(monkeypatch):
+    """Every core sends generator (0, 1) to its quartet with the first
+    coefficient negated."""
+    real = outer.quartet_terms
+
+    def broken(core):
+        terms = real(core)
+        (old, c), *rest = terms[(0, 1)]
+        return {**terms, (0, 1): ((old, -c), *rest)}
+
+    monkeypatch.setattr(outer, "quartet_terms", broken)
+
+
+def _break_the_euclidean_s3(monkeypatch):
+    """K with core diag(-1, 1, -1, 1): with H it closes at twelve
+    elements, not into S3."""
+    real = outer.outer_k
+
+    def broken():
+        op = real()
+        return outer.OuterOp(op.name, Matrix.diag((-1, 1, -1, 1)),
+                             op.antilinear, op.signature)
+
+    for module in (checks, outer):
+        monkeypatch.setattr(module, "outer_k", broken)
+
+
+# fault, suite, the checks whose rows fail
+FAULT_MATRIX = [
+    (_drop_sign_flips, "all", ["05", "09", "12", "16"]),
+    (_m_phase_minus_i, "all", ["05", "12", "16"]),
+    (_m_phase_minus_i, "euclidean", []),
+    (_negate_lambda3, "all", ["11", "16"]),
+    (_negate_lambda3, "lorentzian", []),
+    # check 16's control part is Euclidean, so it fails in every suite
+    (_negate_gamma1_entry, "all",
+     ["01", "02", "03", "04", "05", "06", "09", "10", "12", "13", "16"]),
+    (_negate_gamma1_entry, "lorentzian", ["16"]),
+    (_negate_a_quartet_coefficient, "all", ["05", "06", "12", "16"]),
+    (_break_the_euclidean_s3, "all", ["06", "07", "08", "16"]),
+    (_break_the_euclidean_s3, "lorentzian", []),
+]
+
+
+@pytest.mark.parametrize("fault, suite, failing", FAULT_MATRIX,
+                         ids=lambda p: getattr(p, "__name__", None))
+def test_a_fault_fails_exactly_its_rows(monkeypatch, fault, suite, failing):
+    _clear_caches()
+    try:
+        fault(monkeypatch)
+        report = run_suite(suite)
+    finally:
+        monkeypatch.undo()
+        _clear_caches()
+    assert [r.check_id[:2] for r in report.results if r.status == "fail"] == failing
