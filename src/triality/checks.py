@@ -7,28 +7,30 @@ its own signatures, and each row joins them, Euclidean first.  Check 16's
 negative control always adds the Euclidean cycling part.  All comparisons
 are zero-tolerance; a check either holds exactly or it fails with a
 counterexample in its detail string.
+
+What several checks of a signature share (its bases, its graded basis,
+the axis-0 intersections) lives on a ``_Fixtures`` object that one
+``run_suite`` call makes and drops when it returns; ``checks`` keeps no
+cache of its own.  Builders are called through their modules
+(``clifford.cl8_basis()``), so each has one patch point: the attribute
+of the module that defines it.
 """
 
 from __future__ import annotations
 
 import json
-from functools import lru_cache
+from functools import cached_property
 
-from . import __version__
+from . import __version__, clifford, outer, representations, subalgebras
 from ._record import Record
-from .clifford import EUCLIDEAN, LORENTZIAN, cl8_basis, cl17_basis, volume_element
+from .clifford import EUCLIDEAN, LORENTZIAN
 from .emit import dumps
 from .errors import TrialityError
 from .field import HALF, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO, rational
 from .linalg import Subspace, det, is_closed, structure_constants
 from .matrix import Matrix, commutator
-from .outer import (OuterOp, apply_outer, diagonalize, graded_basis,
-                    killing_form, killing_trace, outer_conj, outer_k,
-                    outer_t, s3_closure, signature_ops, unpack)
-from .representations import (GEN_INDICES, P_MATRIX, same_span, spinor_bases,
-                              vector_basis)
-from .subalgebras import (g2_basis, intersect, intersect_pair, lambda_gram,
-                          restrict, su3_embedding, su3_transform)
+from .outer import OuterOp
+from .representations import GEN_INDICES, P_MATRIX
 from .suites import FAULT_H_SIGN, SUITES
 
 SCHEMA = "triality-report/1"
@@ -120,38 +122,51 @@ def _faulted(op: OuterOp, fault) -> OuterOp:
     return OuterOp("H", op.core + flip, False, op.signature)
 
 
-def _bases(signature):
-    """The V, L, R bases of a signature."""
-    return (vector_basis(signature),) + spinor_bases(signature)
+class _Fixtures:
+    """What several checks of one signature share, each built on first use.
 
+    ``run_suite`` makes one per signature per call, so nothing built here
+    outlives the run: a second run rebuilds what it reads.
+    """
 
-@lru_cache(maxsize=None)
-def _graded(signature):
-    return graded_basis(vector_basis(signature), signature_ops(signature)[0])
+    def __init__(self, sig):
+        self.sig = sig
 
+    @cached_property
+    def bases(self):
+        """The V, L, R bases."""
+        return ((representations.vector_basis(self.sig),)
+                + representations.spinor_bases(self.sig))
 
-@lru_cache(maxsize=None)
-def _intersections():
-    v, left, right = _bases(EUCLIDEAN)
-    rv, rl, rr = restrict(v, 0), restrict(left, 0), restrict(right, 0)
-    return (intersect_pair(rv, rl), intersect_pair(rv, rr),
-            intersect_pair(rl, rr), rv, rl, rr)
+    @cached_property
+    def graded(self):
+        """The vector basis graded by the signature's order-3 operator."""
+        return outer.graded_basis(representations.vector_basis(self.sig),
+                                  outer.signature_ops(self.sig)[0])
+
+    @cached_property
+    def intersections(self):
+        """The three pairwise meets of the axis-0 restrictions, then the
+        restrictions rv, rl, rr themselves."""
+        rv, rl, rr = (subalgebras.restrict(b, 0) for b in self.bases)
+        meet = subalgebras.intersect_pair
+        return meet(rv, rl), meet(rv, rr), meet(rl, rr), rv, rl, rr
 
 
 # ---------------------------------------------------------------------------
 # check bodies: each fills the _Failures of one signature
 # ---------------------------------------------------------------------------
 
-def _check_01(sig, f):
-    if sig == EUCLIDEAN:
-        basis = cl8_basis()
+def _check_01(fx, f):
+    if fx.sig == EUCLIDEAN:
+        basis = clifford.cl8_basis()
         for i in range(8):
             for j in range(i, 8):
                 f.check(basis.clifford_defect(i, j).is_zero,
                         f"euclidean anticommutator defect at ({i},{j})")
         return
     for chiral in (False, True):
-        basis = cl17_basis(chiral=chiral)
+        basis = clifford.cl17_basis(chiral=chiral)
         for i in range(8):
             for j in range(i, 8):
                 f.check(basis.clifford_defect(i, j).is_zero,
@@ -159,12 +174,12 @@ def _check_01(sig, f):
                         f"defect at ({i},{j})")
 
 
-def _check_02(sig, f):
-    if sig == LORENTZIAN:
-        vol = volume_element(cl17_basis())
+def _check_02(fx, f):
+    if fx.sig == LORENTZIAN:
+        vol = clifford.volume_element(clifford.cl17_basis())
         f.check(vol.squares_to_minus_identity, "lorentzian omega^2 != -I")
         return
-    vol = volume_element(cl8_basis())
+    vol = clifford.volume_element(clifford.cl8_basis())
     f.check(vol.squares_to_plus_identity, "euclidean omega^2 != +I")
     f.check(vol.anticommutes_with_all, "euclidean omega fails to anticommute")
     ident = Matrix.identity(16)
@@ -174,87 +189,87 @@ def _check_02(sig, f):
             and plus + minus == ident, "projectors not idempotent")
 
 
-def _check_03(sig, f):
-    v, left, right = _bases(sig)
+def _check_03(fx, f):
+    v, left, right = fx.bases
     for b in (v, left, right):
         for idx in GEN_INDICES:
             f.check(b[idx].is_real and b[idx].is_antisymmetric,
                     f"{b.kind}{idx} not real antisymmetric")
-    rep_vl = same_span(v, left)
-    rep_vr = same_span(v, right)
+    rep_vl = representations.same_span(v, left)
+    rep_vr = representations.same_span(v, right)
     f.check(rep_vl.equal and rep_vl.dim_first == 28,
             f"V and L spans differ: {rep_vl}")
     f.check(rep_vr.equal, f"V and R spans differ: {rep_vr}")
 
 
-def _check_04(sig, f):
-    fv, fl, fr = (structure_constants(b.matrices()) for b in _bases(sig))
+def _check_04(fx, f):
+    fv, fl, fr = (structure_constants(b.matrices()) for b in fx.bases)
     for pair, first, second in (("V/L", fv, fl), ("L/R", fl, fr)):
         same = first == second
         at = None if same else first.first_mismatch(second)
-        f.check(same, f"{_LABEL[sig]} {pair} structure constants differ "
+        f.check(same, f"{_LABEL[fx.sig]} {pair} structure constants differ "
                       f"first at (a, b, c) = {at}")
 
 
 def _cycle_exact(op, v, left, right, f, label):
-    step1 = apply_outer(op, v)
+    step1 = outer.apply_outer(op, v)
     for idx in GEN_INDICES:
         f.check(step1[idx] == left[idx], f"{label}(V) != L at {idx}")
-    step2 = apply_outer(op, step1)
+    step2 = outer.apply_outer(op, step1)
     for idx in GEN_INDICES:
         f.check(step2[idx] == right[idx], f"{label}^2(V) != R at {idx}")
-    step3 = apply_outer(op, step2)
+    step3 = outer.apply_outer(op, step2)
     for idx in GEN_INDICES:
         f.check(step3[idx] == v[idx], f"{label}^3(V) != V at {idx}")
 
 
-def _check_05(sig, f, fault=None):
-    rotation = signature_ops(sig)[0]
-    v, left, right = _bases(sig)
+def _check_05(fx, f, fault=None):
+    rotation = outer.signature_ops(fx.sig)[0]
+    v, left, right = fx.bases
     _cycle_exact(_faulted(rotation, fault), v, left, right, f, rotation.name)
-    f.check(unpack(rotation).matrix.power(3) == Matrix.identity(28),
+    f.check(outer.unpack(rotation).matrix.power(3) == Matrix.identity(28),
             f"unpacked {rotation.name} does not cube to the identity")
 
 
-def _check_06(sig, f):
-    v, left, right = _bases(sig)
-    if sig == LORENTZIAN:
-        mapped = apply_outer(outer_conj(), left)
+def _check_06(fx, f):
+    v, left, right = fx.bases
+    if fx.sig == LORENTZIAN:
+        mapped = outer.apply_outer(outer.outer_conj(), left)
         for idx in GEN_INDICES:
             f.check(mapped[idx] == right[idx], f"conj(L) != R at {idx}")
         return
-    mapped = apply_outer(outer_k(), left)
+    mapped = outer.apply_outer(outer.outer_k(), left)
     for idx in GEN_INDICES:
         f.check(P_MATRIX @ mapped[idx] @ P_MATRIX.T == right[idx],
                 f"P K(L) P^T != R at {idx}")
-    mapped_v = apply_outer(outer_k(), v)
+    mapped_v = outer.apply_outer(outer.outer_k(), v)
     for idx in GEN_INDICES:
         f.check(mapped_v[idx] == P_MATRIX @ v[idx] @ P_MATRIX.T,
                 f"K(V) != P V P^T at {idx}")
 
 
-def _check_07(sig, f):
-    closure = s3_closure(signature_ops(sig))
+def _check_07(fx, f):
+    closure = outer.s3_closure(outer.signature_ops(fx.sig))
     f.check(len(closure.elements) == 6,
-            f"{_LABEL[sig]} closure has {len(closure.elements)} elements")
+            f"{_LABEL[fx.sig]} closure has {len(closure.elements)} elements")
     f.check(closure.is_s3 and closure.relation_holds,
-            f"{_LABEL[sig]} closure is not S3")
+            f"{_LABEL[fx.sig]} closure is not S3")
 
 
-def _check_08(sig, f):
-    if sig == EUCLIDEAN:
-        u = diagonalize("H").change_of_basis
+def _check_08(fx, f):
+    if fx.sig == EUCLIDEAN:
+        u = outer.diagonalize("H").change_of_basis
         f.check(u.is_unitary, "U not unitary")
-        k_prime = u.dagger() @ outer_k().core @ u
+        k_prime = u.dagger() @ outer.outer_k().core @ u
         expected = Matrix(((1, 0, 0, 0), (0, 1, 0, 0),
                            (0, 0, 0, 1), (0, 0, 1, 0)))
         f.check(k_prime == expected, "U+ K U != K' as printed")
         return
-    t = outer_t().core
+    t = outer.outer_t().core
     f.check(t.is_symmetric, "T not symmetric")
     f.check(t.power(2) == t.conj(), "T^2 != T*")
     f.check((t.power(2) @ t) == Matrix.identity(4), "T^2 != T^-1")
-    diag = diagonalize("T")
+    diag = outer.diagonalize("T")
     b = diag.change_of_basis
     f.check(b.is_real and b.is_orthogonal, "B not real orthogonal")
     f.check(t @ b == b @ diag.diagonal, "T B != B D")
@@ -271,8 +286,8 @@ _EXPECTED_B_CONSTRAINTS = {
 }
 
 
-def _check_09(sig, f):
-    sys_vl, sys_vr, sys_lr, rv, rl, rr = _intersections()
+def _check_09(fx, f):
+    sys_vl, sys_vr, sys_lr, rv, rl, rr = fx.intersections
     f.check(sys_vl.subspace.dim == 14,
             f"intersection dimension {sys_vl.subspace.dim} != 14")
     f.check(sys_vl.rank == 28 and sys_vl.unknowns == 42,
@@ -292,17 +307,18 @@ def _check_09(sig, f):
         f.check(a_terms == b_terms, f"{a_name} != {b_name} on solutions")
     f.check(sys_vl.subspace == sys_vr.subspace == sys_lr.subspace,
             "pairwise intersections differ")
-    triple = intersect([rv.matrices(), rl.matrices(), rr.matrices()])
+    triple = subalgebras.intersect(
+        [rv.matrices(), rl.matrices(), rr.matrices()])
     f.check(triple == sys_vl.subspace, "triple != pairwise intersection")
 
 
-def _check_10(sig, f):
-    g2 = g2_basis()   # construction itself verifies bracket closure
-    sys_vl = _intersections()[0]
+def _check_10(fx, f):
+    g2 = subalgebras.g2_basis()   # construction verifies bracket closure
+    sys_vl = fx.intersections[0]
     for k, lam in enumerate(g2.lambdas, 1):
         f.check(sys_vl.subspace.contains_matrix(lam),
                 f"Lambda{k} outside the intersection")
-    gram = lambda_gram(g2)
+    gram = subalgebras.lambda_gram(g2)
     for a in range(14):
         for b in range(14):
             if a != b:
@@ -315,24 +331,24 @@ def _check_10(sig, f):
                 f"[Lambda{k+1}, Lambda{k+8}] != 0 after the 8<->10 swap")
 
 
-def _check_11(sig, f):
-    u = su3_transform()
+def _check_11(fx, f):
+    u = subalgebras.su3_transform()
     f.check(u.is_unitary, "7x7 transform not unitary")
     f.check(det(u) == ONE, "7x7 transform determinant != 1")
     try:
-        su3_embedding(g2_basis())
+        subalgebras.su3_embedding(subalgebras.g2_basis())
         f.passed += 8
     except TrialityError as exc:
         f.append(f"block decomposition failed: {exc}")
 
 
-def _check_12(sig, f):
-    label = _LABEL[sig]
-    op = signature_ops(sig)[0]
-    graded = _graded(sig)
-    graded_left = graded_basis(spinor_bases(sig)[0], op)
+def _check_12(fx, f):
+    label = _LABEL[fx.sig]
+    op = outer.signature_ops(fx.sig)[0]
+    graded = fx.graded
+    graded_left = outer.graded_basis(fx.bases[1], op)
     # eigenvalue labeling, coefficient level (under the unpacked operator)
-    unpacked = unpack(op)
+    unpacked = outer.unpack(op)
     for pos, vec in enumerate(graded.coeff_vectors):
         lam = graded.eigenvalue_of(pos)
         out = unpacked.apply(vec)
@@ -375,34 +391,34 @@ def _check_12(sig, f):
         if len(commuting) == 1:
             sibling = graded.left_part[commuting[0]]
             partners = [g for g in allgens
-                        if killing_form(r, g) != ZERO]
+                        if outer.killing_form(r, g) != ZERO]
             f.check(len(partners) == 1 and partners[0] == sibling,
                     f"{label}: right {i} has non-sibling kappa partners")
 
 
-def _check_13(sig, f):
-    label = _LABEL[sig]
-    bases = _bases(sig)
-    originals = [killing_trace(b.matrices()) for b in bases]
-    if sig == EUCLIDEAN:
+def _check_13(fx, f):
+    label = _LABEL[fx.sig]
+    bases = fx.bases
+    originals = [outer.killing_trace(b.matrices()) for b in bases]
+    if fx.sig == EUCLIDEAN:
         for b, trace in zip(bases, originals):
             f.check(trace == rational(-28), f"euclidean {b.kind} trace != -28")
-    graded = _graded(sig)
-    f.check(killing_trace(graded.all_generators()) == rational(-14),
+    graded = fx.graded
+    f.check(outer.killing_trace(graded.all_generators()) == rational(-14),
             f"{label} graded trace != -14")
     for k, x in enumerate(graded.right_part + graded.left_part):
-        f.check(killing_form(x, x) == ZERO,
+        f.check(outer.killing_form(x, x) == ZERO,
                 f"{label} handed generator {k} not null")
-    if sig == LORENTZIAN:
+    if fx.sig == LORENTZIAN:
         originals = sorted(str(trace) for trace in originals)
         f.check(originals == ["-14", "-14", "-14"],
                 f"lorentzian original traces came out as {originals}")
 
 
-def _check_14(sig, f):
+def _check_14(fx, f):
     form = Matrix.diag((ONE,) + (MINUS_ONE,) * 7)
-    for k, x in enumerate(_graded(sig).all_generators()):
-        if sig == EUCLIDEAN:
+    for k, x in enumerate(fx.graded.all_generators()):
+        if fx.sig == EUCLIDEAN:
             f.check(x.is_antisymmetric,
                     f"euclidean graded generator {k} not antisymmetric")
             f.check((x.dagger() @ form + form @ x).is_zero,
@@ -412,8 +428,8 @@ def _check_14(sig, f):
                     f"lorentzian graded generator {k} breaks X^T eta+eta X=0")
 
 
-def _check_15(sig, f):
-    _, left, right = _bases(sig)
+def _check_15(fx, f):
+    _, left, right = fx.bases
     for b in (left, right):
         for (i, j) in GEN_INDICES:
             x = b[(i, j)]
@@ -447,7 +463,7 @@ def _check_16(baseline, clean, faulted) -> CheckResult:
 
 
 def _check_17():
-    gram = lambda_gram(g2_basis())
+    gram = subalgebras.lambda_gram(subalgebras.g2_basis())
     norms = sorted({str(gram[k, k]) for k in range(14)})
     detail = (f"norm^2 of every Lambda under tr(X+Y)/2: {norms}; the family "
               "is orthonormal under the plain trace pairing tr(X+Y); "
@@ -546,11 +562,11 @@ def usage_error(suite: str, fault=None):
     return None
 
 
-def _part(body, sig, *fault) -> _Failures:
+def _part(body, fx, *fault) -> _Failures:
     """Run one (check, signature) part; a ``TrialityError`` fails it."""
     f = _Failures()
     try:
-        body(sig, f, *fault)
+        body(fx, f, *fault)
     except TrialityError as exc:
         f.append(str(exc))
     return f
@@ -578,6 +594,7 @@ def run_suite(suite: str = "all", fault=None) -> Report:
     Each part of the suite's signatures runs once, into one table, with
     the clean and faulted Euclidean cycling parts that check 16's h-sign
     control reads; ``fault`` swaps the faulted one into the rows shown.
+    The parts of a signature share one ``_Fixtures``, dropped on return.
     A ``TrialityError`` raised inside a body fails its part, with the
     error text as its detail; any other exception propagates.  Raises
     ValueError for an unknown suite or fault, or one the suite cannot run.
@@ -586,14 +603,15 @@ def run_suite(suite: str = "all", fault=None) -> Report:
     if reason:
         raise ValueError(reason)
     signatures = _SUITE_SIGNATURES[suite]
-    parts = {(check_id, sig): _part(body, sig)
+    fixtures = {sig: _Fixtures(sig) for sig in _BOTH}
+    parts = {(check_id, sig): _part(body, fixtures[sig])
              for check_id, _, check_signatures, body, _ in _CHECKS
              for sig in signatures if sig in check_signatures}
     control = FAULTS[FAULT_H_SIGN]
     body = next(b for check_id, _, _, b, _ in _CHECKS if check_id == control[0])
     if control not in parts:
-        parts[control] = _part(body, control[1])
-    faulted = _part(body, control[1], FAULT_H_SIGN)
+        parts[control] = _part(body, fixtures[control[1]])
+    faulted = _part(body, fixtures[control[1]], FAULT_H_SIGN)
     baseline = _rows(parts, signatures)
     results = _rows({**parts, control: faulted}, signatures) if fault else baseline[:]
     results.append(_check_16(baseline, parts[control], faulted))

@@ -13,8 +13,9 @@ from __future__ import annotations
 from functools import lru_cache
 from types import MappingProxyType
 
+from . import clifford
 from ._record import Record
-from .clifford import EUCLIDEAN, LORENTZIAN, Signature, cl8_basis, cl17_basis
+from .clifford import EUCLIDEAN, LORENTZIAN, Signature
 from .errors import SignatureMismatch
 from .field import HALF, I, MINUS_ONE, ONE
 from .linalg import Subspace, structure_constants
@@ -109,9 +110,9 @@ def spinor_bases(signature: Signature = EUCLIDEAN):
     the same negations.  The result satisfies L_ij^* = R_ij for all (i, j).
     """
     if signature == EUCLIDEAN:
-        gammas = cl8_basis()
+        gammas = clifford.cl8_basis()
     elif signature == LORENTZIAN:
-        gammas = cl17_basis(chiral=True)
+        gammas = clifford.cl17_basis(chiral=True)
     else:
         raise SignatureMismatch(f"unsupported signature {signature}")
     left, right = {}, {}

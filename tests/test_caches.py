@@ -14,8 +14,10 @@ from pathlib import Path
 import pytest
 
 import triality
-from triality import clifford, emit, matrix
+from triality import clifford, emit, matrix, subalgebras
+from triality.checks import run_suite
 from triality.clifford import EUCLIDEAN, LORENTZIAN
+from triality.errors import TrialityError
 from triality.representations import spinor_bases, vector_basis
 from triality.subalgebras import g2_basis
 
@@ -37,8 +39,6 @@ SURVIVING_CACHES = {
     "subalgebras.g2_basis":
         "4.6 ms with 91 closure solves, hit 7 times per warm pass; the bench "
         "times its __wrapped__",
-    "checks._graded": "fixture shared by checks 12-14",
-    "checks._intersections": "fixture shared by checks 09-10",
 }
 
 
@@ -61,6 +61,52 @@ def _lru_cached():
 
 def test_only_the_listed_functions_are_cached():
     assert _lru_cached() == set(SURVIVING_CACHES)
+
+
+def _submodules():
+    """Every ``triality.*`` module; the package ``__init__``, whose lazy
+    ``__getattr__`` re-exports names for users, is not one of them."""
+    return [importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(triality.__path__, "triality.")]
+
+
+_BUILDER_MODULES = ("clifford", "representations", "outer", "subalgebras")
+
+
+def test_each_builder_has_one_patch_point():
+    """No other module holds a builder's public function at module level,
+    so patching ``clifford.cl8_basis`` swaps it for every caller.  A
+    function imported by name would keep the unpatched one."""
+    builders = {}
+    for short in _BUILDER_MODULES:
+        module = importlib.import_module(f"triality.{short}")
+        for name, obj in vars(module).items():
+            if (not name.startswith("_") and callable(obj)
+                    and not inspect.isclass(obj)
+                    and getattr(obj, "__module__", None) == module.__name__):
+                builders[id(obj)] = f"{short}.{name}"
+    assert "clifford.cl8_basis" in builders.values()
+    held = [(module.__name__, name, builders[id(obj)])
+            for module in _submodules()
+            for name, obj in vars(module).items()
+            if id(obj) in builders
+            and obj.__module__ != module.__name__]
+    assert held == []
+
+
+def test_no_check_fixture_outlives_its_run(monkeypatch):
+    """A second ``run_suite`` rebuilds what its checks share: with
+    ``intersect_pair`` broken after a clean run, and no cache cleared,
+    the checks that read the intersections fail."""
+    assert not run_suite("euclidean").failed
+
+    def broken(first, second):
+        raise TrialityError("intersect_pair is broken")
+
+    monkeypatch.setattr(subalgebras, "intersect_pair", broken)
+    report = run_suite("euclidean")
+    assert [r.check_id[:2] for r in report.results
+            if r.status == "fail"] == ["09", "10", "16"]
 
 
 def _module_level_memos(module, memo_owner):

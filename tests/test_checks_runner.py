@@ -5,12 +5,12 @@ the clean and faulted Euclidean cycling parts that check 16's h-sign
 control reads.  A one-signature suite runs no part of the other
 signature but that control part.
 
-The fault matrix breaks one builder per case in this process and pins
-which rows fail, for ``all`` and, when the fault lives in one signature,
-for the suite of the other signature.
+The fault matrix breaks one builder per case in this process, by
+patching exactly one module attribute, and pins which rows fail, for
+``all`` and, when the fault lives in one signature, for the suite of the
+other signature.  Every check from 01 to 16 fails in at least one case.
 Every ``lru_cache`` in ``triality`` is cleared before and after each
-case, so no broken object outlives it.  The checks that no fault here
-flips (14, 15) are listed as open gaps in ROADMAP.md.
+case, so no broken object outlives it.
 """
 
 import importlib
@@ -30,9 +30,9 @@ def _recorded_calls(monkeypatch, suite, fault=None):
     calls = []
 
     def recording(check_id, body):
-        def wrapped(sig, f, *fault):
-            calls.append((check_id, sig, bool(fault)))
-            return body(sig, f, *fault)
+        def wrapped(fx, f, *fault):
+            calls.append((check_id, fx.sig, bool(fault)))
+            return body(fx, f, *fault)
         return wrapped
 
     with monkeypatch.context() as patch:
@@ -106,8 +106,7 @@ def _negate_gamma1_entry(monkeypatch):
         gammas[1] = Matrix.from_entries(g.n, entries)
         return clifford.GammaBasis(basis.signature, tuple(gammas), basis.gamma5)
 
-    for module in (checks, representations):
-        monkeypatch.setattr(module, "cl8_basis", broken)
+    monkeypatch.setattr(clifford, "cl8_basis", broken)
 
 
 def _negate_a_quartet_coefficient(monkeypatch):
@@ -133,8 +132,28 @@ def _break_the_euclidean_s3(monkeypatch):
         return outer.OuterOp(op.name, Matrix.diag((-1, 1, -1, 1)),
                              op.antilinear, op.signature)
 
-    for module in (checks, outer):
-        monkeypatch.setattr(module, "outer_k", broken)
+    monkeypatch.setattr(outer, "outer_k", broken)
+
+
+def _lorentzian_vectors_without_boosts(monkeypatch):
+    """The Lorentzian vector basis is the Euclidean one: no boosts, so the
+    graded generators stop preserving eta."""
+    real = representations.vector_basis
+    monkeypatch.setattr(representations, "vector_basis",
+                        lambda signature=EUCLIDEAN: real(EUCLIDEAN))
+
+
+def _gamma0_of_cl17_times_i(monkeypatch):
+    """Gamma_0 of both Cl(1,7) ladders multiplied by i, so the boosts
+    Gamma_0 Gamma_j / 2 stop being Hermitian."""
+    real = clifford.cl17_basis
+
+    def broken(chiral=False):
+        basis = real(chiral=chiral)
+        gammas = (basis.gammas[0].scale(I),) + basis.gammas[1:]
+        return clifford.GammaBasis(basis.signature, gammas, basis.gamma5)
+
+    monkeypatch.setattr(clifford, "cl17_basis", broken)
 
 
 # fault, suite, the checks whose rows fail
@@ -151,17 +170,42 @@ FAULT_MATRIX = [
     (_negate_a_quartet_coefficient, "all", ["05", "06", "12", "16"]),
     (_break_the_euclidean_s3, "all", ["06", "07", "08", "16"]),
     (_break_the_euclidean_s3, "lorentzian", []),
+    (_lorentzian_vectors_without_boosts, "all",
+     ["04", "05", "12", "13", "14", "16"]),
+    (_lorentzian_vectors_without_boosts, "euclidean", []),
+    (_gamma0_of_cl17_times_i, "all",
+     ["01", "02", "04", "05", "06", "12", "13", "15", "16"]),
+    (_gamma0_of_cl17_times_i, "euclidean", []),
 ]
+
+
+def test_every_check_has_a_fault_that_fails_it():
+    failed = {check for _, _, failing in FAULT_MATRIX for check in failing}
+    assert failed == {f"{n:02d}" for n in range(1, 17)}
+
+
+class _OnePatch:
+    """Hands a fault ``monkeypatch.setattr`` and records what it patched."""
+
+    def __init__(self, monkeypatch):
+        self._monkeypatch = monkeypatch
+        self.patched = []
+
+    def setattr(self, owner, name, value):
+        self.patched.append((owner.__name__, name))
+        self._monkeypatch.setattr(owner, name, value)
 
 
 @pytest.mark.parametrize("fault, suite, failing", FAULT_MATRIX,
                          ids=lambda p: getattr(p, "__name__", None))
 def test_a_fault_fails_exactly_its_rows(monkeypatch, fault, suite, failing):
+    patch = _OnePatch(monkeypatch)
     _clear_caches()
     try:
-        fault(monkeypatch)
+        fault(patch)
         report = run_suite(suite)
     finally:
         monkeypatch.undo()
         _clear_caches()
+    assert len(patch.patched) == 1, patch.patched
     assert [r.check_id[:2] for r in report.results if r.status == "fail"] == failing

@@ -160,9 +160,8 @@ def test_construction_error_exits_2(monkeypatch, capsys):
         assert "synthetic construction failure" in capsys.readouterr().err
 
 
-# Negates the entry Gamma_1[0, 9] of the Cl(8,0) ladder before any module
-# binds cl8_basis, then runs verify; check 04's structure_constants raises
-# NotClosed on the broken bases.
+# Negates the entry Gamma_1[0, 9] of the Cl(8,0) ladder, then runs verify;
+# check 04's structure_constants raises NotClosed on the broken bases.
 _GAMMA_FAULT = """
 import sys
 from functools import lru_cache

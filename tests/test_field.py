@@ -12,8 +12,9 @@ import oracles
 from triality.field import (ExactScalar, HALF, I, ONE, SQRT2, SQRT3, SQRT6,
                             ZERO, from_parts, rational)
 
-small_fractions = st.fractions(
-    min_value=-4, max_value=4, max_denominator=4)
+# every p/q with q <= 4 and |p/q| <= 4, and more; integer pairs draw far
+# faster than st.fractions
+small_fractions = st.builds(Fraction, st.integers(-16, 16), st.integers(1, 4))
 scalars = st.builds(ExactScalar, st.tuples(*([small_fractions] * 8)))
 nonzero_scalars = scalars.filter(lambda x: not x.is_zero)
 

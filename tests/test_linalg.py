@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +20,8 @@ from triality.matrix import Matrix, commutator
 from triality.representations import spinor_bases, vector_basis
 from triality.subalgebras import g2_basis, intersect_pair, restrict
 
-fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+# every p/q with q <= 3 and |p/q| <= 3, and more
+fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
 # short lists of 4-vectors: small enough that spans meet and miss often
 vectors4 = st.lists(st.lists(fractions, min_size=4, max_size=4),
                     min_size=1, max_size=3)

@@ -16,7 +16,8 @@ from triality.matrix import (Matrix, anticommutator, combination, commutator,
                              kron)
 from triality.representations import vector_basis
 
-small_fractions = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+# every p/q with q <= 2 and |p/q| <= 2, and more
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
 scalars = st.builds(ExactScalar, st.tuples(*([small_fractions] * 8)))
 
 

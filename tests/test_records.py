@@ -11,7 +11,7 @@ from types import MappingProxyType
 
 import pytest
 
-from triality import checks, cli
+from triality import checks, cli, representations
 from triality.checks import CheckResult, Report
 from triality.clifford import (EUCLIDEAN, GammaBasis, Signature, VolumeElement,
                                cl7_basis, dirac_gammas)
@@ -131,9 +131,10 @@ def test_reprs_name_every_field():
 def test_check_03_embeds_the_span_report_repr(monkeypatch):
     unequal = SpanReport(equal=False, dim_first=28, dim_second=28,
                          dim_union=56)
-    monkeypatch.setattr(checks, "same_span", lambda first, second: unequal)
+    monkeypatch.setattr(representations, "same_span",
+                        lambda first, second: unequal)
     failures = checks._Failures()
-    checks._check_03(EUCLIDEAN, failures)
+    checks._check_03(checks._Fixtures(EUCLIDEAN), failures)
     text = "SpanReport(equal=False, dim_first=28, dim_second=28, dim_union=56)"
     assert f"V and L spans differ: {text}" in failures
     assert f"V and R spans differ: {text}" in failures

@@ -68,14 +68,14 @@ def test_structure_constants_match_within_each_signature():
         assert same_structure_constants(v, right).equal
 
 
-def test_check_04_reports_a_scaled_left_generator(monkeypatch):
-    v, left, right = checks._bases(EUCLIDEAN)
+def test_check_04_reports_a_scaled_left_generator():
+    fx = checks._Fixtures(EUCLIDEAN)
+    v, left, right = fx.bases
     gens = dict(left.gens)
     gens[(0, 1)] = gens[(0, 1)].scale(2)
-    scaled = _make_basis("L", EUCLIDEAN, gens)
-    monkeypatch.setattr(checks, "_bases", lambda sig: (v, scaled, right))
+    fx.bases = (v, _make_basis("L", EUCLIDEAN, gens), right)
     failures = checks._Failures()
-    checks._check_04(EUCLIDEAN, failures)
+    checks._check_04(fx, failures)
     assert failures == [
         "euclidean V/L structure constants differ first at (a, b, c) = (0, 1, 7)",
         "euclidean L/R structure constants differ first at (a, b, c) = (0, 1, 7)"]
