@@ -18,7 +18,6 @@ of the module that defines it.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 
 from . import __version__, clifford, outer, representations, subalgebras
@@ -203,7 +202,10 @@ def _check_03(fx, f):
 
 
 def _check_04(fx, f):
-    fv, fl, fr = (structure_constants(b.matrices()) for b in fx.bases)
+    v, left, right = (b.matrices() for b in fx.bases)
+    fv = structure_constants(v)
+    fl = structure_constants(left, hint=fv)
+    fr = structure_constants(right, hint=fv)
     for pair, first, second in (("V/L", fv, fl), ("L/R", fl, fr)):
         same = first == second
         at = None if same else first.first_mismatch(second)
@@ -444,8 +446,7 @@ def _check_15(fx, f):
 def _check_16(baseline, clean, faulted) -> CheckResult:
     """The suite's clean rows, and the h-sign control part clean and faulted."""
     f = _Failures()
-    as_json = lambda results: json.dumps(
-        [r.to_json() for r in results], sort_keys=True)
+    as_json = lambda results: dumps([r.to_json() for r in results])
     f.check(as_json(baseline) == as_json(baseline),
             "two serializations of the suite differ")
     f.check(all(r.status != "fail" for r in baseline),

@@ -161,6 +161,8 @@ def cmd_verify(args) -> int:
     if reason:
         print(reason, file=sys.stderr)
         return USAGE_EXIT
+    if args.out:
+        _check_writable(args.out)
     report = run_suite(args.suite, fault=args.inject_fault)
     text = report.to_json_text() if args.format == "json" else report.to_text()
     _write(args.out, text)
@@ -196,16 +198,39 @@ class _Unwritable(Exception):
     """An ``--out`` path that cannot be written: a usage error, exit 64."""
 
 
+def _unwritable(path, exc):
+    return _Unwritable(f"triality: cannot write {path}: {exc.strerror or exc}")
+
+
 def _write(path, text):
     if path:
         try:
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise _Unwritable(f"triality: cannot write {path}: "
-                              f"{exc.strerror or exc}") from exc
+            raise _unwritable(path, exc) from exc
     else:
         sys.stdout.write(text)
+
+
+def _check_writable(path):
+    """Raise ``_Unwritable`` when ``open(path, "w")`` is bound to fail: the
+    parent is missing or not a directory, the path is a directory, or
+    writing is not permitted.  Nothing is opened, so an existing file
+    keeps its bytes until ``_write`` has the text."""
+    import errno
+    import os
+    parent = os.path.dirname(path) or "."
+    try:
+        # the trailing separator makes a parent that is a file fail too
+        os.stat(os.path.join(parent, ""))
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        target = path if os.path.exists(path) else parent
+        if not os.access(target, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES))
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def cmd_map(args) -> int:

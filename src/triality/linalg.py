@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from .errors import LinearlyDependent, NotClosed
 from .field import ONE, ZERO, ExactScalar, scalar
-from .matrix import Matrix, add_scaled, commutator, sub_scaled
+from .matrix import Matrix, add_scaled, combination, commutator, sub_scaled
 
 
 def _exact(vector) -> dict:
@@ -253,25 +253,54 @@ class StructureConstants:
         return None
 
 
-def _brackets(gens):
+def _brackets(gens, hint=None):
     """Yield (a, b, [X_a, X_b], its coefficients or None when it leaves
-    the span) for every pair a < b of the generator list."""
+    the span) for every pair a < b of the generator list.
+
+    ``hint`` is the ``StructureConstants`` of another basis, or None.  A
+    bracket equal to the combination of its hint terms takes their
+    coefficients; every other bracket is solved.  The generators are
+    independent, so those coefficients are the only ones and the result
+    never depends on the hint.
+    """
     solver = CoordSolver(gens)
+    guesses = None
+    if hint is not None:
+        if hint.size != len(gens):
+            raise ValueError(f"hint of size {hint.size} for "
+                             f"{len(gens)} generators")
+        guesses = {}
+        for (a, b, c), val in hint.entries.items():
+            if a < b:
+                guesses.setdefault((a, b), []).append((c, scalar(val)))
+    n = gens[0].n
     for a, x in enumerate(gens):
         for b in range(a + 1, len(gens)):
             bracket = commutator(x, gens[b])
-            yield a, b, bracket, solver.solve(bracket)
+            # a pair the hint has no entry for guesses a zero bracket
+            terms = None if guesses is None else guesses.get((a, b), ())
+            if terms is not None and combination(
+                    ((val, gens[c]) for c, val in terms), n) == bracket:
+                coeffs = [ZERO] * len(gens)
+                for c, val in terms:
+                    coeffs[c] = val
+                yield a, b, bracket, tuple(coeffs)
+            else:
+                yield a, b, bracket, solver.solve(bracket)
 
 
-def structure_constants(gens) -> StructureConstants:
+def structure_constants(gens, *, hint=None) -> StructureConstants:
     """Solve every bracket of the generator list exactly.
 
     Raises LinearlyDependent for a degenerate list and NotClosed(a, b,
-    residual) as soon as one commutator leaves the span.
+    residual) as soon as one commutator leaves the span.  ``hint``, the
+    structure constants of another basis of the same size, only spares
+    the solves of the brackets it matches exactly: the result and any
+    error are the same with or without it.
     """
     gens = list(gens)
     entries = {}
-    for a, b, bracket, coeffs in _brackets(gens):
+    for a, b, bracket, coeffs in _brackets(gens, hint):
         if coeffs is None:
             raise NotClosed(a, b, bracket)
         for c, val in enumerate(coeffs):

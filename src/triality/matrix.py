@@ -338,6 +338,21 @@ def combination(terms, n: int) -> Matrix:
     return Matrix._of(rows, n)
 
 
+def trace_product(a: Matrix, b: Matrix) -> ExactScalar:
+    """tr(ab) = sum a_ik b_ki over the nonzeros of a, with no product
+    matrix: each term looks up entry i of row k of b."""
+    if a.n != b.n:
+        raise DimensionMismatch(f"{a.n} vs {b.n}")
+    brows = b.rows
+    out = ZERO
+    for i, arow in enumerate(a.rows):
+        for k, x in arow.items():
+            y = brows[k].get(i)
+            if y is not None:
+                out = out + x * y
+    return out
+
+
 def anticommutator(a: Matrix, b: Matrix) -> Matrix:
     """{a, b} = ab + ba, exact, in the one pass of ``commutator``."""
     return _bracket(a, b, add_scaled)

@@ -19,7 +19,7 @@ from .clifford import EUCLIDEAN, LORENTZIAN, Signature
 from .errors import ClosureExceeded, SignatureMismatch, TrialityError
 from .field import (HALF, I, OMEGA, OMEGA_BAR, ONE, SQRT2, SQRT3, SQRT6,
                     ZERO, ExactScalar, rational)
-from .matrix import Matrix, combination
+from .matrix import Matrix, combination, trace_product
 from .representations import GEN_INDICES, LieBasis, _make_basis
 
 # The seven quartets: column k of (a, b, c, d) is acted on by the 4x4 cores.
@@ -314,7 +314,7 @@ def graded_basis(b: LieBasis, op: OuterOp) -> GradedBasis:
 
 def killing_form(x: Matrix, y: Matrix) -> ExactScalar:
     """kappa(X, Y) = tr(XY)/2, normalized so kappa(V_ij, V_ij) = -1."""
-    return HALF * (x @ y).trace()
+    return HALF * trace_product(x, y)
 
 
 def killing_trace(gens) -> ExactScalar:

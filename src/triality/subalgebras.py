@@ -17,7 +17,7 @@ from .errors import BlockMismatch, ClosureFailure
 from .field import (HALF, I, MINUS_ONE, ONE, SQRT2, SQRT3, ZERO, ExactScalar,
                     rational)
 from .linalg import Subspace, _brackets, stacked_solve
-from .matrix import Matrix
+from .matrix import Matrix, trace_product
 from .representations import GEN_INDICES, LieBasis
 
 
@@ -184,7 +184,7 @@ def g2_basis() -> G2Basis:
 
 def frobenius_pairing(x: Matrix, y: Matrix) -> ExactScalar:
     """<X, Y> = tr(X^dagger Y) / 2, the pairing used for orthogonality."""
-    return HALF * (x.dagger() @ y).trace()
+    return HALF * trace_product(x.dagger(), y)
 
 
 def lambda_gram(g2: G2Basis):

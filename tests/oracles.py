@@ -112,6 +112,16 @@ def dense_product(a: Matrix, b: Matrix):
     return rows
 
 
+def dense_trace_product(a: Matrix, b: Matrix):
+    """tr(AB) = sum_i sum_k A_ik B_ki over all n*n index pairs."""
+    n = a.n
+    acc = 0
+    for i in range(n):
+        for k in range(n):
+            acc = acc + a[i, k] * b[k, i]
+    return acc
+
+
 def dense_sum(a: Matrix, b: Matrix):
     return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(dense(a), dense(b))]
 

@@ -132,6 +132,42 @@ def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, argv):
     assert not target.parent.exists()
 
 
+def _failing_run(monkeypatch):
+    import triality.checks as checks
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic construction failure")
+
+    monkeypatch.setattr(checks, "run_suite", boom)
+
+
+def test_verify_finds_an_unwritable_out_before_the_run(tmp_path, capsys,
+                                                      monkeypatch):
+    """A run that would raise is never reached: the path is refused first."""
+    import triality.cli as cli
+    _failing_run(monkeypatch)
+    (tmp_path / "file").write_text("")
+    for target, reason in ((tmp_path / "missing" / "report",
+                            "No such file or directory"),
+                           (tmp_path, "Is a directory"),
+                           (tmp_path / "file" / "report", "Not a directory")):
+        assert cli.main(["verify", "--out", str(target)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"triality: cannot write {target}: {reason}\n"
+
+
+def test_out_keeps_its_bytes_when_the_run_errors(tmp_path, capsys,
+                                                 monkeypatch):
+    import triality.cli as cli
+    _failing_run(monkeypatch)
+    target = tmp_path / "report"
+    target.write_bytes(b"earlier report\n")
+    assert cli.main(["verify", "--out", str(target)]) == 2
+    assert "synthetic construction failure" in capsys.readouterr().err
+    assert target.read_bytes() == b"earlier report\n"
+
+
 # one request per verb, with a builder it calls, patched in the module
 # that triality.cli imports it from when the verb runs
 _VERB_BUILDERS = [

@@ -11,11 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import cofactor_det, in_span, matrix_in_span, naive_rank
-from triality.clifford import EUCLIDEAN
+from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.errors import LinearlyDependent, NotClosed
 from triality.field import ONE, ZERO, ExactScalar, rational
-from triality.linalg import (CoordSolver, Subspace, det, is_closed,
-                             kernel_basis, rref, structure_constants)
+from triality.linalg import (CoordSolver, StructureConstants, Subspace, det,
+                             is_closed, kernel_basis, rref,
+                             structure_constants)
 from triality.matrix import Matrix, commutator
 from triality.representations import spinor_bases, vector_basis
 from triality.subalgebras import g2_basis, intersect_pair, restrict
@@ -93,24 +94,83 @@ def test_vector_basis_structure_constants_close_and_antisymmetric():
         assert f[(b, a, c)] == -val
 
 
+# hints of size 2, 3 and 5 that guess every bracket zero, or that guess
+# [X_0, X_1] = X_0
+_EMPTY_HINT = {k: StructureConstants(k, {}) for k in (2, 3, 5)}
+_WRONG_HINT = StructureConstants(2, {(0, 1, 0): ONE, (1, 0, 0): -ONE})
+
+
 def test_structure_constants_rejects_dependent_input():
-    """The error names how many of the generators are independent."""
+    """The error names how many of the generators are independent, with
+    or without a hint."""
     v = vector_basis()
     both = v[(0, 1)] + v[(0, 2)]
     for gens, independent in (
             ([v[(0, 1)], v[(0, 2)], both], 2),
             ([v[(0, 1)], both, v[(0, 2)], v[(0, 1)], v[(1, 2)]], 3)):
-        with pytest.raises(LinearlyDependent, match=(
-                f"^only {independent} of {len(gens)} generators independent$")):
-            structure_constants(gens)
+        for hint in (None, _EMPTY_HINT[len(gens)]):
+            with pytest.raises(LinearlyDependent, match=(
+                    f"^only {independent} of {len(gens)} generators independent$")):
+                structure_constants(gens, hint=hint)
 
 
 def test_not_closed_reports_the_offending_pair():
     v = vector_basis()
-    with pytest.raises(NotClosed) as err:
-        structure_constants([v[(0, 1)], v[(1, 2)]])
-    assert (err.value.a, err.value.b) == (0, 1)
-    assert not err.value.residual.is_zero
+    for hint in (None, _EMPTY_HINT[2], _WRONG_HINT):
+        with pytest.raises(NotClosed, match=(
+                "^bracket of generators 0 and 1 leaves the span$")) as err:
+            structure_constants([v[(0, 1)], v[(1, 2)]], hint=hint)
+        assert (err.value.a, err.value.b) == (0, 1)
+        assert err.value.residual == commutator(v[(0, 1)], v[(1, 2)])
+
+
+def test_a_hint_of_another_size_is_rejected():
+    gens = vector_basis().matrices()
+    with pytest.raises(ValueError, match="hint of size 27 for 28 generators"):
+        structure_constants(gens, hint=StructureConstants(27, {}))
+
+
+def _hints(sig):
+    """V's structure constants, the same with one entry negated, and those
+    of V with its first generator scaled by 2."""
+    gens = vector_basis(sig).matrices()
+    fv = structure_constants(gens)
+    (a, b, c), val = next(iter(fv.entries.items()))
+    flipped = StructureConstants(fv.size, {**fv.entries, (a, b, c): -val})
+    scaled = structure_constants([gens[0].scale(2), *gens[1:]])
+    return fv, flipped, scaled
+
+
+_SIX_BASES = [(sig, k) for sig in (EUCLIDEAN, LORENTZIAN) for k in range(3)]
+
+
+@pytest.mark.parametrize("sig, k", _SIX_BASES,
+                         ids=[f"{sig}-{'VLR'[k]}" for sig, k in _SIX_BASES])
+def test_a_hint_never_changes_the_structure_constants(sig, k):
+    gens = ((vector_basis(sig),) + spinor_bases(sig))[k].matrices()
+    plain = structure_constants(gens)
+    hints = _hints(sig)
+    assert hints[0] != hints[1] and hints[0] != hints[2]
+    for hint in hints:
+        assert structure_constants(gens, hint=hint) == plain
+
+
+@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN], ids=str)
+def test_v_hint_spares_every_spinor_solve(monkeypatch, sig):
+    """With V's structure constants as the hint, L and R solve nothing."""
+    fv = structure_constants(vector_basis(sig).matrices())
+    solves = 0
+    solve = CoordSolver.solve
+
+    def counted(self, m):
+        nonlocal solves
+        solves += 1
+        return solve(self, m)
+
+    monkeypatch.setattr(CoordSolver, "solve", counted)
+    for b in spinor_bases(sig):
+        assert structure_constants(b.matrices(), hint=fv) == fv
+    assert solves == 0
 
 
 def test_lambda_commutator_stays_in_su3_span_by_rref_oracle():
@@ -236,29 +296,46 @@ import pytest
 import triality
 from test_linalg import _constructions
 from triality.checks import run_suite
+from triality.linalg import CoordSolver
+from triality.matrix import Matrix
+calls = {"solve": 0, "matmul": 0}
+def counted(cls, name, key):
+    real = getattr(cls, name)
+    def call(*args):
+        calls[key] += 1
+        return real(*args)
+    setattr(cls, name, call)
+counted(CoordSolver, "solve", "solve")
+counted(Matrix, "__matmul__", "matmul")
 report, built = _constructions(pytest.MonkeyPatch(),
                                lambda: run_suite(sys.argv[1]))
 assert not report.failed
-print(built)
+print(built, calls["solve"], calls["matmul"])
 """
 
 
-# A one-signature suite builds only its own parts and check 16's
-# Euclidean cycling control.
-_COLD_SUITE_BOUNDS = {"all": 119155, "euclidean": 64897, "lorentzian": 63637}
+# (built scalars, CoordSolver.solve calls, @ calls) per suite.  A
+# one-signature suite builds only its own parts and check 16's Euclidean
+# cycling control.
+_COLD_SUITE_BOUNDS = {"all": (101671, 1073, 624),
+                      "euclidean": (55561, 596, 350),
+                      "lorentzian": (55489, 477, 371)}
 
 
 @pytest.mark.parametrize("suite", ["all", "euclidean", "lorentzian"])
 def test_cold_suite_stays_within_its_op_count(suite):
     """A cold ``run_suite(suite)`` in a new interpreter builds at most its
-    bound of scalars."""
+    bound of scalars, and makes at most its bound of solves and of
+    products."""
     here = Path(__file__).resolve().parent
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(here.parent / "src"), str(here)]))
     out = subprocess.run([sys.executable, "-c", _COLD_SUITE, suite], env=env,
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
-    assert int(out.stdout) <= _COLD_SUITE_BOUNDS[suite]
+    counts = tuple(map(int, out.stdout.split()))
+    bounds = _COLD_SUITE_BOUNDS[suite]
+    assert all(c <= b for c, b in zip(counts, bounds)), (counts, bounds)
 
 
 def test_subspace_intersection_is_idempotent():

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (dense, dense_block2, dense_kron, dense_product, dense_sum,
-                     dense_transpose, naive_anticommutator, naive_bracket,
-                     naive_combination, naive_matmul)
+                     dense_trace_product, dense_transpose,
+                     naive_anticommutator, naive_bracket, naive_combination,
+                     naive_matmul)
 from triality.clifford import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from triality.errors import DimensionMismatch
 from triality.field import ExactScalar, I, ONE, SQRT2, ZERO
 from triality.matrix import (Matrix, anticommutator, combination, commutator,
-                             kron)
+                             kron, trace_product)
 from triality.representations import vector_basis
 
 # every p/q with q <= 2 and |p/q| <= 2, and more
@@ -103,6 +104,12 @@ def test_matmul_agrees_with_definition(a, b):
     assert (a @ b) == naive_matmul(a, b)
 
 
+@given(sparse_matrix(4, entries=10), sparse_matrix(4, entries=10))
+@settings(max_examples=40, deadline=None)
+def test_trace_product_agrees_with_definition(a, b):
+    assert trace_product(a, b) == dense_trace_product(a, b)
+
+
 def _canonical(m):
     """No stored entry is zero, so == on the sparse rows is exact."""
     return all(x for row in m.rows for x in row.values())
@@ -179,5 +186,7 @@ def test_shapes_are_checked():
         Matrix.identity(3).power(-1)
     with pytest.raises(DimensionMismatch):
         Matrix.block2(I2, I2, I2, Matrix.identity(3))
+    with pytest.raises(DimensionMismatch):
+        trace_product(Matrix.identity(2), Matrix.identity(3))
     with pytest.raises(TypeError):  # sparse rows are not dense input
         Matrix(Matrix.identity(2).rows)
