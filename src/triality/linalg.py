@@ -140,6 +140,8 @@ class Subspace:
     def from_matrices(cls, mats) -> "Subspace":
         """Span of matrices, flattened row-major."""
         mats = list(mats)
+        if not mats:
+            raise ValueError("span of an empty matrix list")
         return cls.from_vectors([m.vector() for m in mats], mats[0].n ** 2)
 
     @property
@@ -198,6 +200,8 @@ class CoordSolver:
 
     def __init__(self, gens):
         gens = list(gens)
+        if not gens:
+            raise ValueError("empty generator list")
         n2 = gens[0].n ** 2
         red, pivots = rref([{**g.vector(), n2 + i: ONE} for i, g in enumerate(gens)])
         if pivots[-1] >= n2:
@@ -292,11 +296,12 @@ def _brackets(gens, hint=None):
 def structure_constants(gens, *, hint=None) -> StructureConstants:
     """Solve every bracket of the generator list exactly.
 
-    Raises LinearlyDependent for a degenerate list and NotClosed(a, b,
-    residual) as soon as one commutator leaves the span.  ``hint``, the
-    structure constants of another basis of the same size, only spares
-    the solves of the brackets it matches exactly: the result and any
-    error are the same with or without it.
+    Raises ValueError for an empty list, LinearlyDependent for a
+    degenerate one and NotClosed(a, b, residual) as soon as one
+    commutator leaves the span.  ``hint``, the structure constants of
+    another basis of the same size, only spares the solves of the
+    brackets it matches exactly: the result and any error are the same
+    with or without it.
     """
     gens = list(gens)
     entries = {}

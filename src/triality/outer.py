@@ -82,12 +82,18 @@ def outer_conj() -> OuterOp:
 
 
 def outer_op(name: str) -> OuterOp:
-    return {"H": outer_h, "K": outer_k, "T": outer_t, "conj": outer_conj}[name]()
+    """The operator H, K, T or conj; ValueError for any other name."""
+    builders = {"H": outer_h, "K": outer_k, "T": outer_t, "conj": outer_conj}
+    if name not in builders:
+        raise ValueError(f"unknown outer operator {name!r}")
+    return builders[name]()
 
 
 def signature_ops(signature: Signature) -> tuple:
     """The (order-3, order-2) operator pair that generates a signature's S3."""
-    names = {EUCLIDEAN: ("H", "K"), LORENTZIAN: ("T", "conj")}[signature]
+    names = {EUCLIDEAN: ("H", "K"), LORENTZIAN: ("T", "conj")}.get(signature)
+    if names is None:
+        raise SignatureMismatch(f"unsupported signature {signature}")
     return tuple(outer_op(name) for name in names)
 
 

@@ -172,6 +172,8 @@ def real_flatten(m: Matrix):
 def real_span(mats) -> Subspace:
     """Real span of a family of matrices (see ``real_flatten``)."""
     mats = list(mats)
+    if not mats:
+        raise ValueError("real span of an empty matrix list")
     return Subspace.from_vectors([real_flatten(m) for m in mats],
                                  2 * mats[0].n * mats[0].n)
 

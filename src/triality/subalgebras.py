@@ -106,6 +106,8 @@ def intersect_pair(first: RestrictedBasis, second: RestrictedBasis) -> Intersect
 def intersect(span_lists) -> Subspace:
     """Intersection of any number of generator-list spans."""
     spans = [Subspace.from_matrices(list(gens)) for gens in span_lists]
+    if not spans:
+        raise ValueError("intersection of an empty list of spans")
     out = spans[0]
     for s in spans[1:]:
         out = out.intersection(s)

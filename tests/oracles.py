@@ -9,7 +9,9 @@ determinants by cofactor expansion, linear combinations by scaling and
 adding whole matrices, and text and LaTeX by rendering every one of the
 n*n entries.  The indented JSON layout has the stdlib call itself as its
 reference.  The intertwiner oracle builds its own equations and takes
-only their kernel from ``linalg.kernel_basis``.
+only their kernel from ``linalg.kernel_basis``; the fixed-vector oracle
+takes coordinates by projection and ranks with ``naive_rank``, so it
+shares no elimination with ``linalg``.
 """
 
 import json
@@ -17,7 +19,7 @@ from fractions import Fraction
 
 from triality.emit import scalar_to_latex
 from triality.linalg import kernel_basis
-from triality.matrix import Matrix
+from triality.matrix import Matrix, combination
 
 # -- scalars: dense 8-tuples over {1, sqrt2, sqrt3, sqrt6} x {1, i} ----------
 
@@ -226,6 +228,32 @@ def intertwiner_dim(xs, ys) -> int:
                     row[k * n + j] = row.get(k * n + j, 0) - y[i, k]
                 rows.append(row)
     return len(kernel_basis(rows, n * n))
+
+
+def fixed_vectors(gens, families) -> tuple:
+    """How many vectors a subalgebra of so(8) fixes in each family.
+
+    ``families`` are generator lists in one index order, V first, so
+    rho_K sends V_a to K_a.  V is orthogonal under tr(X^T Y) with norm^2
+    2, so a generator X of the subalgebra (``gens``, 8x8 matrices in the
+    span of V) has the coordinates c_a = tr(V_a^T X) / 2, read through
+    m[i, j].  Each family maps X to sum c_a K_a by ``matrix.combination``;
+    its count is 8 minus the rank of all images' rows stacked, by
+    ``naive_rank``.  Conjugation in SO(8) lifts to Spin(8) and keeps
+    every count.
+    """
+    vector = families[0]
+    support = [[(i, j, x) for i, row in enumerate(dense(v))
+                for j, x in enumerate(row) if x] for v in vector]
+    coords = []
+    for x in gens:
+        c = [sum(v_ij * x[i, j] for i, j, v_ij in entries) / 2
+             for entries in support]
+        assert combination(zip(c, vector), 8) == x, "generator outside so(8)"
+        coords.append(c)
+    return tuple(8 - naive_rank([row for c in coords for row in
+                                 dense(combination(zip(c, family), 8))])
+                 for family in families)
 
 
 def naive_combination(terms, n: int) -> Matrix:

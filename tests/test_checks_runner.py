@@ -1,83 +1,19 @@
-"""The verify runner's table of parts, and the fault matrix it reports.
-
-``run_suite`` runs each (check, signature) part of its suite once, plus
-the clean and faulted Euclidean cycling parts that check 16's h-sign
-control reads.  A one-signature suite runs no part of the other
-signature but that control part.
-
-The fault matrix breaks one builder per case in this process, by
+"""The fault matrix: each case breaks one builder in this process, by
 patching exactly one module attribute, and pins which rows fail, for
 ``all`` and, when the fault lives in one signature, for the suite of the
 other signature.  Every check from 01 to 16 fails in at least one case.
-Every ``lru_cache`` in ``triality`` is cleared before and after each
-case, so no broken object outlives it.
+Each case runs under ``cold_caches``, so no broken object outlives it.
+Which parts a suite runs, and in what order, is pinned by the row keys
+of ``test_op_counts.py``.
 """
 
-import importlib
-
 import pytest
-from test_caches import _lru_cached
 
-from triality import checks, clifford, outer, representations, subalgebras
-from triality.checks import FAULT_H_SIGN, run_suite
-from triality.clifford import EUCLIDEAN, LORENTZIAN
+from triality import clifford, outer, representations, subalgebras
+from triality.checks import run_suite
+from triality.clifford import EUCLIDEAN
 from triality.field import I, ONE
 from triality.matrix import Matrix
-
-
-def _recorded_calls(monkeypatch, suite, fault=None):
-    """Each body call of one ``run_suite`` as (check_id, sig, faulted)."""
-    calls = []
-
-    def recording(check_id, body):
-        def wrapped(fx, f, *fault):
-            calls.append((check_id, fx.sig, bool(fault)))
-            return body(fx, f, *fault)
-        return wrapped
-
-    with monkeypatch.context() as patch:
-        patch.setattr(checks, "_CHECKS", tuple(
-            (check_id, claim, sigs, recording(check_id, body), detail)
-            for check_id, claim, sigs, body, detail in checks._CHECKS))
-        report = run_suite(suite, fault=fault)
-    assert report.failed == (fault is not None)
-    return calls
-
-
-def _parts(*signatures):
-    return [(check_id, sig, False)
-            for check_id, _, sigs, _, _ in checks._CHECKS
-            for sig in signatures if sig in sigs]
-
-
-_CONTROL = ("05-triality-cycling", EUCLIDEAN, True)
-
-
-def test_each_part_of_a_suite_runs_once(monkeypatch):
-    everything = _recorded_calls(monkeypatch, "all")
-    assert everything == _parts(EUCLIDEAN, LORENTZIAN) + [_CONTROL]
-    assert len(everything) == 26
-    assert _recorded_calls(monkeypatch, "all", FAULT_H_SIGN) == everything
-
-
-def test_a_one_signature_suite_runs_only_its_own_parts(monkeypatch):
-    euclidean = _recorded_calls(monkeypatch, "euclidean")
-    assert euclidean == _parts(EUCLIDEAN) + [_CONTROL]
-    assert len(euclidean) == 15
-    lorentzian = _recorded_calls(monkeypatch, "lorentzian")
-    assert lorentzian == _parts(LORENTZIAN) + [_CONTROL[:2] + (False,), _CONTROL]
-    assert len(lorentzian) == 13
-
-
-# -- the fault matrix ---------------------------------------------------------
-
-def _clear_caches():
-    for name in _lru_cached():
-        owner, *path = name.split(".")
-        cached = importlib.import_module(f"triality.{owner}")
-        for attr in path:
-            cached = getattr(cached, attr)
-        cached.cache_clear()
 
 
 def _drop_sign_flips(monkeypatch):
@@ -198,14 +134,10 @@ class _OnePatch:
 
 @pytest.mark.parametrize("fault, suite, failing", FAULT_MATRIX,
                          ids=lambda p: getattr(p, "__name__", None))
-def test_a_fault_fails_exactly_its_rows(monkeypatch, fault, suite, failing):
+def test_a_fault_fails_exactly_its_rows(monkeypatch, cold_caches, fault,
+                                        suite, failing):
     patch = _OnePatch(monkeypatch)
-    _clear_caches()
-    try:
-        fault(patch)
-        report = run_suite(suite)
-    finally:
-        monkeypatch.undo()
-        _clear_caches()
+    fault(patch)
+    report = run_suite(suite)
     assert len(patch.patched) == 1, patch.patched
     assert [r.check_id[:2] for r in report.results if r.status == "fail"] == failing

@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from test_checks_runner import _negate_gamma1_entry
 
 from triality.emit import matrix_from_json
 from triality.matrix import Matrix, anticommutator
@@ -196,41 +197,16 @@ def test_construction_error_exits_2(monkeypatch, capsys):
         assert "synthetic construction failure" in capsys.readouterr().err
 
 
-# Negates the entry Gamma_1[0, 9] of the Cl(8,0) ladder, then runs verify;
-# check 04's structure_constants raises NotClosed on the broken bases.
-_GAMMA_FAULT = """
-import sys
-from functools import lru_cache
-
-import triality.clifford as clifford
-from triality.matrix import Matrix
-
-real = clifford.cl8_basis
-
-
-@lru_cache(maxsize=None)
-def faulty():
-    basis = real()
-    g = basis.gammas[1]
-    entries = {(i, j): x for i, row in enumerate(g.rows) for j, x in row.items()}
-    entries[0, 9] = -entries[0, 9]
-    gammas = list(basis.gammas)
-    gammas[1] = Matrix.from_entries(g.n, entries)
-    return clifford.GammaBasis(basis.signature, tuple(gammas), basis.gamma5)
-
-
-clifford.cl8_basis = faulty
-from triality import cli
-sys.exit(cli.main(["verify", "--suite", "all", "--format", "json"]))
-"""
-
-
-def test_a_check_that_raises_is_a_failed_row_with_a_report():
-    out = subprocess.run([sys.executable, "-c", _GAMMA_FAULT],
-                         capture_output=True, text=True)
-    assert out.returncode == 1, out.stderr
-    assert out.stderr == ""
-    report = json.loads(out.stdout)
+def test_a_check_that_raises_is_a_failed_row_with_a_report(
+        monkeypatch, cold_caches, capsys):
+    """With Gamma_1[0, 9] of the Cl(8,0) ladder negated, check 04's
+    ``structure_constants`` raises NotClosed on the broken bases."""
+    import triality.cli as cli
+    _negate_gamma1_entry(monkeypatch)
+    assert cli.main(["verify", "--suite", "all", "--format", "json"]) == 1
+    out = capsys.readouterr()
+    assert out.err == ""
+    report = json.loads(out.out)
     by_id = {r["check_id"]: r for r in report["results"]}
     assert len(by_id) == 17 and report["summary"]["fail"] >= 2
     clifford, structure = (by_id["01-clifford-relations"],

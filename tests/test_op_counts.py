@@ -1,0 +1,192 @@
+"""The op counts of the verify pipeline, committed as one exact table.
+
+Five counters run in process: built scalars (``ExactScalar._of`` and the
+validated constructor), ``Matrix.__matmul__``, brackets
+(``matrix._bracket``: commutators and anticommutators), ``linalg.rref``
+and ``CoordSolver.solve``.  A cold ``run_suite`` gets one row per body
+call in run order, then ``runner`` (checks 16 and 17) and ``total``.
+Entries are exact, not bounds, so that a count that falls cannot leave
+room for a later rise; the README says how to update them.
+"""
+
+import pytest
+
+from triality import checks, linalg, matrix
+from triality.checks import FAULT_H_SIGN, run_suite
+from triality.clifford import EUCLIDEAN
+from triality.field import ExactScalar
+from triality.linalg import CoordSolver
+from triality.matrix import Matrix, commutator
+from triality.representations import spinor_bases, vector_basis
+from triality.subalgebras import intersect_pair, restrict
+
+_COLUMNS = ("scalars", "@", "brackets", "rref", "solves")
+
+
+class _Recorder:
+    """The five counters, and one row of their deltas per recorded call."""
+
+    def __init__(self, monkeypatch):
+        self.counts = [0] * len(_COLUMNS)
+        self.rows = []
+        patch, counting = monkeypatch.setattr, self._counting
+        patch(ExactScalar, "__init__", counting(0, ExactScalar.__init__))
+        patch(ExactScalar, "_of", staticmethod(counting(0, ExactScalar._of)))
+        patch(Matrix, "__matmul__", counting(1, Matrix.__matmul__))
+        patch(matrix, "_bracket", counting(2, matrix._bracket))
+        patch(linalg, "rref", counting(3, linalg.rref))
+        patch(CoordSolver, "solve", counting(4, CoordSolver.solve))
+
+    def _counting(self, column, real):
+        def call(*args):
+            self.counts[column] += 1
+            return real(*args)
+        return call
+
+    def row(self, label, call, *args):
+        """``call(*args)``, with its counts recorded under ``label``."""
+        before = tuple(self.counts)
+        result = call(*args)
+        self.rows.append(
+            (label, tuple(n - b for n, b in zip(self.counts, before))))
+        return result
+
+    def table(self):
+        """The rows in the literal's own text."""
+        lines = [f"{'':<16}" + "".join(f"{c:>9}" for c in _COLUMNS)]
+        lines += [f"{label:<16}" + "".join(f"{n:>9,}" for n in counts)
+                  for label, counts in self.rows]
+        return "\n".join(lines)
+
+
+def _cold_suite(monkeypatch, suite, fault):
+    """The table of one cold ``run_suite``."""
+    rec = _Recorder(monkeypatch)
+
+    def recording(check_id, body):
+        def part(fx, f, *fault):
+            label = f"{check_id[:2]} {fx.sig}" + (" h-sign" if fault else "")
+            rec.row(label, body, fx, f, *fault)
+        return part
+
+    monkeypatch.setattr(checks, "_CHECKS", tuple(
+        (check_id, claim, sigs, recording(check_id, body), detail)
+        for check_id, claim, sigs, body, detail in checks._CHECKS))
+    report = rec.row("total", run_suite, suite, fault)
+    assert report.failed == (fault is not None)
+    *parts, (_, total) = rec.rows
+    rec.rows.insert(-1, ("runner", tuple(n - sum(c[k] for _, c in parts)
+                                         for k, n in enumerate(total))))
+    return rec.table()
+
+
+OP_COUNTS = {
+    "all": """
+                  scalars        @ brackets     rref   solves
+01 (8,0)            1,735        7       36        0        0
+01 (1,7)            4,042       16       72        0        0
+02 (8,0)              448       10        8        0        0
+02 (1,7)              520        8        8        0        0
+03 (8,0)            2,609       84        0        6        0
+04 (8,0)           20,798        0    1,134        3      378
+04 (1,7)           23,082      140    1,134        3      378
+05 (8,0)            4,136        3        0        0        0
+05 (1,7)            4,139        3        0        0        0
+06 (8,0)              848      112        0        0        0
+06 (1,7)              308        0        0        0        0
+07 (8,0)            1,608       34        0        0        0
+07 (1,7)            1,671       34        0        0        0
+08 (8,0)              332        6        0        0        0
+08 (1,7)              685       11        0        0        0
+09 (8,0)            4,386        0        0       13        0
+10 (8,0)            2,799        0      126        2      119
+11 (8,0)              595       29        0        0        0
+12 (8,0)            9,518        6      239        5       99
+12 (1,7)            9,534        6      239        5       99
+13 (8,0)            1,606        0        0        0        0
+13 (1,7)            1,597        0        0        0        0
+14 (8,0)              392       56        0        0        0
+14 (1,7)              364       56        0        0        0
+15 (1,7)              168        0        0        0        0
+05 (8,0) h-sign     3,551        3        0        0        0
+runner                200        0        0        0        0
+total             101,671      624    2,996       37    1,073
+""",
+    "euclidean": """
+                  scalars        @ brackets     rref   solves
+01 (8,0)            1,735        7       36        0        0
+02 (8,0)              448       10        8        0        0
+03 (8,0)            2,609       84        0        6        0
+04 (8,0)           20,798        0    1,134        3      378
+05 (8,0)            4,136        3        0        0        0
+06 (8,0)              848      112        0        0        0
+07 (8,0)            1,608       34        0        0        0
+08 (8,0)              332        6        0        0        0
+09 (8,0)            4,386        0        0       13        0
+10 (8,0)            2,799        0      126        2      119
+11 (8,0)              595       29        0        0        0
+12 (8,0)            9,518        6      239        5       99
+13 (8,0)            1,606        0        0        0        0
+14 (8,0)              392       56        0        0        0
+05 (8,0) h-sign     3,551        3        0        0        0
+runner                200        0        0        0        0
+total              55,561      350    1,543       29      596
+""",
+    "lorentzian": """
+                  scalars        @ brackets     rref   solves
+01 (1,7)            4,178       23       72        0        0
+02 (1,7)              520        8        8        0        0
+04 (1,7)           23,082      140    1,134        3      378
+05 (1,7)            4,139        3        0        0        0
+06 (1,7)              308        0        0        0        0
+07 (1,7)            1,671       34        0        0        0
+08 (1,7)              685       11        0        0        0
+12 (1,7)            9,534        6      239        5       99
+13 (1,7)            1,597        0        0        0        0
+14 (1,7)              364       56        0        0        0
+15 (1,7)              168        0        0        0        0
+05 (8,0)            5,692       87        0        0        0
+05 (8,0) h-sign     3,551        3        0        0        0
+runner                  0        0        0        0        0
+total              55,489      371    1,453        8      477
+""",
+}
+
+
+@pytest.mark.parametrize("suite, fault", [
+    ("all", None), ("all", FAULT_H_SIGN), ("euclidean", None),
+    ("lorentzian", None)])
+def test_a_cold_suite_makes_exactly_its_op_counts(monkeypatch, cold_caches,
+                                                  suite, fault):
+    measured = _cold_suite(monkeypatch, suite, fault)
+    assert measured == OP_COUNTS[suite].strip("\n"), f"measured:\n{measured}"
+
+
+LAYER_COUNTS = """
+                  scalars        @ brackets     rref   solves
+L(8,0) brackets     7,392        0      378        0        0
+L(8,0) solves       4,872        0        0        0      378
+intersect_pair        868        0        0        2        0
+intersection          246        0        0        2        0
+"""
+
+
+def test_the_layers_make_exactly_their_op_counts(monkeypatch, cold_caches):
+    """L(8,0)'s 378 brackets, computed and solved, and the axis-0
+    restrictions of V and L met both ways, each counted on its own."""
+    left = spinor_bases(EUCLIDEAN)[0]
+    gens = left.matrices()
+    solver = CoordSolver(gens)
+    rv, rl = restrict(vector_basis(EUCLIDEAN), 0), restrict(left, 0)
+    span_v, span_l = rv.span(), rl.span()
+    rec = _Recorder(monkeypatch)
+    brackets = rec.row("L(8,0) brackets", lambda: [
+        commutator(x, y) for k, x in enumerate(gens) for y in gens[k + 1:]])
+    solved = rec.row("L(8,0) solves",
+                     lambda: [solver.solve(x) for x in brackets])
+    system = rec.row("intersect_pair", intersect_pair, rv, rl)
+    meet = rec.row("intersection", span_v.intersection, span_l)
+    assert len(solved) == 378 and None not in solved
+    assert meet == system.subspace and meet.dim == 14
+    measured = rec.table()
+    assert measured == LAYER_COUNTS.strip("\n"), f"measured:\n{measured}"

@@ -8,6 +8,7 @@ from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.field import MINUS_ONE, ONE
 from triality.linalg import Subspace
 from triality.matrix import Matrix
+from triality.outer import outer_op
 from triality.representations import (GEN_INDICES, P_MATRIX, _make_basis,
                                       basis, same_span,
                                       same_structure_constants, spinor_bases,
@@ -120,6 +121,8 @@ def test_spinor_generators_carry_the_half_normalization():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         basis("X")
+    with pytest.raises(ValueError, match="^unknown outer operator 'X'$"):
+        outer_op("X")
 
 
 def test_basis_change_matrices():
