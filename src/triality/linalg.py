@@ -190,10 +190,11 @@ class CoordSolver:
     """Expands matrices in a fixed list of linearly independent generators.
 
     Built once per basis from an identity-augmented RREF: ``span`` holds
-    the generator half of its rows, and ``_terms`` the (generator,
-    coefficient) pairs of each row's identity half; a pivot in that half
+    the generator half of its rows, and ``_terms`` each row's identity
+    half as a ``{generator: coefficient}`` dict; a pivot in that half
     marks a dependent list.  A solve eliminates the flattened target along
-    ``span`` and adds up the terms of the rows it used.
+    ``span`` and, if nothing is left, adds up the terms of the rows it used
+    with ``add_scaled``.
     """
 
     __slots__ = ("span", "_terms")
@@ -210,7 +211,7 @@ class CoordSolver:
         object.__setattr__(self, "span", Subspace(n2, tuple(
             {j: x for j, x in row.items() if j < n2} for row in red), pivots))
         object.__setattr__(self, "_terms", tuple(
-            tuple((j - n2, x) for j, x in row.items() if j >= n2) for row in red))
+            {j - n2: x for j, x in row.items() if j >= n2} for row in red))
 
     def __setattr__(self, name, value):
         raise AttributeError("CoordSolver is immutable")
@@ -218,11 +219,13 @@ class CoordSolver:
     def solve(self, m: Matrix):
         """Coefficients c with sum c_i gen_i = m, or None if m is outside."""
         v = m.vector()
-        coeffs = [ZERO] * len(self._terms)
-        for r, c in self.span.eliminate(v):
-            for i, x in self._terms[r]:
-                coeffs[i] = coeffs[i] + c * x
-        return None if v else tuple(coeffs)
+        used = self.span.eliminate(v)
+        if v:
+            return None
+        coeffs = {}
+        for r, c in used:
+            add_scaled(coeffs, c, self._terms[r])
+        return tuple([coeffs.get(i, ZERO) for i in range(len(self._terms))])
 
 
 class StructureConstants:

@@ -10,41 +10,61 @@ tolerance anywhere.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .errors import DimensionMismatch
-from .field import ZERO, ONE, ExactScalar, scalar
+from .field import _MUL, ZERO, ONE, ExactScalar, _sum, scalar
 
 
 def add_scaled(v: dict, c, w: dict) -> dict:
     """Set v = v + c * w in place for a nonzero scalar ``c``; returns v.
 
-    With ``sub_scaled`` this is the one row kernel: every scaled row update
-    of ``@``, the brackets, ``combination`` and ``linalg``'s elimination
-    runs through it.  Each entry is built as ``s + c * x``, or as ``c * x``
-    where v had none, and entries that cancel are dropped, so a sparse row
-    stays canonical.
+    With ``sub_scaled``, its sign -1 form, this is the one row kernel:
+    every scaled row update of ``@``, the brackets, ``combination`` and
+    ``linalg``'s elimination runs through it, and entries that cancel are
+    dropped, so a sparse row stays canonical.  Where ``c`` and the entry x
+    of w are both one-term, the product is taken on ints with ``_MUL``;
+    where v already holds a one-term entry s on the product's coordinate,
+    the numerators are added over a shared denominator, and one gcd
+    reduces the result to the one scalar built.  Every other entry is
+    built as ``s ± c * x``, or as ``±(c * x)`` where v had none.  Each
+    scalar the kernel builds goes through ``ExactScalar._of``.
     """
-    for k, x in w.items():
-        s = v.get(k)
-        if s is None:
-            v[k] = c * x
-        elif y := s + c * x:
-            v[k] = y
-        else:
-            del v[k]
-    return v
+    return _scaled(v, c, w, 1)
 
 
 def sub_scaled(v: dict, c, w: dict) -> dict:
-    """Set v = v - c * w in place for a nonzero scalar ``c``; returns v.
+    """Set v = v - c * w in place for a nonzero scalar ``c``; returns v."""
+    return _scaled(v, c, w, -1)
 
-    Each entry is built as ``s - c * x``, or as ``-(c * x)`` where v had
-    none; entries that cancel are dropped.
-    """
+
+def _scaled(v: dict, c, w: dict, sign: int) -> dict:
+    """v = v + sign * c * w in place, for sign 1 or -1: the one body of
+    ``add_scaled`` and ``sub_scaled``.  A fused entry y already carries
+    the sign, so it joins s with ``e = 1``; ``c * x`` joins with ``sign``."""
+    of, one = ExactScalar._of, len(c.nums) == 1
+    if one:
+        ((p, a),), cd = c.nums, c.den
+        a, row = a * sign, _MUL[p]
     for k, x in w.items():
-        s = v.get(k)
+        s, e = v.get(k), sign
+        if one and len(x.nums) == 1:
+            (q, b), = x.nums
+            r, m = row[q]
+            n, d, e = a * b * m, cd * x.den, 1
+            if s is not None and len(s.nums) == 1 and s.nums[0][0] == r:
+                t, sd, s = s.nums[0][1], s.den, None
+                n, d = (n + t, d) if sd == d else (n * sd + t * d, d * sd)
+                if not n:
+                    del v[k]
+                    continue
+            g = gcd(n, d)
+            y = of(d // g, ((r, n // g),))
+        else:
+            y = c * x
         if s is None:
-            v[k] = -(c * x)
-        elif y := s - c * x:
+            v[k] = y if e > 0 else -y
+        elif y := _sum(s, y, e):
             v[k] = y
         else:
             del v[k]
@@ -325,8 +345,8 @@ def combination(terms, n: int) -> Matrix:
 
     Each output row accumulates straight from the terms' rows through
     ``add_scaled``, with no zero matrix, scaled copy or intermediate sum;
-    every entry is built as ``s + c * x``, the same scalar operations as
-    adding up ``m.scale(c)``.  A zero coefficient adds nothing.
+    every entry is ``s + c * x``, the value of adding up ``m.scale(c)``.
+    A zero coefficient adds nothing.
     """
     rows = [{} for _ in range(n)]
     for c, m in terms:

@@ -18,6 +18,7 @@ import json
 from fractions import Fraction
 
 from triality.emit import scalar_to_latex
+from triality.field import ZERO
 from triality.linalg import kernel_basis
 from triality.matrix import Matrix, combination
 
@@ -254,6 +255,20 @@ def fixed_vectors(gens, families) -> tuple:
     return tuple(8 - naive_rank([row for c in coords for row in
                                  dense(combination(zip(c, family), 8))])
                  for family in families)
+
+
+def naive_add_scaled(v: dict, c, w: dict, sign: int) -> dict:
+    """v + sign * c * w as a fresh dict, each entry built as
+    ``s + sign * (c * x)`` through the ``ExactScalar`` operators alone and
+    dropped when it is zero: the oracle of the fused row kernel."""
+    out = dict(v)
+    for k, x in w.items():
+        y = out.get(k, ZERO) + sign * (c * x)
+        if y:
+            out[k] = y
+        else:
+            del out[k]
+    return out
 
 
 def naive_combination(terms, n: int) -> Matrix:

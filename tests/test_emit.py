@@ -123,15 +123,15 @@ def test_edge_matrices_render_as_the_dense_oracles(m):
 SPINOR_LEFT_LORENTZ = ["emit", "--object", "spinor-left", "--signature", "1,7"]
 
 
-@pytest.mark.parametrize("argv,owner,name,bound", [
+@pytest.mark.parametrize("argv,owner,name,count", [
     (SPINOR_LEFT_LORENTZ + ["--format", "text"], ExactScalar, "__str__", 84),
     (SPINOR_LEFT_LORENTZ + ["--format", "latex"], emit, "scalar_to_latex", 84),
     (["emit", "--object", "su3-blocks", "--format", "latex"], emit,
      "scalar_to_latex", 48),
 ], ids=["spinor-left 1,7 text", "spinor-left 1,7 latex", "su3-blocks latex"])
 def test_emit_renders_each_distinct_entry_once_per_matrix(monkeypatch, argv, owner,
-                                                         name, bound):
-    """A count ratchet: each matrix renders its distinct nonzero entries
+                                                         name, count):
+    """An exact count: each matrix renders its distinct nonzero entries
     once (1,792 renders for spinor-left and 686 for su3-blocks when every
     cell was rendered)."""
     calls = 0
@@ -145,7 +145,7 @@ def test_emit_renders_each_distinct_entry_once_per_matrix(monkeypatch, argv, own
     monkeypatch.setattr(owner, name, counted)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    assert code == 0 and 0 < calls <= bound
+    assert code == 0 and calls == count
 
 
 # -- the indented JSON writer ------------------------------------------------
@@ -219,7 +219,7 @@ LEFT_LORENTZ_JSON = ["emit", "--object", "spinor-left", "--signature", "1,7",
 @pytest.mark.parametrize("argv", [LEFT_LORENTZ_JSON, MAP_T_L],
                          ids=["emit spinor-left 1,7", "map T L"])
 def test_emit_encodes_each_distinct_scalar_once_per_payload(monkeypatch, argv):
-    """A count ratchet: each payload encodes its 5 distinct scalars once
+    """An exact count: each payload encodes its 5 distinct scalars once
     (1,792 when every entry was encoded, 112 when once per matrix)."""
     calls = 0
 
@@ -231,7 +231,7 @@ def test_emit_encodes_each_distinct_scalar_once_per_payload(monkeypatch, argv):
     monkeypatch.setattr(emit, "scalar_to_json", counted)
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(argv)
-    assert code == 0 and 0 < calls <= 5
+    assert code == 0 and calls == 5
 
 
 def _payloads(monkeypatch, *requests):

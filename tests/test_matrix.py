@@ -1,6 +1,7 @@
 """Matrix algebra: products, brackets, Kronecker products, predicates."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +9,13 @@ from hypothesis import strategies as st
 
 from oracles import (dense, dense_block2, dense_kron, dense_product, dense_sum,
                      dense_trace_product, dense_transpose,
-                     naive_anticommutator, naive_bracket, naive_combination,
-                     naive_matmul)
+                     naive_add_scaled, naive_anticommutator, naive_bracket,
+                     naive_combination, naive_matmul)
 from triality.clifford import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from triality.errors import DimensionMismatch
 from triality.field import ExactScalar, I, ONE, SQRT2, ZERO
-from triality.matrix import (Matrix, anticommutator, combination, commutator,
-                             kron, trace_product)
+from triality.matrix import (Matrix, add_scaled, anticommutator, combination,
+                             commutator, kron, sub_scaled, trace_product)
 from triality.representations import vector_basis
 
 # every p/q with q <= 2 and |p/q| <= 2, and more
@@ -166,6 +167,40 @@ coefficients = st.builds(lambda nums, den: ExactScalar([Fraction(k, den) for k i
 def test_combination_matches_scale_then_add(terms):
     got = combination(terms, 4)
     assert _canonical(got) and got == naive_combination(terms, 4)
+
+
+# One-term scalars on every coordinate with denominators 1-6, so that the
+# kernel's fused path meets products on every coordinate; multi-term ones
+# take the fallback.
+one_term = st.builds(
+    lambda k, num, den: ExactScalar([Fraction(num, den) if j == k else 0
+                                     for j in range(8)]),
+    st.integers(0, 7), st.integers(-6, 6).filter(bool), st.integers(1, 6))
+kernel_scalars = st.integers(0, 3).flatmap(
+    lambda i: one_term if i else coefficients.filter(bool))
+kernel_rows = st.dictionaries(st.integers(0, 5), kernel_scalars, max_size=6)
+# Ratios q for entries of v set to -q times the update: q = 1 cancels, and
+# the others share the update's coordinate over an equal or other
+# denominator.
+ratios = st.dictionaries(st.integers(0, 5), st.just(Fraction(1)) | st.builds(
+    Fraction, st.integers(-3, 3).filter(bool), st.integers(1, 6)))
+
+
+@given(kernel_rows, kernel_scalars, kernel_rows, st.sampled_from([1, -1]), ratios)
+@settings(max_examples=150, deadline=None)
+def test_the_row_kernel_matches_its_naive_oracle(v, c, w, sign, ratios):
+    """``add_scaled`` and ``sub_scaled`` against ``s + sign * (c * x)``
+    entry by entry, with every stored entry in canonical form."""
+    v = {**v, **{k: -sign * q * (c * w[k]) for k, q in ratios.items() if k in w}}
+    want = naive_add_scaled(v, c, w, sign)
+    got = dict(v)
+    assert (add_scaled if sign > 0 else sub_scaled)(got, c, w) is got
+    assert got == want
+    assert not any(k in got for k, q in ratios.items() if k in w and q == 1)
+    for x in got.values():
+        assert x.den > 0 and x.nums and gcd(x.den, *(n for _, n in x.nums)) == 1
+        assert all(n for _, n in x.nums)
+        assert [k for k, _ in x.nums] == sorted({k for k, _ in x.nums})
 
 
 def test_combination_drops_cancelled_entries():

@@ -14,9 +14,9 @@ import pytest
 from triality import checks, linalg, matrix
 from triality.checks import FAULT_H_SIGN, run_suite
 from triality.clifford import EUCLIDEAN
-from triality.field import ExactScalar
+from triality.field import HALF, I, MINUS_ONE, SQRT2, SQRT6, ExactScalar
 from triality.linalg import CoordSolver
-from triality.matrix import Matrix, commutator
+from triality.matrix import Matrix, add_scaled, commutator, sub_scaled
 from triality.representations import spinor_bases, vector_basis
 from triality.subalgebras import intersect_pair, restrict
 
@@ -83,72 +83,72 @@ def _cold_suite(monkeypatch, suite, fault):
 OP_COUNTS = {
     "all": """
                   scalars        @ brackets     rref   solves
-01 (8,0)            1,735        7       36        0        0
-01 (1,7)            4,042       16       72        0        0
-02 (8,0)              448       10        8        0        0
-02 (1,7)              520        8        8        0        0
-03 (8,0)            2,609       84        0        6        0
-04 (8,0)           20,798        0    1,134        3      378
-04 (1,7)           23,082      140    1,134        3      378
-05 (8,0)            4,136        3        0        0        0
-05 (1,7)            4,139        3        0        0        0
+01 (8,0)            1,159        7       36        0        0
+01 (1,7)            2,634       16       72        0        0
+02 (8,0)              320       10        8        0        0
+02 (1,7)              392        8        8        0        0
+03 (8,0)            1,853       84        0        6        0
+04 (8,0)           13,280        0    1,134        3      378
+04 (1,7)           15,564      140    1,134        3      378
+05 (8,0)            2,456        3        0        0        0
+05 (1,7)            2,459        3        0        0        0
 06 (8,0)              848      112        0        0        0
 06 (1,7)              308        0        0        0        0
-07 (8,0)            1,608       34        0        0        0
-07 (1,7)            1,671       34        0        0        0
-08 (8,0)              332        6        0        0        0
-08 (1,7)              685       11        0        0        0
-09 (8,0)            4,386        0        0       13        0
-10 (8,0)            2,799        0      126        2      119
-11 (8,0)              595       29        0        0        0
-12 (8,0)            9,518        6      239        5       99
-12 (1,7)            9,534        6      239        5       99
+07 (8,0)            1,008       34        0        0        0
+07 (1,7)            1,071       34        0        0        0
+08 (8,0)              233        6        0        0        0
+08 (1,7)              483       11        0        0        0
+09 (8,0)            2,527        0        0       13        0
+10 (8,0)            1,591        0      126        2      119
+11 (8,0)              461       29        0        0        0
+12 (8,0)            6,235        6      239        5       99
+12 (1,7)            6,251        6      239        5       99
 13 (8,0)            1,606        0        0        0        0
 13 (1,7)            1,597        0        0        0        0
 14 (8,0)              392       56        0        0        0
 14 (1,7)              364       56        0        0        0
 15 (1,7)              168        0        0        0        0
-05 (8,0) h-sign     3,551        3        0        0        0
+05 (8,0) h-sign     2,207        3        0        0        0
 runner                200        0        0        0        0
-total             101,671      624    2,996       37    1,073
+total              67,667      624    2,996       37    1,073
 """,
     "euclidean": """
                   scalars        @ brackets     rref   solves
-01 (8,0)            1,735        7       36        0        0
-02 (8,0)              448       10        8        0        0
-03 (8,0)            2,609       84        0        6        0
-04 (8,0)           20,798        0    1,134        3      378
-05 (8,0)            4,136        3        0        0        0
+01 (8,0)            1,159        7       36        0        0
+02 (8,0)              320       10        8        0        0
+03 (8,0)            1,853       84        0        6        0
+04 (8,0)           13,280        0    1,134        3      378
+05 (8,0)            2,456        3        0        0        0
 06 (8,0)              848      112        0        0        0
-07 (8,0)            1,608       34        0        0        0
-08 (8,0)              332        6        0        0        0
-09 (8,0)            4,386        0        0       13        0
-10 (8,0)            2,799        0      126        2      119
-11 (8,0)              595       29        0        0        0
-12 (8,0)            9,518        6      239        5       99
+07 (8,0)            1,008       34        0        0        0
+08 (8,0)              233        6        0        0        0
+09 (8,0)            2,527        0        0       13        0
+10 (8,0)            1,591        0      126        2      119
+11 (8,0)              461       29        0        0        0
+12 (8,0)            6,235        6      239        5       99
 13 (8,0)            1,606        0        0        0        0
 14 (8,0)              392       56        0        0        0
-05 (8,0) h-sign     3,551        3        0        0        0
+05 (8,0) h-sign     2,207        3        0        0        0
 runner                200        0        0        0        0
-total              55,561      350    1,543       29      596
+total              36,376      350    1,543       29      596
 """,
     "lorentzian": """
                   scalars        @ brackets     rref   solves
-01 (1,7)            4,178       23       72        0        0
-02 (1,7)              520        8        8        0        0
-04 (1,7)           23,082      140    1,134        3      378
-05 (1,7)            4,139        3        0        0        0
+01 (1,7)            2,770       23       72        0        0
+02 (1,7)              392        8        8        0        0
+04 (1,7)           15,564      140    1,134        3      378
+05 (1,7)            2,459        3        0        0        0
 06 (1,7)              308        0        0        0        0
-07 (1,7)            1,671       34        0        0        0
-08 (1,7)              685       11        0        0        0
-12 (1,7)            9,534        6      239        5       99
+07 (1,7)            1,071       34        0        0        0
+08 (1,7)              483       11        0        0        0
+12 (1,7)            6,251        6      239        5       99
 13 (1,7)            1,597        0        0        0        0
 14 (1,7)              364       56        0        0        0
 15 (1,7)              168        0        0        0        0
-05 (8,0)            5,692       87        0        0        0
-05 (8,0) h-sign     3,551        3        0        0        0
+05 (8,0)            4,012       87        0        0        0
+05 (8,0) h-sign     2,207        3        0        0        0
 runner                  0        0        0        0        0
-total              55,489      371    1,453        8      477
+total              37,646      371    1,453        8      477
 """,
 }
 
@@ -164,10 +164,10 @@ def test_a_cold_suite_makes_exactly_its_op_counts(monkeypatch, cold_caches,
 
 LAYER_COUNTS = """
                   scalars        @ brackets     rref   solves
-L(8,0) brackets     7,392        0      378        0        0
-L(8,0) solves       4,872        0        0        0      378
-intersect_pair        868        0        0        2        0
-intersection          246        0        0        2        0
+L(8,0) brackets     4,368        0      378        0        0
+L(8,0) solves       1,848        0        0        0      378
+intersect_pair        540        0        0        2        0
+intersection          176        0        0        2        0
 """
 
 
@@ -190,3 +190,16 @@ def test_the_layers_make_exactly_their_op_counts(monkeypatch, cold_caches):
     assert meet == system.subspace and meet.dim == 14
     measured = rec.table()
     assert measured == LAYER_COUNTS.strip("\n"), f"measured:\n{measured}"
+
+
+def test_the_row_kernel_builds_through_the_recorded_constructor(monkeypatch):
+    """The fused kernel looks ``ExactScalar._of`` up at call time, so the
+    recorder sees each scalar it builds: one per entry of a one-term row,
+    and none for an update that cancels every entry."""
+    row = dict(enumerate([HALF, I, MINUS_ONE, SQRT2, SQRT6 * I, -SQRT2 * HALF]))
+    rec = _Recorder(monkeypatch)
+    v = rec.row("add", add_scaled, {}, HALF, row)
+    rec.row("cancel", sub_scaled, v, HALF, row)
+    assert v == {}
+    assert [counts for _, counts in rec.rows] == [(len(row), 0, 0, 0, 0),
+                                                  (0, 0, 0, 0, 0)]
