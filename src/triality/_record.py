@@ -1,8 +1,11 @@
 """The one base of the package's immutable records.
 
-A record is a class whose fields are its ``__slots__``, the idiom of
-``Matrix`` and ``Subspace``.  Defining one builds nothing at import time:
-no generated code, no ``dataclasses`` or ``inspect`` import.
+A record is a class whose fields are its ``__slots__``, from the
+signatures and bases to ``linalg``'s ``Subspace``, ``CoordSolver`` and
+``StructureConstants``.  Defining one builds nothing at import time: no
+generated code, no ``dataclasses`` or ``inspect`` import.  ``ExactScalar``
+and ``Matrix`` use the same idiom with guards of their own, so that
+``import triality.cli`` does not load this module.
 """
 
 

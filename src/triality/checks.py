@@ -353,8 +353,7 @@ def _check_12(fx, f):
     unpacked = outer.unpack(op)
     for pos, vec in enumerate(graded.coeff_vectors):
         lam = graded.eigenvalue_of(pos)
-        out = unpacked.apply(vec)
-        f.check(all(o == lam * x for o, x in zip(out, vec)),
+        f.check(unpacked.apply(vec) == {k: lam * x for k, x in vec.items()},
                 f"{label}: coefficient eigencheck fails at position {pos}")
     # eigenvalue labeling, matrix level: the same combination built from the
     # successor basis equals the eigenvalue times the original

@@ -73,6 +73,9 @@ class ExactScalar:
     def __setattr__(self, name, value):
         raise AttributeError("ExactScalar is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("ExactScalar is immutable")
+
     @property
     def coords(self) -> tuple:
         """All eight coordinates as Fractions, zeros included."""

@@ -15,6 +15,7 @@ sum a_i x_i = sum b_j y_j for every intersection, and
 
 from __future__ import annotations
 
+from ._record import Record
 from .errors import LinearlyDependent, NotClosed
 from .field import ONE, ZERO, ExactScalar, scalar
 from .matrix import Matrix, add_scaled, combination, commutator, sub_scaled
@@ -113,21 +114,13 @@ def det(m: Matrix) -> ExactScalar:
     return out
 
 
-class Subspace:
+class Subspace(Record):
     """A subspace of coordinate space held in exact reduced row echelon form.
 
     ``rows`` are sparse, so elimination touches only their nonzero entries.
     """
 
     __slots__ = ("ambient_dim", "rows", "pivots")
-
-    def __init__(self, ambient_dim, rows, pivots):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "pivots", pivots)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def from_vectors(cls, vectors, ambient_dim: int) -> "Subspace":
@@ -167,12 +160,8 @@ class Subspace:
     def contains_matrix(self, m: Matrix) -> bool:
         return self.contains(m.vector())
 
-    def __eq__(self, other):
-        if not isinstance(other, Subspace):
-            return NotImplemented
-        return self.ambient_dim == other.ambient_dim and self.rows == other.rows
-
     def __hash__(self):
+        # the rows are dicts, which the record hash of all fields cannot take
         return hash((self.ambient_dim, self.pivots))
 
     def intersection(self, other: "Subspace") -> "Subspace":
@@ -186,7 +175,7 @@ class Subspace:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-class CoordSolver:
+class CoordSolver(Record, eq=False):
     """Expands matrices in a fixed list of linearly independent generators.
 
     Built once per basis from an identity-augmented RREF: ``span`` holds
@@ -194,7 +183,8 @@ class CoordSolver:
     half as a ``{generator: coefficient}`` dict; a pivot in that half
     marks a dependent list.  A solve eliminates the flattened target along
     ``span`` and, if nothing is left, adds up the terms of the rows it used
-    with ``add_scaled``.
+    with ``add_scaled``: coefficients are sparse too, so an absent
+    generator has coefficient zero.
     """
 
     __slots__ = ("span", "_terms")
@@ -208,16 +198,14 @@ class CoordSolver:
         if pivots[-1] >= n2:
             raise LinearlyDependent(f"only {sum(p < n2 for p in pivots)} of "
                                     f"{len(gens)} generators independent")
-        object.__setattr__(self, "span", Subspace(n2, tuple(
-            {j: x for j, x in row.items() if j < n2} for row in red), pivots))
-        object.__setattr__(self, "_terms", tuple(
-            {j - n2: x for j, x in row.items() if j >= n2} for row in red))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("CoordSolver is immutable")
+        super().__init__(
+            Subspace(n2, tuple({j: x for j, x in row.items() if j < n2}
+                               for row in red), pivots),
+            tuple({j - n2: x for j, x in row.items() if j >= n2} for row in red))
 
     def solve(self, m: Matrix):
-        """Coefficients c with sum c_i gen_i = m, or None if m is outside."""
+        """The sparse coefficients ``{i: c_i}`` with sum c_i gen_i = m, or
+        None if m is outside the span."""
         v = m.vector()
         used = self.span.eliminate(v)
         if v:
@@ -225,30 +213,20 @@ class CoordSolver:
         coeffs = {}
         for r, c in used:
             add_scaled(coeffs, c, self._terms[r])
-        return tuple([coeffs.get(i, ZERO) for i in range(len(self._terms))])
+        return coeffs
 
 
-class StructureConstants:
-    """The array f with [X_a, X_b] = sum_c f_ab^c X_c, stored sparsely."""
+class StructureConstants(Record):
+    """The array f with [X_a, X_b] = sum_c f_ab^c X_c, stored sparsely:
+    ``entries`` maps (a, b, c) to a nonzero f_ab^c."""
 
     __slots__ = ("size", "entries")
-
-    def __init__(self, size: int, entries):
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "entries", entries)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StructureConstants is immutable")
 
     def __getitem__(self, abc):
         return self.entries.get(abc, ZERO)
 
-    def __eq__(self, other):
-        if not isinstance(other, StructureConstants):
-            return NotImplemented
-        return self.size == other.size and self.entries == other.entries
-
     def __hash__(self):
+        # the record hash of all fields cannot take the entries dict
         return hash((self.size, tuple(sorted(self.entries.items()))))
 
     def first_mismatch(self, other: "StructureConstants"):
@@ -261,14 +239,15 @@ class StructureConstants:
 
 
 def _brackets(gens, hint=None):
-    """Yield (a, b, [X_a, X_b], its coefficients or None when it leaves
-    the span) for every pair a < b of the generator list.
+    """Yield (a, b, [X_a, X_b], its sparse coefficients ``{c: f_ab^c}``,
+    or None when it leaves the span) for every pair a < b of the
+    generator list.
 
     ``hint`` is the ``StructureConstants`` of another basis, or None.  A
-    bracket equal to the combination of its hint terms takes their
-    coefficients; every other bracket is solved.  The generators are
-    independent, so those coefficients are the only ones and the result
-    never depends on the hint.
+    bracket equal to the combination of its nonzero hint terms takes them
+    as its coefficients; every other bracket is solved.  The generators
+    are independent, so those coefficients are the only ones and the
+    result never depends on the hint.
     """
     solver = CoordSolver(gens)
     guesses = None
@@ -278,20 +257,17 @@ def _brackets(gens, hint=None):
                              f"{len(gens)} generators")
         guesses = {}
         for (a, b, c), val in hint.entries.items():
-            if a < b:
-                guesses.setdefault((a, b), []).append((c, scalar(val)))
+            if a < b and (val := scalar(val)):
+                guesses.setdefault((a, b), {})[c] = val
     n = gens[0].n
     for a, x in enumerate(gens):
         for b in range(a + 1, len(gens)):
             bracket = commutator(x, gens[b])
             # a pair the hint has no entry for guesses a zero bracket
-            terms = None if guesses is None else guesses.get((a, b), ())
+            terms = None if guesses is None else guesses.get((a, b), {})
             if terms is not None and combination(
-                    ((val, gens[c]) for c, val in terms), n) == bracket:
-                coeffs = [ZERO] * len(gens)
-                for c, val in terms:
-                    coeffs[c] = val
-                yield a, b, bracket, tuple(coeffs)
+                    ((val, gens[c]) for c, val in terms.items()), n) == bracket:
+                yield a, b, bracket, terms
             else:
                 yield a, b, bracket, solver.solve(bracket)
 
@@ -311,10 +287,9 @@ def structure_constants(gens, *, hint=None) -> StructureConstants:
     for a, b, bracket, coeffs in _brackets(gens, hint):
         if coeffs is None:
             raise NotClosed(a, b, bracket)
-        for c, val in enumerate(coeffs):
-            if val:
-                entries[(a, b, c)] = val
-                entries[(b, a, c)] = -val
+        for c, val in coeffs.items():
+            entries[(a, b, c)] = val
+            entries[(b, a, c)] = -val
     return StructureConstants(len(gens), entries)
 
 

@@ -99,6 +99,9 @@ class Matrix:
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    def __delattr__(self, name):
+        raise AttributeError("Matrix is immutable")
+
     # -- constructors ------------------------------------------------------
     @classmethod
     def zero(cls, n: int) -> "Matrix":

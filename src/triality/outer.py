@@ -142,15 +142,19 @@ class UnpackedOp(Record):
     is what multiplies coefficient vectors when the core maps the
     generators themselves.  For the symmetric cores K and T the transpose
     is invisible; for H it is exactly what makes the eigenvalue labels of
-    the graded basis come out right.
+    the graded basis come out right.  ``apply`` takes and returns sparse
+    coefficient vectors ``{generator position: nonzero coefficient}``, an
+    absent position being zero.
     """
 
     __slots__ = ("matrix", "antilinear")
 
-    def apply(self, coeffs):
-        vec = [x.conj() for x in coeffs] if self.antilinear else list(coeffs)
-        return tuple(sum((x * vec[c] for c, x in row.items()), ZERO)
-                     for row in self.matrix.rows)
+    def apply(self, coeffs: dict) -> dict:
+        vec = ({c: x.conj() for c, x in coeffs.items()} if self.antilinear
+               else coeffs)
+        return {k: s for k, row in enumerate(self.matrix.rows)
+                if (s := sum((x * vec[c] for c, x in row.items() if c in vec),
+                             ZERO))}
 
 
 def unpack(op: OuterOp) -> UnpackedOp:
@@ -274,8 +278,9 @@ class GradedBasis(Record, eq=False):
     ``g2_part`` holds the 14 invariant generators (7 lambda3-like then 7
     lambda8-like), ``right_part`` the seven with eigenvalue e^{+i2pi/3},
     ``left_part`` the seven with e^{-i2pi/3}.  ``coeff_vectors`` gives the
-    28-dimensional coefficient vector of each generator over the source
-    basis, in the same order (g2, right, left).
+    coefficients of each generator over the source basis, in the same order
+    (g2, right, left), as a sparse ``{generator position: nonzero
+    coefficient}`` dict.
     """
 
     __slots__ = ("provenance", "g2_part", "right_part", "left_part",
@@ -301,18 +306,13 @@ def graded_basis(b: LieBasis, op: OuterOp) -> GradedBasis:
     terms = quartet_terms(diagonalize(op.name).change_of_basis.T)
     gens = _combine(b, terms)
     parts = [tuple(gens[idx] for idx in row) for row in QUARTETS]
-    coeffs = []
-    for idx in (idx for row in QUARTETS for idx in row):
-        vec = [ZERO] * 28
-        for old, c in terms[idx]:
-            vec[_GEN_POS[old]] = c
-        coeffs.append(tuple(vec))
     return GradedBasis(
         provenance=f"{b.kind}{b.signature} graded by {op.name}",
         g2_part=parts[0] + parts[1],
         right_part=parts[2],
         left_part=parts[3],
-        coeff_vectors=tuple(coeffs),
+        coeff_vectors=tuple({_GEN_POS[old]: c for old, c in terms[idx]}
+                            for row in QUARTETS for idx in row),
     )
 
 

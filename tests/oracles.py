@@ -271,6 +271,15 @@ def naive_add_scaled(v: dict, c, w: dict, sign: int) -> dict:
     return out
 
 
+def dense_coefficients(coeffs: dict, size: int) -> list:
+    """A sparse coefficient vector ``{generator: c}`` as the dense list of
+    its ``size`` coefficients, once it is seen to keep the sparse layout:
+    every key a generator index and no stored value zero."""
+    assert set(coeffs) <= set(range(size)), sorted(coeffs)
+    assert all(not x.is_zero for x in coeffs.values()), coeffs
+    return [coeffs.get(i, ZERO) for i in range(size)]
+
+
 def naive_combination(terms, n: int) -> Matrix:
     """sum c * m over (c, m) in terms, by scaling each matrix and adding it
     to a running sum that starts from the zero matrix."""

@@ -8,14 +8,19 @@ generators answers that: 1,792 equations in 64 unknowns, solved exactly.
 The three spin(7)s whose meet is g2 are pairwise non-conjugate: the
 vectors a subalgebra fixes in each of V, L and R are counted, and
 conjugation in SO(8) keeps all three counts.
+
+Every generator family is orthogonal under tr(X^dagger Y), with one norm
+per family: its Gram matrix is read entry by entry.
 """
 
 import pytest
 
-from oracles import fixed_vectors, intertwiner_dim
+from oracles import dense_trace_product, fixed_vectors, intertwiner_dim
 from triality.clifford import EUCLIDEAN, LORENTZIAN
+from triality.field import ONE, ZERO, rational
 from triality.matrix import Matrix
-from triality.representations import basis
+from triality.outer import graded_basis, signature_ops
+from triality.representations import basis, vector_basis
 from triality.subalgebras import g2_basis, restrict
 
 FAMILIES = ("V", "L", "R")
@@ -60,3 +65,36 @@ def test_the_three_spin7s_each_fix_a_vector_of_another_eight(axis):
 
 def test_g2_fixes_one_vector_of_each_eight():
     assert fixed_vectors(g2_basis().lambdas, _eights()) == (1, 1, 1)
+
+
+
+def _family(kind, signature):
+    if kind == "lambdas":
+        return g2_basis().lambdas
+    if kind in FAMILIES:
+        return basis(kind, signature).matrices()
+    graded = graded_basis(vector_basis(signature), signature_ops(signature)[0])
+    return graded.g2_part if kind == "graded-g2" else graded.all_generators()
+
+
+# the eleven families: V, L, R, the graded basis and its g2 part in each
+# signature, and the Lambdas
+GRAM_FAMILIES = [(kind, sig) for sig in (EUCLIDEAN, LORENTZIAN)
+                 for kind in (*FAMILIES, "graded", "graded-g2")]
+GRAM_FAMILIES.append(("lambdas", EUCLIDEAN))
+
+
+@pytest.mark.parametrize("kind, signature", GRAM_FAMILIES,
+                         ids=[f"{kind}{sig}" for kind, sig in GRAM_FAMILIES])
+def test_each_family_is_orthogonal_with_one_norm(kind, signature):
+    """tr(X_a^dagger X_b) over every pair a <= b, by the definition sum:
+    the Gram matrix is Hermitian, so that half is all of it.  Each
+    generator has norm^2 2, and each Lambda 1."""
+    gens = _family(kind, signature)
+    assert len(gens) == (14 if kind in ("graded-g2", "lambdas") else 28)
+    norm = ONE if kind == "lambdas" else rational(2)
+    for a, x in enumerate(gens):
+        xd = x.dagger()
+        for b in range(a, len(gens)):
+            assert dense_trace_product(xd, gens[b]) == (
+                norm if a == b else ZERO), (a, b)

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cofactor_det, in_span, matrix_in_span, naive_rank
+from oracles import (cofactor_det, dense_coefficients, in_span,
+                     matrix_in_span, naive_combination, naive_rank)
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.errors import LinearlyDependent, NotClosed
 from triality.field import ONE, ZERO, rational
@@ -132,28 +133,55 @@ def test_a_hint_of_another_size_is_rejected():
 
 
 def _hints(sig):
-    """V's structure constants, the same with one entry negated, and those
-    of V with its first generator scaled by 2."""
+    """V's structure constants, the same with one entry negated, those of
+    V with its first generator scaled by 2, and V's with an explicit zero
+    entry, on a pair that has a nonzero one too."""
     gens = vector_basis(sig).matrices()
     fv = structure_constants(gens)
     (a, b, c), val = next(iter(fv.entries.items()))
     flipped = StructureConstants(fv.size, {**fv.entries, (a, b, c): -val})
     scaled = structure_constants([gens[0].scale(2), *gens[1:]])
-    return fv, flipped, scaled
+    unused = next(d for d in range(fv.size) if (a, b, d) not in fv.entries)
+    padded = StructureConstants(fv.size, {**fv.entries, (a, b, unused): ZERO})
+    return fv, flipped, scaled, padded
 
 
 _SIX_BASES = [(sig, k) for sig in (EUCLIDEAN, LORENTZIAN) for k in range(3)]
+_SIX_IDS = [f"{sig}-{'VLR'[k]}" for sig, k in _SIX_BASES]
 
 
-@pytest.mark.parametrize("sig, k", _SIX_BASES,
-                         ids=[f"{sig}-{'VLR'[k]}" for sig, k in _SIX_BASES])
+def _six_basis(sig, k):
+    return ((vector_basis(sig),) + spinor_bases(sig))[k].matrices()
+
+
+@pytest.mark.parametrize("sig, k", _SIX_BASES, ids=_SIX_IDS)
 def test_a_hint_never_changes_the_structure_constants(sig, k):
-    gens = ((vector_basis(sig),) + spinor_bases(sig))[k].matrices()
+    gens = _six_basis(sig, k)
     plain = structure_constants(gens)
     hints = _hints(sig)
-    assert hints[0] != hints[1] and hints[0] != hints[2]
+    assert all(hints[0] != hint for hint in hints[1:])
     for hint in hints:
-        assert structure_constants(gens, hint=hint) == plain
+        hinted = structure_constants(gens, hint=hint)
+        assert hinted == plain
+        assert all(not val.is_zero for val in hinted.entries.values())
+
+
+@pytest.mark.parametrize("sig, k", _SIX_BASES, ids=_SIX_IDS)
+def test_each_bracket_is_the_combination_of_its_structure_constants(sig, k):
+    """Rebuilding [X_a, X_b] from f_ab^c by scaling and adding whole
+    matrices catches what comparing bases with each other cannot: an
+    error common to every basis, such as a permuted coefficient."""
+    gens = _six_basis(sig, k)
+    f = structure_constants(gens)
+    terms = {}
+    for (a, b, c), val in f.entries.items():
+        assert not val.is_zero
+        assert f[b, a, c] == -val
+        terms.setdefault((a, b), []).append((val, gens[c]))
+    for a, x in enumerate(gens):
+        for b in range(a + 1, len(gens)):
+            assert naive_combination(terms.get((a, b), ()), 8) == commutator(
+                x, gens[b]), (a, b)
 
 
 def test_lambda_commutator_stays_in_su3_span_by_rref_oracle():
@@ -167,11 +195,9 @@ def test_coord_solver_round_trip():
     solver = CoordSolver(gens)
     target = gens[3].scale(rational(2)) - gens[17]
     coeffs = solver.solve(target)
-    rebuilt = Matrix.zero(8)
-    for c, g in zip(coeffs, gens):
-        if c:
-            rebuilt = rebuilt + g.scale(c)
-    assert rebuilt == target
+    assert coeffs == {3: rational(2), 17: -ONE}
+    assert naive_combination(
+        zip(dense_coefficients(coeffs, len(gens)), gens), 8) == target
     outside = Matrix.identity(8)
     assert solver.solve(outside) is None
 
@@ -197,7 +223,7 @@ def test_membership_and_solve_agree_with_the_rank_oracle(vecs, coeffs, extra):
     assert (solved is not None) == inside
     if inside:
         rebuilt = [ZERO] * 4
-        for c, v in zip(solved, vecs):
+        for c, v in zip(dense_coefficients(solved, len(vecs)), vecs):
             rebuilt = [r + c * x for r, x in zip(rebuilt, v)]
         assert rebuilt == target
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import dense, naive_combination
+from oracles import dense, dense_coefficients, naive_combination
 from triality.clifford import EUCLIDEAN, LORENTZIAN, Signature
 from triality.errors import SignatureMismatch, TrialityError
 from triality.field import (HALF, I, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO,
@@ -49,7 +49,8 @@ def test_graded_coefficients_are_the_unpacked_eigenvectors():
     order = [idx for row in QUARTETS for idx in row]
     for vec, idx in zip(graded.coeff_vectors, order):
         col = GEN_INDICES.index(idx)
-        assert vec == tuple(columns[r, col] for r in range(28))
+        assert dense_coefficients(vec, 28) == [columns[r, col]
+                                               for r in range(28)]
 
 
 def test_h_core_as_printed():
@@ -74,6 +75,25 @@ def test_unpack_orders():
     t28 = unpack(outer_t())
     assert t28.matrix.power(3) == Matrix.identity(28)
     assert t28.matrix.power(2) == t28.matrix.conj()
+
+
+@pytest.mark.parametrize("op_name, order",
+                         [("H", 3), ("K", 2), ("T", 3), ("conj", 2)])
+def test_apply_maps_sparse_coefficient_vectors(op_name, order):
+    """The image of c times a unit vector is (conj) c times a column of the
+    unpacked matrix, read through m[i, j]; applying the operator up to
+    its order comes back to the start, so every sum that cancels on the
+    way is dropped, not stored."""
+    unpacked = unpack(outer_op(op_name))
+    c = ONE + I
+    scaled = c.conj() if unpacked.antilinear else c
+    for p in range(28):
+        out = unpacked.apply({p: c})
+        assert dense_coefficients(out, 28) == [
+            unpacked.matrix[k, p] * scaled for k in range(28)]
+        for _ in range(order - 1):
+            out = unpacked.apply(out)
+        assert out == {p: c}
 
 
 def test_euclidean_cycle_hits_the_constructed_bases():
@@ -137,7 +157,9 @@ def test_graded_basis_matches_scale_then_add(signature, kind):
     graded = graded_basis(b, signature_ops(signature)[0])
     for gen, vec in zip(graded.all_generators(), graded.coeff_vectors):
         assert gen == naive_combination(
-            [(c, b[idx]) for idx, c in zip(GEN_INDICES, vec) if c], 8)
+            [(c, b[idx]) for idx, c in zip(GEN_INDICES,
+                                          dense_coefficients(vec, 28)) if c],
+            8)
 
 
 def test_signature_mismatch_rejected():
@@ -227,7 +249,8 @@ def test_graded_eigenvalue_labels(signature, op_name):
     unpacked = unpack(op)
     for pos, vec in enumerate(graded_v.coeff_vectors):
         lam = graded_v.eigenvalue_of(pos)
-        assert all(o == lam * x for o, x in zip(unpacked.apply(vec), vec))
+        out = dense_coefficients(unpacked.apply(vec), 28)
+        assert out == [lam * x for x in dense_coefficients(vec, 28)]
 
 
 @pytest.mark.parametrize("signature,op_name", [(EUCLIDEAN, "H"),

@@ -2,7 +2,7 @@
 
 Records are ``__slots__`` classes on one shared base.  Callers rely on
 value equality and hashing (a ``Signature`` keys dicts and caches), on
-identity equality for the bases, on immutability, on keyword construction
+identity equality for the bases and solvers, on immutability, on keyword construction
 and on the repr text that a failure message embeds.
 """
 
@@ -16,6 +16,7 @@ from triality.checks import CheckResult, Report
 from triality.clifford import (EUCLIDEAN, GammaBasis, Signature, VolumeElement,
                                cl7_basis, dirac_gammas)
 from triality.field import ONE, ZERO
+from triality.linalg import CoordSolver, StructureConstants, Subspace
 from triality.matrix import Matrix
 from triality.outer import (Diagonalization, GradedBasis,
                             S3Closure, UnpackedOp, outer_op)
@@ -41,6 +42,8 @@ def _value_records():
         lambda: Constraint("b12", ((ONE, "b47"), (ONE, "b56"))),
         lambda: CheckResult("01", "claim", "pass", "detail"),
         lambda: Report("all", ()),
+        lambda: Subspace.from_vectors([{0: ONE}], 2),
+        lambda: StructureConstants(2, {(0, 1, 0): ONE, (1, 0, 0): -ONE}),
     ]
 
 
@@ -54,6 +57,7 @@ def _identity_records():
         lambda: IntersectionSystem(None, (), 28, 42),
         lambda: G2Basis((), ()),
         lambda: Su3Embedding(None, (), ZERO),
+        lambda: CoordSolver([Matrix.identity(2)]),
     ]
 
 
@@ -97,6 +101,17 @@ def test_records_are_immutable(make):
         record.extra = None
     with pytest.raises(AttributeError, match="cannot delete"):
         delattr(record, field)
+
+
+def test_scalars_and_matrices_cannot_lose_a_field():
+    """``ExactScalar`` and ``Matrix`` guard their slots themselves: a
+    deleted slot of the shared ``ONE`` would break it in every module."""
+    for value in (ONE, Matrix.identity(2)):
+        for field in value.__slots__:
+            with pytest.raises(AttributeError, match="is immutable"):
+                delattr(value, field)
+    assert (ONE.den, ONE.nums) == (1, ((0, 1),))
+    assert Matrix.identity(2)[1, 1] == ONE
 
 
 def test_keyword_construction():
