@@ -207,10 +207,9 @@ def _check_04(fx, f):
     fl = structure_constants(left, hint=fv)
     fr = structure_constants(right, hint=fv)
     for pair, first, second in (("V/L", fv, fl), ("L/R", fl, fr)):
-        same = first == second
-        at = None if same else first.first_mismatch(second)
-        f.check(same, f"{_LABEL[fx.sig]} {pair} structure constants differ "
-                      f"first at (a, b, c) = {at}")
+        at = first.first_mismatch(second)
+        f.check(at is None, f"{_LABEL[fx.sig]} {pair} structure constants "
+                            f"differ first at (a, b, c) = {at}")
 
 
 def _cycle_exact(op, v, left, right, f, label):

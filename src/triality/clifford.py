@@ -26,15 +26,8 @@ class Signature(Record):
 
     __slots__ = ("p", "q")
 
-    @property
-    def n(self) -> int:
-        return self.p + self.q
-
     def eta_diag(self):
         return (ONE,) * self.p + (MINUS_ONE,) * self.q
-
-    def eta(self) -> Matrix:
-        return Matrix.diag(self.eta_diag())
 
     def __str__(self):
         return f"({self.p},{self.q})"
@@ -55,9 +48,6 @@ class GammaBasis(Record):
     @property
     def dim(self) -> int:
         return self.gammas[0].n
-
-    def __len__(self):
-        return len(self.gammas)
 
     def __getitem__(self, i) -> Matrix:
         return self.gammas[i]

@@ -40,15 +40,6 @@ class ClosureExceeded(TrialityError):
         super().__init__(f"group closure exceeded bound with {count} elements")
 
 
-class ClosureFailure(TrialityError):
-    """A basis that must close under the bracket failed to (bad transcription)."""
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-        super().__init__(f"closure failed at generator pair ({a}, {b})")
-
-
 class BlockMismatch(TrialityError):
     """A conjugated generator missed its required block shape."""
 

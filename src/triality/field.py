@@ -38,11 +38,12 @@ _GALOIS = (frozenset({1, 3, 5, 7}), frozenset({2, 3, 6, 7}), frozenset({1, 2, 5,
 class ExactScalar:
     """An element of Q(i, sqrt2, sqrt3), immutable and hashable.
 
-    Arithmetic is total except division by zero.  The element is
-    ``sum(c * e_k for k, c in nums) / den``, where e_k runs over (1, sqrt2,
-    sqrt3, sqrt6) and then the same four multiplied by i; ``nums`` holds
-    only nonzero numerators, sorted by index, and ``den > 0`` shares no
-    factor with all of them.  ``coords`` (the dense 8-tuple) and ``terms``
+    ``+``, ``-``, ``*``, ``x / y`` and ``inverse`` are exact and total
+    except division by zero; there is no power and no float view.  The
+    element is ``sum(c * e_k for k, c in nums) / den``, where e_k runs
+    over (1, sqrt2, sqrt3, sqrt6) and then the same four multiplied by i;
+    ``nums`` holds only nonzero numerators, sorted by index, and
+    ``den > 0`` shares no factor with all of them.  ``coords`` (the dense 8-tuple) and ``terms``
     (``{index: Fraction}``) are views built on demand.
     """
 
@@ -212,20 +213,6 @@ class ExactScalar:
             return NotImplemented
         return self * other.inverse()
 
-    def __rtruediv__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return other * self.inverse()
-
-    def __pow__(self, n: int):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = ONE
-        for _ in range(n):
-            out = out * self
-        return out
-
     # -- comparison / hashing --------------------------------------------
     def __eq__(self, other):
         if not isinstance(other, ExactScalar):
@@ -244,14 +231,6 @@ class ExactScalar:
         return bool(self.nums)
 
     # -- conversions -----------------------------------------------------
-    def __complex__(self):
-        # Float view, for display/debugging only; never used by any check.
-        r2, r3, r6 = 2 ** 0.5, 3 ** 0.5, 6 ** 0.5
-        a = self.coords
-        re = a[0] + a[1] * r2 + a[2] * r3 + a[3] * r6
-        im = a[4] + a[5] * r2 + a[6] * r3 + a[7] * r6
-        return complex(re, im)
-
     def __repr__(self):
         return f"ExactScalar({self})"
 

@@ -11,14 +11,27 @@ arithmetic), so constraint presentations are reproducible run to run.
 This module is the only place that eliminates: ``stacked_solve`` solves
 sum a_i x_i = sum b_j y_j for every intersection, and
 ``Subspace.eliminate`` is the one reducer, also behind ``CoordSolver``.
+``structure_constants`` is the one walker over the brackets of a
+generator list (``is_closed`` catches its ``NotClosed``), and
+``first_mismatch`` the one comparison of two of its arrays.
 """
 
 from __future__ import annotations
 
 from ._record import Record
-from .errors import LinearlyDependent, NotClosed
+from .errors import DimensionMismatch, LinearlyDependent, NotClosed
 from .field import ONE, ZERO, ExactScalar, scalar
 from .matrix import Matrix, add_scaled, combination, commutator, sub_scaled
+
+
+def _size(mats) -> int:
+    """The n of a nonempty list of n x n matrices, all of one size."""
+    if not mats:
+        raise ValueError("empty matrix list")
+    n = mats[0].n
+    if any(m.n != n for m in mats):
+        raise DimensionMismatch(f"mixed sizes {sorted({m.n for m in mats})}")
+    return n
 
 
 def _exact(vector) -> dict:
@@ -133,9 +146,7 @@ class Subspace(Record):
     def from_matrices(cls, mats) -> "Subspace":
         """Span of matrices, flattened row-major."""
         mats = list(mats)
-        if not mats:
-            raise ValueError("span of an empty matrix list")
-        return cls.from_vectors([m.vector() for m in mats], mats[0].n ** 2)
+        return cls.from_vectors([m.vector() for m in mats], _size(mats) ** 2)
 
     @property
     def dim(self) -> int:
@@ -152,13 +163,16 @@ class Subspace(Record):
                 used.append((k, c))
         return used
 
-    def contains(self, vector) -> bool:
-        v = _exact(vector)
-        self.eliminate(v)
-        return not v
+    def _flatten(self, m: Matrix) -> dict:
+        """``m.vector()``, if n^2 is the ambient dimension of n x n m."""
+        if m.n ** 2 != self.ambient_dim:
+            raise DimensionMismatch(f"{m.n}x{m.n} in ambient {self.ambient_dim}")
+        return m.vector()
 
     def contains_matrix(self, m: Matrix) -> bool:
-        return self.contains(m.vector())
+        v = self._flatten(m)
+        self.eliminate(v)
+        return not v
 
     def __hash__(self):
         # the rows are dicts, which the record hash of all fields cannot take
@@ -191,9 +205,7 @@ class CoordSolver(Record, eq=False):
 
     def __init__(self, gens):
         gens = list(gens)
-        if not gens:
-            raise ValueError("empty generator list")
-        n2 = gens[0].n ** 2
+        n2 = _size(gens) ** 2
         red, pivots = rref([{**g.vector(), n2 + i: ONE} for i, g in enumerate(gens)])
         if pivots[-1] >= n2:
             raise LinearlyDependent(f"only {sum(p < n2 for p in pivots)} of "
@@ -205,8 +217,9 @@ class CoordSolver(Record, eq=False):
 
     def solve(self, m: Matrix):
         """The sparse coefficients ``{i: c_i}`` with sum c_i gen_i = m, or
-        None if m is outside the span."""
-        v = m.vector()
+        None if m is outside the span.  Raises DimensionMismatch for an m
+        of another size than the generators."""
+        v = self.span._flatten(m)
         used = self.span.eliminate(v)
         if v:
             return None
@@ -218,37 +231,41 @@ class CoordSolver(Record, eq=False):
 
 class StructureConstants(Record):
     """The array f with [X_a, X_b] = sum_c f_ab^c X_c, stored sparsely:
-    ``entries`` maps (a, b, c) to a nonzero f_ab^c."""
+    ``entries`` maps (a, b, c) with a < b to a nonzero f_ab^c.  The other
+    half is derived, f_ba^c = -f_ab^c, and never stored."""
 
     __slots__ = ("size", "entries")
 
     def __getitem__(self, abc):
-        return self.entries.get(abc, ZERO)
+        a, b, c = abc
+        return -self[b, a, c] if a > b else self.entries.get(abc, ZERO)
 
     def __hash__(self):
         # the record hash of all fields cannot take the entries dict
         return hash((self.size, tuple(sorted(self.entries.items()))))
 
     def first_mismatch(self, other: "StructureConstants"):
-        """First (a, b, c) where the two arrays differ, or None."""
-        keys = sorted(set(self.entries) | set(other.entries))
-        for key in keys:
-            if self[key] != other[key]:
-                return key
-        return None
+        """The first stored key (a, b, c) where the two arrays differ, or
+        None exactly when they are equal.  Raises ValueError for arrays of
+        different sizes."""
+        if self.size != other.size:
+            raise ValueError(f"sizes {self.size} and {other.size} differ")
+        mine, theirs = self.entries, other.entries
+        return next((key for key in sorted(mine.keys() | theirs.keys())
+                     if mine.get(key) != theirs.get(key)), None)
 
 
-def _brackets(gens, hint=None):
-    """Yield (a, b, [X_a, X_b], its sparse coefficients ``{c: f_ab^c}``,
-    or None when it leaves the span) for every pair a < b of the
-    generator list.
+def structure_constants(gens, *, hint=None) -> StructureConstants:
+    """Solve every bracket [X_a, X_b], a < b, of the generator list exactly.
 
-    ``hint`` is the ``StructureConstants`` of another basis, or None.  A
-    bracket equal to the combination of its nonzero hint terms takes them
-    as its coefficients; every other bracket is solved.  The generators
-    are independent, so those coefficients are the only ones and the
-    result never depends on the hint.
+    Raises ValueError for an empty list, LinearlyDependent for a
+    degenerate one and NotClosed(a, b, residual) as soon as one bracket
+    leaves the span.  ``hint``, the structure constants of another basis
+    of the same size, spares the solve of each bracket that equals the
+    combination of its nonzero hint terms.  The generators are
+    independent, so the result and any error never depend on the hint.
     """
+    gens = list(gens)
     solver = CoordSolver(gens)
     guesses = None
     if hint is not None:
@@ -257,42 +274,28 @@ def _brackets(gens, hint=None):
                              f"{len(gens)} generators")
         guesses = {}
         for (a, b, c), val in hint.entries.items():
-            if a < b and (val := scalar(val)):
+            if val := scalar(val):
                 guesses.setdefault((a, b), {})[c] = val
     n = gens[0].n
+    entries = {}
     for a, x in enumerate(gens):
         for b in range(a + 1, len(gens)):
             bracket = commutator(x, gens[b])
             # a pair the hint has no entry for guesses a zero bracket
             terms = None if guesses is None else guesses.get((a, b), {})
-            if terms is not None and combination(
-                    ((val, gens[c]) for c, val in terms.items()), n) == bracket:
-                yield a, b, bracket, terms
-            else:
-                yield a, b, bracket, solver.solve(bracket)
-
-
-def structure_constants(gens, *, hint=None) -> StructureConstants:
-    """Solve every bracket of the generator list exactly.
-
-    Raises ValueError for an empty list, LinearlyDependent for a
-    degenerate one and NotClosed(a, b, residual) as soon as one
-    commutator leaves the span.  ``hint``, the structure constants of
-    another basis of the same size, only spares the solves of the
-    brackets it matches exactly: the result and any error are the same
-    with or without it.
-    """
-    gens = list(gens)
-    entries = {}
-    for a, b, bracket, coeffs in _brackets(gens, hint):
-        if coeffs is None:
-            raise NotClosed(a, b, bracket)
-        for c, val in coeffs.items():
-            entries[(a, b, c)] = val
-            entries[(b, a, c)] = -val
+            if terms is None or combination(
+                    ((val, gens[c]) for c, val in terms.items()), n) != bracket:
+                terms = solver.solve(bracket)
+                if terms is None:
+                    raise NotClosed(a, b, bracket)
+            entries.update(((a, b, c), val) for c, val in terms.items())
     return StructureConstants(len(gens), entries)
 
 
 def is_closed(gens) -> bool:
     """True when every pairwise bracket stays inside the span."""
-    return all(coeffs is not None for *_, coeffs in _brackets(list(gens)))
+    try:
+        structure_constants(gens)
+    except NotClosed:
+        return False
+    return True

@@ -193,13 +193,6 @@ class Matrix:
         c = scalar(c)
         return self._map(c.__mul__) if c else Matrix.zero(self.n)
 
-    def __mul__(self, other):
-        if isinstance(other, Matrix):
-            return NotImplemented
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
     def __matmul__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented

@@ -234,7 +234,7 @@ class Diagonalization(Record):
     symmetric T this is literally T = B D B^dagger with B real orthogonal.
     """
 
-    __slots__ = ("op_name", "change_of_basis", "diagonal")
+    __slots__ = ("change_of_basis", "diagonal")
 
 
 _INV_SQRT2 = SQRT2 * HALF               # 1/sqrt2
@@ -267,7 +267,7 @@ def diagonalize(op_name: str) -> Diagonalization:
     if outer_op(op_name).core.T @ u != u @ d:
         raise TrialityError(
             f"{op_name} eigenvector matrix fails the similarity")
-    return Diagonalization(op_name, u, d)
+    return Diagonalization(u, d)
 
 
 # -- graded basis ------------------------------------------------------------

@@ -194,7 +194,5 @@ class StructureMatchReport(Record):
 def same_structure_constants(b1: LieBasis, b2: LieBasis) -> StructureMatchReport:
     """Entrywise comparison of the two structure-constant arrays."""
     f1 = structure_constants(b1.matrices())
-    f2 = structure_constants(b2.matrices(), hint=f1)
-    if f1 == f2:
-        return StructureMatchReport(True, None)
-    return StructureMatchReport(False, f1.first_mismatch(f2))
+    at = f1.first_mismatch(structure_constants(b2.matrices(), hint=f1))
+    return StructureMatchReport(at is None, at)

@@ -13,10 +13,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ._record import Record
-from .errors import BlockMismatch, ClosureFailure
+from .errors import BlockMismatch
 from .field import (HALF, I, MINUS_ONE, ONE, SQRT2, SQRT3, ZERO, ExactScalar,
                     rational)
-from .linalg import Subspace, _brackets, stacked_solve
+from .linalg import Subspace, stacked_solve, structure_constants
 from .matrix import Matrix, trace_product
 from .representations import GEN_INDICES, LieBasis
 
@@ -24,7 +24,7 @@ from .representations import GEN_INDICES, LieBasis
 class RestrictedBasis(Record, eq=False):
     """The 21 generators of a basis whose indices avoid one axis."""
 
-    __slots__ = ("kind", "axis", "indices", "gens")
+    __slots__ = ("kind", "indices", "gens")
 
     def __getitem__(self, idx) -> Matrix:
         return self.gens[self.indices.index(idx)]
@@ -39,8 +39,7 @@ class RestrictedBasis(Record, eq=False):
 def restrict(b: LieBasis, axis: int) -> RestrictedBasis:
     """Drop every generator whose index pair touches ``axis``."""
     indices = tuple(idx for idx in GEN_INDICES if axis not in idx)
-    return RestrictedBasis(b.kind, axis,
-                           indices, tuple(b[idx] for idx in indices))
+    return RestrictedBasis(b.kind, indices, tuple(b[idx] for idx in indices))
 
 
 class Constraint(Record):
@@ -145,7 +144,7 @@ class G2Basis(Record, eq=False):
     (equivalently: orthonormal under the plain trace pairing).
     """
 
-    __slots__ = ("lambdas", "theta_labels")
+    __slots__ = ("lambdas",)
 
     def __getitem__(self, k: int) -> Matrix:
         """1-indexed access matching the generator numbering."""
@@ -167,7 +166,8 @@ class G2Basis(Record, eq=False):
 
 @lru_cache(maxsize=None)
 def g2_basis() -> G2Basis:
-    """Construct Lambda_1..Lambda_14 and verify closure under the bracket."""
+    """Construct Lambda_1..Lambda_14; a mistyped table entry raises
+    NotClosed for the first pair (0-based) whose bracket leaves the span."""
     entries = [dict() for _ in range(15)]
     for r, c, k, s in _FAMILY_HALF:
         entries[k][(r, c)] = HALF * s
@@ -177,11 +177,8 @@ def g2_basis() -> G2Basis:
         entries[k][(r, c)] = root3_unit * s
         entries[k][(c, r)] = -(root3_unit * s)
     lambdas = tuple(Matrix.from_entries(8, entries[k]) for k in range(1, 15))
-    for a, b, _, coeffs in _brackets(lambdas):
-        if coeffs is None:
-            raise ClosureFailure(a + 1, b + 1)
-    return G2Basis(lambdas=lambdas,
-                   theta_labels=tuple(f"theta{k}" for k in range(1, 15)))
+    structure_constants(lambdas)
+    return G2Basis(lambdas)
 
 
 def frobenius_pairing(x: Matrix, y: Matrix) -> ExactScalar:

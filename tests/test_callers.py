@@ -1,0 +1,70 @@
+"""The public API that only the tests call, pinned as an exact set.
+
+A public function or method of ``src/triality`` (neither it nor its class
+starts with ``_``) counts as called when its name occurs in ``src``,
+``demos`` or ``bench``: a module-level function as a name, attribute or
+import, a method as an attribute.  Matching is by name, so a homonym
+hides an unused method; the set errs towards fewer entries.  Every entry
+says why it stays.  A new function that nothing but a test calls shows up
+here as a diff: give it a caller, delete it, or add it with its reason.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+TEST_ONLY = {
+    "emit.scalar_from_json":
+        "reads back the scalar objects that `emit` and `map` write as JSON",
+    "field.ExactScalar.coords":
+        "the dense 8-tuple that the scalar oracles compare against",
+    "linalg.kernel_basis":
+        "exported; tests/oracles.py takes intertwiner kernels from it",
+    "subalgebras.block_target":
+        "the documented diag(0, l_k, -l_k^T) that su3_embedding checks",
+}
+
+
+def _public_defs():
+    """{qualified name: (name, is a method)} over ``src/triality``."""
+    out = {}
+    for path in sorted((ROOT / "src" / "triality").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef):
+                members, prefix, method = [node], path.stem, False
+            elif isinstance(node, ast.ClassDef) and node.name[0] != "_":
+                members, method = node.body, True
+                prefix = f"{path.stem}.{node.name}"
+            else:
+                continue
+            for sub in members:
+                if isinstance(sub, ast.FunctionDef) and sub.name[0] != "_":
+                    out[f"{prefix}.{sub.name}"] = (sub.name, method)
+    return out
+
+
+def _references(paths):
+    """(names and imported names, attribute names) occurring in ``paths``."""
+    names, attrs = set(), set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name.rpartition(".")[2])
+    return names, attrs
+
+
+def test_only_the_pinned_api_lacks_a_caller_outside_the_tests():
+    names, attrs = _references([*ROOT.glob("src/triality/*.py"),
+                                *ROOT.glob("demos/*.py"),
+                                *ROOT.glob("bench/*.py")])
+    uncalled = {qual for qual, (name, method) in _public_defs().items()
+                if name not in attrs and (method or name not in names)}
+    assert uncalled == set(TEST_ONLY)
+    tests = "".join(p.read_text() for p in ROOT.glob("tests/*.py")
+                    if p.name != Path(__file__).name)
+    assert all(qual.rpartition(".")[2] in tests for qual in TEST_ONLY)

@@ -98,5 +98,5 @@ def test_chiral_basis_blocks():
 def test_signatures():
     assert cl8_basis().signature == EUCLIDEAN
     assert cl17_basis().signature == LORENTZIAN
-    eta = LORENTZIAN.eta()
-    assert eta[0, 0] == ONE and eta[3, 3] == MINUS_ONE
+    eta = LORENTZIAN.eta_diag()
+    assert eta[0] == ONE and eta[3] == MINUS_ONE

@@ -17,6 +17,9 @@ from triality.field import (ExactScalar, HALF, I, ONE, SQRT2, SQRT3, SQRT6,
 small_fractions = st.builds(Fraction, st.integers(-16, 16), st.integers(1, 4))
 scalars = st.builds(ExactScalar, st.tuples(*([small_fractions] * 8)))
 nonzero_scalars = scalars.filter(lambda x: not x.is_zero)
+# every one of the eight coordinates nonzero
+full_scalars = st.builds(ExactScalar,
+                         st.tuples(*([small_fractions.filter(bool)] * 8)))
 
 # Dense 8-tuples with at most three nonzero coordinates drawn from a few
 # values, so sums and products often cancel exactly.
@@ -97,9 +100,23 @@ def test_rationals_hash_like_the_numbers_they_equal():
 
 def test_third_root_of_unity():
     from triality.field import OMEGA, OMEGA_BAR
-    assert OMEGA ** 3 == ONE
+    assert OMEGA * OMEGA * OMEGA == ONE
     assert OMEGA * OMEGA_BAR == ONE
     assert OMEGA + OMEGA_BAR == rational(-1)
+
+
+@given(full_scalars)
+@settings(max_examples=60, deadline=None)
+def test_parts_split_every_coordinate(x):
+    """Each coordinate k lands in ``re`` (k < 4) or ``im`` (k >= 4) at
+    k mod 4; no check reaches the split, since check 03 only meets real
+    entries."""
+    re, im = x.parts()
+    assert re.is_real and im.is_real
+    assert re + I * im == x
+    zeros = (Fraction(0),) * 4
+    assert re.coords == x.coords[:4] + zeros
+    assert im.coords == x.coords[4:] + zeros
 
 
 @given(scalars, scalars)

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from oracles import (cofactor_det, dense_coefficients, in_span,
                      matrix_in_span, naive_combination, naive_rank)
 from triality.clifford import EUCLIDEAN, LORENTZIAN
-from triality.errors import LinearlyDependent, NotClosed
+from triality.errors import DimensionMismatch, LinearlyDependent, NotClosed
 from triality.field import ONE, ZERO, rational
 from triality.linalg import (CoordSolver, StructureConstants, Subspace, det,
                              is_closed, kernel_basis, rref,
@@ -94,7 +94,7 @@ def test_vector_basis_structure_constants_close_and_antisymmetric():
 # hints of size 2, 3 and 5 that guess every bracket zero, or that guess
 # [X_0, X_1] = X_0
 _EMPTY_HINT = {k: StructureConstants(k, {}) for k in (2, 3, 5)}
-_WRONG_HINT = StructureConstants(2, {(0, 1, 0): ONE, (1, 0, 0): -ONE})
+_WRONG_HINT = StructureConstants(2, {(0, 1, 0): ONE})
 
 
 def test_structure_constants_rejects_dependent_input():
@@ -124,6 +124,22 @@ def test_not_closed_reports_the_offending_pair():
             structure_constants([v[(0, 1)], v[(1, 2)]], hint=hint)
         assert (err.value.a, err.value.b) == (0, 1)
         assert err.value.residual == commutator(v[(0, 1)], v[(1, 2)])
+
+
+def test_mixed_matrix_sizes_are_rejected():
+    """A list of 2x2 and 4x4 matrices, in either order, and a matrix of
+    another size than the span it is tested or solved against."""
+    i2, i4 = Matrix.identity(2), Matrix.identity(4)
+    mixed = r"^mixed sizes \[2, 4\]$"
+    for build in (CoordSolver, Subspace.from_matrices, structure_constants,
+                  is_closed):
+        for mats in ([i2, i4], [i4, i2]):
+            with pytest.raises(DimensionMismatch, match=mixed):
+                build(mats)
+    with pytest.raises(DimensionMismatch, match="^2x2 in ambient 16$"):
+        CoordSolver([i4]).solve(i2)
+    with pytest.raises(DimensionMismatch, match="^4x4 in ambient 4$"):
+        Subspace.from_matrices([i2]).contains_matrix(i4)
 
 
 def test_a_hint_of_another_size_is_rejected():
@@ -170,18 +186,47 @@ def test_a_hint_never_changes_the_structure_constants(sig, k):
 def test_each_bracket_is_the_combination_of_its_structure_constants(sig, k):
     """Rebuilding [X_a, X_b] from f_ab^c by scaling and adding whole
     matrices catches what comparing bases with each other cannot: an
-    error common to every basis, such as a permuted coefficient."""
+    error common to every basis, such as a permuted coefficient.  Only
+    the a < b half is stored; [X_b, X_a] is rebuilt from the derived
+    slice f[b, a, :]."""
     gens = _six_basis(sig, k)
     f = structure_constants(gens)
     terms = {}
     for (a, b, c), val in f.entries.items():
-        assert not val.is_zero
+        assert a < b and not val.is_zero
         assert f[b, a, c] == -val
         terms.setdefault((a, b), []).append((val, gens[c]))
     for a, x in enumerate(gens):
         for b in range(a + 1, len(gens)):
             assert naive_combination(terms.get((a, b), ()), 8) == commutator(
                 x, gens[b]), (a, b)
+            back = [(f[b, a, c], y) for c, y in enumerate(gens) if f[b, a, c]]
+            assert naive_combination(back, 8) == commutator(gens[b], x), (b, a)
+
+
+def test_first_mismatch_names_the_first_stored_key_that_differs():
+    """None exactly when the arrays are equal; otherwise the first a < b
+    key in sorted order, whichever side is asked, also for a key that
+    only one side stores.  Arrays of different sizes are a ValueError."""
+    fv = structure_constants(vector_basis().matrices())
+    keys = sorted(fv.entries)
+    assert fv.first_mismatch(fv) is None
+    assert fv.first_mismatch(StructureConstants(28, dict(fv.entries))) is None
+    for flip in ([keys[0]], [keys[-1]], [keys[9], keys[5], keys[77]]):
+        flipped = StructureConstants(
+            28, {**fv.entries, **{key: -fv.entries[key] for key in flip}})
+        assert flipped != fv
+        assert fv.first_mismatch(flipped) == min(flip)
+        assert flipped.first_mismatch(fv) == min(flip)
+    a, b, _ = keys[0]
+    unused = next(d for d in range(28) if (a, b, d) not in fv.entries)
+    for extra in (ONE, ZERO):  # a stored zero makes the arrays unequal
+        padded = StructureConstants(28, {**fv.entries, (a, b, unused): extra})
+        assert padded != fv
+        assert padded.first_mismatch(fv) == (a, b, unused)
+        assert fv.first_mismatch(padded) == (a, b, unused)
+    with pytest.raises(ValueError, match="^sizes 28 and 27 differ$"):
+        fv.first_mismatch(StructureConstants(27, {}))
 
 
 def test_lambda_commutator_stays_in_su3_span_by_rref_oracle():
@@ -214,7 +259,7 @@ def test_membership_and_solve_agree_with_the_rank_oracle(vecs, coeffs, extra):
         target = [t + x for t, x in zip(target, _exact([extra])[0])]
     inside = in_span(vecs, target)
     span = Subspace.from_vectors(map(_sparse, vecs), 4)
-    assert span.contains(_sparse(target)) == inside
+    assert span.contains_matrix(_as_matrix(target)) == inside
     if naive_rank(vecs) < len(vecs):
         with pytest.raises(LinearlyDependent):
             CoordSolver(map(_as_matrix, vecs))

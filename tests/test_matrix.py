@@ -212,6 +212,12 @@ def test_combination_drops_cancelled_entries():
         combination([(ONE, a)], 3)
 
 
+def test_power_zero_is_the_identity():
+    for m in (SIGMA_Y, Matrix.zero(3), vector_basis()[(0, 1)]):
+        assert m.power(0) == Matrix.identity(m.n)
+        assert m.power(1) == m
+
+
 def test_shapes_are_checked():
     with pytest.raises(DimensionMismatch):
         Matrix.from_entries(2, {(-1, 0): 1})

@@ -36,14 +36,14 @@ def _value_records():
         lambda: outer_op("H"),
         lambda: UnpackedOp(m, False),
         lambda: S3Closure(((m, False),), False, {1: 1}, False),
-        lambda: Diagonalization("H", m, m),
+        lambda: Diagonalization(m, m),
         lambda: SpanReport(True, 28, 28, 28),
         lambda: StructureMatchReport(False, (0, 1, 2)),
         lambda: Constraint("b12", ((ONE, "b47"), (ONE, "b56"))),
         lambda: CheckResult("01", "claim", "pass", "detail"),
         lambda: Report("all", ()),
         lambda: Subspace.from_vectors([{0: ONE}], 2),
-        lambda: StructureConstants(2, {(0, 1, 0): ONE, (1, 0, 0): -ONE}),
+        lambda: StructureConstants(2, {(0, 1, 0): ONE}),
     ]
 
 
@@ -53,9 +53,9 @@ def _identity_records():
     return [
         lambda: GradedBasis("H", (), (), (), ()),
         lambda: LieBasis("V", EUCLIDEAN, gens),
-        lambda: RestrictedBasis("V", 0, (), ()),
+        lambda: RestrictedBasis("V", (), ()),
         lambda: IntersectionSystem(None, (), 28, 42),
-        lambda: G2Basis((), ()),
+        lambda: G2Basis(()),
         lambda: Su3Embedding(None, (), ZERO),
         lambda: CoordSolver([Matrix.identity(2)]),
     ]

@@ -3,7 +3,9 @@
 import pytest
 
 from oracles import cofactor_det, naive_matmul
+from triality import subalgebras
 from triality.clifford import EUCLIDEAN, LORENTZIAN
+from triality.errors import NotClosed
 from triality.field import HALF, I, ONE, ZERO, rational
 from triality.linalg import Subspace, det, is_closed, kernel_basis
 from triality.matrix import Matrix, combination, commutator
@@ -118,6 +120,31 @@ def test_lambda_closure_and_su3():
     assert is_closed(g2.su3_part())
 
 
+def test_lambdas_are_numbered_from_one():
+    g2 = g2_basis()
+    assert all(g2[k] is g2.lambdas[k - 1] for k in range(1, 15))
+
+
+# The pair (0-based) whose bracket first leaves the span when the sign of
+# each _FAMILY_HALF entry in turn is flipped.
+_BROKEN_PAIRS = ((0, 4), (0, 3), (0, 4), (0, 3), (0, 3), (0, 4), (0, 3),
+                 (0, 4), (0, 1), (0, 3), (0, 2), (0, 2), (0, 3), (0, 1))
+
+
+def test_a_flipped_sign_in_the_lambda_table_is_not_closed(monkeypatch):
+    table = subalgebras._FAMILY_HALF
+    assert len(table) == len(_BROKEN_PAIRS)
+    for i, (r, c, k, s) in enumerate(table):
+        monkeypatch.setattr(subalgebras, "_FAMILY_HALF",
+                            table[:i] + ((r, c, k, -s),) + table[i + 1:])
+        a, b = _BROKEN_PAIRS[i]
+        with pytest.raises(NotClosed, match=(
+                f"^bracket of generators {a} and {b} leaves the span$")) as err:
+            g2_basis.__wrapped__()
+        assert (err.value.a, err.value.b) == (a, b)
+        assert not err.value.residual.is_zero
+
+
 def test_lambda_orthogonality_and_uniform_norm():
     gram = lambda_gram(g2_basis())
     for a in range(14):
@@ -215,8 +242,7 @@ def test_block_mismatch_identifies_the_failure():
     from triality.errors import BlockMismatch
     from triality.subalgebras import G2Basis
     g2 = g2_basis()
-    corrupted = G2Basis(lambdas=(g2.lambdas[1],) + g2.lambdas[1:],
-                        theta_labels=g2.theta_labels)
+    corrupted = G2Basis(lambdas=(g2.lambdas[1],) + g2.lambdas[1:])
     with pytest.raises(BlockMismatch) as err:
         su3_embedding(corrupted)
     assert err.value.k == 1
