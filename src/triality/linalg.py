@@ -14,6 +14,8 @@ sum a_i x_i = sum b_j y_j for every intersection, and
 ``structure_constants`` is the one walker over the brackets of a
 generator list (``is_closed`` catches its ``NotClosed``), and
 ``first_mismatch`` the one comparison of two of its arrays.
+``same_structure_from_seeds`` proves two lists share their structure
+constants from the brackets of a Lie-generating subset only.
 """
 
 from __future__ import annotations
@@ -21,17 +23,8 @@ from __future__ import annotations
 from ._record import Record
 from .errors import DimensionMismatch, LinearlyDependent, NotClosed
 from .field import ONE, ZERO, ExactScalar, scalar
-from .matrix import Matrix, add_scaled, combination, commutator, sub_scaled
-
-
-def _size(mats) -> int:
-    """The n of a nonempty list of n x n matrices, all of one size."""
-    if not mats:
-        raise ValueError("empty matrix list")
-    n = mats[0].n
-    if any(m.n != n for m in mats):
-        raise DimensionMismatch(f"mixed sizes {sorted({m.n for m in mats})}")
-    return n
+from .matrix import (Matrix, add_scaled, combination, common_size, commutator,
+                     sub_scaled)
 
 
 def _exact(vector) -> dict:
@@ -146,7 +139,8 @@ class Subspace(Record):
     def from_matrices(cls, mats) -> "Subspace":
         """Span of matrices, flattened row-major."""
         mats = list(mats)
-        return cls.from_vectors([m.vector() for m in mats], _size(mats) ** 2)
+        return cls.from_vectors([m.vector() for m in mats],
+                                common_size(mats) ** 2)
 
     @property
     def dim(self) -> int:
@@ -205,7 +199,7 @@ class CoordSolver(Record, eq=False):
 
     def __init__(self, gens):
         gens = list(gens)
-        n2 = _size(gens) ** 2
+        n2 = common_size(gens) ** 2
         red, pivots = rref([{**g.vector(), n2 + i: ONE} for i, g in enumerate(gens)])
         if pivots[-1] >= n2:
             raise LinearlyDependent(f"only {sum(p < n2 for p in pivots)} of "
@@ -299,3 +293,94 @@ def is_closed(gens) -> bool:
     except NotClosed:
         return False
     return True
+
+
+def _ad(coeffs, s: int, v: dict) -> dict:
+    """ad X_s of the coefficient vector ``v``, where ``coeffs[a, b]`` are
+    the coefficients of [X_a, X_b], a < b, for every pair holding s."""
+    out = {}
+    for b, x in v.items():
+        if b > s:
+            add_scaled(out, x, coeffs[s, b])
+        elif b < s:
+            sub_scaled(out, x, coeffs[b, s])
+    return out
+
+
+def _ad_orbit_dim(coeffs, seeds, size: int) -> int:
+    """The dimension of the smallest subspace of coefficient space that
+    holds e_s for each seed s and is invariant under each ad X_s, or
+    ``size`` as soon as it reaches that.
+
+    The subspace grows by elimination, with no RREF: each row is zero at
+    the pivots of the rows before it, so one pass over the rows in order
+    reduces a new vector to zero exactly when it is in their span.
+    """
+    rows, pivots = [], []
+    todo = [{s: ONE} for s in seeds]
+    for v in todo:  # breadth first: ``todo`` grows as the loop runs
+        for row, p in zip(rows, pivots):
+            if p in v:
+                sub_scaled(v, v[p], row)
+        if not v:
+            continue
+        p = min(v)
+        if v[p] != ONE:
+            inv = v[p].inverse()
+            v = {k: x * inv for k, x in v.items()}
+        rows.append(v)
+        pivots.append(p)
+        if len(rows) == size:
+            break
+        todo += [_ad(coeffs, s, v) for s in seeds]
+    return len(rows)
+
+
+def same_structure_from_seeds(gens, images, seeds) -> bool:
+    """True when each list in ``images`` has exactly the structure
+    constants of ``gens``, proved from the pairs that hold a seed.
+
+    ``seeds`` are positions in ``gens``.  The answer is True only when
+    ``gens`` and every image list are linearly independent; each bracket
+    [X_s, X_y] with s a seed solves in W = span X; the smallest subspace
+    holding the seeds and invariant under each ad X_s has dimension
+    ``len(gens)``; and each image bracket [Y_a, Y_b] over the same pairs
+    is the combination of the solved coefficients over the images.  No
+    other bracket is computed.  The Jacobi identity proves the rest:
+    - the idealizer {x in W : [x, W] in W} is a subalgebra holding the
+      seeds, so it holds the orbit, which is W: W is closed, and the seeds
+      generate it;
+    - for the linear map phi: X_a -> Y_a, the set {x in W : phi[x, y] =
+      [phi x, phi y] for every y in W} is a subalgebra holding the seeds,
+      so it is W, and every bracket of the images has X's coefficients.
+    False proves no difference: ``structure_constants`` and
+    ``first_mismatch`` find one.  Raises like ``CoordSolver`` for an
+    empty list or mixed sizes, and ValueError for an image list of
+    another length or a seed outside the list.
+    """
+    gens = list(gens)
+    images = [list(img) for img in images]
+    if any(len(img) != len(gens) for img in images):
+        raise ValueError(f"image lists of lengths {[len(i) for i in images]} "
+                         f"for {len(gens)} generators")
+    seeds = sorted(set(seeds))
+    if any(s not in range(len(gens)) for s in seeds):
+        raise ValueError(f"seeds {seeds} outside {len(gens)} generators")
+    try:
+        solver = CoordSolver(gens)
+        for img in images:
+            CoordSolver(img)
+    except LinearlyDependent:
+        return False
+    coeffs = {}
+    for a, x in enumerate(gens):
+        for b in range(a + 1, len(gens)):
+            if a in seeds or b in seeds:
+                coeffs[a, b] = solver.solve(commutator(x, gens[b]))
+                if coeffs[a, b] is None:
+                    return False
+    if _ad_orbit_dim(coeffs, seeds, len(gens)) != len(gens):
+        return False
+    return all(combination(((val, img[c]) for c, val in terms.items()),
+                           img[0].n) == commutator(img[a], img[b])
+               for img in images for (a, b), terms in coeffs.items())

@@ -71,10 +71,26 @@ def _scaled(v: dict, c, w: dict, sign: int) -> dict:
     return v
 
 
+def common_size(mats) -> int:
+    """The n of a nonempty list of n x n matrices, all of one size."""
+    if not mats:
+        raise ValueError("empty matrix list")
+    n = mats[0].n
+    if any(m.n != n for m in mats):
+        raise DimensionMismatch(f"mixed sizes {sorted({m.n for m in mats})}")
+    return n
+
+
 class Matrix:
-    """Immutable square matrix of ExactScalar entries, stored sparsely."""
+    """Immutable square matrix of ExactScalar entries, stored sparsely.
+
+    A matrix is not iterable: ``m[i, j]`` takes a pair, and without
+    ``__iter__ = None`` Python would iterate it through ``m[0]``, ``m[1]``
+    and fail far from the mistake.
+    """
 
     __slots__ = ("rows", "n")
+    __iter__ = None
 
     def __init__(self, rows):
         """Build from dense rows of anything ``scalar`` accepts."""

@@ -19,7 +19,7 @@ from .clifford import EUCLIDEAN, LORENTZIAN, Signature
 from .errors import SignatureMismatch
 from .field import HALF, I, MINUS_ONE, ONE
 from .linalg import Subspace, structure_constants
-from .matrix import Matrix
+from .matrix import Matrix, common_size
 
 # The 28 generator indices (i, j), 0 <= i < j <= 7, in lexicographic order.
 GEN_INDICES = tuple((i, j) for i in range(8) for j in range(i + 1, 8))
@@ -170,12 +170,11 @@ def real_flatten(m: Matrix):
 
 
 def real_span(mats) -> Subspace:
-    """Real span of a family of matrices (see ``real_flatten``)."""
+    """Real span of a family of matrices (see ``real_flatten``).  Raises
+    ValueError for an empty list and DimensionMismatch for mixed sizes."""
     mats = list(mats)
-    if not mats:
-        raise ValueError("real span of an empty matrix list")
     return Subspace.from_vectors([real_flatten(m) for m in mats],
-                                 2 * mats[0].n * mats[0].n)
+                                 2 * common_size(mats) ** 2)
 
 
 def same_span(b1: LieBasis, b2: LieBasis) -> SpanReport:

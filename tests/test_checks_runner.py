@@ -7,6 +7,8 @@ Which parts a suite runs, and in what order, is pinned by the row keys
 of ``test_op_counts.py``.
 """
 
+from types import MappingProxyType
+
 import pytest
 
 from triality import clifford, outer, representations, subalgebras
@@ -141,3 +143,50 @@ def test_a_fault_fails_exactly_its_rows(monkeypatch, cold_caches, fault,
     report = run_suite(suite)
     assert len(patch.patched) == 1, patch.patched
     assert [r.check_id[:2] for r in report.results if r.status == "fail"] == failing
+
+
+def _change_spinor(kind, idx, change):
+    """A fault that applies ``change`` to generator ``idx`` of the spinor
+    basis ``kind`` ("L" or "R") in both signatures."""
+    def fault(monkeypatch):
+        real = representations.spinor_bases
+
+        def broken(signature=EUCLIDEAN):
+            bases = list(real(signature))
+            k = "LR".index(kind)
+            gens = dict(bases[k].gens)
+            gens[idx] = change(gens[idx])
+            bases[k] = representations.LieBasis(
+                kind, signature, MappingProxyType(gens))
+            return tuple(bases)
+
+        monkeypatch.setattr(representations, "spinor_bases", broken)
+    return fault
+
+
+def _fails_at(*pairs):
+    return "; ".join(f"{sig} {pair} structure constants differ first at "
+                     f"(a, b, c) = {at}" for sig in ("euclidean", "lorentzian")
+                     for pair, at in pairs)
+
+
+# a changed spinor generator and check 04's whole failing detail
+CHECK_04_DETAILS = [
+    (_change_spinor("L", (0, 1), lambda m: -m),
+     _fails_at(("V/L", (0, 1, 7)), ("L/R", (0, 1, 7)))),
+    (_change_spinor("R", (2, 3), lambda m: m.scale(2)),
+     _fails_at(("L/R", (1, 2, 13)))),
+    (_change_spinor("L", (3, 7), lambda m: m.scale(3)),
+     _fails_at(("V/L", (2, 6, 21)), ("L/R", (2, 6, 21)))),
+    (_change_spinor("L", (0, 2), lambda m: m + Matrix.identity(8)),
+     "; ".join(["bracket of generators 0 and 7 leaves the span"] * 2)),
+]
+
+
+@pytest.mark.parametrize("fault, detail", CHECK_04_DETAILS)
+def test_check_04_names_where_the_structure_constants_differ(
+        monkeypatch, cold_caches, fault, detail):
+    fault(monkeypatch)
+    row = next(r for r in run_suite("all").results
+               if r.check_id.startswith("04"))
+    assert (row.status, row.detail) == ("fail", detail)

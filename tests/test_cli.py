@@ -224,7 +224,7 @@ def test_any_other_error_in_a_check_body_exits_2(monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure inside a check")
 
-    monkeypatch.setattr(checks, "structure_constants", boom)
+    monkeypatch.setattr(checks, "same_structure_from_seeds", boom)
     assert cli.main(["verify", "--suite", "euclidean"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -6,16 +6,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import (cofactor_det, dense_coefficients, in_span,
-                     matrix_in_span, naive_combination, naive_rank)
+from oracles import (cofactor_det, dense, dense_coefficients, in_span,
+                     matrix_in_span, naive_bracket, naive_combination,
+                     naive_rank)
+from triality import linalg
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.errors import DimensionMismatch, LinearlyDependent, NotClosed
 from triality.field import ONE, ZERO, rational
 from triality.linalg import (CoordSolver, StructureConstants, Subspace, det,
                              is_closed, kernel_basis, rref,
-                             structure_constants)
+                             same_structure_from_seeds, structure_constants)
 from triality.matrix import Matrix, commutator
-from triality.representations import real_span, spinor_bases, vector_basis
+from triality.representations import (GEN_INDICES, real_span, spinor_bases,
+                                      vector_basis)
 from triality.subalgebras import g2_basis, intersect
 
 # every p/q with q <= 3 and |p/q| <= 3, and more
@@ -127,12 +130,14 @@ def test_not_closed_reports_the_offending_pair():
 
 
 def test_mixed_matrix_sizes_are_rejected():
-    """A list of 2x2 and 4x4 matrices, in either order, and a matrix of
-    another size than the span it is tested or solved against."""
+    """A list of 2x2 and 4x4 matrices, in either order, also for the real
+    span and the seed certificate, and a matrix of another size than the
+    span it is tested or solved against."""
     i2, i4 = Matrix.identity(2), Matrix.identity(4)
     mixed = r"^mixed sizes \[2, 4\]$"
     for build in (CoordSolver, Subspace.from_matrices, structure_constants,
-                  is_closed):
+                  is_closed, real_span,
+                  lambda mats: same_structure_from_seeds(mats, (), [0])):
         for mats in ([i2, i4], [i4, i2]):
             with pytest.raises(DimensionMismatch, match=mixed):
                 build(mats)
@@ -227,6 +232,122 @@ def test_first_mismatch_names_the_first_stored_key_that_differs():
         assert fv.first_mismatch(padded) == (a, b, unused)
     with pytest.raises(ValueError, match="^sizes 28 and 27 differ$"):
         fv.first_mismatch(StructureConstants(27, {}))
+
+
+# the seven adjacent rotations V_{i,i+1}
+_SEEDS = [GEN_INDICES.index((i, i + 1)) for i in range(7)]
+
+
+def _full_path(gens, left, right):
+    """The certificate's oracle: every bracket of the three lists solved,
+    and the arrays compared; an error in solving is a False."""
+    try:
+        fv, fl, fr = map(structure_constants, (gens, left, right))
+    except (LinearlyDependent, NotClosed):
+        return False
+    return fv.first_mismatch(fl) is None and fl.first_mismatch(fr) is None
+
+
+def _changed(gens, idx, change):
+    gens = list(gens)
+    gens[GEN_INDICES.index(idx)] = change(gens[GEN_INDICES.index(idx)])
+    return gens
+
+
+# which spinor list changes, and how
+_PERTURBED = [
+    ("L", lambda g: _changed(g, (0, 1), lambda m: -m)),
+    ("R", lambda g: _changed(g, (2, 3), lambda m: m.scale(2))),
+    ("L", lambda g: _changed(g, (3, 7), lambda m: m.scale(3))),
+    ("L", lambda g: _changed(g, (0, 2), lambda m: m + Matrix.identity(8))),
+    # the trivial representation: every bracket agrees, but the list is
+    # dependent, so its structure constants are not defined
+    ("R", lambda g: [Matrix.zero(8)] * len(g)),
+]
+
+
+@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN])
+def test_the_seed_certificate_holds_for_v_l_and_r(sig):
+    v, left, right = (_six_basis(sig, k) for k in range(3))
+    assert same_structure_from_seeds(v, (left, right), _SEEDS)
+    fv, fl, fr = map(structure_constants, (v, left, right))
+    assert fv == fl == fr
+
+
+@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN])
+@pytest.mark.parametrize("kind, change", _PERTURBED)
+def test_the_seed_certificate_agrees_with_the_full_arrays(sig, kind, change):
+    v, left, right = (_six_basis(sig, k) for k in range(3))
+    if kind == "L":
+        left = change(left)
+    else:
+        right = change(right)
+    expected = _full_path(v, left, right)
+    assert same_structure_from_seeds(v, (left, right), _SEEDS) is expected
+    assert expected is False
+
+
+@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN])
+def test_six_seeds_generate_only_so7(sig):
+    """V_{01}..V_{56} close on the 21 rotations of axes 0-6 (so(7), or
+    so(1,6)), so their orbit stops short of 28 and proves nothing."""
+    v, left, right = (_six_basis(sig, k) for k in range(3))
+    assert not same_structure_from_seeds(v, (left, right), _SEEDS[:6])
+    so7 = [v[GEN_INDICES.index((i, j))]
+           for i in range(7) for j in range(i + 1, 7)]
+    assert len(so7) == 21 and is_closed(so7)
+    solver = CoordSolver(v)
+    coeffs = {(a, b): solver.solve(commutator(v[a], v[b]))
+              for a in range(28) for b in range(a + 1, 28)}
+    assert linalg._ad_orbit_dim(coeffs, _SEEDS[:6], 28) == 21
+
+
+def _naive_orbit_dim(gens, seeds):
+    """The orbit grown from the matrices themselves: each new member is
+    bracketed with each seed by definition and kept when it raises the
+    naive rank."""
+    def flat(m):
+        return [x for row in dense(m) for x in row]
+
+    members = []
+    todo = [gens[s] for s in seeds]
+    for m in todo:
+        if naive_rank([*map(flat, members), flat(m)]) > len(members):
+            members.append(m)
+            todo += [naive_bracket(gens[s], m) for s in seeds]
+    return len(members)
+
+
+@pytest.mark.parametrize("seeds", [[15, 20], [8, 23], [0, 7, 16]])
+def test_the_orbit_matches_its_naive_oracle(seeds):
+    """In the basis X_a + X_{a+1} of V, brackets are combinations of
+    several generators, so a sign slip in ad shows: in V's own basis every
+    bracket is one generator up to sign, and the orbit only counts them."""
+    v = vector_basis().matrices()
+    gens = [x + y for x, y in zip(v, v[1:])] + [v[-1]]
+    solver = CoordSolver(gens)
+    coeffs = {(a, b): solver.solve(commutator(gens[a], gens[b]))
+              for a in range(28) for b in range(a + 1, 28)
+              if a in seeds or b in seeds}
+    expected = _naive_orbit_dim(gens, seeds)
+    assert linalg._ad_orbit_dim(coeffs, seeds, 28) == expected < 28
+
+
+def test_a_generator_list_that_is_not_closed_is_no_certificate():
+    """[V_01, V_12] = +-V_02 leaves the span once V_02 carries the
+    identity: a False, with no NotClosed escaping."""
+    v, left, right = (_six_basis(EUCLIDEAN, k) for k in range(3))
+    broken = _changed(v, (0, 2), lambda m: m + Matrix.identity(8))
+    assert not is_closed(broken)
+    assert not same_structure_from_seeds(broken, (left, right), _SEEDS)
+
+
+def test_the_seed_certificate_rejects_malformed_input():
+    v, left, _ = (_six_basis(EUCLIDEAN, k) for k in range(3))
+    with pytest.raises(ValueError, match="lengths \\[27\\] for 28 generators"):
+        same_structure_from_seeds(v, (left[1:],), _SEEDS)
+    with pytest.raises(ValueError, match="outside 28 generators"):
+        same_structure_from_seeds(v, (left,), [0, 28])
 
 
 def test_lambda_commutator_stays_in_su3_span_by_rref_oracle():

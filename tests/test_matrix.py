@@ -17,6 +17,7 @@ from triality.field import ExactScalar, I, ONE, SQRT2, ZERO
 from triality.matrix import (Matrix, add_scaled, anticommutator, combination,
                              commutator, kron, sub_scaled, trace_product)
 from triality.representations import vector_basis
+from triality.subalgebras import intersect
 
 # every p/q with q <= 2 and |p/q| <= 2, and more
 small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 2))
@@ -231,3 +232,14 @@ def test_shapes_are_checked():
         trace_product(Matrix.identity(2), Matrix.identity(3))
     with pytest.raises(TypeError):  # sparse rows are not dense input
         Matrix(Matrix.identity(2).rows)
+
+
+def test_a_matrix_is_not_iterable():
+    """A flat list of matrices where a list of generator lists belongs
+    fails at the mistake, not inside ``Matrix.__getitem__``."""
+    i2, i4 = Matrix.identity(2), Matrix.identity(4)
+    not_iterable = "^'Matrix' object is not iterable$"
+    with pytest.raises(TypeError, match=not_iterable):
+        iter(i2)
+    with pytest.raises(TypeError, match=not_iterable):
+        intersect([i2, i4])

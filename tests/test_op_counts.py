@@ -88,8 +88,8 @@ OP_COUNTS = {
 02 (8,0)              320       10        8        0        0
 02 (1,7)              392        8        8        0        0
 03 (8,0)            1,853       84        0        6        0
-04 (8,0)           12,776        0    1,134        3      378
-04 (1,7)           15,060      140    1,134        3      378
+04 (8,0)            6,382        0      504        3      168
+04 (1,7)            8,666      140      504        3      168
 05 (8,0)            2,456        3        0        0        0
 05 (1,7)            2,459        3        0        0        0
 06 (8,0)              848      112        0        0        0
@@ -110,14 +110,14 @@ OP_COUNTS = {
 15 (1,7)              168        0        0        0        0
 05 (8,0) h-sign     2,207        3        0        0        0
 runner                200        0        0        0        0
-total              66,659      624    2,996       37    1,073
+total              53,871      624    1,736       37      653
 """,
     "euclidean": """
                   scalars        @ brackets     rref   solves
 01 (8,0)            1,159        7       36        0        0
 02 (8,0)              320       10        8        0        0
 03 (8,0)            1,853       84        0        6        0
-04 (8,0)           12,776        0    1,134        3      378
+04 (8,0)            6,382        0      504        3      168
 05 (8,0)            2,456        3        0        0        0
 06 (8,0)              848      112        0        0        0
 07 (8,0)            1,008       34        0        0        0
@@ -130,13 +130,13 @@ total              66,659      624    2,996       37    1,073
 14 (8,0)              392       56        0        0        0
 05 (8,0) h-sign     2,207        3        0        0        0
 runner                200        0        0        0        0
-total              35,872      350    1,543       29      596
+total              29,478      350      913       29      386
 """,
     "lorentzian": """
                   scalars        @ brackets     rref   solves
 01 (1,7)            2,770       23       72        0        0
 02 (1,7)              392        8        8        0        0
-04 (1,7)           15,060      140    1,134        3      378
+04 (1,7)            8,666      140      504        3      168
 05 (1,7)            2,459        3        0        0        0
 06 (1,7)              308        0        0        0        0
 07 (1,7)            1,071       34        0        0        0
@@ -148,7 +148,7 @@ total              35,872      350    1,543       29      596
 05 (8,0)            4,012       87        0        0        0
 05 (8,0) h-sign     2,207        3        0        0        0
 runner                  0        0        0        0        0
-total              37,142      371    1,453        8      477
+total              30,748      371      823        8      267
 """,
 }
 
