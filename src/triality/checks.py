@@ -26,8 +26,7 @@ from .clifford import EUCLIDEAN, LORENTZIAN
 from .emit import dumps
 from .errors import TrialityError
 from .field import HALF, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO, rational
-from .linalg import (Subspace, det, is_closed, same_structure_from_seeds,
-                     structure_constants)
+from .linalg import Subspace, det, is_closed
 from .matrix import Matrix, commutator
 from .outer import OuterOp
 from .representations import GEN_INDICES, P_MATRIX
@@ -39,10 +38,6 @@ _LABEL = {EUCLIDEAN: "euclidean", LORENTZIAN: "lorentzian"}
 _BOTH = (EUCLIDEAN, LORENTZIAN)
 # each suite and the signatures it runs, Euclidean first
 _SUITE_SIGNATURES = dict(zip(SUITES, ((EUCLIDEAN,), (LORENTZIAN,), _BOTH)))
-
-# Positions of the seven adjacent rotations V_{i,i+1}, which generate
-# so(8) and so(1,7) alike: check 04's seeds.
-_SEEDS = tuple(GEN_INDICES.index((i, i + 1)) for i in range(7))
 
 # Each fault names the one (check, signature) part it corrupts, so the
 # negative control flips exactly one result.
@@ -207,20 +202,10 @@ def _check_03(fx, f):
 
 
 def _check_04(fx, f):
-    """V, L and R share their structure constants: certified on the pairs
-    that hold an adjacent rotation; only when that fails are the three
-    full arrays solved, to name where they differ, or the error."""
-    v, left, right = (b.matrices() for b in fx.bases)
-    try:
-        certified = same_structure_from_seeds(v, (left, right), _SEEDS)
-    except TrialityError:
-        certified = False
-    mismatches = None, None
-    if not certified:
-        fv = structure_constants(v)
-        fl = structure_constants(left, hint=fv)
-        fr = structure_constants(right, hint=fv)
-        mismatches = fv.first_mismatch(fl), fl.first_mismatch(fr)
+    """V, L and R share their structure constants: certified from the
+    pairs that hold an adjacent rotation, with the full arrays solved only
+    to name where they differ (``representations.structure_mismatches``)."""
+    mismatches = representations.structure_mismatches(fx.bases)
     for pair, at in zip(("V/L", "L/R"), mismatches):
         f.check(at is None, f"{_LABEL[fx.sig]} {pair} structure constants "
                             f"differ first at (a, b, c) = {at}")

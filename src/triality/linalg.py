@@ -9,12 +9,13 @@ index order (magnitude-based pivoting is meaningless in exact
 arithmetic), so constraint presentations are reproducible run to run.
 
 This module is the only place that eliminates: ``stacked_solve`` solves
-sum a_i x_i = sum b_j y_j for every intersection, and
-``Subspace.eliminate`` is the one reducer, also behind ``CoordSolver``.
+sum a_i x_i = sum b_j y_j through ``rref`` for every intersection, and
+``_eliminate`` reduces one vector against echelon rows for ``Subspace``,
+``CoordSolver`` and the orbit of ``same_structure_from_seeds``.
 ``structure_constants`` is the one walker over the brackets of a
 generator list (``is_closed`` catches its ``NotClosed``), and
 ``first_mismatch`` the one comparison of two of its arrays.
-``same_structure_from_seeds`` proves two lists share their structure
+``same_structure_from_seeds`` proves that lists share their structure
 constants from the brackets of a Lie-generating subset only.
 """
 
@@ -102,7 +103,8 @@ def stacked_solve(a_vecs, b_vecs):
 
 
 def det(m: Matrix) -> ExactScalar:
-    """Exact determinant by Gaussian elimination with swap-sign tracking."""
+    """Exact determinant by Gaussian elimination with swap-sign tracking,
+    which is why it keeps a loop of its own in place of ``_eliminate``."""
     a = [dict(row) for row in m.rows]
     out = ONE
     for c in range(m.n):
@@ -118,6 +120,19 @@ def det(m: Matrix) -> ExactScalar:
             if c in row:
                 sub_scaled(row, row[c] * inv, a[c])
     return out
+
+
+def _eliminate(v: dict, rows, pivots):
+    """Reduce the sparse vector ``v`` in place against ``rows``, each 1 at
+    its pivot and zero at the pivots before it, so that ``v`` ends empty
+    exactly in their span; return the (row index, multiplier) pairs used."""
+    used = []
+    for k, (row, p) in enumerate(zip(rows, pivots)):
+        if p in v:
+            c = v[p]
+            sub_scaled(v, c, row)
+            used.append((k, c))
+    return used
 
 
 class Subspace(Record):
@@ -146,17 +161,6 @@ class Subspace(Record):
     def dim(self) -> int:
         return len(self.rows)
 
-    def eliminate(self, v: dict):
-        """Reduce the sparse vector ``v`` in place against the basis rows;
-        return the (row index, multiplier) pairs of the rows it used."""
-        used = []
-        for k, (row, p) in enumerate(zip(self.rows, self.pivots)):
-            if p in v:
-                c = v[p]
-                sub_scaled(v, c, row)
-                used.append((k, c))
-        return used
-
     def _flatten(self, m: Matrix) -> dict:
         """``m.vector()``, if n^2 is the ambient dimension of n x n m."""
         if m.n ** 2 != self.ambient_dim:
@@ -165,7 +169,7 @@ class Subspace(Record):
 
     def contains_matrix(self, m: Matrix) -> bool:
         v = self._flatten(m)
-        self.eliminate(v)
+        _eliminate(v, self.rows, self.pivots)
         return not v
 
     def __hash__(self):
@@ -214,7 +218,7 @@ class CoordSolver(Record, eq=False):
         None if m is outside the span.  Raises DimensionMismatch for an m
         of another size than the generators."""
         v = self.span._flatten(m)
-        used = self.span.eliminate(v)
+        used = _eliminate(v, self.span.rows, self.span.pivots)
         if v:
             return None
         coeffs = {}
@@ -249,39 +253,22 @@ class StructureConstants(Record):
                      if mine.get(key) != theirs.get(key)), None)
 
 
-def structure_constants(gens, *, hint=None) -> StructureConstants:
+def structure_constants(gens) -> StructureConstants:
     """Solve every bracket [X_a, X_b], a < b, of the generator list exactly.
 
     Raises ValueError for an empty list, LinearlyDependent for a
     degenerate one and NotClosed(a, b, residual) as soon as one bracket
-    leaves the span.  ``hint``, the structure constants of another basis
-    of the same size, spares the solve of each bracket that equals the
-    combination of its nonzero hint terms.  The generators are
-    independent, so the result and any error never depend on the hint.
+    leaves the span.
     """
     gens = list(gens)
     solver = CoordSolver(gens)
-    guesses = None
-    if hint is not None:
-        if hint.size != len(gens):
-            raise ValueError(f"hint of size {hint.size} for "
-                             f"{len(gens)} generators")
-        guesses = {}
-        for (a, b, c), val in hint.entries.items():
-            if val := scalar(val):
-                guesses.setdefault((a, b), {})[c] = val
-    n = gens[0].n
     entries = {}
     for a, x in enumerate(gens):
         for b in range(a + 1, len(gens)):
             bracket = commutator(x, gens[b])
-            # a pair the hint has no entry for guesses a zero bracket
-            terms = None if guesses is None else guesses.get((a, b), {})
-            if terms is None or combination(
-                    ((val, gens[c]) for c, val in terms.items()), n) != bracket:
-                terms = solver.solve(bracket)
-                if terms is None:
-                    raise NotClosed(a, b, bracket)
+            terms = solver.solve(bracket)
+            if terms is None:
+                raise NotClosed(a, b, bracket)
             entries.update(((a, b, c), val) for c, val in terms.items())
     return StructureConstants(len(gens), entries)
 
@@ -312,16 +299,13 @@ def _ad_orbit_dim(coeffs, seeds, size: int) -> int:
     holds e_s for each seed s and is invariant under each ad X_s, or
     ``size`` as soon as it reaches that.
 
-    The subspace grows by elimination, with no RREF: each row is zero at
-    the pivots of the rows before it, so one pass over the rows in order
-    reduces a new vector to zero exactly when it is in their span.
+    The subspace grows by ``_eliminate``, with no RREF: each new row is
+    zero at the pivots of the rows before it.
     """
     rows, pivots = [], []
     todo = [{s: ONE} for s in seeds]
     for v in todo:  # breadth first: ``todo`` grows as the loop runs
-        for row, p in zip(rows, pivots):
-            if p in v:
-                sub_scaled(v, v[p], row)
+        _eliminate(v, rows, pivots)
         if not v:
             continue
         p = min(v)

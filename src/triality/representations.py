@@ -6,6 +6,9 @@ elements Gamma_i Gamma_j / 2.  The constructions apply two calibration
 conventions throughout: the (1,5) and (2,6) generators are negated in
 every basis, and the right-handed Euclidean basis is conjugated by the
 reflection P = diag(-1, 1, ..., 1).
+
+``structure_mismatches`` is the one comparison of their structure
+constants, behind check 04 and ``same_structure_constants``.
 """
 
 from __future__ import annotations
@@ -16,13 +19,17 @@ from types import MappingProxyType
 from . import clifford
 from ._record import Record
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature
-from .errors import SignatureMismatch
+from .errors import SignatureMismatch, TrialityError
 from .field import HALF, I, MINUS_ONE, ONE
-from .linalg import Subspace, structure_constants
+from .linalg import Subspace, same_structure_from_seeds, structure_constants
 from .matrix import Matrix, common_size
 
 # The 28 generator indices (i, j), 0 <= i < j <= 7, in lexicographic order.
 GEN_INDICES = tuple((i, j) for i in range(8) for j in range(i + 1, 8))
+
+# Positions of the seven adjacent rotations V_{i,i+1}, which generate
+# so(8) and so(1,7) alike: the seeds of ``structure_mismatches``.
+SEEDS = tuple(GEN_INDICES.index((i, i + 1)) for i in range(7))
 
 # Generators whose default sign is flipped in every basis.
 SIGN_FLIPS = ((1, 5), (2, 6))
@@ -190,8 +197,23 @@ class StructureMatchReport(Record):
     __slots__ = ("equal", "first_mismatch")
 
 
+def structure_mismatches(bases):
+    """For each consecutive pair of ``bases``, the first key (a, b, c)
+    where their structure constants differ, or None.  The seed certificate
+    (``same_structure_from_seeds``) comes first; only when it fails are the
+    full arrays solved and compared, so that they name any difference and
+    raise any LinearlyDependent or NotClosed."""
+    first, *rest = (b.matrices() for b in bases)
+    try:
+        if same_structure_from_seeds(first, rest, SEEDS):
+            return (None,) * len(rest)
+    except TrialityError:
+        pass
+    arrays = [structure_constants(gens) for gens in (first, *rest)]
+    return tuple(f.first_mismatch(g) for f, g in zip(arrays, arrays[1:]))
+
+
 def same_structure_constants(b1: LieBasis, b2: LieBasis) -> StructureMatchReport:
     """Entrywise comparison of the two structure-constant arrays."""
-    f1 = structure_constants(b1.matrices())
-    at = f1.first_mismatch(structure_constants(b2.matrices(), hint=f1))
+    (at,) = structure_mismatches((b1, b2))
     return StructureMatchReport(at is None, at)

@@ -218,13 +218,13 @@ def test_a_check_that_raises_is_a_failed_row_with_a_report(
 
 
 def test_any_other_error_in_a_check_body_exits_2(monkeypatch, capsys):
-    import triality.checks as checks
     import triality.cli as cli
+    import triality.representations as representations
 
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure inside a check")
 
-    monkeypatch.setattr(checks, "same_structure_from_seeds", boom)
+    monkeypatch.setattr(representations, "structure_mismatches", boom)
     assert cli.main(["verify", "--suite", "euclidean"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,5 +1,6 @@
 """RREF, kernels, subspaces, and the structure-constant solver."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,9 @@ from triality.linalg import (CoordSolver, StructureConstants, Subspace, det,
                              is_closed, kernel_basis, rref,
                              same_structure_from_seeds, structure_constants)
 from triality.matrix import Matrix, commutator
-from triality.representations import (GEN_INDICES, real_span, spinor_bases,
-                                      vector_basis)
+from triality.representations import (GEN_INDICES, _make_basis, real_span,
+                                      same_structure_constants, spinor_bases,
+                                      structure_mismatches, vector_basis)
 from triality.subalgebras import g2_basis, intersect
 
 # every p/q with q <= 3 and |p/q| <= 3, and more
@@ -94,16 +96,9 @@ def test_vector_basis_structure_constants_close_and_antisymmetric():
         assert f[(b, a, c)] == -val
 
 
-# hints of size 2, 3 and 5 that guess every bracket zero, or that guess
-# [X_0, X_1] = X_0
-_EMPTY_HINT = {k: StructureConstants(k, {}) for k in (2, 3, 5)}
-_WRONG_HINT = StructureConstants(2, {(0, 1, 0): ONE})
-
-
 def test_structure_constants_rejects_dependent_input():
-    """The error names how many of the generators are independent, with
-    or without a hint.  An empty list is a ValueError at every entry
-    point that takes one."""
+    """The error names how many of the generators are independent.  An
+    empty list is a ValueError at every entry point that takes one."""
     for build in (CoordSolver, structure_constants, is_closed,
                   Subspace.from_matrices, real_span, intersect):
         with pytest.raises(ValueError, match="empty"):
@@ -113,20 +108,18 @@ def test_structure_constants_rejects_dependent_input():
     for gens, independent in (
             ([v[(0, 1)], v[(0, 2)], both], 2),
             ([v[(0, 1)], both, v[(0, 2)], v[(0, 1)], v[(1, 2)]], 3)):
-        for hint in (None, _EMPTY_HINT[len(gens)]):
-            with pytest.raises(LinearlyDependent, match=(
-                    f"^only {independent} of {len(gens)} generators independent$")):
-                structure_constants(gens, hint=hint)
+        with pytest.raises(LinearlyDependent, match=(
+                f"^only {independent} of {len(gens)} generators independent$")):
+            structure_constants(gens)
 
 
 def test_not_closed_reports_the_offending_pair():
     v = vector_basis()
-    for hint in (None, _EMPTY_HINT[2], _WRONG_HINT):
-        with pytest.raises(NotClosed, match=(
-                "^bracket of generators 0 and 1 leaves the span$")) as err:
-            structure_constants([v[(0, 1)], v[(1, 2)]], hint=hint)
-        assert (err.value.a, err.value.b) == (0, 1)
-        assert err.value.residual == commutator(v[(0, 1)], v[(1, 2)])
+    with pytest.raises(NotClosed, match=(
+            "^bracket of generators 0 and 1 leaves the span$")) as err:
+        structure_constants([v[(0, 1)], v[(1, 2)]])
+    assert (err.value.a, err.value.b) == (0, 1)
+    assert err.value.residual == commutator(v[(0, 1)], v[(1, 2)])
 
 
 def test_mixed_matrix_sizes_are_rejected():
@@ -147,44 +140,12 @@ def test_mixed_matrix_sizes_are_rejected():
         Subspace.from_matrices([i2]).contains_matrix(i4)
 
 
-def test_a_hint_of_another_size_is_rejected():
-    gens = vector_basis().matrices()
-    with pytest.raises(ValueError, match="hint of size 27 for 28 generators"):
-        structure_constants(gens, hint=StructureConstants(27, {}))
-
-
-def _hints(sig):
-    """V's structure constants, the same with one entry negated, those of
-    V with its first generator scaled by 2, and V's with an explicit zero
-    entry, on a pair that has a nonzero one too."""
-    gens = vector_basis(sig).matrices()
-    fv = structure_constants(gens)
-    (a, b, c), val = next(iter(fv.entries.items()))
-    flipped = StructureConstants(fv.size, {**fv.entries, (a, b, c): -val})
-    scaled = structure_constants([gens[0].scale(2), *gens[1:]])
-    unused = next(d for d in range(fv.size) if (a, b, d) not in fv.entries)
-    padded = StructureConstants(fv.size, {**fv.entries, (a, b, unused): ZERO})
-    return fv, flipped, scaled, padded
-
-
 _SIX_BASES = [(sig, k) for sig in (EUCLIDEAN, LORENTZIAN) for k in range(3)]
 _SIX_IDS = [f"{sig}-{'VLR'[k]}" for sig, k in _SIX_BASES]
 
 
 def _six_basis(sig, k):
     return ((vector_basis(sig),) + spinor_bases(sig))[k].matrices()
-
-
-@pytest.mark.parametrize("sig, k", _SIX_BASES, ids=_SIX_IDS)
-def test_a_hint_never_changes_the_structure_constants(sig, k):
-    gens = _six_basis(sig, k)
-    plain = structure_constants(gens)
-    hints = _hints(sig)
-    assert all(hints[0] != hint for hint in hints[1:])
-    for hint in hints:
-        hinted = structure_constants(gens, hint=hint)
-        assert hinted == plain
-        assert all(not val.is_zero for val in hinted.entries.values())
 
 
 @pytest.mark.parametrize("sig, k", _SIX_BASES, ids=_SIX_IDS)
@@ -285,6 +246,51 @@ def test_the_seed_certificate_agrees_with_the_full_arrays(sig, kind, change):
     expected = _full_path(v, left, right)
     assert same_structure_from_seeds(v, (left, right), _SEEDS) is expected
     assert expected is False
+
+
+def _plain_mismatches(bases):
+    """The oracle of ``structure_mismatches``: every array solved, with no
+    certificate, and consecutive arrays compared; or the error raised."""
+    try:
+        arrays = [structure_constants(b.matrices()) for b in bases]
+    except (LinearlyDependent, NotClosed) as err:
+        return err
+    return tuple(f.first_mismatch(g) for f, g in zip(arrays, arrays[1:]))
+
+
+def _assert_like_plain(call, bases):
+    """``call(bases)`` returns what ``_plain_mismatches`` does, or raises
+    the same error with the same text; returns that plain result."""
+    expected = _plain_mismatches(bases)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected), match=f"^{re.escape(str(expected))}$"):
+            call(bases)
+    else:
+        assert call(bases) == expected
+    return expected
+
+
+@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN])
+@pytest.mark.parametrize("kind, change", _PERTURBED)
+def test_a_failed_certificate_names_what_the_full_arrays_name(sig, kind, change):
+    """``structure_mismatches`` over V, L and R, and
+    ``same_structure_constants`` over V/L, L/R and V/R, return exactly the
+    ``first_mismatch`` keys of the plain full arrays, or raise their
+    error, when one spinor list is perturbed."""
+    bases = [vector_basis(sig), *spinor_bases(sig)]
+    k = "VLR".index(kind)
+    bases[k] = _make_basis(kind, sig, dict(zip(
+        GEN_INDICES, change(bases[k].matrices()))))
+    whole = _assert_like_plain(structure_mismatches, bases)
+    assert whole != (None, None)
+
+    def report(pair):
+        r = same_structure_constants(*pair)
+        assert r.equal is (r.first_mismatch is None)
+        return (r.first_mismatch,)
+
+    for pair in ((0, 1), (1, 2), (0, 2)):
+        _assert_like_plain(report, [bases[i] for i in pair])
 
 
 @pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN])

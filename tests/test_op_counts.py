@@ -17,7 +17,8 @@ from triality.clifford import EUCLIDEAN
 from triality.field import HALF, I, MINUS_ONE, SQRT2, SQRT6, ExactScalar
 from triality.linalg import CoordSolver
 from triality.matrix import Matrix, add_scaled, commutator, sub_scaled
-from triality.representations import spinor_bases, vector_basis
+from triality.representations import (same_structure_constants, spinor_bases,
+                                      structure_mismatches, vector_basis)
 from triality.subalgebras import intersect_pair, restrict
 
 _COLUMNS = ("scalars", "@", "brackets", "rref", "solves")
@@ -168,16 +169,21 @@ L(8,0) brackets     4,368        0      378        0        0
 L(8,0) solves       1,848        0        0        0      378
 intersect_pair        540        0        0        2        0
 intersection          176        0        0        2        0
+V/L (8,0)           3,370        0      336        2      168
+V/L/R (8,0)         6,382        0      504        3      168
 """
 
 
 def test_the_layers_make_exactly_their_op_counts(monkeypatch, cold_caches):
-    """L(8,0)'s 378 brackets, computed and solved, and the axis-0
-    restrictions of V and L met both ways, each counted on its own."""
-    left = spinor_bases(EUCLIDEAN)[0]
+    """L(8,0)'s 378 brackets, computed and solved, the axis-0
+    restrictions of V and L met both ways, and the structure-constant
+    comparison of V with L (``same_structure_constants``) and of V, L and
+    R (check 04's call), each counted on its own."""
+    left, right = spinor_bases(EUCLIDEAN)
+    v = vector_basis(EUCLIDEAN)
     gens = left.matrices()
     solver = CoordSolver(gens)
-    rv, rl = restrict(vector_basis(EUCLIDEAN), 0), restrict(left, 0)
+    rv, rl = restrict(v, 0), restrict(left, 0)
     span_v, span_l = rv.span(), rl.span()
     rec = _Recorder(monkeypatch)
     brackets = rec.row("L(8,0) brackets", lambda: [
@@ -186,6 +192,9 @@ def test_the_layers_make_exactly_their_op_counts(monkeypatch, cold_caches):
                      lambda: [solver.solve(x) for x in brackets])
     system = rec.row("intersect_pair", intersect_pair, rv, rl)
     meet = rec.row("intersection", span_v.intersection, span_l)
+    report = rec.row("V/L (8,0)", same_structure_constants, v, left)
+    mismatches = rec.row("V/L/R (8,0)", structure_mismatches, (v, left, right))
+    assert report.equal and mismatches == (None, None)
     assert len(solved) == 378 and None not in solved
     assert meet == system.subspace and meet.dim == 14
     measured = rec.table()

@@ -9,13 +9,15 @@ coordinate fails here and not only in the benchmark.  The verify requests
 also run under ``python -O``, which strips ``assert`` statements.
 
 The ``verify`` suite and fault combinations the benchmark does not request
-are pinned here too, by the sha256 of their text and JSON reports.
+are pinned here too, by the sha256 of their text and JSON reports, and so
+is the stdout of each script in ``demos``.
 """
 
 import contextlib
 import hashlib
 import importlib.util
 import io
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +27,8 @@ import pytest
 from triality.checks import FAULT_H_SIGN, run_suite
 from triality.cli import main
 
-_BENCH = Path(__file__).resolve().parents[1] / "bench"
+_ROOT = Path(__file__).resolve().parents[1]
+_BENCH = _ROOT / "bench"
 _spec = importlib.util.spec_from_file_location("bench_workloads", _BENCH / "workloads.py")
 workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
@@ -89,3 +92,33 @@ def test_verify_reports_match_their_pinned_digests(suite, fault):
     for fmt, (digest, code) in PINNED_REPORTS[suite, fault].items():
         assert (1 if report.failed else 0) == code, fmt
         assert hashlib.sha256(rendered[fmt].encode()).hexdigest() == digest, fmt
+
+
+# demo script -> sha256 of its stdout
+DEMO_DIGESTS = {
+    "01_gamma_ladders.py":
+        "03c589b2a185e36ef9e11f5dd5d7530dc9ba44413a2955f56a573565b8d3052b",
+    "02_three_eights.py":
+        "cc62464e06edaa843e6b972d7e9893430f06fac45102f17e37b16d45ad98d3e1",
+    "03_triality_in_action.py":
+        "07247b9f3da63204e5ea8ab1412393d624944d0c56013a4272c2e4b9e79b7e66",
+    "04_intersecting_spin7.py":
+        "75cba1b7ccec9a97475fcbd4f166af0c11085378516c50882f45ce213c1d68e6",
+    "05_diagonal_triality.py":
+        "bad681454c73c358b32c074aacc63aedecc73016248cb5cc10ed374847e5c2e2",
+    "06_lorentzian_triality.py":
+        "90e3de7c26fd92fcab990d4e1bbd3546a2bf92b231129d9079d75173ea791998",
+}
+
+
+def test_every_demo_has_a_pinned_digest():
+    assert {p.name for p in (_ROOT / "demos").glob("*.py")} == set(DEMO_DIGESTS)
+
+
+@pytest.mark.parametrize("demo", sorted(DEMO_DIGESTS))
+def test_demo_stdout_matches_its_pinned_digest(demo):
+    env = {**os.environ, "PYTHONPATH": str(_ROOT / "src")}
+    out = subprocess.run([sys.executable, str(_ROOT / "demos" / demo)],
+                         capture_output=True, env=env)
+    assert out.returncode == 0, out.stderr
+    assert hashlib.sha256(out.stdout).hexdigest() == DEMO_DIGESTS[demo]
