@@ -37,9 +37,9 @@ _EXPORTS = {
                         "same_structure_constants", "spinor_bases",
                         "vector_basis"),
     "subalgebras": ("G2Basis", "IntersectionSystem", "Su3Embedding",
-                    "frobenius_pairing", "g2_basis", "gell_mann",
-                    "intersect", "intersect_pair", "lambda_gram", "restrict",
-                    "su3_embedding", "su3_transform"),
+                    "g2_basis", "gell_mann", "intersect", "intersect_pair",
+                    "lambda_gram", "restrict", "su3_embedding",
+                    "su3_transform"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

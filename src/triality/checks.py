@@ -9,11 +9,11 @@ are zero-tolerance; a check either holds exactly or it fails with a
 counterexample in its detail string.
 
 What several checks of a signature share (its bases, its graded basis,
-the axis-0 intersections) lives on a ``_Fixtures`` object that one
-``run_suite`` call makes and drops when it returns; ``checks`` keeps no
-cache of its own.  Builders are called through their modules
-(``clifford.cl8_basis()``), so each has one patch point: the attribute
-of the module that defines it.
+the axis-0 intersections, the Lambda Gram matrix) lives on a
+``_Fixtures`` object that one ``run_suite`` call makes and drops when it
+returns; ``checks`` keeps no cache of its own.  Builders are called
+through their modules (``clifford.cl8_basis()``), so each has one patch
+point: the attribute of the module that defines it.
 """
 
 from __future__ import annotations
@@ -150,6 +150,11 @@ class _Fixtures:
         rv, rl, rr = (subalgebras.restrict(b, 0) for b in self.bases)
         meet = subalgebras.intersect_pair
         return meet(rv, rl), meet(rv, rr), meet(rl, rr), rv, rl, rr
+
+    @cached_property
+    def gram(self):
+        """The Gram matrix of the Lambda family, read by checks 10 and 17."""
+        return subalgebras.lambda_gram(subalgebras.g2_basis())
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +323,7 @@ def _check_10(fx, f):
     for k, lam in enumerate(g2.lambdas, 1):
         f.check(sys_vl.subspace.contains_matrix(lam),
                 f"Lambda{k} outside the intersection")
-    gram = subalgebras.lambda_gram(g2)
+    gram = fx.gram
     for a in range(14):
         for b in range(14):
             if a != b:
@@ -368,6 +373,9 @@ def _check_12(fx, f):
     span_g2 = Subspace.from_matrices(graded.g2_part)
     span_r = Subspace.from_matrices(graded.right_part)
     span_l = Subspace.from_matrices(graded.left_part)
+    # each [R_i, L_j], for the invariant space and the sibling pairing
+    mixed = [[commutator(r, l) for l in graded.left_part]
+             for r in graded.right_part]
     for i in range(7):
         for j in range(7):
             if i < j:
@@ -377,14 +385,12 @@ def _check_12(fx, f):
                 f.check(span_r.contains_matrix(
                     commutator(graded.left_part[i], graded.left_part[j])),
                     f"{label}: [L,L] left the right-handed space at ({i},{j})")
-            f.check(span_g2.contains_matrix(
-                commutator(graded.right_part[i], graded.left_part[j])),
-                f"{label}: [R,L] left the invariant space at ({i},{j})")
+            f.check(span_g2.contains_matrix(mixed[i][j]),
+                    f"{label}: [R,L] left the invariant space at ({i},{j})")
     # sibling pairing
     allgens = graded.all_generators()
     for i, r in enumerate(graded.right_part):
-        commuting = [j for j, l in enumerate(graded.left_part)
-                     if commutator(r, l).is_zero]
+        commuting = [j for j, m in enumerate(mixed[i]) if m.is_zero]
         f.check(len(commuting) == 1,
                 f"{label}: right {i} commutes with {len(commuting)} left gens")
         if len(commuting) == 1:
@@ -460,8 +466,8 @@ def _check_16(baseline, clean, faulted) -> CheckResult:
                     "exercised by the acceptance tests)")
 
 
-def _check_17():
-    gram = subalgebras.lambda_gram(subalgebras.g2_basis())
+def _check_17(fx):
+    gram = fx.gram
     norms = sorted({str(gram[k, k]) for k in range(14)})
     detail = (f"norm^2 of every Lambda under tr(X+Y)/2: {norms}; the family "
               "is orthonormal under the plain trace pairing tr(X+Y); "
@@ -614,5 +620,5 @@ def run_suite(suite: str = "all", fault=None) -> Report:
     results = _rows({**parts, control: faulted}, signatures) if fault else baseline[:]
     results.append(_check_16(baseline, parts[control], faulted))
     if EUCLIDEAN in signatures:
-        results.append(_check_17())
+        results.append(_check_17(fixtures[EUCLIDEAN]))
     return Report(suite=suite, results=tuple(results))

@@ -54,10 +54,11 @@ class GammaBasis(Record):
 
     def clifford_defect(self, i: int, j: int) -> Matrix:
         """{G_i, G_j} - 2 eta_ij I; the zero matrix iff the relation holds."""
-        eta = self.signature.eta_diag()
-        target = Matrix.identity(self.dim).scale(rational(2) * eta[i]) \
-            if i == j else Matrix.zero(self.dim)
-        return anticommutator(self.gammas[i], self.gammas[j]) - target
+        defect = anticommutator(self.gammas[i], self.gammas[j])
+        if i != j:
+            return defect
+        two_eta = rational(2) * self.signature.eta_diag()[i]
+        return defect - Matrix.identity(self.dim).scale(two_eta)
 
     def satisfies_clifford(self) -> bool:
         k = len(self.gammas)

@@ -24,8 +24,8 @@ from __future__ import annotations
 from ._record import Record
 from .errors import DimensionMismatch, LinearlyDependent, NotClosed
 from .field import ONE, ZERO, ExactScalar, scalar
-from .matrix import (Matrix, add_scaled, combination, common_size, commutator,
-                     sub_scaled)
+from .matrix import (Matrix, add_scaled, common_size, commutator,
+                     is_combination, sub_scaled)
 
 
 def _exact(vector) -> dict:
@@ -365,6 +365,6 @@ def same_structure_from_seeds(gens, images, seeds) -> bool:
                     return False
     if _ad_orbit_dim(coeffs, seeds, len(gens)) != len(gens):
         return False
-    return all(combination(((val, img[c]) for c, val in terms.items()),
-                           img[0].n) == commutator(img[a], img[b])
+    return all(is_combination(commutator(img[a], img[b]),
+                              ((val, img[c]) for c, val in terms.items()))
                for img in images for (a, b), terms in coeffs.items())

@@ -226,8 +226,10 @@ class Matrix:
     def power(self, k: int) -> "Matrix":
         if k < 0:
             raise ValueError(f"negative matrix power {k}")
-        out = Matrix.identity(self.n)
-        for _ in range(k):
+        if k == 0:
+            return Matrix.identity(self.n)
+        out = self
+        for _ in range(k - 1):
             out = out @ self
         return out
 
@@ -352,6 +354,19 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return _bracket(a, b, sub_scaled)
 
 
+def _accumulate(rows, terms, kernel) -> list:
+    """Apply ``kernel`` (``add_scaled`` or ``sub_scaled``) with each (c, m)
+    of ``terms``, c nonzero, to ``rows`` in place; returns ``rows``."""
+    n = len(rows)
+    for c, m in terms:
+        if m.n != n:
+            raise DimensionMismatch(f"{m.n} vs {n}")
+        if c:
+            for acc, row in zip(rows, m.rows):
+                kernel(acc, c, row)
+    return rows
+
+
 def combination(terms, n: int) -> Matrix:
     """The n x n linear combination sum c * m over (c, m) in ``terms``.
 
@@ -360,14 +375,15 @@ def combination(terms, n: int) -> Matrix:
     every entry is ``s + c * x``, the value of adding up ``m.scale(c)``.
     A zero coefficient adds nothing.
     """
-    rows = [{} for _ in range(n)]
-    for c, m in terms:
-        if m.n != n:
-            raise DimensionMismatch(f"{m.n} vs {n}")
-        if c:
-            for acc, row in zip(rows, m.rows):
-                add_scaled(acc, c, row)
-    return Matrix._of(rows, n)
+    return Matrix._of(_accumulate([{} for _ in range(n)], terms, add_scaled), n)
+
+
+def is_combination(m: Matrix, terms) -> bool:
+    """Whether ``m == combination(terms, m.n)``, by cancellation: each
+    c * y comes off a copy of m's rows through ``sub_scaled``, so equal
+    entries cancel and build no scalar.  Raises DimensionMismatch for a
+    term of another size than m."""
+    return not any(_accumulate([dict(row) for row in m.rows], terms, sub_scaled))
 
 
 def trace_product(a: Matrix, b: Matrix) -> ExactScalar:

@@ -19,7 +19,7 @@ from .clifford import EUCLIDEAN, LORENTZIAN, Signature
 from .errors import ClosureExceeded, SignatureMismatch, TrialityError
 from .field import (HALF, I, OMEGA, OMEGA_BAR, ONE, SQRT2, SQRT3, SQRT6,
                     ZERO, ExactScalar, rational)
-from .matrix import Matrix, combination, trace_product
+from .matrix import Matrix, add_scaled, combination, trace_product
 from .representations import GEN_INDICES, LieBasis, _make_basis
 
 # The seven quartets: column k of (a, b, c, d) is acted on by the 4x4 cores.
@@ -150,11 +150,14 @@ class UnpackedOp(Record):
     __slots__ = ("matrix", "antilinear")
 
     def apply(self, coeffs: dict) -> dict:
-        vec = ({c: x.conj() for c, x in coeffs.items()} if self.antilinear
-               else coeffs)
-        return {k: s for k, row in enumerate(self.matrix.rows)
-                if (s := sum((x * vec[c] for c, x in row.items() if c in vec),
-                             ZERO))}
+        """The image of ``coeffs``: each of its positions c times column c
+        of ``matrix``, added up through ``add_scaled``, the coefficient
+        conjugated first when the operator is antilinear."""
+        rows, out = self.matrix.rows, {}
+        for c, x in coeffs.items():
+            column = {k: row[c] for k, row in enumerate(rows) if c in row}
+            add_scaled(out, x.conj() if self.antilinear else x, column)
+        return out
 
 
 def unpack(op: OuterOp) -> UnpackedOp:

@@ -14,8 +14,7 @@ from functools import lru_cache
 
 from ._record import Record
 from .errors import BlockMismatch
-from .field import (HALF, I, MINUS_ONE, ONE, SQRT2, SQRT3, ZERO, ExactScalar,
-                    rational)
+from .field import HALF, I, MINUS_ONE, ONE, SQRT2, SQRT3, ZERO, rational
 from .linalg import Subspace, stacked_solve, structure_constants
 from .matrix import Matrix, trace_product
 from .representations import GEN_INDICES, LieBasis
@@ -181,16 +180,12 @@ def g2_basis() -> G2Basis:
     return G2Basis(lambdas)
 
 
-def frobenius_pairing(x: Matrix, y: Matrix) -> ExactScalar:
-    """<X, Y> = tr(X^dagger Y) / 2, the pairing used for orthogonality."""
-    return HALF * trace_product(x.dagger(), y)
-
-
 def lambda_gram(g2: G2Basis):
-    """The full 14 x 14 Gram matrix of the Lambda family."""
+    """The full 14 x 14 Gram matrix of the Lambda family under the pairing
+    <X, Y> = tr(X^dagger Y) / 2, with each Lambda's dagger taken once."""
     lams = g2.lambdas
-    return Matrix(tuple(tuple(frobenius_pairing(a, b) for b in lams)
-                        for a in lams))
+    return Matrix(tuple(tuple(HALF * trace_product(d, b) for b in lams)
+                        for d in (a.dagger() for a in lams)))
 
 
 # -- su(3) embedding ----------------------------------------------------------

@@ -271,6 +271,19 @@ def naive_add_scaled(v: dict, c, w: dict, sign: int) -> dict:
     return out
 
 
+def dense_apply(unpacked, coeffs: dict) -> dict:
+    """An unpacked outer operator on a sparse coefficient vector by the
+    sweep over every row: entry k is sum_c m[k, c] * x_c over all n
+    columns, read through m[i, j], with each x_c conjugated first when the
+    operator is antilinear, and kept when it is nonzero."""
+    m = unpacked.matrix
+    vec = ({c: x.conj() for c, x in coeffs.items()} if unpacked.antilinear
+           else coeffs)
+    return {k: s for k in range(m.n)
+            if (s := sum((m[k, c] * vec[c] for c in range(m.n) if c in vec),
+                         ZERO))}
+
+
 def dense_coefficients(coeffs: dict, size: int) -> list:
     """A sparse coefficient vector ``{generator: c}`` as the dense list of
     its ``size`` coefficients, once it is seen to keep the sparse layout:

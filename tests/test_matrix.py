@@ -13,9 +13,10 @@ from oracles import (dense, dense_block2, dense_kron, dense_product, dense_sum,
                      naive_combination, naive_matmul)
 from triality.clifford import I2, SIGMA_X, SIGMA_Y, SIGMA_Z
 from triality.errors import DimensionMismatch
-from triality.field import ExactScalar, I, ONE, SQRT2, ZERO
+from triality.field import HALF, ExactScalar, I, ONE, SQRT2, ZERO
 from triality.matrix import (Matrix, add_scaled, anticommutator, combination,
-                             commutator, kron, sub_scaled, trace_product)
+                             commutator, is_combination, kron, sub_scaled,
+                             trace_product)
 from triality.representations import vector_basis
 from triality.subalgebras import intersect
 
@@ -170,6 +171,46 @@ def test_combination_matches_scale_then_add(terms):
     assert _canonical(got) and got == naive_combination(terms, 4)
 
 
+# Coefficients of is_combination's terms: a zero one, one-term ones and
+# multi-term ones; a term is 4x4, or now and then 3x3, a mixed size.
+term_coefficients = (st.just(ZERO) | st.sampled_from([ONE, -HALF, I, SQRT2])
+                     | coefficients)
+cancel_terms = st.lists(st.tuples(
+    term_coefficients, sparse_matrix(4, values=units) | sparse_matrix(4)
+    | sparse_matrix(3, entries=1)), max_size=4)
+
+
+@given(cancel_terms, st.none() | sparse_matrix(4, entries=1, values=units))
+@settings(max_examples=150, deadline=None)
+def test_is_combination_matches_building_the_combination(terms, delta):
+    """The cancellation test against ``combination(terms, n) == m``, for
+    m the sum itself, built by scale-then-add, or that sum plus a one-entry
+    matrix; a term of another size raises DimensionMismatch in both."""
+    try:
+        m = naive_combination([(c, t) for c, t in terms if t.n == 4], 4)
+        m = m + delta if delta is not None else m
+        want = combination(terms, 4) == m
+    except DimensionMismatch:
+        with pytest.raises(DimensionMismatch):
+            is_combination(m, terms)
+        return
+    assert is_combination(m, terms) == want
+    if delta is None:
+        assert want
+
+
+def test_is_combination_on_empty_and_cancelling_terms():
+    a = Matrix(((ONE, I), (ZERO, -ONE)))
+    c = I + ONE
+    assert is_combination(Matrix.zero(2), [])
+    assert not is_combination(a, [])
+    assert is_combination(Matrix.zero(2), [(c, a), (-c, a)])
+    assert is_combination(a.scale(c), [(ZERO, a), (c, a)])
+    assert not is_combination(a, [(c, a)])
+    with pytest.raises(DimensionMismatch):
+        is_combination(Matrix.identity(3), [(ZERO, a)])
+
+
 # One-term scalars on every coordinate with denominators 1-6, so that the
 # kernel's fused path meets products on every coordinate; multi-term ones
 # take the fallback.
@@ -217,6 +258,17 @@ def test_power_zero_is_the_identity():
     for m in (SIGMA_Y, Matrix.zero(3), vector_basis()[(0, 1)]):
         assert m.power(0) == Matrix.identity(m.n)
         assert m.power(1) == m
+
+
+@given(sparse_matrix(4, entries=6, values=units))
+@settings(max_examples=30, deadline=None)
+def test_power_matches_repeated_products(m):
+    """``power(k)``, which starts from the matrix, against k products of
+    the matrix onto the identity, for k = 0..4."""
+    product = Matrix.identity(4)
+    for k in range(5):
+        assert m.power(k) == product
+        product = product @ m
 
 
 def test_shapes_are_checked():

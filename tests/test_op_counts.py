@@ -11,7 +11,7 @@ room for a later rise; the README says how to update them.
 
 import pytest
 
-from triality import checks, linalg, matrix
+from triality import checks, linalg, matrix, subalgebras
 from triality.checks import FAULT_H_SIGN, run_suite
 from triality.clifford import EUCLIDEAN
 from triality.field import HALF, I, MINUS_ONE, SQRT2, SQRT6, ExactScalar
@@ -19,7 +19,7 @@ from triality.linalg import CoordSolver
 from triality.matrix import Matrix, add_scaled, commutator, sub_scaled
 from triality.representations import (same_structure_constants, spinor_bases,
                                       structure_mismatches, vector_basis)
-from triality.subalgebras import intersect_pair, restrict
+from triality.subalgebras import g2_basis, intersect_pair, lambda_gram, restrict
 
 _COLUMNS = ("scalars", "@", "brackets", "rref", "solves")
 
@@ -89,67 +89,67 @@ OP_COUNTS = {
 02 (8,0)              320       10        8        0        0
 02 (1,7)              392        8        8        0        0
 03 (8,0)            1,853       84        0        6        0
-04 (8,0)            6,382        0      504        3      168
-04 (1,7)            8,666      140      504        3      168
-05 (8,0)            2,456        3        0        0        0
-05 (1,7)            2,459        3        0        0        0
+04 (8,0)            5,134        0      504        3      168
+04 (1,7)            7,418      140      504        3      168
+05 (8,0)            2,344        2        0        0        0
+05 (1,7)            2,347        2        0        0        0
 06 (8,0)              848      112        0        0        0
 06 (1,7)              308        0        0        0        0
 07 (8,0)            1,008       34        0        0        0
 07 (1,7)            1,071       34        0        0        0
 08 (8,0)              233        6        0        0        0
-08 (1,7)              483       11        0        0        0
+08 (1,7)              451        9        0        0        0
 09 (8,0)            2,527        0        0       13        0
 10 (8,0)            1,591        0      126        2      119
 11 (8,0)              461       29        0        0        0
-12 (8,0)            6,235        6      239        5       99
-12 (1,7)            6,251        6      239        5       99
+12 (8,0)            5,507        6      190        5       99
+12 (1,7)            5,523        6      190        5       99
 13 (8,0)            1,606        0        0        0        0
 13 (1,7)            1,597        0        0        0        0
 14 (8,0)              392       56        0        0        0
 14 (1,7)              364       56        0        0        0
 15 (1,7)              168        0        0        0        0
-05 (8,0) h-sign     2,207        3        0        0        0
-runner                200        0        0        0        0
-total              53,871      624    1,736       37      653
+05 (8,0) h-sign     2,095        2        0        0        0
+runner                  0        0        0        0        0
+total              49,351      619    1,638       37      653
 """,
     "euclidean": """
                   scalars        @ brackets     rref   solves
 01 (8,0)            1,159        7       36        0        0
 02 (8,0)              320       10        8        0        0
 03 (8,0)            1,853       84        0        6        0
-04 (8,0)            6,382        0      504        3      168
-05 (8,0)            2,456        3        0        0        0
+04 (8,0)            5,134        0      504        3      168
+05 (8,0)            2,344        2        0        0        0
 06 (8,0)              848      112        0        0        0
 07 (8,0)            1,008       34        0        0        0
 08 (8,0)              233        6        0        0        0
 09 (8,0)            2,527        0        0       13        0
 10 (8,0)            1,591        0      126        2      119
 11 (8,0)              461       29        0        0        0
-12 (8,0)            6,235        6      239        5       99
+12 (8,0)            5,507        6      190        5       99
 13 (8,0)            1,606        0        0        0        0
 14 (8,0)              392       56        0        0        0
-05 (8,0) h-sign     2,207        3        0        0        0
-runner                200        0        0        0        0
-total              29,478      350      913       29      386
+05 (8,0) h-sign     2,095        2        0        0        0
+runner                  0        0        0        0        0
+total              27,078      348      864       29      386
 """,
     "lorentzian": """
                   scalars        @ brackets     rref   solves
 01 (1,7)            2,770       23       72        0        0
 02 (1,7)              392        8        8        0        0
-04 (1,7)            8,666      140      504        3      168
-05 (1,7)            2,459        3        0        0        0
+04 (1,7)            7,418      140      504        3      168
+05 (1,7)            2,347        2        0        0        0
 06 (1,7)              308        0        0        0        0
 07 (1,7)            1,071       34        0        0        0
-08 (1,7)              483       11        0        0        0
-12 (1,7)            6,251        6      239        5       99
+08 (1,7)              451        9        0        0        0
+12 (1,7)            5,523        6      190        5       99
 13 (1,7)            1,597        0        0        0        0
 14 (1,7)              364       56        0        0        0
 15 (1,7)              168        0        0        0        0
-05 (8,0)            4,012       87        0        0        0
-05 (8,0) h-sign     2,207        3        0        0        0
+05 (8,0)            3,900       86        0        0        0
+05 (8,0) h-sign     2,095        2        0        0        0
 runner                  0        0        0        0        0
-total              30,748      371      823        8      267
+total              28,404      366      774        8      267
 """,
 }
 
@@ -169,8 +169,9 @@ L(8,0) brackets     4,368        0      378        0        0
 L(8,0) solves       1,848        0        0        0      378
 intersect_pair        540        0        0        2        0
 intersection          176        0        0        2        0
-V/L (8,0)           3,370        0      336        2      168
-V/L/R (8,0)         6,382        0      504        3      168
+V/L (8,0)           2,746        0      336        2      168
+V/L/R (8,0)         5,134        0      504        3      168
+lambda_gram           200        0        0        0        0
 """
 
 
@@ -178,13 +179,15 @@ def test_the_layers_make_exactly_their_op_counts(monkeypatch, cold_caches):
     """L(8,0)'s 378 brackets, computed and solved, the axis-0
     restrictions of V and L met both ways, and the structure-constant
     comparison of V with L (``same_structure_constants``) and of V, L and
-    R (check 04's call), each counted on its own."""
+    R (check 04's call), and the Gram matrix of the 14 Lambdas that checks
+    10 and 17 read, each counted on its own."""
     left, right = spinor_bases(EUCLIDEAN)
     v = vector_basis(EUCLIDEAN)
     gens = left.matrices()
     solver = CoordSolver(gens)
     rv, rl = restrict(v, 0), restrict(left, 0)
     span_v, span_l = rv.span(), rl.span()
+    g2 = g2_basis()
     rec = _Recorder(monkeypatch)
     brackets = rec.row("L(8,0) brackets", lambda: [
         commutator(x, y) for k, x in enumerate(gens) for y in gens[k + 1:]])
@@ -194,9 +197,11 @@ def test_the_layers_make_exactly_their_op_counts(monkeypatch, cold_caches):
     meet = rec.row("intersection", span_v.intersection, span_l)
     report = rec.row("V/L (8,0)", same_structure_constants, v, left)
     mismatches = rec.row("V/L/R (8,0)", structure_mismatches, (v, left, right))
+    gram = rec.row("lambda_gram", lambda_gram, g2)
     assert report.equal and mismatches == (None, None)
     assert len(solved) == 378 and None not in solved
     assert meet == system.subspace and meet.dim == 14
+    assert gram == Matrix.identity(14).scale(HALF)
     measured = rec.table()
     assert measured == LAYER_COUNTS.strip("\n"), f"measured:\n{measured}"
 
@@ -212,3 +217,14 @@ def test_the_row_kernel_builds_through_the_recorded_constructor(monkeypatch):
     assert v == {}
     assert [counts for _, counts in rec.rows] == [(len(row), 0, 0, 0, 0),
                                                   (0, 0, 0, 0, 0)]
+
+
+def test_one_run_builds_the_lambda_gram_once(monkeypatch, cold_caches):
+    """Checks 10 and 17 read one Gram matrix per run, from the Euclidean
+    fixtures, which call ``lambda_gram`` through its module."""
+    calls = []
+    real = subalgebras.lambda_gram
+    monkeypatch.setattr(subalgebras, "lambda_gram",
+                        lambda g2: calls.append(g2) or real(g2))
+    assert not run_suite("all").failed
+    assert len(calls) == 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import dense, dense_coefficients, naive_combination
+from oracles import dense, dense_apply, dense_coefficients, naive_combination
 from triality.clifford import EUCLIDEAN, LORENTZIAN, Signature
 from triality.errors import SignatureMismatch, TrialityError
 from triality.field import (HALF, I, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO,
@@ -94,6 +94,21 @@ def test_apply_maps_sparse_coefficient_vectors(op_name, order):
         for _ in range(order - 1):
             out = unpacked.apply(out)
         assert out == {p: c}
+
+
+@pytest.mark.parametrize("op_name", ["H", "K", "T", "conj"])
+def test_apply_matches_the_dense_row_sweep(op_name):
+    """The sparse ``apply``, which adds up only the vector's own columns,
+    against the sweep over all 28 rows: on every unit vector, with a
+    one-term and a multi-term coefficient, and on the graded coefficient
+    vectors of both signatures."""
+    unpacked = unpack(outer_op(op_name))
+    vectors = [{p: c} for p in range(28) for c in (-HALF, ONE + I)]
+    for sig in (EUCLIDEAN, LORENTZIAN):
+        vectors += graded_basis(vector_basis(sig),
+                                signature_ops(sig)[0]).coeff_vectors
+    for vec in vectors:
+        assert unpacked.apply(vec) == dense_apply(unpacked, vec)
 
 
 def test_euclidean_cycle_hits_the_constructed_bases():

@@ -12,9 +12,8 @@ from triality.matrix import Matrix, combination, commutator
 from triality.outer import graded_basis, killing_form, outer_h, outer_k, unpack
 from triality.representations import (GEN_INDICES, P_MATRIX, spinor_bases,
                                       vector_basis)
-from triality.subalgebras import (BLOCK_FACTOR, block_target,
-                                  frobenius_pairing, g2_basis, gell_mann,
-                                  intersect, intersect_pair,
+from triality.subalgebras import (BLOCK_FACTOR, block_target, g2_basis,
+                                  gell_mann, intersect, intersect_pair,
                                   lambda_gram, restrict, su3_embedding,
                                   su3_transform)
 
@@ -154,17 +153,22 @@ def test_lambda_orthogonality_and_uniform_norm():
 
 def test_trace_forms_equal_product_then_trace():
     """On every ordered pair of generators within each of the six bases,
-    and of the 14 Lambdas, the two trace forms equal the trace of the full
-    product halved."""
-    families = [g2_basis().lambdas]
+    and of the 14 Lambdas, the Killing form equals the trace of the full
+    product halved; so does each entry tr(X^dagger Y)/2 of the Lambda Gram
+    matrix."""
+    lams = g2_basis().lambdas
+    families = [lams]
     for sig in (EUCLIDEAN, LORENTZIAN):
         families += [b.matrices() for b in (vector_basis(sig), *spinor_bases(sig))]
     for gens in families:
         for x in gens:
-            dagger = x.dagger()
             for y in gens:
                 assert killing_form(x, y) == HALF * (x @ y).trace()
-                assert frobenius_pairing(x, y) == HALF * (dagger @ y).trace()
+    gram = lambda_gram(g2_basis())
+    for a, x in enumerate(lams):
+        dagger = x.dagger()
+        for b, y in enumerate(lams):
+            assert gram[a, b] == HALF * (dagger @ y).trace()
 
 
 def test_swap_8_10_gives_commuting_pairs():
