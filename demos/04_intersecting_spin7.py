@@ -18,10 +18,10 @@ v = vector_basis()
 rv = restrict(v, 0)
 rl = restrict(basis("L"), 0)
 rr = restrict(basis("R"), 0)
-print(f"each restriction keeps {len(rv.indices)} generators and is closed:",
+print(f"each restriction keeps {len(rv.gens)} generators and is closed:",
       is_closed(rv.matrices()) and is_closed(rl.matrices()))
 print("restricted L and R related by the reflection P:",
-      all(rl[idx] == P_MATRIX @ rr[idx] @ P_MATRIX.T for idx in rl.indices))
+      all(rl[idx] == P_MATRIX @ rr[idx] @ P_MATRIX.T for idx in rl.gens))
 
 system = intersect_pair(rv, rl)
 print(f"\nstacked system: {system.unknowns} unknowns, rank {system.rank}, "

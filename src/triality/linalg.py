@@ -12,11 +12,12 @@ This module is the only place that eliminates: ``stacked_solve`` solves
 sum a_i x_i = sum b_j y_j through ``rref`` for every intersection, and
 ``_eliminate`` reduces one vector against echelon rows for ``Subspace``,
 ``CoordSolver`` and the orbit of ``same_structure_from_seeds``.
-``structure_constants`` is the one walker over the brackets of a
-generator list (``is_closed`` catches its ``NotClosed``), and
-``first_mismatch`` the one comparison of two of its arrays.
-``same_structure_from_seeds`` proves that lists share their structure
-constants from the brackets of a Lie-generating subset only.
+``structure_constants`` walks every bracket of a generator list
+(``is_closed`` catches its ``NotClosed``), and ``first_mismatch`` is the
+one comparison of two of its arrays.  ``same_structure_from_seeds``
+walks, in a loop of its own, only the brackets that hold a member of a
+Lie-generating subset, and proves from them that lists share their
+structure constants.
 """
 
 from __future__ import annotations

@@ -42,7 +42,8 @@ M_MATRIX = Matrix.diag((I,) + (ONE,) * 7)
 
 
 class LieBasis(Record, eq=False):
-    """An ordered set of 28 generators indexed by (i, j) pairs.
+    """An ordered set of generators indexed by (i, j) pairs: all 28, or
+    the 21 of a ``subalgebras.restrict``.
 
     Equality is identity (``eq=False``).  ``vector_basis`` and
     ``spinor_bases`` intern their results per signature, so
@@ -58,11 +59,14 @@ class LieBasis(Record, eq=False):
         return self.gens[idx]
 
     def matrices(self):
-        """Generators as a tuple in GEN_INDICES order."""
-        return tuple(self.gens[idx] for idx in GEN_INDICES)
+        """Generators as a tuple in the order of ``gens``."""
+        return tuple(self.gens.values())
 
     def items(self):
-        return tuple((idx, self.gens[idx]) for idx in GEN_INDICES)
+        return tuple(self.gens.items())
+
+    def span(self) -> Subspace:
+        return Subspace.from_matrices(self.matrices())
 
     def name_of(self, idx) -> str:
         return f"{self.kind}_{{{idx[0]},{idx[1]}}}"

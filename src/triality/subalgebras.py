@@ -11,34 +11,22 @@ su(3).
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from ._record import Record
 from .errors import BlockMismatch
 from .field import HALF, I, MINUS_ONE, ONE, SQRT2, SQRT3, ZERO, rational
 from .linalg import Subspace, stacked_solve, structure_constants
 from .matrix import Matrix, trace_product
-from .representations import GEN_INDICES, LieBasis
+from .representations import LieBasis
 
 
-class RestrictedBasis(Record, eq=False):
-    """The 21 generators of a basis whose indices avoid one axis."""
-
-    __slots__ = ("kind", "indices", "gens")
-
-    def __getitem__(self, idx) -> Matrix:
-        return self.gens[self.indices.index(idx)]
-
-    def matrices(self):
-        return self.gens
-
-    def span(self) -> Subspace:
-        return Subspace.from_matrices(self.gens)
-
-
-def restrict(b: LieBasis, axis: int) -> RestrictedBasis:
+def restrict(b: LieBasis, axis: int) -> LieBasis:
     """Drop every generator whose index pair touches ``axis``."""
-    indices = tuple(idx for idx in GEN_INDICES if axis not in idx)
-    return RestrictedBasis(b.kind, indices, tuple(b[idx] for idx in indices))
+    if axis not in range(8):
+        raise ValueError(f"axis {axis!r} is not one of 0..7")
+    return LieBasis(b.kind, b.signature, MappingProxyType(
+        {idx: m for idx, m in b.gens.items() if axis not in idx}))
 
 
 class Constraint(Record):
@@ -83,20 +71,21 @@ class IntersectionSystem(Record, eq=False):
         return tuple(c for c in self.constraints if c.dependent.startswith("b"))
 
 
-def intersect_pair(first: RestrictedBasis, second: RestrictedBasis) -> IntersectionSystem:
+def intersect_pair(first: LieBasis, second: LieBasis) -> IntersectionSystem:
     """Exact intersection of two restricted spans with named constraints."""
     # column order: a's (first basis), dependent b's, then free b's
-    s_order = [idx for idx in DEPENDENT_B if idx in second.indices]
-    s_order += [idx for idx in second.indices if idx not in s_order]
-    names = ([f"a{i}{j}" for i, j in first.indices]
+    s_order = [idx for idx in DEPENDENT_B if idx in second.gens]
+    s_order += [idx for idx in second.gens if idx not in s_order]
+    names = ([f"a{i}{j}" for i, j in first.gens]
              + [f"b{i}{j}" for i, j in s_order])
+    firsts = first.matrices()
     red, pivots, common = stacked_solve(
-        [m.vector() for m in first.gens], [second[idx].vector() for idx in s_order])
+        [m.vector() for m in firsts], [second[idx].vector() for idx in s_order])
     free = [c for c in range(len(names)) if c not in pivots]
     constraints = tuple(
         Constraint(names[p], tuple((-row[f], names[f]) for f in free if f in row))
         for row, p in zip(red, pivots))
-    subspace = Subspace.from_vectors(common, first.gens[0].n ** 2)
+    subspace = Subspace.from_vectors(common, firsts[0].n ** 2)
     return IntersectionSystem(subspace=subspace, constraints=constraints,
                               rank=len(red), unknowns=len(names))
 
@@ -147,6 +136,8 @@ class G2Basis(Record, eq=False):
 
     def __getitem__(self, k: int) -> Matrix:
         """1-indexed access matching the generator numbering."""
+        if not 1 <= k <= len(self.lambdas):
+            raise IndexError(f"Lambda_{k} is not one of Lambda_1..Lambda_14")
         return self.lambdas[k - 1]
 
     def su3_part(self):

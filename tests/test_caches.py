@@ -163,3 +163,6 @@ def test_bench_hooks_resolve():
         assert callable(fn.cache_clear), fn
     assert callable(spinor_bases.__wrapped__)
     assert callable(g2_basis.__wrapped__)
+    # layers.py spans the axis-0 restrictions with their own span()
+    restricted = subalgebras.restrict(vector_basis(EUCLIDEAN), 0)
+    assert restricted.span().dim == 21

@@ -98,7 +98,7 @@ OP_COUNTS = {
 07 (8,0)            1,008       34        0        0        0
 07 (1,7)            1,071       34        0        0        0
 08 (8,0)              233        6        0        0        0
-08 (1,7)              451        9        0        0        0
+08 (1,7)              395        8        0        0        0
 09 (8,0)            2,527        0        0       13        0
 10 (8,0)            1,591        0      126        2      119
 11 (8,0)              461       29        0        0        0
@@ -111,7 +111,7 @@ OP_COUNTS = {
 15 (1,7)              168        0        0        0        0
 05 (8,0) h-sign     2,095        2        0        0        0
 runner                  0        0        0        0        0
-total              49,351      619    1,638       37      653
+total              49,295      618    1,638       37      653
 """,
     "euclidean": """
                   scalars        @ brackets     rref   solves
@@ -141,7 +141,7 @@ total              27,078      348      864       29      386
 05 (1,7)            2,347        2        0        0        0
 06 (1,7)              308        0        0        0        0
 07 (1,7)            1,071       34        0        0        0
-08 (1,7)              451        9        0        0        0
+08 (1,7)              395        8        0        0        0
 12 (1,7)            5,523        6      190        5       99
 13 (1,7)            1,597        0        0        0        0
 14 (1,7)              364       56        0        0        0
@@ -149,7 +149,7 @@ total              27,078      348      864       29      386
 05 (8,0)            3,900       86        0        0        0
 05 (8,0) h-sign     2,095        2        0        0        0
 runner                  0        0        0        0        0
-total              28,404      366      774        8      267
+total              28,348      365      774        8      267
 """,
 }
 

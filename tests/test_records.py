@@ -23,7 +23,7 @@ from triality.outer import (Diagonalization, GradedBasis,
 from triality.representations import (LieBasis, SpanReport,
                                       StructureMatchReport, vector_basis)
 from triality.subalgebras import (Constraint, G2Basis, IntersectionSystem,
-                                  RestrictedBasis, Su3Embedding)
+                                  Su3Embedding)
 
 
 def _value_records():
@@ -53,7 +53,6 @@ def _identity_records():
     return [
         lambda: GradedBasis("H", (), (), (), ()),
         lambda: LieBasis("V", EUCLIDEAN, gens),
-        lambda: RestrictedBasis("V", (), ()),
         lambda: IntersectionSystem(None, (), 28, 42),
         lambda: G2Basis(()),
         lambda: Su3Embedding(None, (), ZERO),

@@ -10,8 +10,8 @@ from triality.field import HALF, I, ONE, ZERO, rational
 from triality.linalg import Subspace, det, is_closed, kernel_basis
 from triality.matrix import Matrix, combination, commutator
 from triality.outer import graded_basis, killing_form, outer_h, outer_k, unpack
-from triality.representations import (GEN_INDICES, P_MATRIX, spinor_bases,
-                                      vector_basis)
+from triality.representations import (GEN_INDICES, P_MATRIX, LieBasis,
+                                      spinor_bases, vector_basis)
 from triality.subalgebras import (BLOCK_FACTOR, block_target, g2_basis,
                                   gell_mann, intersect, intersect_pair,
                                   lambda_gram, restrict, su3_embedding,
@@ -33,15 +33,33 @@ def vl_system(restricted):
 
 def test_restriction_keeps_21_generators_and_closes(restricted):
     rv, rl, rr = restricted
-    assert len(rv.indices) == 21
-    assert all(0 not in idx for idx in rv.indices)
+    assert len(rv.gens) == 21
+    assert all(0 not in idx for idx in rv.gens)
     assert is_closed(rv.matrices())
     assert is_closed(rl.matrices())
 
 
+def test_a_restriction_is_a_basis_of_the_same_kind_and_signature(restricted):
+    for r, b in zip(restricted, (vector_basis(EUCLIDEAN),
+                                 *spinor_bases(EUCLIDEAN))):
+        assert isinstance(r, LieBasis)
+        assert (r.kind, r.signature) == (b.kind, b.signature)
+        assert r.items() == tuple(item for item in b.items() if 0 not in item[0])
+        assert r.span() == Subspace.from_matrices(r.matrices())
+    assert restrict(vector_basis(LORENTZIAN), 3).signature == LORENTZIAN
+    with pytest.raises(KeyError):
+        restricted[0][(0, 1)]
+
+
+@pytest.mark.parametrize("axis", [-1, 8, 9])
+def test_an_axis_outside_0_to_7_is_rejected(axis):
+    with pytest.raises(ValueError, match=f"axis {axis} "):
+        restrict(vector_basis(EUCLIDEAN), axis)
+
+
 def test_restricted_spinors_related_by_p(restricted):
     _, rl, rr = restricted
-    for idx in rl.indices:
+    for idx in rl.gens:
         assert rl[idx] == P_MATRIX @ rr[idx] @ P_MATRIX.T
 
 
@@ -122,6 +140,12 @@ def test_lambda_closure_and_su3():
 def test_lambdas_are_numbered_from_one():
     g2 = g2_basis()
     assert all(g2[k] is g2.lambdas[k - 1] for k in range(1, 15))
+
+
+@pytest.mark.parametrize("k", [0, -1, 15])
+def test_a_lambda_number_outside_1_to_14_is_rejected(k):
+    with pytest.raises(IndexError, match=f"Lambda_{k} "):
+        g2_basis()[k]
 
 
 # The pair (0-based) whose bracket first leaves the span when the sign of
