@@ -208,8 +208,8 @@ def _check_03(fx, f):
 
 def _check_04(fx, f):
     """V, L and R share their structure constants: certified from the
-    pairs that hold an adjacent rotation, with the full arrays solved only
-    to name where they differ (``representations.structure_mismatches``)."""
+    pairs that hold a seed V_{0j}, with the full arrays solved only to
+    name where they differ (``representations.structure_mismatches``)."""
     mismatches = representations.structure_mismatches(fx.bases)
     for pair, at in zip(("V/L", "L/R"), mismatches):
         f.check(at is None, f"{_LABEL[fx.sig]} {pair} structure constants "

@@ -11,13 +11,13 @@ arithmetic), so constraint presentations are reproducible run to run.
 This module is the only place that eliminates: ``stacked_solve`` solves
 sum a_i x_i = sum b_j y_j through ``rref`` for every intersection, and
 ``_eliminate`` reduces one vector against echelon rows for ``Subspace``,
-``CoordSolver`` and the orbit of ``same_structure_from_seeds``.
-``structure_constants`` walks every bracket of a generator list
-(``is_closed`` catches its ``NotClosed``), and ``first_mismatch`` is the
-one comparison of two of its arrays.  ``same_structure_from_seeds``
-walks, in a loop of its own, only the brackets that hold a member of a
-Lie-generating subset, and proves from them that lists share their
-structure constants.
+``CoordSolver`` and the orbit of ``same_structure``.
+``same_structure`` is the one closure proof: it picks its own seeds,
+walks only the brackets that hold one, and proves from them that a list
+closes (``is_closed`` catches its ``NotClosed``) and that other lists
+share its structure constants.  ``structure_constants`` walks every
+bracket, and ``first_mismatch`` is the one comparison of two of its
+arrays; callers run them only after a certificate fails, to name where.
 """
 
 from __future__ import annotations
@@ -275,12 +275,12 @@ def structure_constants(gens) -> StructureConstants:
 
 
 def is_closed(gens) -> bool:
-    """True when every pairwise bracket stays inside the span."""
+    """True when every pairwise bracket stays inside the span: the
+    certificate of ``same_structure``, with its NotClosed caught."""
     try:
-        structure_constants(gens)
+        return same_structure(gens)
     except NotClosed:
         return False
-    return True
 
 
 def _ad(coeffs, s: int, v: dict) -> dict:
@@ -295,77 +295,78 @@ def _ad(coeffs, s: int, v: dict) -> dict:
     return out
 
 
-def _ad_orbit_dim(coeffs, seeds, size: int) -> int:
-    """The dimension of the smallest subspace of coefficient space that
-    holds e_s for each seed s and is invariant under each ad X_s, or
-    ``size`` as soon as it reaches that.
+def _seed_brackets(gens, solver) -> dict:
+    """The solved brackets ``{(a, b): terms}``, a < b, of the pairs that
+    hold a seed, picked as ``same_structure`` says; raises NotClosed(a, b,
+    residual) for the first walked bracket that leaves the span."""
+    n = len(gens)
+    coeffs, seeds, rows, pivots = {}, [], [], []
+    candidates = iter(range(n))  # a position once inside stays inside
+    while len(rows) < n:
+        for s in candidates:
+            e = {s: ONE}
+            _eliminate(e, rows, pivots)
+            if e:
+                break
+        for y in range(n):
+            a, b = min(s, y), max(s, y)
+            if a != b and (a, b) not in coeffs:
+                bracket = commutator(gens[a], gens[b])
+                coeffs[a, b] = solver.solve(bracket)
+                if coeffs[a, b] is None:
+                    raise NotClosed(a, b, bracket)
+        seeds.append(s)
+        todo = [e, *(_ad(coeffs, s, row) for row in rows)]
+        for v in todo:  # breadth first: ``todo`` grows as the loop runs
+            _eliminate(v, rows, pivots)
+            if not v:
+                continue
+            p = min(v)
+            if v[p] != ONE:
+                inv = v[p].inverse()
+                v = {k: x * inv for k, x in v.items()}
+            rows.append(v)
+            pivots.append(p)
+            if len(rows) == n:
+                break
+            todo += [_ad(coeffs, t, v) for t in seeds]
+    return coeffs
 
-    The subspace grows by ``_eliminate``, with no RREF: each new row is
-    zero at the pivots of the rows before it.
-    """
-    rows, pivots = [], []
-    todo = [{s: ONE} for s in seeds]
-    for v in todo:  # breadth first: ``todo`` grows as the loop runs
-        _eliminate(v, rows, pivots)
-        if not v:
-            continue
-        p = min(v)
-        if v[p] != ONE:
-            inv = v[p].inverse()
-            v = {k: x * inv for k, x in v.items()}
-        rows.append(v)
-        pivots.append(p)
-        if len(rows) == size:
-            break
-        todo += [_ad(coeffs, s, v) for s in seeds]
-    return len(rows)
 
+def same_structure(gens, images=()) -> bool:
+    """True when ``gens`` close and each list in ``images`` has exactly
+    their structure constants, proved from the pairs that hold a seed.
 
-def same_structure_from_seeds(gens, images, seeds) -> bool:
-    """True when each list in ``images`` has exactly the structure
-    constants of ``gens``, proved from the pairs that hold a seed.
-
-    ``seeds`` are positions in ``gens``.  The answer is True only when
-    ``gens`` and every image list are linearly independent; each bracket
-    [X_s, X_y] with s a seed solves in W = span X; the smallest subspace
-    holding the seeds and invariant under each ad X_s has dimension
-    ``len(gens)``; and each image bracket [Y_a, Y_b] over the same pairs
-    is the combination of the solved coefficients over the images.  No
-    other bracket is computed.  The Jacobi identity proves the rest:
+    The next seed is the lowest position outside the ad-orbit, the least
+    subspace of coefficient space holding each seed and invariant under
+    each seed's ad, grown by ``_eliminate``, until it is all of it.  Each
+    seed's brackets [X_s, X_y] are solved in W = span X, and each image
+    bracket [Y_a, Y_b] over the same pairs must be the combination of the
+    solved coefficients over the images, each list independent.  The
+    Jacobi identity proves the rest:
     - the idealizer {x in W : [x, W] in W} is a subalgebra holding the
-      seeds, so it holds the orbit, which is W: W is closed, and the seeds
-      generate it;
+      seeds, so it holds the orbit, which is W: W is closed;
     - for the linear map phi: X_a -> Y_a, the set {x in W : phi[x, y] =
       [phi x, phi y] for every y in W} is a subalgebra holding the seeds,
       so it is W, and every bracket of the images has X's coefficients.
-    False proves no difference: ``structure_constants`` and
-    ``first_mismatch`` find one.  Raises like ``CoordSolver`` for an
-    empty list or mixed sizes, and ValueError for an image list of
-    another length or a seed outside the list.
-    """
+    So closure is decided exactly: if W is not closed, a walked bracket
+    leaves it, raising NotClosed(a, b, residual), not always the first of
+    ``structure_constants``.  False proves no difference: the full arrays
+    find one.  Raises like ``CoordSolver`` for ``gens`` (empty, mixed
+    sizes, LinearlyDependent), and ValueError for an image list of
+    another length."""
     gens = list(gens)
     images = [list(img) for img in images]
     if any(len(img) != len(gens) for img in images):
         raise ValueError(f"image lists of lengths {[len(i) for i in images]} "
                          f"for {len(gens)} generators")
-    seeds = sorted(set(seeds))
-    if any(s not in range(len(gens)) for s in seeds):
-        raise ValueError(f"seeds {seeds} outside {len(gens)} generators")
+    solver = CoordSolver(gens)
     try:
-        solver = CoordSolver(gens)
         for img in images:
             CoordSolver(img)
     except LinearlyDependent:
         return False
-    coeffs = {}
-    for a, x in enumerate(gens):
-        for b in range(a + 1, len(gens)):
-            if a in seeds or b in seeds:
-                coeffs[a, b] = solver.solve(commutator(x, gens[b]))
-                if coeffs[a, b] is None:
-                    return False
-    if _ad_orbit_dim(coeffs, seeds, len(gens)) != len(gens):
-        return False
+    coeffs = _seed_brackets(gens, solver)
     return all(is_combination(commutator(img[a], img[b]),
                               ((val, img[c]) for c, val in terms.items()))
                for img in images for (a, b), terms in coeffs.items())

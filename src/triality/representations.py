@@ -8,7 +8,8 @@ every basis, and the right-handed Euclidean basis is conjugated by the
 reflection P = diag(-1, 1, ..., 1).
 
 ``structure_mismatches`` is the one comparison of their structure
-constants, behind check 04 and ``same_structure_constants``.
+constants, behind check 04 and ``same_structure_constants``; it tries
+the closure certificate ``linalg.same_structure`` first.
 """
 
 from __future__ import annotations
@@ -21,15 +22,11 @@ from ._record import Record
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature
 from .errors import SignatureMismatch, TrialityError
 from .field import HALF, I, MINUS_ONE, ONE
-from .linalg import Subspace, same_structure_from_seeds, structure_constants
+from .linalg import Subspace, same_structure, structure_constants
 from .matrix import Matrix, common_size
 
 # The 28 generator indices (i, j), 0 <= i < j <= 7, in lexicographic order.
 GEN_INDICES = tuple((i, j) for i in range(8) for j in range(i + 1, 8))
-
-# Positions of the seven adjacent rotations V_{i,i+1}, which generate
-# so(8) and so(1,7) alike: the seeds of ``structure_mismatches``.
-SEEDS = tuple(GEN_INDICES.index((i, i + 1)) for i in range(7))
 
 # Generators whose default sign is flipped in every basis.
 SIGN_FLIPS = ((1, 5), (2, 6))
@@ -204,12 +201,12 @@ class StructureMatchReport(Record):
 def structure_mismatches(bases):
     """For each consecutive pair of ``bases``, the first key (a, b, c)
     where their structure constants differ, or None.  The seed certificate
-    (``same_structure_from_seeds``) comes first; only when it fails are the
+    (``linalg.same_structure``) comes first; only when it fails are the
     full arrays solved and compared, so that they name any difference and
     raise any LinearlyDependent or NotClosed."""
     first, *rest = (b.matrices() for b in bases)
     try:
-        if same_structure_from_seeds(first, rest, SEEDS):
+        if same_structure(first, rest):
             return (None,) * len(rest)
     except TrialityError:
         pass

@@ -37,7 +37,7 @@ SURVIVING_CACHES = {
     "representations.spinor_bases":
         "interns LieBasis; 5-7 ms per build; the bench times its __wrapped__",
     "subalgebras.g2_basis":
-        "4.6 ms with 91 closure solves, hit 7 times per warm pass; the bench "
+        "1.5 ms with 46 closure solves, hit 7 times per warm pass; the bench "
         "times its __wrapped__",
 }
 

@@ -10,18 +10,20 @@ from hypothesis import strategies as st
 from oracles import (cofactor_det, dense, dense_coefficients, in_span,
                      matrix_in_span, naive_bracket, naive_combination,
                      naive_rank)
-from triality import linalg
+from triality import linalg, subalgebras
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.errors import DimensionMismatch, LinearlyDependent, NotClosed
 from triality.field import ONE, ZERO, rational
 from triality.linalg import (CoordSolver, StructureConstants, Subspace, det,
-                             is_closed, kernel_basis, rref,
-                             same_structure_from_seeds, structure_constants)
+                             is_closed, kernel_basis, rref, same_structure,
+                             structure_constants)
 from triality.matrix import Matrix, commutator
-from triality.representations import (GEN_INDICES, _make_basis, real_span,
-                                      same_structure_constants, spinor_bases,
-                                      structure_mismatches, vector_basis)
-from triality.subalgebras import g2_basis, intersect
+from triality.outer import graded_basis, signature_ops
+from triality.representations import (GEN_INDICES, _make_basis, basis,
+                                      real_span, same_structure_constants,
+                                      spinor_bases, structure_mismatches,
+                                      vector_basis)
+from triality.subalgebras import g2_basis, intersect, restrict
 
 # every p/q with q <= 3 and |p/q| <= 3, and more
 fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
@@ -129,8 +131,7 @@ def test_mixed_matrix_sizes_are_rejected():
     i2, i4 = Matrix.identity(2), Matrix.identity(4)
     mixed = r"^mixed sizes \[2, 4\]$"
     for build in (CoordSolver, Subspace.from_matrices, structure_constants,
-                  is_closed, real_span,
-                  lambda mats: same_structure_from_seeds(mats, (), [0])):
+                  is_closed, real_span, same_structure):
         for mats in ([i2, i4], [i4, i2]):
             with pytest.raises(DimensionMismatch, match=mixed):
                 build(mats)
@@ -195,10 +196,6 @@ def test_first_mismatch_names_the_first_stored_key_that_differs():
         fv.first_mismatch(StructureConstants(27, {}))
 
 
-# the seven adjacent rotations V_{i,i+1}
-_SEEDS = [GEN_INDICES.index((i, i + 1)) for i in range(7)]
-
-
 def _full_path(gens, left, right):
     """The certificate's oracle: every bracket of the three lists solved,
     and the arrays compared; an error in solving is a False."""
@@ -230,7 +227,7 @@ _PERTURBED = [
 @pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN])
 def test_the_seed_certificate_holds_for_v_l_and_r(sig):
     v, left, right = (_six_basis(sig, k) for k in range(3))
-    assert same_structure_from_seeds(v, (left, right), _SEEDS)
+    assert same_structure(v, (left, right))
     fv, fl, fr = map(structure_constants, (v, left, right))
     assert fv == fl == fr
 
@@ -244,7 +241,7 @@ def test_the_seed_certificate_agrees_with_the_full_arrays(sig, kind, change):
     else:
         right = change(right)
     expected = _full_path(v, left, right)
-    assert same_structure_from_seeds(v, (left, right), _SEEDS) is expected
+    assert same_structure(v, (left, right)) is expected
     assert expected is False
 
 
@@ -293,67 +290,134 @@ def test_a_failed_certificate_names_what_the_full_arrays_name(sig, kind, change)
         _assert_like_plain(report, [bases[i] for i in pair])
 
 
-@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN])
-def test_six_seeds_generate_only_so7(sig):
-    """V_{01}..V_{56} close on the 21 rotations of axes 0-6 (so(7), or
-    so(1,6)), so their orbit stops short of 28 and proves nothing."""
-    v, left, right = (_six_basis(sig, k) for k in range(3))
-    assert not same_structure_from_seeds(v, (left, right), _SEEDS[:6])
-    so7 = [v[GEN_INDICES.index((i, j))]
-           for i in range(7) for j in range(i + 1, 7)]
-    assert len(so7) == 21 and is_closed(so7)
-    solver = CoordSolver(v)
-    coeffs = {(a, b): solver.solve(commutator(v[a], v[b]))
-              for a in range(28) for b in range(a + 1, 28)}
-    assert linalg._ad_orbit_dim(coeffs, _SEEDS[:6], 28) == 21
+def _graded(sig):
+    return graded_basis(vector_basis(sig), signature_ops(sig)[0])
+
+
+def _shifted_v():
+    """V in the basis X_a + X_{a+1}, then X_27: brackets are combinations
+    of several generators, so a sign slip in ad shows, where in V's own
+    basis every bracket is one generator up to sign."""
+    v = vector_basis().matrices()
+    return [x + y for x, y in zip(v, v[1:])] + [v[-1]]
+
+
+# each closed list, by name, and the seeds the certificate picks for it;
+# in a basis or restriction they are the star X_{ij} of its lowest axis i
+_CLOSED = {
+    **{name: (lambda sig=sig, k=k: _six_basis(sig, k), range(7))
+       for name, (sig, k) in zip(_SIX_IDS, _SIX_BASES)},
+    **{f"axis-0 {kind}": (lambda kind=kind: restrict(basis(kind), 0).matrices(),
+                          range(6)) for kind in "VLR"},
+    **{f"{sig}-g2_part": (lambda sig=sig: _graded(sig).g2_part, range(4))
+       for sig in (EUCLIDEAN, LORENTZIAN)},
+    "lambdas": (lambda: g2_basis().lambdas, (0, 1, 3, 8)),
+    "su3_part": (lambda: g2_basis().su3_part(), (0, 1, 3)),
+    "shifted V": (_shifted_v, range(7)),
+}
 
 
 def _naive_orbit_dim(gens, seeds):
     """The orbit grown from the matrices themselves: each new member is
-    bracketed with each seed by definition and kept when it raises the
-    naive rank."""
-    def flat(m):
-        return [x for row in dense(m) for x in row]
-
-    members = []
+    bracketed with each seed by definition and kept when plain dense
+    elimination against the members so far leaves something of it."""
+    members = []  # (pivot, flattened row), zero at the pivots before it
     todo = [gens[s] for s in seeds]
     for m in todo:
-        if naive_rank([*map(flat, members), flat(m)]) > len(members):
-            members.append(m)
+        row = [x for r in dense(m) for x in r]
+        for p, w in members:
+            if row[p]:
+                f = row[p] * w[p].inverse()
+                row = [x - f * y for x, y in zip(row, w)]
+        p = next((c for c, x in enumerate(row) if x), None)
+        if p is not None:
+            members.append((p, row))
+            if len(members) == len(gens):
+                break
             todo += [naive_bracket(gens[s], m) for s in seeds]
     return len(members)
 
 
-@pytest.mark.parametrize("seeds", [[15, 20], [8, 23], [0, 7, 16]])
-def test_the_orbit_matches_its_naive_oracle(seeds):
-    """In the basis X_a + X_{a+1} of V, brackets are combinations of
-    several generators, so a sign slip in ad shows: in V's own basis every
-    bracket is one generator up to sign, and the orbit only counts them."""
-    v = vector_basis().matrices()
-    gens = [x + y for x, y in zip(v, v[1:])] + [v[-1]]
-    solver = CoordSolver(gens)
-    coeffs = {(a, b): solver.solve(commutator(gens[a], gens[b]))
-              for a in range(28) for b in range(a + 1, 28)
-              if a in seeds or b in seeds}
-    expected = _naive_orbit_dim(gens, seeds)
-    assert linalg._ad_orbit_dim(coeffs, seeds, 28) == expected < 28
+@pytest.mark.parametrize("name", _CLOSED)
+def test_the_certificate_walks_the_pairs_of_seeds_that_generate(name):
+    """The pairs walked are exactly those holding a pinned seed; grown
+    from the matrices by the naive oracle, the seeds' orbit is the whole
+    span, and without the last seed it is not, so each pick was needed.
+    Each seed's ad, applied to a vector with every coordinate set, is the
+    naive bracket of the seed with that vector's combination."""
+    build, seeds = _CLOSED[name]
+    gens, seeds = list(build()), list(seeds)
+    n, size = len(gens), gens[0].n
+    coeffs = linalg._seed_brackets(gens, CoordSolver(gens))
+    assert set(coeffs) == {(a, b) for a in range(n) for b in range(a + 1, n)
+                           if a in seeds or b in seeds}
+    assert _naive_orbit_dim(gens, seeds) == n > _naive_orbit_dim(gens, seeds[:-1])
+    v = {b: rational(b + 1) for b in range(n)}
+    x = naive_combination([(c, gens[b]) for b, c in v.items()], size)
+    for s in seeds:
+        ad = linalg._ad(coeffs, s, v)
+        assert naive_combination([(c, gens[b]) for b, c in ad.items()],
+                                 size) == naive_bracket(gens[s], x), s
+
+
+def _flipped_lambdas(monkeypatch):
+    """The Lambda list of each table entry's sign flipped in turn, as
+    ``g2_basis`` builds it with its closure proof patched out."""
+    monkeypatch.setattr(subalgebras, "is_closed", lambda gens: True)
+    out = []
+    for name in ("_FAMILY_HALF", "_FAMILY_ROOT3"):
+        table = getattr(subalgebras, name)
+        for i, (r, c, k, s) in enumerate(table):
+            monkeypatch.setattr(subalgebras, name,
+                                table[:i] + ((r, c, k, -s),) + table[i + 1:])
+            out.append(g2_basis.__wrapped__().lambdas)
+    monkeypatch.undo()
+    return out
+
+
+def _closed_by_the_full_walk(gens):
+    try:
+        structure_constants(gens)
+    except NotClosed:
+        return False
+    return True
+
+
+def test_is_closed_agrees_with_the_full_walk(monkeypatch):
+    """On the closed lists above, the handed part of each grading, two
+    rotations and the 35 Lambda lists with one table sign flipped,
+    ``is_closed`` is True exactly when solving every bracket raises no
+    NotClosed."""
+    v = vector_basis()
+    lists = [build() for build, _ in _CLOSED.values()]
+    lists += [_graded(sig).right_part + _graded(sig).left_part
+              for sig in (EUCLIDEAN, LORENTZIAN)]
+    lists += [[v[(0, 1)], v[(1, 2)]], *_flipped_lambdas(monkeypatch)]
+    expected = [_closed_by_the_full_walk(gens) for gens in lists]
+    assert [is_closed(gens) for gens in lists] == expected
+    assert expected.count(True) == len(_CLOSED) == 14
+    assert expected.count(False) == 3 + 35
 
 
 def test_a_generator_list_that_is_not_closed_is_no_certificate():
     """[V_01, V_12] = +-V_02 leaves the span once V_02 carries the
-    identity: a False, with no NotClosed escaping."""
+    identity: the certificate raises NotClosed for that bracket, the
+    first that the full walk meets too, and ``is_closed`` is False."""
     v, left, right = (_six_basis(EUCLIDEAN, k) for k in range(3))
     broken = _changed(v, (0, 2), lambda m: m + Matrix.identity(8))
     assert not is_closed(broken)
-    assert not same_structure_from_seeds(broken, (left, right), _SEEDS)
+    walked = (0, GEN_INDICES.index((1, 2)))
+    for prove in (structure_constants, lambda gens: same_structure(
+            gens, (left, right))):
+        with pytest.raises(NotClosed) as err:
+            prove(broken)
+        assert (err.value.a, err.value.b) == walked
 
 
 def test_the_seed_certificate_rejects_malformed_input():
     v, left, _ = (_six_basis(EUCLIDEAN, k) for k in range(3))
     with pytest.raises(ValueError, match="lengths \\[27\\] for 28 generators"):
-        same_structure_from_seeds(v, (left[1:],), _SEEDS)
-    with pytest.raises(ValueError, match="outside 28 generators"):
-        same_structure_from_seeds(v, (left,), [0, 28])
+        same_structure(v, (left[1:],))
 
 
 def test_lambda_commutator_stays_in_su3_span_by_rref_oracle():

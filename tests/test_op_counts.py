@@ -15,8 +15,9 @@ from triality import checks, linalg, matrix, subalgebras
 from triality.checks import FAULT_H_SIGN, run_suite
 from triality.clifford import EUCLIDEAN
 from triality.field import HALF, I, MINUS_ONE, SQRT2, SQRT6, ExactScalar
-from triality.linalg import CoordSolver
+from triality.linalg import CoordSolver, is_closed
 from triality.matrix import Matrix, add_scaled, commutator, sub_scaled
+from triality.outer import graded_basis, signature_ops
 from triality.representations import (same_structure_constants, spinor_bases,
                                       structure_mismatches, vector_basis)
 from triality.subalgebras import g2_basis, intersect_pair, lambda_gram, restrict
@@ -89,8 +90,8 @@ OP_COUNTS = {
 02 (8,0)              320       10        8        0        0
 02 (1,7)              392        8        8        0        0
 03 (8,0)            1,853       84        0        6        0
-04 (8,0)            5,134        0      504        3      168
-04 (1,7)            7,418      140      504        3      168
+04 (8,0)            4,819        0      504        3      168
+04 (1,7)            7,137      140      504        3      168
 05 (8,0)            2,344        2        0        0        0
 05 (1,7)            2,347        2        0        0        0
 06 (8,0)              848      112        0        0        0
@@ -100,10 +101,10 @@ OP_COUNTS = {
 08 (8,0)              233        6        0        0        0
 08 (1,7)              395        8        0        0        0
 09 (8,0)            2,527        0        0       13        0
-10 (8,0)            1,591        0      126        2      119
+10 (8,0)            1,168        0       71        2       64
 11 (8,0)              461       29        0        0        0
-12 (8,0)            5,507        6      190        5       99
-12 (1,7)            5,523        6      190        5       99
+12 (8,0)            5,097        6      145        5       54
+12 (1,7)            5,113        6      145        5       54
 13 (8,0)            1,606        0        0        0        0
 13 (1,7)            1,597        0        0        0        0
 14 (8,0)              392       56        0        0        0
@@ -111,45 +112,45 @@ OP_COUNTS = {
 15 (1,7)              168        0        0        0        0
 05 (8,0) h-sign     2,095        2        0        0        0
 runner                  0        0        0        0        0
-total              49,295      618    1,638       37      653
+total              47,456      618    1,493       37      508
 """,
     "euclidean": """
                   scalars        @ brackets     rref   solves
 01 (8,0)            1,159        7       36        0        0
 02 (8,0)              320       10        8        0        0
 03 (8,0)            1,853       84        0        6        0
-04 (8,0)            5,134        0      504        3      168
+04 (8,0)            4,819        0      504        3      168
 05 (8,0)            2,344        2        0        0        0
 06 (8,0)              848      112        0        0        0
 07 (8,0)            1,008       34        0        0        0
 08 (8,0)              233        6        0        0        0
 09 (8,0)            2,527        0        0       13        0
-10 (8,0)            1,591        0      126        2      119
+10 (8,0)            1,168        0       71        2       64
 11 (8,0)              461       29        0        0        0
-12 (8,0)            5,507        6      190        5       99
+12 (8,0)            5,097        6      145        5       54
 13 (8,0)            1,606        0        0        0        0
 14 (8,0)              392       56        0        0        0
 05 (8,0) h-sign     2,095        2        0        0        0
 runner                  0        0        0        0        0
-total              27,078      348      864       29      386
+total              25,930      348      764       29      286
 """,
     "lorentzian": """
                   scalars        @ brackets     rref   solves
 01 (1,7)            2,770       23       72        0        0
 02 (1,7)              392        8        8        0        0
-04 (1,7)            7,418      140      504        3      168
+04 (1,7)            7,137      140      504        3      168
 05 (1,7)            2,347        2        0        0        0
 06 (1,7)              308        0        0        0        0
 07 (1,7)            1,071       34        0        0        0
 08 (1,7)              395        8        0        0        0
-12 (1,7)            5,523        6      190        5       99
+12 (1,7)            5,113        6      145        5       54
 13 (1,7)            1,597        0        0        0        0
 14 (1,7)              364       56        0        0        0
 15 (1,7)              168        0        0        0        0
 05 (8,0)            3,900       86        0        0        0
 05 (8,0) h-sign     2,095        2        0        0        0
 runner                  0        0        0        0        0
-total              28,348      365      774        8      267
+total              27,657      365      729        8      222
 """,
 }
 
@@ -169,9 +170,12 @@ L(8,0) brackets     4,368        0      378        0        0
 L(8,0) solves       1,848        0        0        0      378
 intersect_pair        540        0        0        2        0
 intersection          176        0        0        2        0
-V/L (8,0)           2,746        0      336        2      168
-V/L/R (8,0)         5,134        0      504        3      168
+V/L (8,0)           2,551        0      336        2      168
+V/L/R (8,0)         4,819        0      504        3      168
 lambda_gram           200        0        0        0        0
+g2_basis              735        0       46        1       46
+is_closed su3         191        0       18        1       18
+is_closed R+L         336        0        8        1        8
 """
 
 
@@ -179,8 +183,11 @@ def test_the_layers_make_exactly_their_op_counts(monkeypatch, cold_caches):
     """L(8,0)'s 378 brackets, computed and solved, the axis-0
     restrictions of V and L met both ways, and the structure-constant
     comparison of V with L (``same_structure_constants``) and of V, L and
-    R (check 04's call), and the Gram matrix of the 14 Lambdas that checks
-    10 and 17 read, each counted on its own."""
+    R (check 04's call), the Gram matrix of the 14 Lambdas that checks
+    10 and 17 read, and the closure proofs of checks 10 and 12, each
+    counted on its own: a cold ``g2_basis``, the su(3) part, and the
+    handed part of the grading, which stops at its first bracket that
+    leaves the span.  A certificate that picks more seeds shows here."""
     left, right = spinor_bases(EUCLIDEAN)
     v = vector_basis(EUCLIDEAN)
     gens = left.matrices()
@@ -188,6 +195,8 @@ def test_the_layers_make_exactly_their_op_counts(monkeypatch, cold_caches):
     rv, rl = restrict(v, 0), restrict(left, 0)
     span_v, span_l = rv.span(), rl.span()
     g2 = g2_basis()
+    graded = graded_basis(v, signature_ops(EUCLIDEAN)[0])
+    handed = graded.right_part + graded.left_part
     rec = _Recorder(monkeypatch)
     brackets = rec.row("L(8,0) brackets", lambda: [
         commutator(x, y) for k, x in enumerate(gens) for y in gens[k + 1:]])
@@ -198,6 +207,10 @@ def test_the_layers_make_exactly_their_op_counts(monkeypatch, cold_caches):
     report = rec.row("V/L (8,0)", same_structure_constants, v, left)
     mismatches = rec.row("V/L/R (8,0)", structure_mismatches, (v, left, right))
     gram = rec.row("lambda_gram", lambda_gram, g2)
+    cold = rec.row("g2_basis", g2_basis.__wrapped__)
+    su3 = rec.row("is_closed su3", is_closed, g2.su3_part())
+    closed = rec.row("is_closed R+L", is_closed, handed)
+    assert cold.lambdas == g2.lambdas and su3 and not closed
     assert report.equal and mismatches == (None, None)
     assert len(solved) == 378 and None not in solved
     assert meet == system.subspace and meet.dim == 14

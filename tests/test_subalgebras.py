@@ -152,20 +152,32 @@ def test_a_lambda_number_outside_1_to_14_is_rejected(k):
 # each _FAMILY_HALF entry in turn is flipped.
 _BROKEN_PAIRS = ((0, 4), (0, 3), (0, 4), (0, 3), (0, 3), (0, 4), (0, 3),
                  (0, 4), (0, 1), (0, 3), (0, 2), (0, 2), (0, 3), (0, 1))
+# The same for each _FAMILY_ROOT3 entry.  The pairs outside row 0 are
+# where the certificate's walk and the full walk go different ways.
+_BROKEN_ROOT3_PAIRS = (
+    (3, 8), (3, 9), (0, 10), (0, 11), (0, 10), (0, 11), (3, 4), (0, 11),
+    (0, 10), (0, 11), (0, 10), (0, 10), (0, 11), (0, 10), (0, 11), (3, 4),
+    (3, 9), (3, 8), (3, 8), (3, 9), (3, 4))
 
 
 def test_a_flipped_sign_in_the_lambda_table_is_not_closed(monkeypatch):
-    table = subalgebras._FAMILY_HALF
-    assert len(table) == len(_BROKEN_PAIRS)
-    for i, (r, c, k, s) in enumerate(table):
-        monkeypatch.setattr(subalgebras, "_FAMILY_HALF",
-                            table[:i] + ((r, c, k, -s),) + table[i + 1:])
-        a, b = _BROKEN_PAIRS[i]
-        with pytest.raises(NotClosed, match=(
-                f"^bracket of generators {a} and {b} leaves the span$")) as err:
-            g2_basis.__wrapped__()
-        assert (err.value.a, err.value.b) == (a, b)
-        assert not err.value.residual.is_zero
+    """A flipped sign in either table raises NotClosed for the first pair
+    of the full walk, which ``g2_basis`` runs once its certificate fails."""
+    for name, pairs in (("_FAMILY_HALF", _BROKEN_PAIRS),
+                        ("_FAMILY_ROOT3", _BROKEN_ROOT3_PAIRS)):
+        table = getattr(subalgebras, name)
+        assert len(table) == len(pairs)
+        for i, (r, c, k, s) in enumerate(table):
+            monkeypatch.setattr(subalgebras, name,
+                                table[:i] + ((r, c, k, -s),) + table[i + 1:])
+            a, b = pairs[i]
+            with pytest.raises(NotClosed, match=(
+                    f"^bracket of generators {a} and {b} leaves the span$")
+                    ) as err:
+                g2_basis.__wrapped__()
+            assert (err.value.a, err.value.b) == (a, b)
+            assert not err.value.residual.is_zero
+        monkeypatch.setattr(subalgebras, name, table)
 
 
 def test_lambda_orthogonality_and_uniform_norm():
