@@ -16,7 +16,7 @@ from types import MappingProxyType
 from ._record import Record
 from .errors import BlockMismatch
 from .field import HALF, I, MINUS_ONE, ONE, SQRT2, SQRT3, ZERO, rational
-from .linalg import Subspace, is_closed, stacked_solve, structure_constants
+from .linalg import Subspace, same_structure, stacked_solve
 from .matrix import Matrix, trace_product
 from .representations import LieBasis
 
@@ -156,9 +156,9 @@ class G2Basis(Record, eq=False):
 
 @lru_cache(maxsize=None)
 def g2_basis() -> G2Basis:
-    """Construct Lambda_1..Lambda_14, proved closed by ``is_closed``; a
-    mistyped table entry raises NotClosed for the full walk's first pair
-    (0-based) whose bracket leaves the span."""
+    """Construct Lambda_1..Lambda_14, proved closed by ``same_structure``;
+    a mistyped table entry raises NotClosed for a walked pair (0-based)
+    whose bracket leaves the span."""
     entries = [dict() for _ in range(15)]
     for r, c, k, s in _FAMILY_HALF:
         entries[k][(r, c)] = HALF * s
@@ -168,8 +168,7 @@ def g2_basis() -> G2Basis:
         entries[k][(r, c)] = root3_unit * s
         entries[k][(c, r)] = -(root3_unit * s)
     lambdas = tuple(Matrix.from_entries(8, entries[k]) for k in range(1, 15))
-    if not is_closed(lambdas):
-        structure_constants(lambdas)
+    same_structure(lambdas)
     return G2Basis(lambdas)
 
 

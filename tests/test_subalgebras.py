@@ -148,12 +148,11 @@ def test_a_lambda_number_outside_1_to_14_is_rejected(k):
         g2_basis()[k]
 
 
-# The pair (0-based) whose bracket first leaves the span when the sign of
-# each _FAMILY_HALF entry in turn is flipped.
+# The pair (0-based) that NotClosed names when the sign of each
+# _FAMILY_HALF entry in turn is flipped.
 _BROKEN_PAIRS = ((0, 4), (0, 3), (0, 4), (0, 3), (0, 3), (0, 4), (0, 3),
                  (0, 4), (0, 1), (0, 3), (0, 2), (0, 2), (0, 3), (0, 1))
-# The same for each _FAMILY_ROOT3 entry.  The pairs outside row 0 are
-# where the certificate's walk and the full walk go different ways.
+# The same for each _FAMILY_ROOT3 entry.
 _BROKEN_ROOT3_PAIRS = (
     (3, 8), (3, 9), (0, 10), (0, 11), (0, 10), (0, 11), (3, 4), (0, 11),
     (0, 10), (0, 11), (0, 10), (0, 10), (0, 11), (0, 10), (0, 11), (3, 4),
@@ -161,8 +160,8 @@ _BROKEN_ROOT3_PAIRS = (
 
 
 def test_a_flipped_sign_in_the_lambda_table_is_not_closed(monkeypatch):
-    """A flipped sign in either table raises NotClosed for the first pair
-    of the full walk, which ``g2_basis`` runs once its certificate fails."""
+    """A flipped sign in either table raises NotClosed from the closure
+    certificate, for the pinned pair whose bracket leaves the span."""
     for name, pairs in (("_FAMILY_HALF", _BROKEN_PAIRS),
                         ("_FAMILY_ROOT3", _BROKEN_ROOT3_PAIRS)):
         table = getattr(subalgebras, name)
