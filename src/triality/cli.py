@@ -6,7 +6,10 @@ constructed object), ``map`` (apply an outer operator to a basis),
 operators), ``g2`` (the Lambda basis or the solved constraints), ``su3``
 (check and emit the embedding blocks).
 
-Exit codes: 0 all checks pass, 1 at least one check failed, 2 internal
+Every request takes one path: argparse validates the arguments, ``main``
+refuses an ``--out`` it cannot write, the verb's handler returns its text
+and exit code, and ``main`` writes the text to ``--out`` or stdout.  Exit
+codes: 0 all checks pass, 1 at least one check failed, 2 internal
 construction error, 64 usage error.  Output is deterministic: identical
 arguments produce byte-identical stdout.
 
@@ -35,12 +38,7 @@ from .suites import FAULT_NAMES, SUITES
 
 USAGE_EXIT = 64
 
-EMIT_OBJECTS = ("gammas-cl7", "gammas-cl8", "gammas-cl17", "vector",
-                "spinor-left", "spinor-right", "H", "K", "T", "g2-lambda",
-                "g2-constraints", "su3-blocks", "graded")
-
-# objects that accept a --signature flag (defaulting to 8,0)
-_SIGNED = {"vector", "spinor-left", "spinor-right", "graded"}
+_SIGNATURES = ("8,0", "1,7")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,13 +47,13 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_EXIT, f"{self.prog}: error: {message}\n")
 
 
-def _parse_signature(text):
+class _Usage(Exception):
+    """A usage error: ``main`` prints it to stderr and exits 64."""
+
+
+def _signature(text):
     from .clifford import EUCLIDEAN, LORENTZIAN
-    if text in ("8,0", "(8,0)"):
-        return EUCLIDEAN
-    if text in ("1,7", "(1,7)"):
-        return LORENTZIAN
-    return None
+    return dict(zip(_SIGNATURES, (EUCLIDEAN, LORENTZIAN)))[text]
 
 
 def _numbered(prefix, mats, start=1, suffix=""):
@@ -101,21 +99,25 @@ def _graded_items(signature):
             + _numbered("left", g.left_part))
 
 
-# emit object -> signature -> its (name, matrix) list, in deterministic order
-_NAMED_MATRICES = {
-    "gammas-cl7": lambda sig: _ladder_items("cl7_basis", "g", 1),
-    "gammas-cl8": lambda sig: _ladder_items("cl8_basis", "Gamma", 0),
-    "gammas-cl17": lambda sig: _ladder_items("cl17_basis", "Gamma", 0),
-    "H": lambda sig: _core_items("H"),
-    "K": lambda sig: _core_items("K"),
-    "T": lambda sig: _core_items("T"),
-    "vector": lambda sig: _basis_items("V", sig),
-    "spinor-left": lambda sig: _basis_items("L", sig),
-    "spinor-right": lambda sig: _basis_items("R", sig),
-    "g2-lambda": lambda sig: _lambda_items(),
-    "su3-blocks": lambda sig: _su3_items(),
-    "graded": _graded_items,
+# emit object -> (whether it takes --signature, the builder of its
+# (name, matrix) list from the signature, in deterministic order);
+# g2-constraints has no builder, as its output is not a list of matrices
+_OBJECTS = {
+    "gammas-cl7": (False, lambda _: _ladder_items("cl7_basis", "g", 1)),
+    "gammas-cl8": (False, lambda _: _ladder_items("cl8_basis", "Gamma", 0)),
+    "gammas-cl17": (False, lambda _: _ladder_items("cl17_basis", "Gamma", 0)),
+    "vector": (True, lambda sig: _basis_items("V", sig)),
+    "spinor-left": (True, lambda sig: _basis_items("L", sig)),
+    "spinor-right": (True, lambda sig: _basis_items("R", sig)),
+    "H": (False, lambda _: _core_items("H")),
+    "K": (False, lambda _: _core_items("K")),
+    "T": (False, lambda _: _core_items("T")),
+    "g2-lambda": (False, lambda _: _lambda_items()),
+    "g2-constraints": (False, None),
+    "su3-blocks": (False, lambda _: _su3_items()),
+    "graded": (True, _graded_items),
 }
+EMIT_OBJECTS = tuple(_OBJECTS)
 
 
 def _emit_constraints(fmt):
@@ -144,7 +146,7 @@ def _render(obj, named, fmt, signature):
         encode = Encoder()
         payload = {
             "object": obj,
-            "signature": str(signature) if obj in _SIGNED else None,
+            "signature": None if signature is None else str(signature),
             "items": [{"name": name, "matrix": encode.matrix(m)}
                       for name, m in named],
         }
@@ -155,73 +157,57 @@ def _render(obj, named, fmt, signature):
     return "".join(f"{name} =\n{m}\n\n" for name, m in named)
 
 
-def cmd_verify(args) -> int:
+def _emitted(obj, signature, fmt):
+    """One emit object's text, given its ``--signature`` text or None."""
+    signed, build = _OBJECTS[obj]
+    if signature is not None and not signed:
+        raise _Usage(f"object {obj!r} does not take a signature")
+    if build is None:
+        return _emit_constraints(fmt)
+    sig = _signature(signature or "8,0") if signed else None
+    return _render(obj, build(sig), fmt, sig)
+
+
+def cmd_verify(args):
     from .checks import run_suite, usage_error
     reason = usage_error(args.suite, args.inject_fault)
     if reason:
-        print(reason, file=sys.stderr)
-        return USAGE_EXIT
-    if args.out:
-        _check_writable(args.out)
+        raise _Usage(reason)
     report = run_suite(args.suite, fault=args.inject_fault)
     text = report.to_json_text() if args.format == "json" else report.to_text()
-    _write(args.out, text)
-    return 1 if report.failed else 0
+    return text, 1 if report.failed else 0
 
 
-def cmd_emit(args) -> int:
-    from .clifford import EUCLIDEAN
-    signature = _parse_signature(args.signature) if args.signature else None
-    if args.signature and signature is None:
-        print(f"unknown signature {args.signature!r}", file=sys.stderr)
-        return USAGE_EXIT
-    if args.object not in EMIT_OBJECTS:
-        print(f"unknown object {args.object!r}; choose from "
-              f"{', '.join(EMIT_OBJECTS)}", file=sys.stderr)
-        return USAGE_EXIT
-    if args.object in _SIGNED:
-        signature = signature or EUCLIDEAN
-    elif signature is not None:
-        print(f"object {args.object!r} does not take a signature",
-              file=sys.stderr)
-        return USAGE_EXIT
-    if args.object == "g2-constraints":
-        text = _emit_constraints(args.format)
-    else:
-        named = _NAMED_MATRICES[args.object](signature)
-        text = _render(args.object, named, args.format, signature)
-    _write(args.out, text)
-    return 0
-
-
-class _Unwritable(Exception):
-    """An ``--out`` path that cannot be written: a usage error, exit 64."""
+def cmd_emit(args):
+    return _emitted(args.object, args.signature, args.format), 0
 
 
 def _unwritable(path, exc):
-    return _Unwritable(f"triality: cannot write {path}: {exc.strerror or exc}")
+    return _Usage(f"triality: cannot write {path}: {exc.strerror or exc}")
 
 
 def _write(path, text):
-    if path:
-        try:
-            with open(path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _unwritable(path, exc) from exc
-    else:
+    if path is None:
         sys.stdout.write(text)
+        return
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _unwritable(path, exc) from exc
 
 
 def _check_writable(path):
-    """Raise ``_Unwritable`` when ``open(path, "w")`` is bound to fail: the
-    parent is missing or not a directory, the path is a directory, or
-    writing is not permitted.  Nothing is opened, so an existing file
-    keeps its bytes until ``_write`` has the text."""
+    """Raise ``_Usage`` when ``open(path, "w")`` is bound to fail: the path
+    is empty, the parent is missing or not a directory, the path is a
+    directory, or writing is not permitted.  Nothing is opened, so an
+    existing file keeps its bytes until ``_write`` has the text."""
     import errno
     import os
     parent = os.path.dirname(path) or "."
     try:
+        if not path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         # the trailing separator makes a parent that is a file fail too
         os.stat(os.path.join(parent, ""))
         if os.path.isdir(path):
@@ -233,7 +219,7 @@ def _check_writable(path):
         raise _unwritable(path, exc) from exc
 
 
-def cmd_map(args) -> int:
+def cmd_map(args):
     from .outer import apply_outer, outer_op, quartet_terms
     from .representations import basis
     op = outer_op(args.op)
@@ -250,14 +236,13 @@ def cmd_map(args) -> int:
     items.sort(key=lambda x: x["name"])
     payload = {"op": args.op, "from": args.source, "to": mapped.kind,
                "signature": str(op.signature), "items": items}
-    _write(args.out, dumps(payload) + "\n")
-    return 0
+    return dumps(payload) + "\n", 0
 
 
-def cmd_grade(args) -> int:
+def cmd_grade(args):
     from .outer import graded_basis, signature_ops
     from .representations import vector_basis
-    signature = _parse_signature(args.signature)
+    signature = _signature(args.signature)
     op = signature_ops(signature)[0]
     graded = graded_basis(vector_basis(signature), op)
     encode = Encoder()
@@ -273,13 +258,12 @@ def cmd_grade(args) -> int:
         "right": part("right", graded.right_part, "e^{+i2pi/3}"),
         "left": part("left", graded.left_part, "e^{-i2pi/3}"),
     }
-    _write(args.out, dumps(payload) + "\n")
-    return 0
+    return dumps(payload) + "\n", 0
 
 
-def cmd_s3(args) -> int:
+def cmd_s3(args):
     from .outer import s3_closure, signature_ops
-    signature = _parse_signature(args.signature)
+    signature = _signature(args.signature)
     ops = signature_ops(signature)
     closure = s3_closure(ops)
     encode = Encoder()
@@ -294,28 +278,21 @@ def cmd_s3(args) -> int:
         "elements": [{"antilinear": flag, "matrix": encode.matrix(m)}
                      for m, flag in closure.elements],
     }
-    _write(args.out, dumps(payload) + "\n")
-    return 0
+    return dumps(payload) + "\n", 0
 
 
-def cmd_g2(args) -> int:
-    if args.emit == "lambda":
-        named = _NAMED_MATRICES["g2-lambda"](None)
-        text = _render("g2-lambda", named, args.format, None)
-    else:
-        text = _emit_constraints(args.format)
-    _write(args.out, text)
-    return 0
+def cmd_g2(args):
+    return _emitted(f"g2-{args.emit}", None, args.format), 0
 
 
-def cmd_su3(args) -> int:
+def cmd_su3(args):
     from .errors import TrialityError
     from .subalgebras import g2_basis, su3_embedding
     try:
         emb = su3_embedding(g2_basis())
     except TrialityError as exc:
         print(f"su3 embedding check FAILED: {exc}", file=sys.stderr)
-        return 1
+        return None, 1
     encode = Encoder()
     payload = {
         "check": "pass",
@@ -324,8 +301,7 @@ def cmd_su3(args) -> int:
         "blocks": [{"name": name, "matrix": encode.matrix(m)}
                    for name, m in _su3_blocks(emb)],
     }
-    _write(args.out, dumps(payload) + "\n")
-    return 0
+    return dumps(payload) + "\n", 0
 
 
 def build_parser() -> _Parser:
@@ -346,13 +322,14 @@ def build_parser() -> _Parser:
                              "in the triality core used by the cycling check")
 
     emit = sub.add_parser("emit", help="serialize a constructed object")
-    emit.add_argument("--object", required=True,
+    emit.add_argument("--object", required=True, choices=EMIT_OBJECTS,
+                      metavar="OBJECT",
                       help=f"one of: {', '.join(EMIT_OBJECTS)}")
-    emit.add_argument("--signature", default=None,
+    emit.add_argument("--signature", default=None, choices=_SIGNATURES,
+                      metavar="SIGNATURE",
                       help="8,0 (default) or 1,7 for basis objects")
     emit.add_argument("--format", choices=("text", "json", "latex"),
                       default="json")
-    emit.add_argument("--out", default=None)
 
     map_cmd = sub.add_parser(
         "map", help="apply an outer operator to a basis (JSON)")
@@ -360,27 +337,25 @@ def build_parser() -> _Parser:
                          required=True)
     map_cmd.add_argument("--from", dest="source", choices=("V", "L", "R"),
                          required=True)
-    map_cmd.add_argument("--out", default=None)
 
     grade = sub.add_parser(
         "grade", help="the triality-graded basis for a signature (JSON)")
-    grade.add_argument("--signature", choices=("8,0", "1,7"), required=True)
-    grade.add_argument("--out", default=None)
+    grade.add_argument("--signature", choices=_SIGNATURES, required=True)
 
     s3 = sub.add_parser(
         "s3", help="closure of the outer operators for a signature (JSON)")
-    s3.add_argument("--signature", choices=("8,0", "1,7"), required=True)
-    s3.add_argument("--out", default=None)
+    s3.add_argument("--signature", choices=_SIGNATURES, required=True)
 
     g2 = sub.add_parser("g2", help="the intersection subalgebra")
     g2.add_argument("--emit", choices=("lambda", "constraints"),
                     default="lambda")
     g2.add_argument("--format", choices=("text", "json", "latex"),
                     default="json")
-    g2.add_argument("--out", default=None)
 
-    su3 = sub.add_parser("su3", help="verify and emit the su(3) embedding")
-    su3.add_argument("--out", default=None)
+    sub.add_parser("su3", help="verify and emit the su(3) embedding")
+    # the other verbs take --out last; main checks and writes it for all
+    for verb in ("emit", "map", "grade", "s3", "g2", "su3"):
+        sub.choices[verb].add_argument("--out", default=None)
     return parser
 
 
@@ -393,8 +368,13 @@ _HANDLERS = {"verify": cmd_verify, "emit": cmd_emit, "map": cmd_map,
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        return _HANDLERS[args.command](args)
-    except _Unwritable as exc:
+        if args.out is not None:
+            _check_writable(args.out)
+        text, code = _HANDLERS[args.command](args)
+        if text is not None:
+            _write(args.out, text)
+        return code
+    except _Usage as exc:
         print(exc, file=sys.stderr)
         return USAGE_EXIT
     except Exception as exc:  # construction failure, not a check failure

@@ -29,10 +29,10 @@ _MUL = tuple(tuple((p ^ q, (2 if p & q & 1 else 1) * (3 if p & q & 2 else 1)
 _COORD_NAMES = ("1", "sqrt2", "sqrt3", "sqrt6",
                 "i", "i*sqrt2", "i*sqrt3", "i*sqrt6")
 
-# The coordinates that complex conjugation, sqrt2 -> -sqrt2, sqrt3 -> -sqrt3
-# and both negate.
+# The coordinates that complex conjugation negates, then the real ones that
+# sqrt2 -> -sqrt2, sqrt3 -> -sqrt3 and both negate (``inverse``'s real w).
 _IMAGINARY = frozenset(range(4, 8))
-_GALOIS = (frozenset({1, 3, 5, 7}), frozenset({2, 3, 6, 7}), frozenset({1, 2, 5, 6}))
+_GALOIS = (frozenset({1, 3}), frozenset({2, 3}), frozenset({1, 2}))
 
 
 class ExactScalar:

@@ -52,10 +52,6 @@ class Constraint(Record):
         return f"{self.dependent} = {joined}"
 
 
-# Dependent coefficients, in presentation order: the seven solved b's.
-DEPENDENT_B = ((1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (1, 7), (2, 3))
-
-
 class IntersectionSystem(Record, eq=False):
     """The stacked linear system sum a_ij V_ij = sum b_ij L_ij, solved.
 
@@ -72,15 +68,17 @@ class IntersectionSystem(Record, eq=False):
 
 
 def intersect_pair(first: LieBasis, second: LieBasis) -> IntersectionSystem:
-    """Exact intersection of two restricted spans with named constraints."""
-    # column order: a's (first basis), dependent b's, then free b's
-    s_order = [idx for idx in DEPENDENT_B if idx in second.gens]
-    s_order += [idx for idx in second.gens if idx not in s_order]
+    """Exact intersection of two restricted spans with named constraints.
+
+    The columns are the a's of ``first`` and then the b's of ``second``,
+    each in generator order, and the elimination pivots on the leading
+    columns: for the axis-0 restrictions the seven leading b's (b12 ..
+    b17, b23) come out dependent and the other 14 free."""
     names = ([f"a{i}{j}" for i, j in first.gens]
-             + [f"b{i}{j}" for i, j in s_order])
+             + [f"b{i}{j}" for i, j in second.gens])
     firsts = first.matrices()
     red, pivots, common = stacked_solve(
-        [m.vector() for m in firsts], [second[idx].vector() for idx in s_order])
+        [m.vector() for m in firsts], [m.vector() for m in second.matrices()])
     free = [c for c in range(len(names)) if c not in pivots]
     constraints = tuple(
         Constraint(names[p], tuple((-row[f], names[f]) for f in free if f in row))

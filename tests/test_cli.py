@@ -88,17 +88,41 @@ def test_emit_graded_latex_euclidean():
     assert out.stdout.count(r"\begin{pmatrix}") == 28
 
 
-def test_usage_errors_exit_64():
-    assert run_cli("verify", "--suite", "bogus").returncode == 64
-    assert run_cli("emit", "--object", "bogus").returncode == 64
-    assert run_cli("emit", "--object", "H", "--signature", "1,7").returncode == 64
-    assert run_cli("emit", "--object", "vector",
-                   "--signature", "9,9").returncode == 64
-    assert run_cli().returncode == 64
+@pytest.mark.parametrize("argv", [
+    [],
+    ["verify", "--suite", "bogus"],
+    ["emit", "--object", "bogus"],
+    ["emit", "--object", "H", "--signature", "1,7"],
+    ["emit", "--object", "vector", "--signature", "9,9"],
+    ["emit", "--object", "vector", "--signature", "(8,0)"],
+    ["emit", "--object", "g2-constraints", "--signature", "8,0"],
+    ["grade", "--signature", "(1,7)"],
+], ids=lambda argv: " ".join(argv) or "no verb")
+def test_usage_errors_exit_64(argv):
+    out = run_cli(*argv)
+    assert out.returncode == 64
+    assert out.stdout == "" and out.stderr
+
+
+def test_a_fault_the_suite_cannot_apply_exits_64():
     unused_fault = run_cli("verify", "--suite", "lorentzian",
                            "--inject-fault", "h-sign")
     assert unused_fault.returncode == 64
     assert unused_fault.stdout == "" and "h-sign" in unused_fault.stderr
+
+
+def test_an_unwritable_out_is_refused_before_the_fault_check(tmp_path,
+                                                               capsys):
+    """``main`` checks ``--out`` before any handler runs, so of two usage
+    errors in one request the unwritable path is the one reported."""
+    import triality.cli as cli
+    path = str(tmp_path / "missing" / "x")
+    assert cli.main(["verify", "--suite", "lorentzian", "--inject-fault",
+                     "h-sign", "--out", path]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"triality: cannot write {path}: "
+                            "No such file or directory\n")
 
 
 def test_run_suite_rejects_a_fault_it_cannot_apply():
@@ -120,17 +144,53 @@ def test_out_flag_writes_a_file(tmp_path):
     assert data["suite"] == "lorentzian"
 
 
-@pytest.mark.parametrize("argv", [["emit", "--object", "H"],
-                                  ["verify", "--suite", "euclidean"]])
-def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, argv):
+def test_a_failed_su3_check_exits_1_and_writes_nothing(tmp_path, capsys,
+                                                        monkeypatch):
     import triality.cli as cli
-    target = tmp_path / "missing" / "report"
-    assert cli.main([*argv, "--out", str(target)]) == 64
+    import triality.subalgebras as subalgebras
+    from triality.errors import TrialityError
+
+    def mismatch(*args, **kwargs):
+        raise TrialityError("synthetic block mismatch")
+
+    monkeypatch.setattr(subalgebras, "su3_embedding", mismatch)
+    target = tmp_path / "blocks"
+    target.write_bytes(b"earlier blocks\n")
+    assert cli.main(["su3", "--out", str(target)]) == 1
+    assert capsys.readouterr().err == (
+        "su3 embedding check FAILED: synthetic block mismatch\n")
+    assert target.read_bytes() == b"earlier blocks\n"
+
+
+# one request per verb, with a builder it calls, patched in the module
+# that triality.cli imports it from when the verb runs
+_VERB_BUILDERS = [
+    (["verify", "--suite", "all"], "checks.run_suite"),
+    (["emit", "--object", "gammas-cl7"], "clifford.cl7_basis"),
+    (["map", "--op", "H", "--from", "V"], "outer.apply_outer"),
+    (["grade", "--signature", "8,0"], "outer.graded_basis"),
+    (["s3", "--signature", "1,7"], "outer.s3_closure"),
+    (["g2", "--emit", "lambda"], "subalgebras.g2_basis"),
+    (["su3"], "subalgebras.su3_embedding"),
+]
+_UNWRITABLE = ([(argv, "missing/report") for argv, _ in _VERB_BUILDERS]
+               + [(["emit", "--object", "K"], "")])
+
+
+@pytest.mark.parametrize("argv,target", _UNWRITABLE,
+                         ids=[" ".join(argv + ["--out", repr(target)])
+                              for argv, target in _UNWRITABLE])
+def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, argv,
+                                                    target):
+    """An empty path is refused too, not taken for stdout."""
+    import triality.cli as cli
+    path = str(tmp_path / target) if target else ""
+    assert cli.main([*argv, "--out", path]) == 64
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"triality: cannot write {target}: "
+    assert captured.err == (f"triality: cannot write {path}: "
                             "No such file or directory\n")
-    assert not target.parent.exists()
+    assert not (tmp_path / "missing").exists()
 
 
 def _failing_run(monkeypatch):
@@ -167,19 +227,6 @@ def test_out_keeps_its_bytes_when_the_run_errors(tmp_path, capsys,
     assert cli.main(["verify", "--out", str(target)]) == 2
     assert "synthetic construction failure" in capsys.readouterr().err
     assert target.read_bytes() == b"earlier report\n"
-
-
-# one request per verb, with a builder it calls, patched in the module
-# that triality.cli imports it from when the verb runs
-_VERB_BUILDERS = [
-    (["verify", "--suite", "all"], "checks.run_suite"),
-    (["emit", "--object", "gammas-cl7"], "clifford.cl7_basis"),
-    (["map", "--op", "H", "--from", "V"], "outer.apply_outer"),
-    (["grade", "--signature", "8,0"], "outer.graded_basis"),
-    (["s3", "--signature", "1,7"], "outer.s3_closure"),
-    (["g2", "--emit", "lambda"], "subalgebras.g2_basis"),
-    (["su3"], "subalgebras.su3_embedding"),
-]
 
 
 def test_construction_error_exits_2(monkeypatch, capsys):

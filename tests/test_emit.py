@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import importlib.util
 import io
 from fractions import Fraction
 from pathlib import Path
@@ -90,14 +91,26 @@ def test_matrix_latex_is_a_pmatrix():
 
 # -- text and LaTeX against the dense renderers -------------------------------
 
-EMIT_CASES = [(obj, sig) for obj in cli.EMIT_OBJECTS if obj != "g2-constraints"
-              for sig in ((EUCLIDEAN, LORENTZIAN) if obj in cli._SIGNED else (None,))]
+EMIT_CASES = [(obj, sig) for obj, (signed, build) in cli._OBJECTS.items() if build
+              for sig in ((EUCLIDEAN, LORENTZIAN) if signed else (None,))]
+
+
+def test_the_object_table_is_the_benchmark_sweep():
+    """The library sweep in ``bench/workloads.py`` requests each emit
+    object, in each signature when it takes one."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", SRC.parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    assert tuple(cli._OBJECTS) == cli.EMIT_OBJECTS == workloads.EMIT_OBJECTS
+    assert ({obj for obj, (signed, _) in cli._OBJECTS.items() if signed}
+            == set(workloads.SIGNED))
 
 
 @pytest.mark.parametrize("obj,signature", EMIT_CASES,
                          ids=[f"{obj} {sig}" if sig else obj for obj, sig in EMIT_CASES])
 def test_every_emitted_matrix_renders_as_the_dense_oracles(obj, signature):
-    for name, m in cli._NAMED_MATRICES[obj](signature):
+    for name, m in cli._OBJECTS[obj][1](signature):
         assert str(m) == oracles.dense_matrix_text(m), name
         assert matrix_to_latex(m) == oracles.dense_matrix_latex(m), name
 
