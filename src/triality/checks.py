@@ -4,7 +4,8 @@ Each acceptance criterion owns exactly one check id (01..16); check 17 is
 the supplementary norm-convention report for the Lambda family.  A check
 body verifies its claim in one signature; a suite runs only the parts of
 its own signatures, and each row joins them, Euclidean first.  Check 16's
-negative control always adds the Euclidean cycling part.  All comparisons
+negative control always adds the Euclidean cycling part, faulted, and
+re-runs it clean on new fixtures after every other part.  All comparisons
 are zero-tolerance; a check either holds exactly or it fails with a
 counterexample in its detail string.
 
@@ -447,12 +448,15 @@ def _check_15(fx, f):
                         f"{b.kind}({i},{j}) rotation not anti-Hermitian")
 
 
-def _check_16(baseline, clean, faulted) -> CheckResult:
-    """The suite's clean rows, and the h-sign control part clean and faulted."""
+def _check_16(baseline, clean, faulted, rerun) -> CheckResult:
+    """The suite's clean rows, the h-sign control part clean and faulted,
+    and the clean control part re-run on new fixtures after every other
+    part, which must repeat the first run exactly."""
     f = _Failures()
-    as_json = lambda results: dumps([r.to_json() for r in results])
-    f.check(as_json(baseline) == as_json(baseline),
-            "two serializations of the suite differ")
+    f.check(rerun == clean and rerun.passed == clean.passed,
+            f"control part re-run after the suite differs: {rerun.passed} "
+            f"passed and {list(rerun)} failed, against {clean.passed} and "
+            f"{list(clean)}")
     f.check(all(r.status != "fail" for r in baseline),
             "baseline run contains failures")
     control = FAULTS[FAULT_H_SIGN][0]
@@ -599,6 +603,8 @@ def run_suite(suite: str = "all", fault=None) -> Report:
     Each part of the suite's signatures runs once, into one table, with
     the clean and faulted Euclidean cycling parts that check 16's h-sign
     control reads; ``fault`` swaps the faulted one into the rows shown.
+    Last, check 16 re-runs the clean cycling part on new fixtures, so
+    state that one part leaks into a later one shows as a difference.
     The parts of a signature share one ``_Fixtures``, dropped on return.
     A ``TrialityError`` raised inside a body fails its part, with the
     error text as its detail; any other exception propagates.  Raises
@@ -617,9 +623,10 @@ def run_suite(suite: str = "all", fault=None) -> Report:
     if control not in parts:
         parts[control] = _part(body, fixtures[control[1]])
     faulted = _part(body, fixtures[control[1]], FAULT_H_SIGN)
+    rerun = _part(body, _Fixtures(control[1]))
     baseline = _rows(parts, signatures)
     results = _rows({**parts, control: faulted}, signatures) if fault else baseline[:]
-    results.append(_check_16(baseline, parts[control], faulted))
+    results.append(_check_16(baseline, parts[control], faulted, rerun))
     if EUCLIDEAN in signatures:
         results.append(_check_17(fixtures[EUCLIDEAN]))
     return Report(suite=suite, results=tuple(results))

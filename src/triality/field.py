@@ -43,8 +43,8 @@ class ExactScalar:
     element is ``sum(c * e_k for k, c in nums) / den``, where e_k runs
     over (1, sqrt2, sqrt3, sqrt6) and then the same four multiplied by i;
     ``nums`` holds only nonzero numerators, sorted by index, and
-    ``den > 0`` shares no factor with all of them.  ``coords`` (the dense 8-tuple) and ``terms``
-    (``{index: Fraction}``) are views built on demand.
+    ``den > 0`` shares no factor with all of them.  ``coords`` is the
+    dense 8-tuple of Fractions, a view built on demand.
     """
 
     __slots__ = ("den", "nums")
@@ -84,11 +84,6 @@ class ExactScalar:
         for k, c in self.nums:
             out[k] = Fraction(c, self.den)
         return tuple(out)
-
-    @property
-    def terms(self) -> dict:
-        """A fresh ``{index: Fraction}`` dict of the nonzero coordinates."""
-        return {k: Fraction(c, self.den) for k, c in self.nums}
 
     # -- predicates ------------------------------------------------------
     @property

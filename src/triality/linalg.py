@@ -3,15 +3,15 @@
 Vectors and rows are sparse dicts {column: nonzero ExactScalar}, the
 layout of ``Matrix`` rows, and every row update v +- c * w goes through
 the in-place row kernel ``matrix.add_scaled`` / ``matrix.sub_scaled``.
-The workhorse is a deterministic RREF over Q(i, sqrt2, sqrt3): pivots
-are chosen as the leftmost nonzero column and the first nonzero row in
-index order (magnitude-based pivoting is meaningless in exact
-arithmetic), so constraint presentations are reproducible run to run.
+The RREF of a row space over Q(i, sqrt2, sqrt3) is unique, so its rows,
+pivots and constraint presentations do not depend on the order of
+elimination.
 
-This module is the only place that eliminates: ``stacked_solve`` solves
-sum a_i x_i = sum b_j y_j through ``rref`` for every intersection, and
-``_eliminate`` reduces one vector against echelon rows for ``Subspace``,
-``CoordSolver`` and the orbit of ``same_structure``.
+This module is the only place that eliminates, and ``_insert`` is its one
+step: it reduces a vector against echelon rows and scales what is left
+to 1 at its lowest index.  ``rref``, ``det``, ``CoordSolver`` and the
+orbit of ``same_structure`` all grow one echelon through it, and
+``stacked_solve`` solves sum a_i x_i = sum b_j y_j through ``rref``.
 ``same_structure`` is the one closure proof: it picks its own seeds,
 walks only the brackets that hold one, and proves from them that a list
 closes (``is_closed`` catches its ``NotClosed``) and that other lists
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from ._record import Record
 from .errors import DimensionMismatch, LinearlyDependent, NotClosed
-from .field import ONE, ZERO, ExactScalar, scalar
+from .field import MINUS_ONE, ONE, ZERO, ExactScalar, scalar
 from .matrix import (Matrix, add_scaled, common_size, commutator,
                      is_combination, sub_scaled)
 
@@ -34,32 +34,57 @@ def _exact(vector) -> dict:
     return {k: s for k, x in vector.items() if (s := scalar(x))}
 
 
+def _flatten(m: Matrix, ambient_dim: int) -> dict:
+    """``m.vector()``, if n^2 is ``ambient_dim`` for the n x n m."""
+    if m.n ** 2 != ambient_dim:
+        raise DimensionMismatch(f"{m.n}x{m.n} in ambient {ambient_dim}")
+    return m.vector()
+
+
+def _eliminate(v: dict, rows, pivots):
+    """Reduce the sparse vector ``v`` in place against ``rows``, each 1 at
+    its pivot and zero at the pivots before it, so that ``v`` ends empty
+    exactly in their span."""
+    for row, p in zip(rows, pivots):
+        if p in v:
+            sub_scaled(v, v[p], row)
+
+
+def _insert(rows, pivots, v: dict):
+    """Reduce ``v`` against the echelon ``rows``; if anything is left,
+    scale it to 1 at its lowest index, append it and its pivot, and
+    return the entry scaled away, else None."""
+    _eliminate(v, rows, pivots)
+    if not v:
+        return None
+    p = min(v)
+    head = v[p]
+    if head != ONE:
+        inv = head.inverse()
+        v = {k: x * inv for k, x in v.items()}
+    rows.append(v)
+    pivots.append(p)
+    return head
+
+
 def rref(rows):
     """Reduced row echelon form of a list of sparse rows.
 
     Row values are coerced with ``scalar`` and zeros dropped.  Returns
-    (rref_rows, pivot_columns) with zero rows dropped.
+    (rref_rows, pivot_columns) with zero rows dropped; both are unique
+    to the row space, whatever the order of the rows.
     """
-    m = [_exact(row) for row in rows]
-    pivots = []
-    r = 0
-    for c in sorted(set().union(*m)):
-        if r == len(m):
-            break
-        pr = next((i for i in range(r, len(m)) if c in m[i]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        head = m[r][c]
-        if head != ONE:
-            inv = head.inverse()
-            m[r] = {k: x * inv for k, x in m[r].items()}
-        for i, row in enumerate(m):
-            if i != r and c in row:
-                sub_scaled(row, row[c], m[r])
-        pivots.append(c)
-        r += 1
-    return tuple(m[:r]), tuple(pivots)
+    red, pivots = [], []
+    for row in rows:
+        _insert(red, pivots, _exact(row))
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    red, pivots = [red[k] for k in order], [pivots[k] for k in order]
+    for k in reversed(range(len(red))):  # back-substitute, highest pivot first
+        p = pivots[k]
+        for row in red[:k]:  # only the rows above a pivot hold its column
+            if p in row:
+                sub_scaled(row, row[p], red[k])
+    return tuple(red), tuple(pivots)
 
 
 def _free_expansion(red, pivots, ncols: int):
@@ -104,36 +129,17 @@ def stacked_solve(a_vecs, b_vecs):
 
 
 def det(m: Matrix) -> ExactScalar:
-    """Exact determinant by Gaussian elimination with swap-sign tracking,
-    which is why it keeps a loop of its own in place of ``_eliminate``."""
-    a = [dict(row) for row in m.rows]
+    """Exact determinant: the product of the entries ``_insert`` scales
+    away from the rows in turn, times the sign of the pivot order."""
+    rows, pivots = [], []
     out = ONE
-    for c in range(m.n):
-        pr = next((i for i in range(c, m.n) if c in a[i]), None)
-        if pr is None:
+    for row in m.rows:
+        head = _insert(rows, pivots, dict(row))
+        if head is None:
             return ZERO
-        if pr != c:
-            a[c], a[pr] = a[pr], a[c]
-            out = -out
-        out = out * a[c][c]
-        inv = a[c][c].inverse()
-        for row in a[c + 1:]:
-            if c in row:
-                sub_scaled(row, row[c] * inv, a[c])
-    return out
-
-
-def _eliminate(v: dict, rows, pivots):
-    """Reduce the sparse vector ``v`` in place against ``rows``, each 1 at
-    its pivot and zero at the pivots before it, so that ``v`` ends empty
-    exactly in their span; return the (row index, multiplier) pairs used."""
-    used = []
-    for k, (row, p) in enumerate(zip(rows, pivots)):
-        if p in v:
-            c = v[p]
-            sub_scaled(v, c, row)
-            used.append((k, c))
-    return used
+        out = out * head
+    inversions = sum(p > q for k, p in enumerate(pivots) for q in pivots[k + 1:])
+    return -out if inversions % 2 else out
 
 
 class Subspace(Record):
@@ -162,14 +168,8 @@ class Subspace(Record):
     def dim(self) -> int:
         return len(self.rows)
 
-    def _flatten(self, m: Matrix) -> dict:
-        """``m.vector()``, if n^2 is the ambient dimension of n x n m."""
-        if m.n ** 2 != self.ambient_dim:
-            raise DimensionMismatch(f"{m.n}x{m.n} in ambient {self.ambient_dim}")
-        return m.vector()
-
     def contains_matrix(self, m: Matrix) -> bool:
-        v = self._flatten(m)
+        v = _flatten(m, self.ambient_dim)
         _eliminate(v, self.rows, self.pivots)
         return not v
 
@@ -191,41 +191,35 @@ class Subspace(Record):
 class CoordSolver(Record, eq=False):
     """Expands matrices in a fixed list of linearly independent generators.
 
-    Built once per basis from an identity-augmented RREF: ``span`` holds
-    the generator half of its rows, and ``_terms`` each row's identity
-    half as a ``{generator: coefficient}`` dict; a pivot in that half
-    marks a dependent list.  A solve eliminates the flattened target along
-    ``span`` and, if nothing is left, adds up the terms of the rows it used
-    with ``add_scaled``: coefficients are sparse too, so an absent
-    generator has coefficient zero.
+    Generator i goes in as its flattened matrix with -1 at column n2 + i,
+    so a pivot at or past n2 marks a dependent list.  A solve eliminates
+    the flattened target; if nothing below n2 is left, the rest is its
+    sparse coefficients, where an absent generator has coefficient zero.
     """
 
-    __slots__ = ("span", "_terms")
+    __slots__ = ("n2", "rows", "pivots")
 
     def __init__(self, gens):
         gens = list(gens)
         n2 = common_size(gens) ** 2
-        red, pivots = rref([{**g.vector(), n2 + i: ONE} for i, g in enumerate(gens)])
-        if pivots[-1] >= n2:
-            raise LinearlyDependent(f"only {sum(p < n2 for p in pivots)} of "
-                                    f"{len(gens)} generators independent")
-        super().__init__(
-            Subspace(n2, tuple({j: x for j, x in row.items() if j < n2}
-                               for row in red), pivots),
-            tuple({j - n2: x for j, x in row.items() if j >= n2} for row in red))
+        rows, pivots = [], []
+        for i, g in enumerate(gens):
+            _insert(rows, pivots, {**g.vector(), n2 + i: MINUS_ONE})
+        independent = sum(p < n2 for p in pivots)
+        if independent < len(gens):
+            raise LinearlyDependent(f"only {independent} of {len(gens)} "
+                                    "generators independent")
+        super().__init__(n2, tuple(rows), tuple(pivots))
 
     def solve(self, m: Matrix):
         """The sparse coefficients ``{i: c_i}`` with sum c_i gen_i = m, or
         None if m is outside the span.  Raises DimensionMismatch for an m
         of another size than the generators."""
-        v = self.span._flatten(m)
-        used = _eliminate(v, self.span.rows, self.span.pivots)
-        if v:
+        v = _flatten(m, self.n2)
+        _eliminate(v, self.rows, self.pivots)
+        if min(v, default=self.n2) < self.n2:
             return None
-        coeffs = {}
-        for r, c in used:
-            add_scaled(coeffs, c, self._terms[r])
-        return coeffs
+        return {k - self.n2: x for k, x in v.items()}
 
 
 class StructureConstants(Record):
@@ -318,18 +312,11 @@ def _seed_brackets(gens, solver) -> dict:
         seeds.append(s)
         todo = [e, *(_ad(coeffs, s, row) for row in rows)]
         for v in todo:  # breadth first: ``todo`` grows as the loop runs
-            _eliminate(v, rows, pivots)
-            if not v:
+            if _insert(rows, pivots, v) is None:
                 continue
-            p = min(v)
-            if v[p] != ONE:
-                inv = v[p].inverse()
-                v = {k: x * inv for k, x in v.items()}
-            rows.append(v)
-            pivots.append(p)
             if len(rows) == n:
                 break
-            todo += [_ad(coeffs, t, v) for t in seeds]
+            todo += [_ad(coeffs, t, rows[-1]) for t in seeds]
     return coeffs
 
 

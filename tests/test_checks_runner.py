@@ -11,7 +11,7 @@ from types import MappingProxyType
 
 import pytest
 
-from triality import clifford, outer, representations, subalgebras
+from triality import checks, clifford, outer, representations, subalgebras
 from triality.checks import run_suite
 from triality.clifford import EUCLIDEAN
 from triality.field import I, ONE
@@ -94,6 +94,22 @@ def _gamma0_of_cl17_times_i(monkeypatch):
     monkeypatch.setattr(clifford, "cl17_basis", broken)
 
 
+def _check_15_clears_a_euclidean_l_row(monkeypatch):
+    """Check 15's body, the last part of ``all``, clears row 3 of the
+    Euclidean L generator (1, 2) after it runs.  The interned bases hand
+    that matrix to every later reader, so only check 16's re-run of the
+    cycling part sees it."""
+    def leaking(fx, f):
+        body(fx, f)
+        representations.spinor_bases(EUCLIDEAN)[0][(1, 2)].rows[3].clear()
+
+    (check_id, claim, sigs, body, detail), = (
+        row for row in checks._CHECKS if row[0].startswith("15"))
+    monkeypatch.setattr(checks, "_CHECKS", tuple(
+        (check_id, claim, sigs, leaking, detail) if row[0] == check_id else row
+        for row in checks._CHECKS))
+
+
 # fault, suite, the checks whose rows fail
 FAULT_MATRIX = [
     (_drop_sign_flips, "all", ["05", "09", "12", "16"]),
@@ -114,6 +130,8 @@ FAULT_MATRIX = [
     (_gamma0_of_cl17_times_i, "all",
      ["01", "02", "04", "05", "06", "12", "13", "15", "16"]),
     (_gamma0_of_cl17_times_i, "euclidean", []),
+    (_check_15_clears_a_euclidean_l_row, "all", ["16"]),
+    (_check_15_clears_a_euclidean_l_row, "euclidean", []),
 ]
 
 

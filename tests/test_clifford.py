@@ -19,6 +19,15 @@ def test_dirac_signature():
     assert d.satisfies_clifford()
 
 
+def test_each_ladder_labels_one_signature_entry_per_gamma():
+    """``clifford_defect`` reads only the first k entries of eta, so a
+    label with an axis too many, such as (1,4) for the Dirac ladder or
+    (8,0) for Cl(7), passes every relation; the length of eta does not."""
+    for b in (dirac_gammas(), cl7_basis(), cl8_basis(), cl17_basis(),
+              cl17_basis(chiral=True)):
+        assert len(b.signature.eta_diag()) == len(b.gammas), b.signature
+
+
 def test_gamma5_by_direct_multiplication_oracle():
     d = dirac_gammas()
     g5 = d.gamma5

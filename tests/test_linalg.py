@@ -1,7 +1,9 @@
 """RREF, kernels, subspaces, and the structure-constant solver."""
 
+import ast
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,7 @@ from oracles import (cofactor_det, dense, dense_coefficients, in_span,
 from triality import linalg, subalgebras
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.errors import DimensionMismatch, LinearlyDependent, NotClosed
-from triality.field import ONE, ZERO, rational
+from triality.field import HALF, I, ONE, SQRT2, ZERO, rational
 from triality.linalg import (CoordSolver, StructureConstants, Subspace, det,
                              is_closed, kernel_basis, rref, same_structure,
                              structure_constants)
@@ -30,6 +32,9 @@ fractions = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 3))
 # short lists of 4-vectors: small enough that spans meet and miss often
 vectors4 = st.lists(st.lists(fractions, min_size=4, max_size=4),
                     min_size=1, max_size=3)
+# a few field values, zero among them, so that combinations cancel often
+entries = st.sampled_from([ZERO, ONE, -ONE, rational(2), HALF, SQRT2, I,
+                           ONE + I, SQRT2 - ONE])
 
 
 def _exact(vectors):
@@ -88,6 +93,60 @@ def test_rank_plus_nullity(rows):
     red, pivots = rref(map(_sparse, rows))
     assert len(red) + len(kernel_basis(map(_sparse, rows), 5)) == 5
     assert len(red) == naive_rank(rows)
+
+
+@st.composite
+def sparse_rows(draw, ncols=5):
+    """Sparse rows, some empty or of zeros only, with some drawn again."""
+    rows = draw(st.lists(st.dictionaries(st.integers(0, ncols - 1), entries,
+                                         max_size=3), min_size=1, max_size=5))
+    again = draw(st.lists(st.sampled_from(rows), max_size=2))
+    return draw(st.permutations(rows + again))
+
+
+@given(sparse_rows())
+@settings(max_examples=80, deadline=None)
+def test_rref_is_the_reduced_echelon_form_of_its_input(rows):
+    """Pivots strictly increase, each row is 1 at its pivot and alone in
+    its pivot column, and the rows span the input: by the uniqueness of
+    the RREF of a row space, that pins every presentation."""
+    red, pivots = rref(rows)
+    assert list(pivots) == sorted(set(pivots)) and len(red) == len(pivots)
+    for row, p in zip(red, pivots):
+        assert row[p] == ONE and min(row) == p and ZERO not in row.values()
+        assert not any(p in other for other in red if other is not row)
+    given_rows = [_dense(row, 5) for row in rows]
+    out = [_dense(row, 5) for row in red]
+    assert naive_rank(given_rows) == naive_rank(out) == naive_rank(given_rows + out)
+
+
+@st.composite
+def square_matrices(draw):
+    """1x1 to 4x4 matrices, sparse enough to be singular often, with a row
+    repeated now and then, and rows shuffled so pivots come out of order."""
+    n = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        rows[-1] = rows[0]
+    return Matrix(draw(st.permutations(rows)))
+
+
+@given(square_matrices())
+@settings(max_examples=80, deadline=None)
+def test_det_matches_the_cofactor_expansion(m):
+    assert det(m) == cofactor_det(m)
+
+
+def test_only_insert_scales_a_pivot():
+    """``_insert`` is the one elimination step of ``linalg``: no other
+    function there calls ``.inverse()``."""
+    tree = ast.parse(Path(linalg.__file__).read_text())
+    callers = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+               for node in ast.walk(fn) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "inverse"}
+    assert callers == {"_insert"}
 
 
 def test_vector_basis_structure_constants_close_and_antisymmetric():
@@ -487,6 +546,8 @@ def test_det_matches_cofactor_oracle():
     assert det(u) == cofactor_det(u)
     assert det(Matrix.identity(5)) == ONE
     assert det(Matrix.zero(3)) == ZERO
+    # rows inserted with pivots 2, 1, 0: three inversions, an odd order
+    assert det(Matrix([[0, 0, 2], [0, 3, 0], [5, 0, 0]])) == rational(-30)
 
 
 def test_is_closed():
