@@ -5,22 +5,16 @@ A scalar is encoded as {"re": [4 reduced "p/q" strings], "im": [same]}
 with coordinate order (1, sqrt2, sqrt3, sqrt6); matrices are row-major
 nested arrays of scalars.  Both directions round-trip exactly.
 
-One ``Encoder`` builds the scalars and matrices of one payload.  It hands
-out one dict per distinct scalar and one list per distinct row, shared
-across every matrix and coefficient of that payload, so equal entries and
-equal rows are the same object; treat the results as read-only.  The
-sharing is per payload, never across payloads: the memo belongs to the
-encoder and goes when it does.  ``matrix_to_json(m)`` encodes one matrix
-with an encoder of its own.
-
 ``dumps(obj)`` returns exactly ``json.dumps(obj, indent=2,
 sort_keys=True)`` for payloads built from dicts with str keys, lists,
 str, int, bool and None, and raises ``TypeError`` for anything else
 (a float, a tuple, a non-str key).  The stdlib never uses its C encoder
-when it indents; ``dumps`` instead writes a list or dict that recurs at
-the same depth once and reuses its text, which is what makes the shared
-rows and scalars of an ``Encoder`` cheap: a payload of 28 matrices
-renders each distinct row at most twice, not all 224 rows.
+when it indents, so a payload's matrices never become dicts and lists:
+one ``Encoder`` per payload hands out scalar and matrix leaves, and
+``dumps`` writes a matrix row by row from the encoder's memo of texts,
+which renders each distinct scalar and each distinct row once per depth
+(the 224 rows of a ``map`` payload take 31 row texts and 5 scalar texts).
+The memo goes with the encoder; ``matrix_to_json(m)`` builds dicts and lists.
 """
 
 from __future__ import annotations
@@ -72,44 +66,66 @@ def scalar_from_json(obj) -> ExactScalar:
     return _decode(_strings(obj), obj)
 
 
-class Encoder:
-    """The JSON scalars and rows of one payload.
+class _Leaf(tuple):
+    """``(write, value)``: a scalar or matrix of an ``Encoder``, which
+    ``dumps`` writes where it sits by ``write(value, depth, append)``."""
 
-    Equal scalars, keyed by ``(den, nums)``, come out as one dict, and equal
-    rows, keyed by their sparse ``(column, den, nums)`` entries, as one
-    list, across every matrix and coefficient encoded through this encoder.
-    Make one per payload and drop it with the payload: it keeps every
-    object it has handed out.
+
+class Encoder:
+    """The JSON texts of one payload's scalars and rows, in one memo.
+
+    ``scalar`` and ``matrix`` return leaves for ``dumps``.  A scalar's text
+    is keyed by ``(den, nums, depth)``, a row's by ``(depth, n, sorted
+    (column, den, nums) entries)``; a matrix appends its rows' texts to the
+    writer's output.  Make one per payload: it keeps every text.
     """
 
-    __slots__ = ("_scalars", "_rows")
+    __slots__ = ("_texts",)
 
     def __init__(self):
-        self._scalars = {}
-        self._rows = {}
+        self._texts = {}
 
-    def scalar(self, x: ExactScalar) -> dict:
-        key = (x.den, x.nums)
-        if (obj := self._scalars.get(key)) is None:
-            obj = self._scalars[key] = scalar_to_json(x)
-        return obj
+    def scalar(self, x: ExactScalar) -> _Leaf:
+        return _Leaf((self._scalar, x))
 
-    def matrix(self, m: Matrix) -> list:
-        """Row-major JSON scalars."""
-        rows, scalar, n = self._rows, self.scalar, m.n
-        out = []
-        for row in m.rows:
-            key = (n, *sorted((j, x.den, x.nums) for j, x in row.items()))
-            if (obj := rows.get(key)) is None:
-                obj = rows[key] = [scalar(row.get(j, ZERO)) for j in range(n)]
-            out.append(obj)
-        return out
+    def matrix(self, m: Matrix) -> _Leaf:
+        return _Leaf((self._matrix, m))
+
+    def _scalar(self, x, depth, append):
+        key = (x.den, x.nums, depth)
+        if (text := self._texts.get(key)) is None:
+            text = self._texts[key] = dumps(scalar_to_json(x), _depth=depth)
+        append(text)
+
+    def _matrix(self, m, depth, append):
+        texts, scalar, n = self._texts, self._scalar, m.n
+
+        def row(r, depth, append):
+            key = (depth, n, *sorted((j, x.den, x.nums) for j, x in r.items()))
+            if (text := texts.get(key)) is None:
+                parts = []
+                _items([r.get(j, ZERO) for j in range(n)], depth, parts.append, scalar)
+                text = texts[key] = "".join(parts)
+            append(text)
+
+        _items(m.rows, depth, append, row)
 
 
 def matrix_to_json(m: Matrix) -> list:
     """Row-major JSON scalars; equal entries share one dict, equal rows one
     list."""
-    return Encoder().matrix(m)
+    scalars, rows = {}, {}
+
+    def scalar(x):
+        key = (x.den, x.nums)
+        return scalars.get(key) or scalars.setdefault(key, scalar_to_json(x))
+
+    def row(r):
+        key = tuple(sorted((j, x.den, x.nums) for j, x in r.items()))
+        return rows.get(key) or rows.setdefault(
+            key, [scalar(r.get(j, ZERO)) for j in range(m.n)])
+
+    return [row(r) for r in m.rows]
 
 
 def matrix_from_json(rows) -> Matrix:
@@ -126,71 +142,55 @@ def matrix_from_json(rows) -> Matrix:
     return Matrix([[entry(obj) for obj in row] for row in rows])
 
 
-def dumps(obj) -> str:
+def dumps(obj, *, _depth=0) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str
-    keys, lists, str, int, bool and None; ``TypeError`` for anything else.
-
-    A list or dict is keyed by ``(id, depth)``, which is sound because
-    ``obj`` keeps every object in it alive for the whole call.  Its text
-    is kept only once that key recurs: the first visit leaves a ``None``
-    marker, the second stores the text, later ones reuse it.
-    """
+    keys, lists, str, int, bool and None, with an ``Encoder``'s leaves
+    written as their JSON; ``TypeError`` for anything else.  ``_depth``
+    lays ``obj`` out as if it sat that many levels in."""
     out = []
-    append = out.append
-    texts = {}
-
-    def value(o, depth):
-        if isinstance(o, (list, dict)):
-            key = (id(o), depth)
-            if key not in texts:
-                texts[key] = None
-                container(o, depth)
-            elif (text := texts[key]) is not None:
-                append(text)
-            else:
-                start = len(out)
-                container(o, depth)
-                texts[key] = text = "".join(out[start:])
-                del out[start:]
-                append(text)
-        elif isinstance(o, str):
-            append(_quote(o))
-        elif o is None:
-            append("null")
-        elif o is True:
-            append("true")
-        elif o is False:
-            append("false")
-        elif isinstance(o, int):
-            append(int.__repr__(o))
-        else:
-            raise TypeError(f"dumps writes dict, list, str, int, bool and None, "
-                            f"not {type(o).__name__}")
-
-    def container(o, depth):
-        if not o:
-            append("[]" if isinstance(o, list) else "{}")
-            return
-        depth += 1
-        inner = "\n" + "  " * depth
-        if isinstance(o, list):
-            sep, comma, close = "[" + inner, "," + inner, inner[:-2] + "]"
-            for x in o:
-                append(sep)
-                sep = comma
-                value(x, depth)
-        else:
-            if bad := [k for k in o if not isinstance(k, str)]:
-                raise TypeError(f"dumps takes str keys, not {type(bad[0]).__name__}")
-            sep, comma, close = "{" + inner, "," + inner, inner[:-2] + "}"
-            for k, x in sorted(o.items()):
-                append(sep + _quote(k) + ": ")
-                sep = comma
-                value(x, depth)
-        append(close)
-
-    value(obj, 0)
+    _write(obj, _depth, out.append)
     return "".join(out)
+
+
+def _write(o, depth, append):
+    if isinstance(o, str):
+        append(_quote(o))
+    elif isinstance(o, list):
+        _items(o, depth, append)
+    elif isinstance(o, dict):
+        if bad := [k for k in o if not isinstance(k, str)]:
+            raise TypeError(f"dumps takes str keys, not {type(bad[0]).__name__}")
+        _items(sorted(o.items()), depth, append, _pair, "{}")
+    elif type(o) is _Leaf:
+        o[0](o[1], depth, append)
+    elif o is None:
+        append("null")
+    elif o is True:
+        append("true")
+    elif o is False:
+        append("false")
+    elif isinstance(o, int):
+        append(int.__repr__(o))
+    else:
+        raise TypeError(f"dumps writes dict, list, str, int, bool and None, "
+                        f"not {type(o).__name__}")
+
+
+def _pair(item, depth, append):
+    append(_quote(item[0]) + ": ")
+    _write(item[1], depth, append)
+
+
+def _items(items, depth, append, write=_write, brackets="[]"):
+    """The one layout of a JSON list or object: each item on a line of its
+    own, one level in, through ``write(item, depth, append)``."""
+    inner = "\n" + "  " * (depth + 1)
+    sep, comma = brackets[0] + inner, "," + inner
+    for x in items:
+        append(sep)
+        sep = comma
+        write(x, depth + 1, append)
+    append(inner[:-2] + brackets[1] if items else brackets)
 
 
 def _frac_latex(num: int, den: int, radical: str) -> str:

@@ -356,14 +356,16 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
 
 def _accumulate(rows, terms, kernel) -> list:
     """Apply ``kernel`` (``add_scaled`` or ``sub_scaled``) with each (c, m)
-    of ``terms``, c nonzero, to ``rows`` in place; returns ``rows``."""
+    of ``terms``, c nonzero, to ``rows`` in place, skipping m's empty rows;
+    returns ``rows``."""
     n = len(rows)
     for c, m in terms:
         if m.n != n:
             raise DimensionMismatch(f"{m.n} vs {n}")
         if c:
             for acc, row in zip(rows, m.rows):
-                kernel(acc, c, row)
+                if row:
+                    kernel(acc, c, row)
     return rows
 
 

@@ -105,8 +105,7 @@ def quartet_terms(core: Matrix) -> dict:
     the old generator at slot s, in each of the seven quartets.  Zero
     coefficients are left out.
     """
-    return {new: tuple((old, core[t, s]) for s, old in enumerate(quartet)
-                       if not core[t, s].is_zero)
+    return {new: tuple((quartet[s], c) for s, c in sorted(core.rows[t].items()))
             for quartet in zip(*QUARTETS) for t, new in enumerate(quartet)}
 
 

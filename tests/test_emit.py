@@ -4,6 +4,7 @@ import ast
 import contextlib
 import importlib.util
 import io
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,7 +21,8 @@ from triality.emit import (dumps, matrix_from_json, matrix_to_json,
 from triality.field import (HALF, I, OMEGA, SQRT2, SQRT3, SQRT6, ZERO,
                             ExactScalar, from_parts, rational)
 from triality.matrix import Matrix, anticommutator
-from triality.outer import outer_h, outer_op, outer_t
+from triality.outer import apply_outer, outer_h, outer_op, outer_t, quartet_terms
+from triality.representations import basis, spinor_bases, vector_basis
 from triality.subalgebras import g2_basis
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "triality"
@@ -247,68 +249,110 @@ def test_emit_encodes_each_distinct_scalar_once_per_payload(monkeypatch, argv):
     assert code == 0 and calls == 5
 
 
-def _payloads(monkeypatch, *requests):
-    """The payload each request hands to ``dumps``; all are kept alive, so
-    no two distinct objects among them can share an id."""
-    seen = []
-
-    def capture(payload):
-        seen.append(payload)
-        return dumps(payload)
-
-    monkeypatch.setattr(cli, "dumps", capture)
-    for argv in requests:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(argv) == 0
-    return seen
+def _stdout(argv):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert cli.main(argv) == 0
+    return buf.getvalue()
 
 
-def _is_scalar(obj):
-    return isinstance(obj, dict) and obj.keys() == {"re", "im"}
+PAYLOAD_REQUESTS = {
+    "map T L": MAP_T_L,
+    "grade 1,7": GRADE_LORENTZ,
+    "su3": ["su3"],
+    "s3 8,0": ["s3", "--signature", "8,0"],
+    "emit spinor-left 1,7 json": LEFT_LORENTZ_JSON,
+    "emit gammas-cl8 json": ["emit", "--object", "gammas-cl8", "--format", "json"],
+    "emit graded 1,7 json": ["emit", "--object", "graded", "--signature", "1,7",
+                             "--format", "json"],
+}
 
 
-def _lists_and_dicts(obj):
-    """Every list and dict of a payload, each time it occurs."""
-    stack = [obj]
-    while stack:
-        o = stack.pop()
-        if isinstance(o, (list, dict)):
-            yield o
-            stack.extend(o if isinstance(o, list) else o.values())
+@pytest.mark.parametrize("argv", PAYLOAD_REQUESTS.values(), ids=PAYLOAD_REQUESTS)
+def test_a_payload_on_stdout_is_the_stdlib_layout(argv):
+    out = _stdout(argv)
+    assert out == oracles.indented_json(json.loads(out)) + "\n"
 
 
-@pytest.mark.parametrize("argv", [MAP_T_L, GRADE_LORENTZ, ["su3"], LEFT_LORENTZ_JSON],
-                         ids=["map T L", "grade 1,7", "su3", "emit spinor-left 1,7"])
-def test_equal_rows_and_scalars_of_a_payload_are_one_object(monkeypatch, argv):
-    (payload,) = _payloads(monkeypatch, argv)
-    ids, rows = {}, 0
-    for o in _lists_and_dicts(payload):
-        if _is_scalar(o) or (isinstance(o, list) and o and all(map(_is_scalar, o))):
-            ids.setdefault(oracles.indented_json(o), set()).add(id(o))
-            rows += not _is_scalar(o)
-    assert rows and all(len(group) == 1 for group in ids.values())
+def _renders(monkeypatch, argv):
+    """The scalars whose texts a request renders, in order, and the rows
+    (lists of scalars) whose texts it renders."""
+    scalars, rows = [], []
+    render_scalar, items = emit.scalar_to_json, emit._items
+
+    def scalar(x):
+        scalars.append(x)
+        return render_scalar(x)
+
+    def counted_items(xs, *args):
+        if xs and all(isinstance(x, ExactScalar) for x in xs):
+            rows.append(xs)
+        return items(xs, *args)
+
+    monkeypatch.setattr(emit, "scalar_to_json", scalar)
+    monkeypatch.setattr(emit, "_items", counted_items)
+    _stdout(argv)
+    return scalars, rows
 
 
-def test_a_map_coefficient_is_the_dict_of_its_equal_matrix_entry(monkeypatch):
-    (payload,) = _payloads(monkeypatch, MAP_T_L)
-    entries = {id(x) for item in payload["items"] for row in item["matrix"] for x in row}
-    coefficients = [c["coefficient"] for item in payload["items"]
-                    for c in item["coefficients"]]
-    assert len(coefficients) == 112 and all(id(c) in entries for c in coefficients)
+@pytest.mark.parametrize("argv, scalars, rows", [
+    (MAP_T_L, 5, 31), (LEFT_LORENTZ_JSON, 5, 31), (GRADE_LORENTZ, 7, 41),
+    (["su3"], 22, 58)], ids=["map T L", "emit spinor-left 1,7", "grade 1,7", "su3"])
+def test_a_payload_renders_each_scalar_and_row_text_once_per_depth(
+        monkeypatch, argv, scalars, rows):
+    """Exact counts: the 224 rows of ``map T L`` take 31 row texts and 5
+    scalar texts, and every row and scalar written again reuses its text.
+    A second request renders them all again: no text outlives its payload."""
+    counts = [tuple(map(len, _renders(monkeypatch, argv))) for _ in range(2)]
+    assert counts == [(scalars, rows)] * 2
 
 
-def test_two_payloads_share_no_object(monkeypatch):
-    first, second = _payloads(monkeypatch, MAP_T_L, MAP_T_L)
-    assert first == second
-    ids = [{id(o) for o in _lists_and_dicts(payload)} for payload in (first, second)]
-    assert not ids[0] & ids[1]
+def test_a_map_coefficient_reuses_the_text_of_its_equal_entry(monkeypatch):
+    """The coefficients sit at the depth of the matrix entries, so they
+    render nothing of their own: the scalars rendered are exactly the
+    distinct entries of the 28 matrices, each once."""
+    rendered, _ = _renders(monkeypatch, MAP_T_L)
+    op = outer_op("T")
+    mapped = apply_outer(op, basis("L", op.signature))
+    entries = {(x.den, x.nums) for m in mapped.matrices() for row in m.rows
+               for x in (*row.values(), ZERO)}
+    coefficients = {(c.den, c.nums) for terms in quartet_terms(op.core).values()
+                    for _, c in terms}
+    assert coefficients and coefficients <= entries
+    assert sorted((x.den, x.nums) for x in rendered) == sorted(entries)
 
 
-@pytest.mark.parametrize("argv", [MAP_T_L, GRADE_LORENTZ, ["su3"]],
-                         ids=["map T L", "grade 1,7", "su3"])
-def test_dumps_of_a_shared_payload_matches_the_stdlib(monkeypatch, argv):
-    (payload,) = _payloads(monkeypatch, argv)
-    assert dumps(payload) == oracles.indented_json(payload)
+LEAF_MATRICES = ([m for sig in (EUCLIDEAN, LORENTZIAN)
+                  for b in (vector_basis(sig), *spinor_bases(sig)) for m in b.matrices()]
+                 + SHARED_ENTRY_MATRICES)
+
+
+_WRAPPERS = st.lists(st.tuples(st.booleans(), st.lists(json_scalars, max_size=2)),
+                     max_size=5)
+
+
+def _wrap(x, wrappers):
+    """``x`` inside one list (True) or dict (False) per wrapper, each with
+    its drawn siblings."""
+    for in_list, siblings in wrappers:
+        x = [*siblings, x] if in_list else {"k": x, **dict(zip("abc", siblings))}
+    return x
+
+
+@given(st.sampled_from(LEAF_MATRICES), st.data())
+@settings(max_examples=100, deadline=None)
+def test_a_matrix_leaf_writes_the_stdlib_bytes_at_its_depth(m, data):
+    """One encoder writes a matrix on its own, then at two drawn depths
+    with one of its entries beside them, byte for byte as the stdlib
+    writes the trees of ``matrix_to_json`` and ``scalar_to_json``."""
+    entry = data.draw(st.sampled_from([ZERO, *(x for row in m.rows for x in row.values())]))
+    wrappers = [data.draw(_WRAPPERS) for _ in range(3)]
+    encode = emit.Encoder()
+    assert dumps(encode.matrix(m)) == oracles.indented_json(matrix_to_json(m))
+    leaves = (encode.matrix(m), encode.matrix(m), encode.scalar(entry))
+    trees = (matrix_to_json(m), matrix_to_json(m), scalar_to_json(entry))
+    assert dumps([_wrap(x, w) for x, w in zip(leaves, wrappers)]) == \
+        oracles.indented_json([_wrap(x, w) for x, w in zip(trees, wrappers)])
 
 
 def _indented_dumps_calls(tree):

@@ -6,13 +6,18 @@ validated constructor), ``Matrix.__matmul__``, brackets
 and ``CoordSolver.solve``.  A cold ``run_suite`` gets one row per body
 call in run order (check 16's second clean control part is the
 ``re-run`` row), then ``runner`` (checks 16 and 17) and ``total``.
-Entries are exact, not bounds, so that a count that falls cannot leave
+Two more tables count single layer calls and one cold CLI request of
+each read-only kind.  Entries are exact, not bounds, so that a count that falls cannot leave
 room for a later rise; the README says how to update them.
 """
 
+import contextlib
+import io
+
 import pytest
 
-from triality import checks, linalg, matrix, subalgebras
+from test_caches import _lru_cached
+from triality import checks, cli, linalg, matrix, subalgebras
 from triality.checks import FAULT_H_SIGN, run_suite
 from triality.clifford import EUCLIDEAN
 from triality.field import HALF, I, MINUS_ONE, SQRT2, SQRT6, ExactScalar
@@ -247,3 +252,38 @@ def test_one_run_builds_the_lambda_gram_once(monkeypatch, cold_caches):
                         lambda g2: calls.append(g2) or real(g2))
     assert not run_suite("all").failed
     assert len(calls) == 1
+
+
+CLI_REQUESTS = {
+    "emit L 1,7": ["emit", "--object", "spinor-left", "--signature", "1,7"],
+    "map T L": ["map", "--op", "T", "--from", "L"],
+    "grade 1,7": ["grade", "--signature", "1,7"],
+    "s3 8,0": ["s3", "--signature", "8,0"],
+    "g2 constraints": ["g2", "--emit", "constraints"],
+    "su3": ["su3"],
+}
+
+CLI_COUNTS = """
+                  scalars        @ brackets     rref   solves
+emit L 1,7          3,227      163        0        0        0
+map T L             4,034      163        0        0        0
+grade 1,7             363        3        0        0        0
+s3 8,0              1,008       34        0        0        0
+g2 constraints      2,261       91        0        2        0
+su3                 1,132       28       46        0       46
+"""
+
+
+def test_each_cli_verb_kind_makes_exactly_its_op_counts(monkeypatch, cold_caches):
+    """One row per kind of read-only request, each from cold caches, so
+    the library-warm and cli-cold workloads are watched through counts
+    and not only through wall time."""
+    caches = list(_lru_cached().values())
+    rec = _Recorder(monkeypatch)
+    for label, argv in CLI_REQUESTS.items():
+        for cached in caches:
+            cached.cache_clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert rec.row(label, cli.main, argv) == 0
+    measured = rec.table()
+    assert measured == CLI_COUNTS.strip("\n"), f"measured:\n{measured}"
