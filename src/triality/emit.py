@@ -8,8 +8,10 @@ nested arrays of scalars.  Both directions round-trip exactly.
 ``dumps(obj)`` returns exactly ``json.dumps(obj, indent=2,
 sort_keys=True)`` for payloads built from dicts with str keys, lists,
 str, int, bool and None, and raises ``TypeError`` for anything else
-(a float, a tuple, a non-str key).  The stdlib never uses its C encoder
-when it indents, so a payload's matrices never become dicts and lists:
+(a float, a tuple, a non-str key).  It checks each node's exact type
+once, and writes a subclass of str, int, dict or list (an ``IntEnum``
+among them) as its base type, as the stdlib does, at any depth.  The
+stdlib never uses its C encoder when it indents, so a payload's matrices never become dicts and lists:
 one ``Encoder`` per payload hands out scalar and matrix leaves, and
 ``dumps`` writes a matrix row by row from the encoder's memo of texts,
 which renders each distinct scalar and each distinct row once per depth
@@ -76,8 +78,10 @@ class Encoder:
 
     ``scalar`` and ``matrix`` return leaves for ``dumps``.  A scalar's text
     is keyed by ``(den, nums, depth)``, a row's by ``(depth, n, sorted
-    (column, den, nums) entries)``; a matrix appends its rows' texts to the
-    writer's output.  Make one per payload: it keeps every text.
+    (column, den, nums) entries)``: an empty row's key is ``(depth, n)``
+    and a one-entry row's ``(depth, n, column, den, nums)``, with nothing
+    to sort.  A matrix appends each row's text once, after its separator.
+    Make one per payload: it keeps every text.
     """
 
     __slots__ = ("_texts",)
@@ -98,17 +102,26 @@ class Encoder:
         append(text)
 
     def _matrix(self, m, depth, append):
-        texts, scalar, n = self._texts, self._scalar, m.n
-
-        def row(r, depth, append):
-            key = (depth, n, *sorted((j, x.den, x.nums) for j, x in r.items()))
+        texts, n = self._texts, m.n
+        inner = "\n" + "  " * (depth + 1)
+        sep, comma = "[" + inner, "," + inner
+        for r in m.rows:
+            if len(r) == 1:
+                for j, x in r.items():
+                    key = (depth, n, j, x.den, x.nums)
+            elif r:
+                key = (depth, n, *sorted([(j, x.den, x.nums) for j, x in r.items()]))
+            else:
+                key = (depth, n)
             if (text := texts.get(key)) is None:
                 parts = []
-                _items([r.get(j, ZERO) for j in range(n)], depth, parts.append, scalar)
+                _items([r.get(j, ZERO) for j in range(n)], depth + 1, parts.append,
+                       self._scalar)
                 text = texts[key] = "".join(parts)
+            append(sep)
             append(text)
-
-        _items(m.rows, depth, append, row)
+            sep = comma
+        append(inner[:-2] + "]" if n else "[]")
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -153,22 +166,29 @@ def dumps(obj, *, _depth=0) -> str:
 
 
 def _write(o, depth, append):
-    if isinstance(o, str):
+    """Append the JSON of ``o``, laid out ``depth`` levels in: one check of
+    its exact type, and the ``isinstance`` rules for a subclass."""
+    kind = type(o)
+    if kind is str:
+        append(_quote(o))
+    elif kind is dict:
+        _object(o, depth, append)
+    elif kind is list:
+        _items(o, depth, append)
+    elif kind is _Leaf:
+        o[0](o[1], depth, append)
+    elif o is None:
+        append("null")
+    elif kind is bool:
+        append("true" if o else "false")
+    elif kind is int:
+        append(int.__repr__(o))
+    elif isinstance(o, str):
         append(_quote(o))
     elif isinstance(o, list):
         _items(o, depth, append)
     elif isinstance(o, dict):
-        if bad := [k for k in o if not isinstance(k, str)]:
-            raise TypeError(f"dumps takes str keys, not {type(bad[0]).__name__}")
-        _items(sorted(o.items()), depth, append, _pair, "{}")
-    elif type(o) is _Leaf:
-        o[0](o[1], depth, append)
-    elif o is None:
-        append("null")
-    elif o is True:
-        append("true")
-    elif o is False:
-        append("false")
+        _object(o, depth, append)
     elif isinstance(o, int):
         append(int.__repr__(o))
     else:
@@ -176,21 +196,41 @@ def _write(o, depth, append):
                         f"not {type(o).__name__}")
 
 
-def _pair(item, depth, append):
-    append(_quote(item[0]) + ": ")
-    _write(item[1], depth, append)
-
-
-def _items(items, depth, append, write=_write, brackets="[]"):
-    """The one layout of a JSON list or object: each item on a line of its
-    own, one level in, through ``write(item, depth, append)``."""
+def _object(o, depth, append):
+    """A JSON object, its pairs in key order, each checked for a str key as
+    it is written."""
+    try:
+        pairs = sorted(o.items())
+    except TypeError:  # keys of mixed types
+        raise _key_error(o) from None
     inner = "\n" + "  " * (depth + 1)
-    sep, comma = brackets[0] + inner, "," + inner
+    sep, comma = "{" + inner, "," + inner
+    depth += 1
+    for k, v in pairs:
+        if not isinstance(k, str):
+            raise _key_error(o)
+        append(sep + _quote(k) + ": ")
+        sep = comma
+        _write(v, depth, append)
+    append(inner[:-2] + "}" if pairs else "{}")
+
+
+def _key_error(o) -> TypeError:
+    bad = next(k for k in o if not isinstance(k, str))
+    return TypeError(f"dumps takes str keys, not {type(bad).__name__}")
+
+
+def _items(items, depth, append, write=_write):
+    """The one layout of a JSON list: each item on a line of its own, one
+    level in, through ``write(item, depth, append)``."""
+    inner = "\n" + "  " * (depth + 1)
+    sep, comma = "[" + inner, "," + inner
+    depth += 1
     for x in items:
         append(sep)
         sep = comma
-        write(x, depth + 1, append)
-    append(inner[:-2] + brackets[1] if items else brackets)
+        write(x, depth, append)
+    append(inner[:-2] + "]" if items else "[]")
 
 
 def _frac_latex(num: int, den: int, radical: str) -> str:
@@ -224,13 +264,18 @@ def scalar_to_latex(x: ExactScalar) -> str:
 def matrix_to_latex(m: Matrix) -> str:
     """A pmatrix of the entries, row by row.
 
-    Rows start as ``"0"`` cells and get only their nonzero entries; each
-    distinct entry, keyed by ``(den, nums)``, goes through
-    ``scalar_to_latex`` once per call.
+    Rows start as ``"0"`` cells and get only their nonzero entries, and
+    an empty row's line is built once; each distinct entry, keyed by
+    ``(den, nums)``, goes through ``scalar_to_latex`` once per call.
     """
     texts = {}
+    empty = None
     lines = []
     for row in m.rows:
+        if not row:
+            empty = empty or " & ".join(["0"] * m.n)
+            lines.append(empty)
+            continue
         line = ["0"] * m.n
         for j, x in row.items():
             key = (x.den, x.nums)

@@ -230,24 +230,28 @@ class ExactScalar:
         return f"ExactScalar({self})"
 
     def __str__(self):
+        """The nonzero coordinates as "c*name" terms in index order, each
+        c reduced from its numerator over ``den`` by one gcd."""
         if not self.nums:
             return "0"
-        terms = []
+        den = self.den
+        out = ""
         for k, c in self.nums:
-            c = Fraction(c, self.den)
-            name = _COORD_NAMES[k]
-            if k == 0:
-                term = str(c)
-            elif c == 1:
-                term = name
-            elif c == -1:
-                term = "-" + name
+            if c == den:  # a coefficient of 1, and "1" itself for k = 0
+                term = _COORD_NAMES[k]
+            elif c == -den:
+                term = "-" + _COORD_NAMES[k]
             else:
-                term = f"{c}*{name}"
-            terms.append(term)
-        out = terms[0]
-        for t in terms[1:]:
-            out += " - " + t[1:] if t.startswith("-") else " + " + t
+                g = gcd(c, den)
+                term = str(c // g) if g == den else f"{c // g}/{den // g}"
+                if k:
+                    term += "*" + _COORD_NAMES[k]
+            if not out:
+                out = term
+            elif term[0] == "-":
+                out += " - " + term[1:]
+            else:
+                out += " + " + term
         return out
 
 

@@ -279,13 +279,14 @@ def is_closed(gens) -> bool:
 
 def _ad(coeffs, s: int, v: dict) -> dict:
     """ad X_s of the coefficient vector ``v``, where ``coeffs[a, b]`` are
-    the coefficients of [X_a, X_b], a < b, for every pair holding s."""
+    the coefficients of [X_a, X_b], a < b, for every pair holding s; a
+    bracket that vanishes adds nothing and is skipped."""
     out = {}
     for b, x in v.items():
-        if b > s:
-            add_scaled(out, x, coeffs[s, b])
-        elif b < s:
-            sub_scaled(out, x, coeffs[b, s])
+        if b > s and (terms := coeffs[s, b]):
+            add_scaled(out, x, terms)
+        elif b < s and (terms := coeffs[b, s]):
+            sub_scaled(out, x, terms)
     return out
 
 

@@ -219,7 +219,8 @@ class Matrix:
         for arow in self.rows:
             acc = {}
             for k, a in arow.items():
-                add_scaled(acc, a, brows[k])
+                if brow := brows[k]:
+                    add_scaled(acc, a, brow)
             out.append(acc)
         return Matrix._of(out, self.n)
 
@@ -305,10 +306,10 @@ class Matrix:
         """One bracketed line per row, every cell right-justified to the
         longest entry, or to width 1 when all are zero.
 
-        Rows start as ``"0"`` cells and get only their nonzero entries.
-        Each distinct entry, keyed by ``(den, nums)`` because that hashes
-        faster than the scalar, is rendered and padded once; the memo
-        lives for this call only.
+        Rows start as ``"0"`` cells and get only their nonzero entries,
+        and an empty row's line is built once.  Each distinct entry, keyed
+        by ``(den, nums)`` because that hashes faster than the scalar, is
+        rendered and padded once; the memo lives for this call only.
         """
         texts = {}
         for row in self.rows:
@@ -319,8 +320,13 @@ class Matrix:
         width = max(map(len, texts.values()), default=1)
         cells = {key: text.rjust(width) for key, text in texts.items()}
         blank = ["0".rjust(width)] * self.n
+        empty = None
         lines = []
         for row in self.rows:
+            if not row:
+                empty = empty or "[ " + "  ".join(blank) + " ]"
+                lines.append(empty)
+                continue
             line = blank.copy()
             for j, x in row.items():
                 line[j] = cells[x.den, x.nums]
@@ -333,7 +339,8 @@ def _bracket(a: Matrix, b: Matrix, combine) -> Matrix:
 
     One pass per row into one accumulator: row i adds a_ik times row k of
     b, then combines b_ik times row k of a, with no intermediate product
-    matrix and no final entrywise pass.
+    matrix and no final entrywise pass; an empty row k adds nothing and
+    is skipped.
     """
     if a.n != b.n:
         raise DimensionMismatch(f"{a.n} vs {b.n}")
@@ -342,9 +349,11 @@ def _bracket(a: Matrix, b: Matrix, combine) -> Matrix:
     for arow, brow in zip(arows, brows):
         acc = {}
         for k, x in arow.items():
-            add_scaled(acc, x, brows[k])
+            if row := brows[k]:
+                add_scaled(acc, x, row)
         for k, y in brow.items():
-            combine(acc, y, arows[k])
+            if row := arows[k]:
+                combine(acc, y, row)
         out.append(acc)
     return Matrix._of(out, a.n)
 
@@ -375,8 +384,12 @@ def combination(terms, n: int) -> Matrix:
     Each output row accumulates straight from the terms' rows through
     ``add_scaled``, with no zero matrix, scaled copy or intermediate sum;
     every entry is ``s + c * x``, the value of adding up ``m.scale(c)``.
-    A zero coefficient adds nothing.
+    A zero coefficient adds nothing, and one term with coefficient one is
+    its matrix itself, not a copy.
     """
+    terms = list(terms)
+    if len(terms) == 1 and terms[0][0] == ONE and terms[0][1].n == n:
+        return terms[0][1]
     return Matrix._of(_accumulate([{} for _ in range(n)], terms, add_scaled), n)
 
 

@@ -6,12 +6,13 @@ produce count as independent evidence: scalars as dense 8-tuples of
 Fractions, matrices read entry by entry through m[i, j] into dense rows,
 products by the definition sum, rank by a from-scratch elimination,
 determinants by cofactor expansion, linear combinations by scaling and
-adding whole matrices, and text and LaTeX by rendering every one of the
-n*n entries.  The indented JSON layout has the stdlib call itself as its
-reference.  The intertwiner oracle builds its own equations and takes
-only their kernel from ``linalg.kernel_basis``; the fixed-vector oracle
-takes coordinates by projection and ranks with ``naive_rank``, so it
-shares no elimination with ``linalg``.
+adding whole matrices, scalar text through ``Fraction``, and text and
+LaTeX by rendering every one of the n*n entries.  The indented JSON
+layout has the stdlib call itself as its reference.  The intertwiner
+oracle builds its own equations and takes only their kernel from
+``linalg.kernel_basis``; the fixed-vector oracle takes coordinates by
+projection and ranks with ``naive_rank``, so it shares no elimination
+with ``linalg``.
 """
 
 import json
@@ -84,6 +85,32 @@ def dense_str(a):
             terms.append(("-" if c < 0 else "") + _NAMES[k])
         else:
             terms.append(f"{c}*{_NAMES[k]}")
+    if not terms:
+        return "0"
+    out = terms[0]
+    for t in terms[1:]:
+        out += " - " + t[1:] if t.startswith("-") else " + " + t
+    return out
+
+
+def fraction_str(x):
+    """``str(x)`` through Fractions: each stored numerator over ``den`` as
+    a Fraction, printed by ``str``, with the name of its coordinate after
+    it; the reference for ``ExactScalar.__str__``, which formats the
+    integers itself."""
+    terms = []
+    for k, c in x.nums:
+        c = Fraction(c, x.den)
+        name = _NAMES[k]
+        if k == 0:
+            term = str(c)
+        elif c == 1:
+            term = name
+        elif c == -1:
+            term = "-" + name
+        else:
+            term = f"{c}*{name}"
+        terms.append(term)
     if not terms:
         return "0"
     out = terms[0]

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import triality
-from triality import clifford, emit, matrix, subalgebras
+from triality import clifford, emit, field, matrix, subalgebras
 from triality.checks import run_suite
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.errors import TrialityError
@@ -133,6 +133,13 @@ def test_matrix_keeps_no_memo_beyond_one_call():
     dies with the call; module or class state would turn it into a cache
     across matrices and requests."""
     assert not _module_level_memos(matrix, matrix.Matrix)
+
+
+def test_field_keeps_no_memo_beyond_one_call():
+    """``ExactScalar.__str__`` formats each coordinate from its numerator
+    on every call; a text table at module or class level would be a cache
+    across scalars and requests."""
+    assert not _module_level_memos(field, field.ExactScalar)
 
 
 @pytest.mark.parametrize("signature", [EUCLIDEAN, LORENTZIAN])

@@ -5,6 +5,7 @@ import contextlib
 import importlib.util
 import io
 import json
+from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
 
@@ -207,6 +208,76 @@ def test_dumps_reuses_shared_containers_byte_for_byte():
 def test_dumps_rejects_types_outside_the_payload(bad):
     with pytest.raises(TypeError):
         dumps(bad)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (1.5, "dumps writes dict, list, str, int, bool and None, not float"),
+    ([{"a": [(1, 2)]}], "dumps writes dict, list, str, int, bool and None, not tuple"),
+    ({1: "x"}, "dumps takes str keys, not int"),
+    ({"a": 1, 2: "b"}, "dumps takes str keys, not int"),
+    ({"a": {"b": [], None: 1}}, "dumps takes str keys, not NoneType"),
+], ids=["float", "tuple", "int key", "mixed keys", "None key at depth"])
+def test_dumps_names_what_it_rejects(bad, message):
+    with pytest.raises(TypeError) as caught:
+        dumps(bad)
+    assert str(caught.value) == message
+
+
+def _nested(depth, leaf):
+    """``leaf`` inside ``depth`` containers, lists and objects in turn."""
+    for k in range(depth):
+        leaf = [leaf, k] if k % 2 else {"k": leaf, "d": k}
+    return leaf
+
+
+@pytest.mark.parametrize("depth", [101, 150])
+def test_dumps_lays_out_any_depth(depth):
+    """Past 100 levels the indent still grows by two spaces a level, for
+    plain nodes and for an encoder's leaves."""
+    m = g2_basis().lambdas[0]
+    entry = next(x for row in m.rows for x in row.values())
+    assert dumps(_nested(depth, [])) == oracles.indented_json(_nested(depth, []))
+    encode = emit.Encoder()
+    payload = _nested(depth, [encode.matrix(m), encode.scalar(entry)])
+    tree = _nested(depth, [matrix_to_json(m), scalar_to_json(entry)])
+    assert dumps(payload) == oracles.indented_json(tree)
+
+
+class _Level(IntEnum):
+    LOW = 1
+    HIGH = -20
+
+
+class _Str(str):
+    pass
+
+
+class _Int(int):
+    pass
+
+
+class _Dict(dict):
+    pass
+
+
+class _List(list):
+    pass
+
+
+def test_dumps_writes_subclasses_as_the_stdlib_does():
+    """Subclasses of str, int, dict and list, an IntEnum among them, as
+    keys, values and containers, laid out as their base types."""
+    payload = _Dict({_Str("b"): _List([_Int(7), _Level.HIGH, _Str('q"\\'), True]),
+                     "a": [_Level.LOW, _Dict(), _List(), {_Str("z"): _Int(-3)}],
+                     _Str("c"): _List([_List([_Dict({"x": None})])])})
+    assert dumps(payload) == oracles.indented_json(payload)
+
+
+def test_dumps_writes_empty_containers_at_depth():
+    payload = {"a": [[], {}, [[]], [{}], {"b": {"c": []}}], "e": {}, "f": [],
+               "g": [[[[{"h": [[], {}]}]]]]}
+    assert dumps(payload) == oracles.indented_json(payload)
+    assert dumps([]) == "[]" and dumps({}) == "{}"
 
 
 SHARED_ENTRY_MATRICES = ([outer_op(name).core for name in ("H", "K", "T", "conj")]

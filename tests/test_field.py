@@ -149,6 +149,33 @@ def test_str_round_readability():
     assert str(x) == "1/2 - 1/2*i*sqrt3"
 
 
+# a coordinate of 0, +-1, an integer or a fraction, each sign of each
+coordinate_values = (st.sampled_from([0, 1, -1]) | st.integers(-40, 40)
+                     | st.builds(Fraction, st.integers(-60, 60), st.integers(1, 36)))
+
+
+@given(st.tuples(*([coordinate_values] * 8)))
+@settings(max_examples=300, deadline=None)
+def test_str_matches_the_fraction_formatter(coords):
+    x = ExactScalar(coords)
+    assert str(x) == oracles.fraction_str(x)
+
+
+@pytest.mark.parametrize("k", range(8))
+def test_str_of_each_coordinate_matches_the_fraction_formatter(k):
+    """Coordinate k alone, after a rational term and before an i*sqrt6
+    term, with coefficient +-1, an integer or a fraction of either sign,
+    over denominator 1 and not."""
+    for c in (1, -1, 3, -3, Fraction(1, 2), Fraction(-5, 6)):
+        for other in (None, 0, 7):
+            coords = [Fraction(0)] * 8
+            if other is not None and other != k:
+                coords[other] = Fraction(2, 3)
+            coords[k] = Fraction(c)
+            x = ExactScalar(coords)
+            assert str(x) == oracles.fraction_str(x), (c, other)
+
+
 def _reduced_form(x):
     """``x`` stores nonzero integer numerators in strictly increasing
     coordinate order over a positive denominator, with gcd 1."""

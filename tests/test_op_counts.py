@@ -102,8 +102,8 @@ OP_COUNTS = {
 04 (1,7)            6,899      140      504        0      168
 05 (8,0)            2,344        2        0        0        0
 05 (1,7)            2,347        2        0        0        0
-06 (8,0)              848      112        0        0        0
-06 (1,7)              308        0        0        0        0
+06 (8,0)              638      112        0        0        0
+06 (1,7)               84        0        0        0        0
 07 (8,0)            1,008       34        0        0        0
 07 (1,7)            1,071       34        0        0        0
 08 (8,0)              233        6        0        0        0
@@ -121,7 +121,7 @@ OP_COUNTS = {
 05 (8,0) h-sign     2,095        2        0        0        0
 05 (8,0) re-run     2,344        2        0        0        0
 runner                  0        0        0        0        0
-total              49,420      620    1,493       25      508
+total              48,986      620    1,493       25      508
 """,
     "euclidean": """
                   scalars        @ brackets     rref   solves
@@ -130,7 +130,7 @@ total              49,420      620    1,493       25      508
 03 (8,0)            1,825       84        0        6        0
 04 (8,0)            4,581        0      504        0      168
 05 (8,0)            2,344        2        0        0        0
-06 (8,0)              848      112        0        0        0
+06 (8,0)              638      112        0        0        0
 07 (8,0)            1,008       34        0        0        0
 08 (8,0)              233        6        0        0        0
 09 (8,0)            2,671        0        0       13        0
@@ -142,7 +142,7 @@ total              49,420      620    1,493       25      508
 05 (8,0) h-sign     2,095        2        0        0        0
 05 (8,0) re-run     2,344        2        0        0        0
 runner                  0        0        0        0        0
-total              28,139      350      764       22      286
+total              27,929      350      764       22      286
 """,
     "lorentzian": """
                   scalars        @ brackets     rref   solves
@@ -150,7 +150,7 @@ total              28,139      350      764       22      286
 02 (1,7)              392        8        8        0        0
 04 (1,7)            6,899      140      504        0      168
 05 (1,7)            2,347        2        0        0        0
-06 (1,7)              308        0        0        0        0
+06 (1,7)               84        0        0        0        0
 07 (1,7)            1,071       34        0        0        0
 08 (1,7)              395        8        0        0        0
 12 (1,7)            5,106        6      145        3       54
@@ -161,7 +161,7 @@ total              28,139      350      764       22      286
 05 (8,0) h-sign     2,095        2        0        0        0
 05 (8,0) re-run     2,344        2        0        0        0
 runner                  0        0        0        0        0
-total              29,756      367      729        3      222
+total              29,532      367      729        3      222
 """,
 }
 
@@ -243,6 +243,23 @@ def test_the_row_kernel_builds_through_the_recorded_constructor(monkeypatch):
                                                   (0, 0, 0, 0, 0)]
 
 
+def test_the_row_kernel_never_runs_on_an_empty_row(monkeypatch, cold_caches):
+    """``@``, the brackets, ``_accumulate`` and ``linalg._ad`` skip a row
+    with no entries, so no call of the row kernel in a cold run is pure
+    overhead."""
+    empty = []
+    real = matrix._scaled
+
+    def scaled(v, c, w, sign):
+        if not w:
+            empty.append(c)
+        return real(v, c, w, sign)
+
+    monkeypatch.setattr(matrix, "_scaled", scaled)
+    assert not run_suite("all").failed
+    assert not empty, f"{len(empty)} kernel calls on an empty row"
+
+
 def test_one_run_builds_the_lambda_gram_once(monkeypatch, cold_caches):
     """Checks 10 and 17 read one Gram matrix per run, from the Euclidean
     fixtures, which call ``lambda_gram`` through its module."""
@@ -257,6 +274,8 @@ def test_one_run_builds_the_lambda_gram_once(monkeypatch, cold_caches):
 CLI_REQUESTS = {
     "emit L 1,7": ["emit", "--object", "spinor-left", "--signature", "1,7"],
     "map T L": ["map", "--op", "T", "--from", "L"],
+    "map K L": ["map", "--op", "K", "--from", "L"],
+    "map conj R": ["map", "--op", "conj", "--from", "R"],
     "grade 1,7": ["grade", "--signature", "1,7"],
     "s3 8,0": ["s3", "--signature", "8,0"],
     "g2 constraints": ["g2", "--emit", "constraints"],
@@ -267,6 +286,8 @@ CLI_COUNTS = """
                   scalars        @ brackets     rref   solves
 emit L 1,7          3,227      163        0        0        0
 map T L             4,034      163        0        0        0
+map K L             1,748       91        0        0        0
+map conj R          3,311      163        0        0        0
 grade 1,7             363        3        0        0        0
 s3 8,0              1,008       34        0        0        0
 g2 constraints      2,261       91        0        2        0
