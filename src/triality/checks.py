@@ -24,7 +24,7 @@ from functools import cached_property
 from . import __version__, clifford, outer, representations, subalgebras
 from ._record import Record
 from .clifford import EUCLIDEAN, LORENTZIAN
-from .emit import dumps
+from .emit import dumps_line
 from .errors import TrialityError
 from .field import HALF, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO, rational
 from .linalg import Subspace, det, is_closed
@@ -80,7 +80,7 @@ class Report(Record):
         }
 
     def to_json_text(self) -> str:
-        return dumps(self.to_json()) + "\n"
+        return dumps_line(self.to_json())
 
     def to_text(self) -> str:
         lines = []

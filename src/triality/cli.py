@@ -33,7 +33,7 @@ import argparse
 import sys
 
 from . import __version__
-from .emit import Encoder, dumps, matrix_to_latex
+from .emit import Encoder, dumps_line, matrix_to_latex
 from .suites import FAULT_NAMES, SUITES
 
 USAGE_EXIT = 64
@@ -129,11 +129,11 @@ def _emit_constraints(fmt):
                           for coeff, var in c.terms]}
                for c in system.constraints]
     if fmt == "json":
-        return dumps({"object": "g2-constraints",
-                      "rank": system.rank,
-                      "unknowns": system.unknowns,
-                      "dimension": system.subspace.dim,
-                      "constraints": records}) + "\n"
+        return dumps_line({"object": "g2-constraints",
+                           "rank": system.rank,
+                           "unknowns": system.unknowns,
+                           "dimension": system.subspace.dim,
+                           "constraints": records})
     if fmt == "latex":
         lines = [f"{c.dependent} &= {str(c).split(' = ')[1]} \\\\"
                  for c in system.constraints]
@@ -150,7 +150,7 @@ def _render(obj, named, fmt, signature):
             "items": [{"name": name, "matrix": encode.matrix(m)}
                       for name, m in named],
         }
-        return dumps(payload) + "\n"
+        return dumps_line(payload)
     if fmt == "latex":
         return "".join(f"% {name}\n{matrix_to_latex(m)}\n"
                        for name, m in named)
@@ -236,7 +236,7 @@ def cmd_map(args):
     items.sort(key=lambda x: x["name"])
     payload = {"op": args.op, "from": args.source, "to": mapped.kind,
                "signature": str(op.signature), "items": items}
-    return dumps(payload) + "\n", 0
+    return dumps_line(payload), 0
 
 
 def cmd_grade(args):
@@ -258,7 +258,7 @@ def cmd_grade(args):
         "right": part("right", graded.right_part, "e^{+i2pi/3}"),
         "left": part("left", graded.left_part, "e^{-i2pi/3}"),
     }
-    return dumps(payload) + "\n", 0
+    return dumps_line(payload), 0
 
 
 def cmd_s3(args):
@@ -278,7 +278,7 @@ def cmd_s3(args):
         "elements": [{"antilinear": flag, "matrix": encode.matrix(m)}
                      for m, flag in closure.elements],
     }
-    return dumps(payload) + "\n", 0
+    return dumps_line(payload), 0
 
 
 def cmd_g2(args):
@@ -301,7 +301,7 @@ def cmd_su3(args):
         "blocks": [{"name": name, "matrix": encode.matrix(m)}
                    for name, m in _su3_blocks(emb)],
     }
-    return dumps(payload) + "\n", 0
+    return dumps_line(payload), 0
 
 
 def build_parser() -> _Parser:

@@ -16,6 +16,8 @@ one ``Encoder`` per payload hands out scalar and matrix leaves, and
 ``dumps`` writes a matrix row by row from the encoder's memo of texts,
 which renders each distinct scalar and each distinct row once per depth
 (the 224 rows of a ``map`` payload take 31 row texts and 5 scalar texts).
+``dumps_line(obj)`` is ``dumps(obj) + "\\n"`` with the newline as the last
+piece of the one join, so a payload written to stdout is copied once.
 The memo goes with the encoder; ``matrix_to_json(m)`` builds dicts and lists.
 """
 
@@ -81,6 +83,8 @@ class Encoder:
     (column, den, nums) entries)``: an empty row's key is ``(depth, n)``
     and a one-entry row's ``(depth, n, column, den, nums)``, with nothing
     to sort.  A matrix appends each row's text once, after its separator.
+    A row's text is one join of its cells' texts, ZERO's only if a cell
+    is empty, so a payload renders no scalar that none of its cells holds.
     Make one per payload: it keeps every text.
     """
 
@@ -96,10 +100,13 @@ class Encoder:
         return _Leaf((self._matrix, m))
 
     def _scalar(self, x, depth, append):
+        append(self._scalar_text(x, depth))
+
+    def _scalar_text(self, x, depth):
         key = (x.den, x.nums, depth)
         if (text := self._texts.get(key)) is None:
             text = self._texts[key] = dumps(scalar_to_json(x), _depth=depth)
-        append(text)
+        return text
 
     def _matrix(self, m, depth, append):
         texts, n = self._texts, m.n
@@ -114,14 +121,23 @@ class Encoder:
             else:
                 key = (depth, n)
             if (text := texts.get(key)) is None:
-                parts = []
-                _items([r.get(j, ZERO) for j in range(n)], depth + 1, parts.append,
-                       self._scalar)
-                text = texts[key] = "".join(parts)
+                text = texts[key] = self._row(r, n, depth + 2)
             append(sep)
             append(text)
             sep = comma
         append(inner[:-2] + "]" if n else "[]")
+
+    def _row(self, r, n, depth):
+        """The text of a row of ``n >= 1`` cells, each ``depth`` levels in:
+        ZERO's text in every cell if one is empty, each entry's text in its
+        own cell, and the separators between them, in one join."""
+        text, inner = self._scalar_text, "\n" + "  " * depth
+        pieces = ["," + inner, text(ZERO, depth) if len(r) < n else None] * n
+        pieces[0] = "[" + inner
+        for j, x in r.items():
+            pieces[2 * j + 1] = text(x, depth)
+        pieces.append(inner[:-2] + "]")
+        return "".join(pieces)
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -162,6 +178,15 @@ def dumps(obj, *, _depth=0) -> str:
     lays ``obj`` out as if it sat that many levels in."""
     out = []
     _write(obj, _depth, out.append)
+    return "".join(out)
+
+
+def dumps_line(obj) -> str:
+    """``dumps(obj) + "\\n"`` in one join: the newline is the last piece,
+    so the payload's text is copied once."""
+    out = []
+    _write(obj, 0, out.append)
+    out.append("\n")
     return "".join(out)
 
 
@@ -220,16 +245,15 @@ def _key_error(o) -> TypeError:
     return TypeError(f"dumps takes str keys, not {type(bad).__name__}")
 
 
-def _items(items, depth, append, write=_write):
-    """The one layout of a JSON list: each item on a line of its own, one
-    level in, through ``write(item, depth, append)``."""
+def _items(items, depth, append):
+    """A JSON list: each item on a line of its own, one level in."""
     inner = "\n" + "  " * (depth + 1)
     sep, comma = "[" + inner, "," + inner
     depth += 1
     for x in items:
         append(sep)
         sep = comma
-        write(x, depth, append)
+        _write(x, depth, append)
     append(inner[:-2] + "]" if items else "[]")
 
 

@@ -5,6 +5,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import tracemalloc
 from enum import IntEnum
 from fractions import Fraction
 from pathlib import Path
@@ -336,6 +337,11 @@ PAYLOAD_REQUESTS = {
     "emit gammas-cl8 json": ["emit", "--object", "gammas-cl8", "--format", "json"],
     "emit graded 1,7 json": ["emit", "--object", "graded", "--signature", "1,7",
                              "--format", "json"],
+    "emit g2-constraints json": ["emit", "--object", "g2-constraints",
+                                 "--format", "json"],
+    "map conj R": ["map", "--op", "conj", "--from", "R"],
+    "s3 1,7": ["s3", "--signature", "1,7"],
+    "verify euclidean json": ["verify", "--suite", "euclidean", "--format", "json"],
 }
 
 
@@ -345,23 +351,53 @@ def test_a_payload_on_stdout_is_the_stdlib_layout(argv):
     assert out == oracles.indented_json(json.loads(out)) + "\n"
 
 
-def _renders(monkeypatch, argv):
-    """The scalars whose texts a request renders, in order, and the rows
-    (lists of scalars) whose texts it renders."""
-    scalars, rows = [], []
-    render_scalar, items = emit.scalar_to_json, emit._items
+class _Discard:
+    def write(self, text):
+        return len(text)
+
+
+@pytest.mark.parametrize("argv, size", [(MAP_T_L, 513_626), (LEFT_LORENTZ_JSON, 472_361)],
+                         ids=["map T L", "emit spinor-left 1,7"])
+def test_a_payload_is_copied_once(argv, size):
+    """The traced peak of a warm JSON request stays under two copies of its
+    text: the newline is the last piece of the payload's one join.  With
+    ``dumps(payload) + "\\n"``, which copied the joined text once more,
+    ``map T L`` peaked at 1.21 MB and ``emit`` at 1.02 MB; with one join,
+    at 0.76 MB and 0.57 MB."""
+    text = _stdout(argv)
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(_Discard()):
+            assert cli.main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) == size and peak < 2 * size
+
+
+def _rendered_scalars(monkeypatch):
+    """The scalars whose texts are rendered from now on, in order."""
+    scalars, render = [], emit.scalar_to_json
 
     def scalar(x):
         scalars.append(x)
-        return render_scalar(x)
-
-    def counted_items(xs, *args):
-        if xs and all(isinstance(x, ExactScalar) for x in xs):
-            rows.append(xs)
-        return items(xs, *args)
+        return render(x)
 
     monkeypatch.setattr(emit, "scalar_to_json", scalar)
-    monkeypatch.setattr(emit, "_items", counted_items)
+    return scalars
+
+
+def _renders(monkeypatch, argv):
+    """The scalars whose texts a request renders, in order, and the sparse
+    rows whose texts it renders."""
+    scalars, rows = _rendered_scalars(monkeypatch), []
+    render_row = emit.Encoder._row
+
+    def row(self, r, *args):
+        rows.append(r)
+        return render_row(self, r, *args)
+
+    monkeypatch.setattr(emit.Encoder, "_row", row)
     _stdout(argv)
     return scalars, rows
 
@@ -391,6 +427,39 @@ def test_a_map_coefficient_reuses_the_text_of_its_equal_entry(monkeypatch):
                     for _, c in terms}
     assert coefficients and coefficients <= entries
     assert sorted((x.den, x.nums) for x in rendered) == sorted(entries)
+
+
+def _zero_rule_renders(monkeypatch, leaves):
+    """The scalars whose texts one encoder renders, in order, writing
+    ``leaves(encoder)`` byte for byte as the stdlib writes its trees."""
+    want = oracles.indented_json(leaves(None))
+    rendered = _rendered_scalars(monkeypatch)
+    assert dumps(leaves(emit.Encoder())) == want
+    return [(x.den, x.nums) for x in rendered]
+
+
+def _tree(encoder, m):
+    return matrix_to_json(m) if encoder is None else encoder.matrix(m)
+
+
+def test_a_row_renders_zero_only_for_an_empty_cell(monkeypatch):
+    """Exact counts: a matrix with no zero cell renders each distinct entry
+    once per depth and never ZERO; with zero cells, ZERO once per depth."""
+    zero = (ZERO.den, ZERO.nums)
+    full = EDGE_MATRICES["no zero entry"]
+    distinct = {(x.den, x.nums) for row in full.rows for x in row.values()}
+    rendered = _zero_rule_renders(
+        monkeypatch, lambda e: [_tree(e, full), _tree(e, full), [_tree(e, full)]])
+    assert len(distinct) == 9 and zero not in rendered
+    assert len(rendered) == 2 * 9 and set(rendered) == distinct
+
+    mixed = EDGE_MATRICES["mixed width"]
+    rendered = _zero_rule_renders(
+        monkeypatch, lambda e: [_tree(e, mixed), [_tree(e, mixed), _tree(e, mixed)],
+                                _tree(e, Matrix.zero(3))])
+    distinct = {(x.den, x.nums) for row in mixed.rows for x in row.values()}
+    assert len(distinct) == 8 and rendered.count(zero) == 2
+    assert len(rendered) == 2 * 9 and set(rendered) == distinct | {zero}
 
 
 LEAF_MATRICES = ([m for sig in (EUCLIDEAN, LORENTZIAN)
@@ -439,6 +508,25 @@ def _imports_json(tree):
                or (isinstance(node, ast.ImportFrom)
                    and (node.module or "").split(".")[0] == "json")
                for node in ast.walk(tree))
+
+
+def _copies_a_dumps_result(node):
+    """``dumps(...) + x`` or ``x + dumps(...)``: the payload's text copied
+    once more after its join."""
+    return (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+            and any(isinstance(side, ast.Call)
+                    and getattr(side.func, "id", getattr(side.func, "attr", None)) == "dumps"
+                    for side in (node.left, node.right)))
+
+
+def test_no_payload_text_is_copied_after_its_join():
+    """A payload's trailing newline is the last piece of its one join
+    (``emit.dumps_line``), so no module adds a string to a ``dumps``
+    result."""
+    sites = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if _copies_a_dumps_result(node)]
+    assert sites == []
 
 
 def test_indented_json_has_one_writer():
