@@ -22,6 +22,7 @@ arrays; callers run them only after a certificate fails, to name where.
 
 from __future__ import annotations
 
+from . import matrix
 from ._record import Record
 from .errors import DimensionMismatch, LinearlyDependent, NotClosed
 from .field import MINUS_ONE, ONE, ZERO, ExactScalar, scalar
@@ -44,10 +45,12 @@ def _flatten(m: Matrix, ambient_dim: int) -> dict:
 def _eliminate(v: dict, rows, pivots):
     """Reduce the sparse vector ``v`` in place against ``rows``, each 1 at
     its pivot and zero at the pivots before it, so that ``v`` ends empty
-    exactly in their span."""
+    exactly in their span.  Each update calls the kernel body
+    ``matrix._scaled``, read from its module, in one frame."""
+    scaled = matrix._scaled
     for row, p in zip(rows, pivots):
         if p in v:
-            sub_scaled(v, v[p], row)
+            scaled(v, v[p], row, -1)
 
 
 def _insert(rows, pivots, v: dict):

@@ -19,16 +19,16 @@ from .field import _MUL, ZERO, ONE, ExactScalar, _sum, scalar
 def add_scaled(v: dict, c, w: dict) -> dict:
     """Set v = v + c * w in place for a nonzero scalar ``c``; returns v.
 
-    With ``sub_scaled``, its sign -1 form, this is the one row kernel:
-    every scaled row update of ``@``, the brackets, ``combination`` and
-    ``linalg``'s elimination runs through it, and entries that cancel are
-    dropped, so a sparse row stays canonical.  Where ``c`` and the entry x
-    of w are both one-term, the product is taken on ints with ``_MUL``;
-    where v already holds a one-term entry s on the product's coordinate,
-    the numerators are added over a shared denominator, and one gcd
-    reduces the result to the one scalar built.  Every other entry is
-    built as ``s ± c * x``, or as ``±(c * x)`` where v had none.  Each
-    scalar the kernel builds goes through ``ExactScalar._of``.
+    With ``sub_scaled``, its sign -1 form, this is the one row kernel;
+    every scaled row update runs through their body ``_scaled``, and
+    entries that cancel are dropped, so a sparse row stays canonical.
+    Where ``c`` and the entry x of w are both one-term, the product is
+    taken on ints with ``_MUL``; where v already holds a one-term entry s
+    on the product's coordinate, the numerators are added over a shared
+    denominator, and one gcd reduces the result to the one scalar built.
+    Every other entry is built as ``s ± c * x``, or as ``±(c * x)`` where
+    v had none.  Each scalar the kernel builds goes through
+    ``ExactScalar._of``.
     """
     return _scaled(v, c, w, 1)
 
@@ -39,16 +39,19 @@ def sub_scaled(v: dict, c, w: dict) -> dict:
 
 
 def _scaled(v: dict, c, w: dict, sign: int) -> dict:
-    """v = v + sign * c * w in place, for sign 1 or -1: the one body of
-    ``add_scaled`` and ``sub_scaled``.  A fused entry y already carries
-    the sign, so it joins s with ``e = 1``; ``c * x`` joins with ``sign``."""
-    of, one = ExactScalar._of, len(c.nums) == 1
+    """v = v + sign * c * w in place, for sign 1 or -1: the body of
+    ``add_scaled`` and ``sub_scaled``, called directly by ``@``, the
+    brackets, ``_accumulate`` and ``linalg._eliminate`` so that a row
+    update is one Python frame.  Whether c has one term is tested once
+    per call: ``one`` is 1 if so and 0 if not, which no nonzero x
+    matches.  A fused entry y carries the sign and joins s with e = 1."""
+    of, one = ExactScalar._of, 1 if len(c.nums) == 1 else 0
     if one:
         ((p, a),), cd = c.nums, c.den
         a, row = a * sign, _MUL[p]
     for k, x in w.items():
         s, e = v.get(k), sign
-        if one and len(x.nums) == 1:
+        if len(x.nums) == one:
             (q, b), = x.nums
             r, m = row[q]
             n, d, e = a * b * m, cd * x.den, 1
@@ -220,7 +223,7 @@ class Matrix:
             acc = {}
             for k, a in arow.items():
                 if brow := brows[k]:
-                    add_scaled(acc, a, brow)
+                    _scaled(acc, a, brow, 1)
             out.append(acc)
         return Matrix._of(out, self.n)
 
@@ -334,8 +337,8 @@ class Matrix:
         return "\n".join(lines)
 
 
-def _bracket(a: Matrix, b: Matrix, combine) -> Matrix:
-    """ab - ba or ab + ba, as ``combine`` is ``sub_scaled`` or ``add_scaled``.
+def _bracket(a: Matrix, b: Matrix, sign: int) -> Matrix:
+    """ab - ba or ab + ba, as ``sign`` is -1 or 1.
 
     One pass per row into one accumulator: row i adds a_ik times row k of
     b, then combines b_ik times row k of a, with no intermediate product
@@ -350,23 +353,23 @@ def _bracket(a: Matrix, b: Matrix, combine) -> Matrix:
         acc = {}
         for k, x in arow.items():
             if row := brows[k]:
-                add_scaled(acc, x, row)
+                _scaled(acc, x, row, 1)
         for k, y in brow.items():
             if row := arows[k]:
-                combine(acc, y, row)
+                _scaled(acc, y, row, sign)
         out.append(acc)
     return Matrix._of(out, a.n)
 
 
 def commutator(a: Matrix, b: Matrix) -> Matrix:
     """The Lie bracket [a, b] = ab - ba, exact."""
-    return _bracket(a, b, sub_scaled)
+    return _bracket(a, b, -1)
 
 
-def _accumulate(rows, terms, kernel) -> list:
-    """Apply ``kernel`` (``add_scaled`` or ``sub_scaled``) with each (c, m)
-    of ``terms``, c nonzero, to ``rows`` in place, skipping m's empty rows;
-    returns ``rows``."""
+def _accumulate(rows, terms, sign: int) -> list:
+    """Add (``sign`` 1) or subtract (-1) c * m for each (c, m) of
+    ``terms``, c nonzero, to ``rows`` in place through the row kernel,
+    skipping m's empty rows; returns ``rows``."""
     n = len(rows)
     for c, m in terms:
         if m.n != n:
@@ -374,7 +377,7 @@ def _accumulate(rows, terms, kernel) -> list:
         if c:
             for acc, row in zip(rows, m.rows):
                 if row:
-                    kernel(acc, c, row)
+                    _scaled(acc, c, row, sign)
     return rows
 
 
@@ -382,7 +385,7 @@ def combination(terms, n: int) -> Matrix:
     """The n x n linear combination sum c * m over (c, m) in ``terms``.
 
     Each output row accumulates straight from the terms' rows through
-    ``add_scaled``, with no zero matrix, scaled copy or intermediate sum;
+    the row kernel, with no zero matrix, scaled copy or intermediate sum;
     every entry is ``s + c * x``, the value of adding up ``m.scale(c)``.
     A zero coefficient adds nothing, and one term with coefficient one is
     its matrix itself, not a copy.
@@ -390,15 +393,15 @@ def combination(terms, n: int) -> Matrix:
     terms = list(terms)
     if len(terms) == 1 and terms[0][0] == ONE and terms[0][1].n == n:
         return terms[0][1]
-    return Matrix._of(_accumulate([{} for _ in range(n)], terms, add_scaled), n)
+    return Matrix._of(_accumulate([{} for _ in range(n)], terms, 1), n)
 
 
 def is_combination(m: Matrix, terms) -> bool:
     """Whether ``m == combination(terms, m.n)``, by cancellation: each
-    c * y comes off a copy of m's rows through ``sub_scaled``, so equal
+    c * y comes off a copy of m's rows through the row kernel, so equal
     entries cancel and build no scalar.  Raises DimensionMismatch for a
     term of another size than m."""
-    return not any(_accumulate([dict(row) for row in m.rows], terms, sub_scaled))
+    return not any(_accumulate([dict(row) for row in m.rows], terms, -1))
 
 
 def trace_product(a: Matrix, b: Matrix) -> ExactScalar:
@@ -418,7 +421,7 @@ def trace_product(a: Matrix, b: Matrix) -> ExactScalar:
 
 def anticommutator(a: Matrix, b: Matrix) -> Matrix:
     """{a, b} = ab + ba, exact, in the one pass of ``commutator``."""
-    return _bracket(a, b, add_scaled)
+    return _bracket(a, b, 1)
 
 
 def kron(a: Matrix, b: Matrix) -> Matrix:

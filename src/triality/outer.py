@@ -12,7 +12,6 @@ third roots of unity as eigenvalues.
 from __future__ import annotations
 
 from collections import Counter
-from fractions import Fraction
 
 from ._record import Record
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature
@@ -47,11 +46,21 @@ class OuterOp(Record):
     __slots__ = ("name", "core", "antilinear", "signature")
 
 
+# The entries of the order-3 cores, each a ready one-term scalar: +-1/2
+# and +-i/2.  A core is placed from them with ``Matrix._of`` and builds none.
+_P, _M, _IP = HALF, -HALF, I * HALF
+_IM = -_IP
+
+
+def _core(rows) -> Matrix:
+    """A 4x4 core from dense rows of nonzero scalars."""
+    return Matrix._of((dict(enumerate(row)) for row in rows), 4)
+
+
 def outer_h() -> OuterOp:
     """The Euclidean order-3 triality rotation: V -> L -> R -> V."""
-    h = Fraction(1, 2)
-    core = Matrix([[x * h for x in row] for row in
-                   ((-1, -1, 1, 1), (1, 1, 1, 1), (-1, 1, 1, -1), (-1, 1, -1, 1))])
+    core = _core(((_M, _M, _P, _P), (_P, _P, _P, _P),
+                  (_M, _P, _P, _M), (_M, _P, _M, _P)))
     return OuterOp("H", core, False, EUCLIDEAN)
 
 
@@ -66,13 +75,8 @@ def outer_k() -> OuterOp:
 
 def outer_t() -> OuterOp:
     """The Lorentzian order-3 triality rotation, a symmetric core."""
-    rows = (
-        (-ONE, I, -I, -I),
-        (I, ONE, ONE, ONE),
-        (-I, ONE, ONE, -ONE),
-        (-I, ONE, -ONE, ONE),
-    )
-    core = Matrix([[HALF * x for x in row] for row in rows])
+    core = _core(((_M, _IP, _IM, _IM), (_IP, _P, _P, _P),
+                  (_IM, _P, _P, _M), (_IM, _P, _M, _P)))
     return OuterOp("T", core, False, LORENTZIAN)
 
 
@@ -103,9 +107,11 @@ def quartet_terms(core: Matrix) -> dict:
     Maps each new generator index to its ((old index, coefficient), ...)
     terms: the generator at quartet slot t becomes sum_s core[t][s] times
     the old generator at slot s, in each of the seven quartets.  Zero
-    coefficients are left out.
+    coefficients are left out, and each core row is sorted into slot
+    order once.
     """
-    return {new: tuple((quartet[s], c) for s, c in sorted(core.rows[t].items()))
+    rows = [sorted(row.items()) for row in core.rows]
+    return {new: tuple((quartet[s], c) for s, c in rows[t])
             for quartet in zip(*QUARTETS) for t, new in enumerate(quartet)}
 
 
@@ -239,15 +245,16 @@ class Diagonalization(Record):
     __slots__ = ("change_of_basis", "diagonal")
 
 
+# The entries of the eigenvector columns, ready like the cores' entries.
 _INV_SQRT2 = SQRT2 * HALF               # 1/sqrt2
 _INV_SQRT6 = SQRT6 * rational(1, 6)     # 1/sqrt6
+_NEG_INV_SQRT6, _TWO_INV_SQRT6 = -_INV_SQRT6, _INV_SQRT6 * 2
+_H_FIRST = I * SQRT3 * _INV_SQRT6       # i sqrt3 / sqrt6 = i/sqrt2
+_T_FIRST = -SQRT3 * _INV_SQRT6          # the i -> 1 replacement, -1/sqrt2
 
-
-# The first entry of each complex eigenvector column, per order-3 operator.
-_FIRST_ENTRY = {
-    "H": I * SQRT3 * _INV_SQRT6,          # i sqrt3 / sqrt6 = i/sqrt2
-    "T": -SQRT3 * _INV_SQRT6,             # the i -> 1 replacement, -1/sqrt2
-}
+# The first entries f and -f of the two complex eigenvector columns, per
+# order-3 operator.
+_FIRST_ENTRY = {"H": (_H_FIRST, -_H_FIRST), "T": (_T_FIRST, -_T_FIRST)}
 
 
 def diagonalize(op_name: str) -> Diagonalization:
@@ -258,12 +265,13 @@ def diagonalize(op_name: str) -> Diagonalization:
     """
     if op_name not in _FIRST_ENTRY:
         raise ValueError(f"no diagonalization for operator {op_name!r}")
-    col1 = (ZERO, _INV_SQRT2, ZERO, _INV_SQRT2)
-    col2 = (ZERO, _INV_SQRT6, _INV_SQRT6 * 2, -_INV_SQRT6)
-    col3 = (_FIRST_ENTRY[op_name], -_INV_SQRT6, _INV_SQRT6, _INV_SQRT6)
-    col4 = (-col3[0],) + col3[1:]
-    u = Matrix(tuple(zip(col1, col2, col3, col4)))
-    d = Matrix.diag((ONE, ONE, OMEGA, OMEGA_BAR))
+    # The columns (0, a, 0, a), (0, b, 2b, -b), (f, -b, b, b) and
+    # (-f, -b, b, b), for a = 1/sqrt2 and b = 1/sqrt6, as sparse rows.
+    f, g = _FIRST_ENTRY[op_name]
+    a, b, m, t = _INV_SQRT2, _INV_SQRT6, _NEG_INV_SQRT6, _TWO_INV_SQRT6
+    u = Matrix._of(({2: f, 3: g}, {0: a, 1: b, 2: m, 3: m},
+                    {1: t, 2: b, 3: b}, {0: a, 1: m, 2: b, 3: b}), 4)
+    d = Matrix._of(({0: ONE}, {1: ONE}, {2: OMEGA}, {3: OMEGA_BAR}), 4)
     if not u.is_unitary:
         raise TrialityError(f"{op_name} eigenvector matrix is not unitary")
     if outer_op(op_name).core.T @ u != u @ d:

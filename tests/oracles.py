@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 
 from triality.emit import scalar_to_latex
-from triality.field import ZERO
+from triality.field import HALF, I, ONE, ZERO
 from triality.linalg import kernel_basis
 from triality.matrix import Matrix, combination
 
@@ -318,6 +318,22 @@ def dense_coefficients(coeffs: dict, size: int) -> list:
     assert set(coeffs) <= set(range(size)), sorted(coeffs)
     assert all(not x.is_zero for x in coeffs.values()), coeffs
     return [coeffs.get(i, ZERO) for i in range(size)]
+
+
+def h_core() -> Matrix:
+    """The Euclidean triality core as the paper prints it: the sign table
+    times ``Fraction(1, 2)``, coerced through the dense ``Matrix(rows)``."""
+    half = Fraction(1, 2)
+    return Matrix([[x * half for x in row] for row in
+                   ((-1, -1, 1, 1), (1, 1, 1, 1), (-1, 1, 1, -1), (-1, 1, -1, 1))])
+
+
+def t_core() -> Matrix:
+    """The Lorentzian triality core: the table of 1, -1, i and -i, each
+    entry multiplied by ``HALF``, through the dense ``Matrix(rows)``."""
+    rows = ((-ONE, I, -I, -I), (I, ONE, ONE, ONE),
+            (-I, ONE, ONE, -ONE), (-I, ONE, -ONE, ONE))
+    return Matrix([[HALF * x for x in row] for row in rows])
 
 
 def naive_combination(terms, n: int) -> Matrix:

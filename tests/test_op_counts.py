@@ -100,28 +100,28 @@ OP_COUNTS = {
 03 (8,0)            1,825       84        0        6        0
 04 (8,0)            4,581        0      504        0      168
 04 (1,7)            6,899      140      504        0      168
-05 (8,0)            2,344        2        0        0        0
-05 (1,7)            2,347        2        0        0        0
+05 (8,0)            2,328        2        0        0        0
+05 (1,7)            2,324        2        0        0        0
 06 (8,0)              638      112        0        0        0
 06 (1,7)               84        0        0        0        0
-07 (8,0)            1,008       34        0        0        0
-07 (1,7)            1,071       34        0        0        0
-08 (8,0)              233        6        0        0        0
-08 (1,7)              395        8        0        0        0
+07 (8,0)              992       34        0        0        0
+07 (1,7)            1,048       34        0        0        0
+08 (8,0)              212        6        0        0        0
+08 (1,7)              344        8        0        0        0
 09 (8,0)            2,671        0        0       13        0
 10 (8,0)            1,160        0       71        0       64
 11 (8,0)              463       29        0        0        0
-12 (8,0)            5,090        6      145        3       54
-12 (1,7)            5,106        6      145        3       54
+12 (8,0)            5,016        6      145        3       54
+12 (1,7)            5,004        6      145        3       54
 13 (8,0)            1,606        0        0        0        0
 13 (1,7)            1,597        0        0        0        0
 14 (8,0)              392       56        0        0        0
 14 (1,7)              364       56        0        0        0
 15 (1,7)              168        0        0        0        0
-05 (8,0) h-sign     2,095        2        0        0        0
-05 (8,0) re-run     2,344        2        0        0        0
+05 (8,0) h-sign     2,079        2        0        0        0
+05 (8,0) re-run     2,328        2        0        0        0
 runner                  0        0        0        0        0
-total              48,986      620    1,493       25      508
+total              48,628      620    1,493       25      508
 """,
     "euclidean": """
                   scalars        @ brackets     rref   solves
@@ -129,39 +129,39 @@ total              48,986      620    1,493       25      508
 02 (8,0)              320       10        8        0        0
 03 (8,0)            1,825       84        0        6        0
 04 (8,0)            4,581        0      504        0      168
-05 (8,0)            2,344        2        0        0        0
+05 (8,0)            2,328        2        0        0        0
 06 (8,0)              638      112        0        0        0
-07 (8,0)            1,008       34        0        0        0
-08 (8,0)              233        6        0        0        0
+07 (8,0)              992       34        0        0        0
+08 (8,0)              212        6        0        0        0
 09 (8,0)            2,671        0        0       13        0
 10 (8,0)            1,160        0       71        0       64
 11 (8,0)              463       29        0        0        0
-12 (8,0)            5,090        6      145        3       54
+12 (8,0)            5,016        6      145        3       54
 13 (8,0)            1,606        0        0        0        0
 14 (8,0)              392       56        0        0        0
-05 (8,0) h-sign     2,095        2        0        0        0
-05 (8,0) re-run     2,344        2        0        0        0
+05 (8,0) h-sign     2,079        2        0        0        0
+05 (8,0) re-run     2,328        2        0        0        0
 runner                  0        0        0        0        0
-total              27,929      350      764       22      286
+total              27,770      350      764       22      286
 """,
     "lorentzian": """
                   scalars        @ brackets     rref   solves
 01 (1,7)            2,770       23       72        0        0
 02 (1,7)              392        8        8        0        0
 04 (1,7)            6,899      140      504        0      168
-05 (1,7)            2,347        2        0        0        0
+05 (1,7)            2,324        2        0        0        0
 06 (1,7)               84        0        0        0        0
-07 (1,7)            1,071       34        0        0        0
-08 (1,7)              395        8        0        0        0
-12 (1,7)            5,106        6      145        3       54
+07 (1,7)            1,048       34        0        0        0
+08 (1,7)              344        8        0        0        0
+12 (1,7)            5,004        6      145        3       54
 13 (1,7)            1,597        0        0        0        0
 14 (1,7)              364       56        0        0        0
 15 (1,7)              168        0        0        0        0
-05 (8,0)            3,900       86        0        0        0
-05 (8,0) h-sign     2,095        2        0        0        0
-05 (8,0) re-run     2,344        2        0        0        0
+05 (8,0)            3,884       86        0        0        0
+05 (8,0) h-sign     2,079        2        0        0        0
+05 (8,0) re-run     2,328        2        0        0        0
 runner                  0        0        0        0        0
-total              29,532      367      729        3      222
+total              29,285      367      729        3      222
 """,
 }
 
@@ -260,6 +260,20 @@ def test_the_row_kernel_never_runs_on_an_empty_row(monkeypatch, cold_caches):
     assert not empty, f"{len(empty)} kernel calls on an empty row"
 
 
+def test_every_row_update_enters_the_one_kernel_patch_point(monkeypatch,
+                                                            cold_caches):
+    """A cold ``run_suite("all")`` makes exactly 39,790 row-kernel calls,
+    counted by wrapping the module attribute ``matrix._scaled``.  A caller
+    that binds the kernel by name at import escapes the wrapper and reads
+    lower; a restructure that adds kernel calls reads higher."""
+    calls = []
+    real = matrix._scaled
+    monkeypatch.setattr(matrix, "_scaled",
+                        lambda v, c, w, sign: calls.append(sign) or real(v, c, w, sign))
+    assert not run_suite("all").failed
+    assert len(calls) == 39_790
+
+
 def test_one_run_builds_the_lambda_gram_once(monkeypatch, cold_caches):
     """Checks 10 and 17 read one Gram matrix per run, from the Euclidean
     fixtures, which call ``lambda_gram`` through its module."""
@@ -285,11 +299,11 @@ CLI_REQUESTS = {
 CLI_COUNTS = """
                   scalars        @ brackets     rref   solves
 emit L 1,7          3,227      163        0        0        0
-map T L             4,034      163        0        0        0
+map T L             4,011      163        0        0        0
 map K L             1,748       91        0        0        0
 map conj R          3,311      163        0        0        0
-grade 1,7             363        3        0        0        0
-s3 8,0              1,008       34        0        0        0
+grade 1,7             312        3        0        0        0
+s3 8,0                992       34        0        0        0
 g2 constraints      2,261       91        0        2        0
 su3                 1,132       28       46        0       46
 """

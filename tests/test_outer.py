@@ -2,7 +2,8 @@
 
 import pytest
 
-from oracles import dense, dense_apply, dense_coefficients, naive_combination
+from oracles import (dense, dense_apply, dense_coefficients, h_core,
+                     naive_combination, t_core)
 from triality.clifford import EUCLIDEAN, LORENTZIAN, Signature
 from triality.errors import SignatureMismatch, TrialityError
 from triality.field import (HALF, I, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO,
@@ -23,16 +24,41 @@ def test_quartets_partition_the_28_indices():
     assert sorted(seen) == list(GEN_INDICES)
 
 
-@pytest.mark.parametrize("op_name", ["H", "K", "T", "conj"])
-def test_quartet_terms_walk_the_quartets(op_name):
-    core = outer_op(op_name).core
+def _core(name):
+    """An operator core, a diagonalizer transpose ``U<op>^T``, or a core
+    whose rows store their entries in reverse slot order (``<op>~``)."""
+    if name.startswith("U"):
+        return diagonalize(name[1]).change_of_basis.T
+    core = outer_op(name.rstrip("~")).core
+    if name.endswith("~"):
+        core = Matrix._of((dict(reversed(row.items())) for row in core.rows), 4)
+    return core
+
+
+@pytest.mark.parametrize("name", ["H", "K", "T", "conj", "UH^T", "UT^T", "H~"])
+def test_quartet_terms_walk_the_quartets(name):
+    """Entry by entry through core[t, s], on the four operator cores, on
+    the two diagonalizer transposes, which have zero slots, and on a core
+    stored out of order.  The expected tuples run over s = 0..3, so the
+    equality also pins each terms tuple to slot order."""
+    core = _core(name)
     expected = {}
     for k in range(7):
         for t in range(4):
             expected[QUARTETS[t][k]] = tuple(
                 (QUARTETS[s][k], core[t, s]) for s in range(4)
                 if core[t, s] != ZERO)
-    assert quartet_terms(core) == expected
+    terms = quartet_terms(core)
+    assert terms == expected
+    if name.startswith("U"):
+        assert any(len(pairs) < 4 for pairs in terms.values())
+
+
+@pytest.mark.parametrize("op, oracle", [(outer_h, h_core), (outer_t, t_core)])
+def test_cores_match_their_printed_tables(op, oracle):
+    """The cores are placed from ready scalars; the oracle builds them as
+    the paper prints them, so a sign slip in either table fails here."""
+    assert dense(op().core) == dense(oracle())
 
 
 def test_signature_ops_pair_each_signature():
