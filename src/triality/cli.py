@@ -33,7 +33,7 @@ import argparse
 import sys
 
 from . import __version__
-from .emit import Encoder, dumps_line, matrix_to_latex
+from .emit import dumps_line, matrix_to_latex
 from .suites import FAULT_NAMES, SUITES
 
 USAGE_EXIT = 64
@@ -143,12 +143,10 @@ def _emit_constraints(fmt):
 
 def _render(obj, named, fmt, signature):
     if fmt == "json":
-        encode = Encoder()
         payload = {
             "object": obj,
             "signature": None if signature is None else str(signature),
-            "items": [{"name": name, "matrix": encode.matrix(m)}
-                      for name, m in named],
+            "items": [{"name": name, "matrix": m} for name, m in named],
         }
         return dumps_line(payload)
     if fmt == "latex":
@@ -225,13 +223,12 @@ def cmd_map(args):
     op = outer_op(args.op)
     source = basis(args.source, op.signature)
     mapped = apply_outer(op, source)
-    encode = Encoder()
     items = [{"name": mapped.name_of(new),
               "coefficients": [{"generator": source.name_of(old),
-                                "coefficient": encode.scalar(c),
+                                "coefficient": c,
                                 "conjugated": op.antilinear}
                                for old, c in terms],
-              "matrix": encode.matrix(mapped[new])}
+              "matrix": mapped[new]}
              for new, terms in quartet_terms(op.core).items()]
     items.sort(key=lambda x: x["name"])
     payload = {"op": args.op, "from": args.source, "to": mapped.kind,
@@ -245,10 +242,8 @@ def cmd_grade(args):
     signature = _signature(args.signature)
     op = signature_ops(signature)[0]
     graded = graded_basis(vector_basis(signature), op)
-    encode = Encoder()
     def part(name, gens, eigenvalue):
-        return [{"name": f"{name}_{k}", "eigenvalue": eigenvalue,
-                 "matrix": encode.matrix(m)}
+        return [{"name": f"{name}_{k}", "eigenvalue": eigenvalue, "matrix": m}
                 for k, m in enumerate(gens, start=1)]
     payload = {
         "signature": str(signature),
@@ -266,7 +261,6 @@ def cmd_s3(args):
     signature = _signature(args.signature)
     ops = signature_ops(signature)
     closure = s3_closure(ops)
-    encode = Encoder()
     payload = {
         "signature": str(signature),
         "generators": [op.name for op in ops],
@@ -275,7 +269,7 @@ def cmd_s3(args):
                            sorted(closure.order_counts.items())},
         "is_s3": closure.is_s3,
         "braid_relation_holds": closure.relation_holds,
-        "elements": [{"antilinear": flag, "matrix": encode.matrix(m)}
+        "elements": [{"antilinear": flag, "matrix": m}
                      for m, flag in closure.elements],
     }
     return dumps_line(payload), 0
@@ -293,13 +287,11 @@ def cmd_su3(args):
     except TrialityError as exc:
         print(f"su3 embedding check FAILED: {exc}", file=sys.stderr)
         return None, 1
-    encode = Encoder()
     payload = {
         "check": "pass",
-        "block_factor": encode.scalar(emb.block_factor),
-        "transform": encode.matrix(emb.transform),
-        "blocks": [{"name": name, "matrix": encode.matrix(m)}
-                   for name, m in _su3_blocks(emb)],
+        "block_factor": emb.block_factor,
+        "transform": emb.transform,
+        "blocks": [{"name": name, "matrix": m} for name, m in _su3_blocks(emb)],
     }
     return dumps_line(payload), 0
 

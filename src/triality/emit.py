@@ -5,20 +5,21 @@ A scalar is encoded as {"re": [4 reduced "p/q" strings], "im": [same]}
 with coordinate order (1, sqrt2, sqrt3, sqrt6); matrices are row-major
 nested arrays of scalars.  Both directions round-trip exactly.
 
-``dumps(obj)`` returns exactly ``json.dumps(obj, indent=2,
-sort_keys=True)`` for payloads built from dicts with str keys, lists,
-str, int, bool and None, and raises ``TypeError`` for anything else
-(a float, a tuple, a non-str key).  It checks each node's exact type
-once, and writes a subclass of str, int, dict or list (an ``IntEnum``
-among them) as its base type, as the stdlib does, at any depth.  The
-stdlib never uses its C encoder when it indents, so a payload's matrices never become dicts and lists:
-one ``Encoder`` per payload hands out scalar and matrix leaves, and
-``dumps`` writes a matrix row by row from the encoder's memo of texts,
-which renders each distinct scalar and each distinct row once per depth
-(the 224 rows of a ``map`` payload take 31 row texts and 5 scalar texts).
-``dumps_line(obj)`` is ``dumps(obj) + "\\n"`` with the newline as the last
-piece of the one join, so a payload written to stdout is copied once.
-The memo goes with the encoder; ``matrix_to_json(m)`` builds dicts and lists.
+``dumps(obj)`` returns exactly ``json.dumps(tree, indent=2,
+sort_keys=True)``, where ``tree`` is ``obj`` with each ``Matrix`` replaced
+by ``matrix_to_json(m)`` and each ``ExactScalar`` by ``scalar_to_json(x)``,
+for payloads built from those two, dicts with str keys, lists, str, int,
+bool and None, and raises ``TypeError`` for anything else (a float, a
+tuple, a non-str key).  It checks each node's exact type once, and writes
+a subclass of str, int, dict or list (an ``IntEnum`` among them) as its
+base type, as the stdlib does, at any depth.  The stdlib never uses its C
+encoder when it indents, so a payload's matrices never become dicts and
+lists: ``dumps`` writes a matrix row by row from a memo of texts that
+lives for one call, which renders each distinct scalar and each distinct
+row once per depth (the 224 rows of a ``map`` payload take 31 row texts
+and 5 scalar texts).  ``dumps_line(obj)`` is ``dumps(obj) + "\\n"`` with
+the newline as the last piece of the one join, so a payload written to
+stdout is copied once.  ``matrix_to_json(m)`` builds dicts and lists.
 """
 
 from __future__ import annotations
@@ -70,76 +71,6 @@ def scalar_from_json(obj) -> ExactScalar:
     return _decode(_strings(obj), obj)
 
 
-class _Leaf(tuple):
-    """``(write, value)``: a scalar or matrix of an ``Encoder``, which
-    ``dumps`` writes where it sits by ``write(value, depth, append)``."""
-
-
-class Encoder:
-    """The JSON texts of one payload's scalars and rows, in one memo.
-
-    ``scalar`` and ``matrix`` return leaves for ``dumps``.  A scalar's text
-    is keyed by ``(den, nums, depth)``, a row's by ``(depth, n, sorted
-    (column, den, nums) entries)``: an empty row's key is ``(depth, n)``
-    and a one-entry row's ``(depth, n, column, den, nums)``, with nothing
-    to sort.  A matrix appends each row's text once, after its separator.
-    A row's text is one join of its cells' texts, ZERO's only if a cell
-    is empty, so a payload renders no scalar that none of its cells holds.
-    Make one per payload: it keeps every text.
-    """
-
-    __slots__ = ("_texts",)
-
-    def __init__(self):
-        self._texts = {}
-
-    def scalar(self, x: ExactScalar) -> _Leaf:
-        return _Leaf((self._scalar, x))
-
-    def matrix(self, m: Matrix) -> _Leaf:
-        return _Leaf((self._matrix, m))
-
-    def _scalar(self, x, depth, append):
-        append(self._scalar_text(x, depth))
-
-    def _scalar_text(self, x, depth):
-        key = (x.den, x.nums, depth)
-        if (text := self._texts.get(key)) is None:
-            text = self._texts[key] = dumps(scalar_to_json(x), _depth=depth)
-        return text
-
-    def _matrix(self, m, depth, append):
-        texts, n = self._texts, m.n
-        inner = "\n" + "  " * (depth + 1)
-        sep, comma = "[" + inner, "," + inner
-        for r in m.rows:
-            if len(r) == 1:
-                for j, x in r.items():
-                    key = (depth, n, j, x.den, x.nums)
-            elif r:
-                key = (depth, n, *sorted([(j, x.den, x.nums) for j, x in r.items()]))
-            else:
-                key = (depth, n)
-            if (text := texts.get(key)) is None:
-                text = texts[key] = self._row(r, n, depth + 2)
-            append(sep)
-            append(text)
-            sep = comma
-        append(inner[:-2] + "]" if n else "[]")
-
-    def _row(self, r, n, depth):
-        """The text of a row of ``n >= 1`` cells, each ``depth`` levels in:
-        ZERO's text in every cell if one is empty, each entry's text in its
-        own cell, and the separators between them, in one join."""
-        text, inner = self._scalar_text, "\n" + "  " * depth
-        pieces = ["," + inner, text(ZERO, depth) if len(r) < n else None] * n
-        pieces[0] = "[" + inner
-        for j, x in r.items():
-            pieces[2 * j + 1] = text(x, depth)
-        pieces.append(inner[:-2] + "]")
-        return "".join(pieces)
-
-
 def matrix_to_json(m: Matrix) -> list:
     """Row-major JSON scalars; equal entries share one dict, equal rows one
     list."""
@@ -171,13 +102,13 @@ def matrix_from_json(rows) -> Matrix:
     return Matrix([[entry(obj) for obj in row] for row in rows])
 
 
-def dumps(obj, *, _depth=0) -> str:
+def dumps(obj) -> str:
     """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str
-    keys, lists, str, int, bool and None, with an ``Encoder``'s leaves
-    written as their JSON; ``TypeError`` for anything else.  ``_depth``
-    lays ``obj`` out as if it sat that many levels in."""
+    keys, lists, str, int, bool and None, with each ``Matrix`` written as
+    ``matrix_to_json(m)`` and each ``ExactScalar`` as ``scalar_to_json(x)``;
+    ``TypeError`` for anything else.  The memo of texts lives for the call."""
     out = []
-    _write(obj, _depth, out.append)
+    _write(obj, 0, out.append, {})
     return "".join(out)
 
 
@@ -185,43 +116,45 @@ def dumps_line(obj) -> str:
     """``dumps(obj) + "\\n"`` in one join: the newline is the last piece,
     so the payload's text is copied once."""
     out = []
-    _write(obj, 0, out.append)
+    _write(obj, 0, out.append, {})
     out.append("\n")
     return "".join(out)
 
 
-def _write(o, depth, append):
+def _write(o, depth, append, texts):
     """Append the JSON of ``o``, laid out ``depth`` levels in: one check of
     its exact type, and the ``isinstance`` rules for a subclass."""
     kind = type(o)
     if kind is str:
         append(_quote(o))
     elif kind is dict:
-        _object(o, depth, append)
+        _object(o, depth, append, texts)
     elif kind is list:
-        _items(o, depth, append)
-    elif kind is _Leaf:
-        o[0](o[1], depth, append)
+        _items(o, depth, append, texts)
+    elif kind is Matrix:
+        _matrix(o, depth, append, texts)
     elif o is None:
         append("null")
     elif kind is bool:
         append("true" if o else "false")
     elif kind is int:
         append(int.__repr__(o))
+    elif kind is ExactScalar:
+        append(_scalar_text(o, depth, texts))
     elif isinstance(o, str):
         append(_quote(o))
     elif isinstance(o, list):
-        _items(o, depth, append)
+        _items(o, depth, append, texts)
     elif isinstance(o, dict):
-        _object(o, depth, append)
+        _object(o, depth, append, texts)
     elif isinstance(o, int):
         append(int.__repr__(o))
     else:
-        raise TypeError(f"dumps writes dict, list, str, int, bool and None, "
-                        f"not {type(o).__name__}")
+        raise TypeError(f"dumps writes dict, list, str, int, bool, None, Matrix "
+                        f"and ExactScalar, not {type(o).__name__}")
 
 
-def _object(o, depth, append):
+def _object(o, depth, append, texts):
     """A JSON object, its pairs in key order, each checked for a str key as
     it is written."""
     try:
@@ -236,7 +169,7 @@ def _object(o, depth, append):
             raise _key_error(o)
         append(sep + _quote(k) + ": ")
         sep = comma
-        _write(v, depth, append)
+        _write(v, depth, append, texts)
     append(inner[:-2] + "}" if pairs else "{}")
 
 
@@ -245,7 +178,7 @@ def _key_error(o) -> TypeError:
     return TypeError(f"dumps takes str keys, not {type(bad).__name__}")
 
 
-def _items(items, depth, append):
+def _items(items, depth, append, texts):
     """A JSON list: each item on a line of its own, one level in."""
     inner = "\n" + "  " * (depth + 1)
     sep, comma = "[" + inner, "," + inner
@@ -253,8 +186,59 @@ def _items(items, depth, append):
     for x in items:
         append(sep)
         sep = comma
-        _write(x, depth, append)
+        _write(x, depth, append, texts)
     append(inner[:-2] + "]" if items else "[]")
+
+
+def _scalar_text(x, depth, texts):
+    """The text of ``scalar_to_json(x)`` at ``depth``, keyed in ``texts`` by
+    ``(den, nums, depth)``."""
+    key = (x.den, x.nums, depth)
+    if (text := texts.get(key)) is None:
+        out = []
+        _object(scalar_to_json(x), depth, out.append, texts)
+        text = texts[key] = "".join(out)
+    return text
+
+
+def _matrix(m, depth, append, texts):
+    """The rows of ``m``, each row's text keyed in ``texts`` by ``(depth, n,
+    sorted (column, den, nums) entries)``: an empty row's key is ``(depth,
+    n)`` and a one-entry row's ``(depth, n, column, den, nums)``, with
+    nothing to sort.  Each row's text is appended once, after its
+    separator."""
+    n = m.n
+    inner = "\n" + "  " * (depth + 1)
+    sep, comma = "[" + inner, "," + inner
+    for r in m.rows:
+        if len(r) == 1:
+            for j, x in r.items():
+                key = (depth, n, j, x.den, x.nums)
+        elif r:
+            key = (depth, n, *sorted([(j, x.den, x.nums) for j, x in r.items()]))
+        else:
+            key = (depth, n)
+        if (text := texts.get(key)) is None:
+            text = texts[key] = _row(r, n, depth + 2, texts)
+        append(sep)
+        append(text)
+        sep = comma
+    append(inner[:-2] + "]" if n else "[]")
+
+
+def _row(r, n, depth, texts):
+    """The text of a row of ``n >= 1`` cells, each ``depth`` levels in:
+    ZERO's text in every cell if one is empty, each entry's text in its
+    own cell, and the separators between them, in one join.  So a payload
+    renders no scalar that none of its cells holds."""
+    inner = "\n" + "  " * depth
+    zero = _scalar_text(ZERO, depth, texts) if len(r) < n else None
+    pieces = ["," + inner, zero] * n
+    pieces[0] = "[" + inner
+    for j, x in r.items():
+        pieces[2 * j + 1] = _scalar_text(x, depth, texts)
+    pieces.append(inner[:-2] + "]")
+    return "".join(pieces)
 
 
 def _frac_latex(num: int, den: int, radical: str) -> str:

@@ -2,7 +2,8 @@
 
 Vectors and rows are sparse dicts {column: nonzero ExactScalar}, the
 layout of ``Matrix`` rows, and every row update v +- c * w goes through
-the in-place row kernel ``matrix.add_scaled`` / ``matrix.sub_scaled``.
+the in-place row kernel ``matrix.add_scaled``, read from its module at
+call time.
 The RREF of a row space over Q(i, sqrt2, sqrt3) is unique, so its rows,
 pivots and constraint presentations do not depend on the order of
 elimination.
@@ -26,8 +27,7 @@ from . import matrix
 from ._record import Record
 from .errors import DimensionMismatch, LinearlyDependent, NotClosed
 from .field import MINUS_ONE, ONE, ZERO, ExactScalar, scalar
-from .matrix import (Matrix, add_scaled, common_size, commutator,
-                     is_combination, sub_scaled)
+from .matrix import Matrix, common_size, commutator, is_combination
 
 
 def _exact(vector) -> dict:
@@ -45,12 +45,12 @@ def _flatten(m: Matrix, ambient_dim: int) -> dict:
 def _eliminate(v: dict, rows, pivots):
     """Reduce the sparse vector ``v`` in place against ``rows``, each 1 at
     its pivot and zero at the pivots before it, so that ``v`` ends empty
-    exactly in their span.  Each update calls the kernel body
-    ``matrix._scaled``, read from its module, in one frame."""
-    scaled = matrix._scaled
+    exactly in their span.  Each update is one call of the kernel
+    ``matrix.add_scaled``, read from its module once per call."""
+    add_scaled = matrix.add_scaled
     for row, p in zip(rows, pivots):
         if p in v:
-            scaled(v, v[p], row, -1)
+            add_scaled(v, v[p], row, -1)
 
 
 def _insert(rows, pivots, v: dict):
@@ -86,7 +86,7 @@ def rref(rows):
         p = pivots[k]
         for row in red[:k]:  # only the rows above a pivot hold its column
             if p in row:
-                sub_scaled(row, row[p], red[k])
+                matrix.add_scaled(row, row[p], red[k], -1)
     return tuple(red), tuple(pivots)
 
 
@@ -126,7 +126,7 @@ def stacked_solve(a_vecs, b_vecs):
         v = {}
         for j, y in kv.items():
             if j >= p:
-                add_scaled(v, y, b_vecs[j - p])
+                matrix.add_scaled(v, y, b_vecs[j - p])
         common.append(v)
     return red, pivots, common
 
@@ -287,9 +287,9 @@ def _ad(coeffs, s: int, v: dict) -> dict:
     out = {}
     for b, x in v.items():
         if b > s and (terms := coeffs[s, b]):
-            add_scaled(out, x, terms)
+            matrix.add_scaled(out, x, terms)
         elif b < s and (terms := coeffs[b, s]):
-            sub_scaled(out, x, terms)
+            matrix.add_scaled(out, x, terms, -1)
     return out
 
 

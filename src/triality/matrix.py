@@ -16,35 +16,23 @@ from .errors import DimensionMismatch
 from .field import _MUL, ZERO, ONE, ExactScalar, _sum, scalar
 
 
-def add_scaled(v: dict, c, w: dict) -> dict:
-    """Set v = v + c * w in place for a nonzero scalar ``c``; returns v.
+def add_scaled(v: dict, c, w: dict, sign: int = 1) -> dict:
+    """Set v = v + sign * c * w in place for a nonzero scalar ``c`` and
+    sign 1 or -1; returns v.
 
-    With ``sub_scaled``, its sign -1 form, this is the one row kernel;
-    every scaled row update runs through their body ``_scaled``, and
-    entries that cancel are dropped, so a sparse row stays canonical.
-    Where ``c`` and the entry x of w are both one-term, the product is
-    taken on ints with ``_MUL``; where v already holds a one-term entry s
-    on the product's coordinate, the numerators are added over a shared
-    denominator, and one gcd reduces the result to the one scalar built.
-    Every other entry is built as ``s ± c * x``, or as ``±(c * x)`` where
-    v had none.  Each scalar the kernel builds goes through
-    ``ExactScalar._of``.
+    This is the one row kernel: every scaled row update runs through it,
+    looked up as ``matrix.add_scaled`` at call time, and entries that
+    cancel are dropped, so a sparse row stays canonical.  Whether c has
+    one term is tested once per call: ``one`` is 1 if so and 0 if not,
+    which no nonzero x matches.  Where ``c`` and the entry x of w are both
+    one-term, the product is taken on ints with ``_MUL``; where v already
+    holds a one-term entry s on the product's coordinate, the numerators
+    are added over a shared denominator, and one gcd reduces the result to
+    the one scalar built.  A fused entry y carries the sign and joins s
+    with e = 1.  Every other entry is built as ``s ± c * x``, or as
+    ``±(c * x)`` where v had none.  Each scalar the kernel builds goes
+    through ``ExactScalar._of``.
     """
-    return _scaled(v, c, w, 1)
-
-
-def sub_scaled(v: dict, c, w: dict) -> dict:
-    """Set v = v - c * w in place for a nonzero scalar ``c``; returns v."""
-    return _scaled(v, c, w, -1)
-
-
-def _scaled(v: dict, c, w: dict, sign: int) -> dict:
-    """v = v + sign * c * w in place, for sign 1 or -1: the body of
-    ``add_scaled`` and ``sub_scaled``, called directly by ``@``, the
-    brackets, ``_accumulate`` and ``linalg._eliminate`` so that a row
-    update is one Python frame.  Whether c has one term is tested once
-    per call: ``one`` is 1 if so and 0 if not, which no nonzero x
-    matches.  A fused entry y carries the sign and joins s with e = 1."""
     of, one = ExactScalar._of, 1 if len(c.nums) == 1 else 0
     if one:
         ((p, a),), cd = c.nums, c.den
@@ -223,7 +211,7 @@ class Matrix:
             acc = {}
             for k, a in arow.items():
                 if brow := brows[k]:
-                    _scaled(acc, a, brow, 1)
+                    add_scaled(acc, a, brow)
             out.append(acc)
         return Matrix._of(out, self.n)
 
@@ -353,10 +341,10 @@ def _bracket(a: Matrix, b: Matrix, sign: int) -> Matrix:
         acc = {}
         for k, x in arow.items():
             if row := brows[k]:
-                _scaled(acc, x, row, 1)
+                add_scaled(acc, x, row)
         for k, y in brow.items():
             if row := arows[k]:
-                _scaled(acc, y, row, sign)
+                add_scaled(acc, y, row, sign)
         out.append(acc)
     return Matrix._of(out, a.n)
 
@@ -377,7 +365,7 @@ def _accumulate(rows, terms, sign: int) -> list:
         if c:
             for acc, row in zip(rows, m.rows):
                 if row:
-                    _scaled(acc, c, row, sign)
+                    add_scaled(acc, c, row, sign)
     return rows
 
 

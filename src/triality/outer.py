@@ -13,12 +13,13 @@ from __future__ import annotations
 
 from collections import Counter
 
+from . import matrix
 from ._record import Record
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature
 from .errors import ClosureExceeded, SignatureMismatch, TrialityError
 from .field import (HALF, I, OMEGA, OMEGA_BAR, ONE, SQRT2, SQRT3, SQRT6,
                     ZERO, ExactScalar, rational)
-from .matrix import Matrix, add_scaled, combination, trace_product
+from .matrix import Matrix, combination, trace_product
 from .representations import GEN_INDICES, LieBasis, _make_basis
 
 # The seven quartets: column k of (a, b, c, d) is acted on by the 4x4 cores.
@@ -156,12 +157,13 @@ class UnpackedOp(Record):
 
     def apply(self, coeffs: dict) -> dict:
         """The image of ``coeffs``: each of its positions c times column c
-        of ``matrix``, added up through ``add_scaled``, the coefficient
-        conjugated first when the operator is antilinear."""
+        of ``matrix``, added up through the row kernel
+        ``matrix.add_scaled``, read from its module at call time, the
+        coefficient conjugated first when the operator is antilinear."""
         rows, out = self.matrix.rows, {}
         for c, x in coeffs.items():
             column = {k: row[c] for k, row in enumerate(rows) if c in row}
-            add_scaled(out, x.conj() if self.antilinear else x, column)
+            matrix.add_scaled(out, x.conj() if self.antilinear else x, column)
         return out
 
 

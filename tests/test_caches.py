@@ -122,10 +122,10 @@ def _module_level_memos(module, memo_owner):
 
 
 def test_emit_keeps_no_memo_beyond_one_payload():
-    """``emit.Encoder`` holds its memo per instance, so it dies with the
-    payload; a dict, list or set at module or class level would outlive
-    the call and become a cache across requests."""
-    assert not _module_level_memos(emit, emit.Encoder)
+    """``emit.dumps`` keeps its memo of texts in a dict made for the call,
+    so it dies with the payload; a dict, list or set at module level would
+    outlive the call and become a cache across requests."""
+    assert not _module_level_memos(emit, emit)
 
 
 def test_matrix_keeps_no_memo_beyond_one_call():

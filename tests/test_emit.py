@@ -22,6 +22,7 @@ from triality.emit import (dumps, matrix_from_json, matrix_to_json,
                            scalar_to_latex)
 from triality.field import (HALF, I, OMEGA, SQRT2, SQRT3, SQRT6, ZERO,
                             ExactScalar, from_parts, rational)
+from triality.linalg import Subspace
 from triality.matrix import Matrix, anticommutator
 from triality.outer import apply_outer, outer_h, outer_op, outer_t, quartet_terms
 from triality.representations import basis, spinor_bases, vector_basis
@@ -211,13 +212,20 @@ def test_dumps_rejects_types_outside_the_payload(bad):
         dumps(bad)
 
 
+WRITES = "dumps writes dict, list, str, int, bool, None, Matrix and ExactScalar, not "
+
+
 @pytest.mark.parametrize("bad, message", [
-    (1.5, "dumps writes dict, list, str, int, bool and None, not float"),
-    ([{"a": [(1, 2)]}], "dumps writes dict, list, str, int, bool and None, not tuple"),
+    (1.5, WRITES + "float"),
+    ([{"a": [(1, 2)]}], WRITES + "tuple"),
     ({1: "x"}, "dumps takes str keys, not int"),
     ({"a": 1, 2: "b"}, "dumps takes str keys, not int"),
     ({"a": {"b": [], None: 1}}, "dumps takes str keys, not NoneType"),
-], ids=["float", "tuple", "int key", "mixed keys", "None key at depth"])
+    (vector_basis(EUCLIDEAN), WRITES + "LieBasis"),
+    ({"s": Subspace.from_vectors([{0: HALF}], 4)}, WRITES + "Subspace"),
+    ([(Matrix.identity(2),)], WRITES + "tuple"),
+], ids=["float", "tuple", "int key", "mixed keys", "None key at depth", "LieBasis",
+        "Subspace", "tuple of a Matrix"])
 def test_dumps_names_what_it_rejects(bad, message):
     with pytest.raises(TypeError) as caught:
         dumps(bad)
@@ -234,12 +242,11 @@ def _nested(depth, leaf):
 @pytest.mark.parametrize("depth", [101, 150])
 def test_dumps_lays_out_any_depth(depth):
     """Past 100 levels the indent still grows by two spaces a level, for
-    plain nodes and for an encoder's leaves."""
+    plain nodes and for a matrix and a scalar."""
     m = g2_basis().lambdas[0]
     entry = next(x for row in m.rows for x in row.values())
     assert dumps(_nested(depth, [])) == oracles.indented_json(_nested(depth, []))
-    encode = emit.Encoder()
-    payload = _nested(depth, [encode.matrix(m), encode.scalar(entry)])
+    payload = _nested(depth, [m, entry])
     tree = _nested(depth, [matrix_to_json(m), scalar_to_json(entry)])
     assert dumps(payload) == oracles.indented_json(tree)
 
@@ -391,13 +398,13 @@ def _renders(monkeypatch, argv):
     """The scalars whose texts a request renders, in order, and the sparse
     rows whose texts it renders."""
     scalars, rows = _rendered_scalars(monkeypatch), []
-    render_row = emit.Encoder._row
+    render_row = emit._row
 
-    def row(self, r, *args):
+    def row(r, *args):
         rows.append(r)
-        return render_row(self, r, *args)
+        return render_row(r, *args)
 
-    monkeypatch.setattr(emit.Encoder, "_row", row)
+    monkeypatch.setattr(emit, "_row", row)
     _stdout(argv)
     return scalars, rows
 
@@ -429,17 +436,14 @@ def test_a_map_coefficient_reuses_the_text_of_its_equal_entry(monkeypatch):
     assert sorted((x.den, x.nums) for x in rendered) == sorted(entries)
 
 
-def _zero_rule_renders(monkeypatch, leaves):
-    """The scalars whose texts one encoder renders, in order, writing
-    ``leaves(encoder)`` byte for byte as the stdlib writes its trees."""
-    want = oracles.indented_json(leaves(None))
+def _zero_rule_renders(monkeypatch, payload):
+    """The scalars whose texts one ``dumps`` call renders, in order,
+    writing ``payload(lambda m: m)`` byte for byte as the stdlib writes
+    ``payload(matrix_to_json)``."""
+    want = oracles.indented_json(payload(matrix_to_json))
     rendered = _rendered_scalars(monkeypatch)
-    assert dumps(leaves(emit.Encoder())) == want
+    assert dumps(payload(lambda m: m)) == want
     return [(x.den, x.nums) for x in rendered]
-
-
-def _tree(encoder, m):
-    return matrix_to_json(m) if encoder is None else encoder.matrix(m)
 
 
 def test_a_row_renders_zero_only_for_an_empty_cell(monkeypatch):
@@ -449,17 +453,24 @@ def test_a_row_renders_zero_only_for_an_empty_cell(monkeypatch):
     full = EDGE_MATRICES["no zero entry"]
     distinct = {(x.den, x.nums) for row in full.rows for x in row.values()}
     rendered = _zero_rule_renders(
-        monkeypatch, lambda e: [_tree(e, full), _tree(e, full), [_tree(e, full)]])
+        monkeypatch, lambda f: [f(full), f(full), [f(full)]])
     assert len(distinct) == 9 and zero not in rendered
     assert len(rendered) == 2 * 9 and set(rendered) == distinct
 
     mixed = EDGE_MATRICES["mixed width"]
     rendered = _zero_rule_renders(
-        monkeypatch, lambda e: [_tree(e, mixed), [_tree(e, mixed), _tree(e, mixed)],
-                                _tree(e, Matrix.zero(3))])
+        monkeypatch, lambda f: [f(mixed), [f(mixed), f(mixed)], f(Matrix.zero(3))])
     distinct = {(x.den, x.nums) for row in mixed.rows for x in row.values()}
     assert len(distinct) == 8 and rendered.count(zero) == 2
     assert len(rendered) == 2 * 9 and set(rendered) == distinct | {zero}
+
+
+def test_rows_that_share_an_entry_keep_their_own_texts():
+    """Two-entry rows that end in the same entry, and a one-entry row that
+    holds it, each get their own text: a row's key holds every entry."""
+    m = Matrix.from_entries(3, {(0, 0): HALF, (0, 2): I, (1, 1): HALF,
+                                (1, 2): I, (2, 2): I})
+    assert dumps([m, m]) == oracles.indented_json([matrix_to_json(m)] * 2)
 
 
 LEAF_MATRICES = ([m for sig in (EUCLIDEAN, LORENTZIAN)
@@ -482,14 +493,13 @@ def _wrap(x, wrappers):
 @given(st.sampled_from(LEAF_MATRICES), st.data())
 @settings(max_examples=100, deadline=None)
 def test_a_matrix_leaf_writes_the_stdlib_bytes_at_its_depth(m, data):
-    """One encoder writes a matrix on its own, then at two drawn depths
-    with one of its entries beside them, byte for byte as the stdlib
-    writes the trees of ``matrix_to_json`` and ``scalar_to_json``."""
+    """``dumps`` writes a matrix on its own, then in one call at two drawn
+    depths with one of its entries beside them, byte for byte as the
+    stdlib writes the trees of ``matrix_to_json`` and ``scalar_to_json``."""
     entry = data.draw(st.sampled_from([ZERO, *(x for row in m.rows for x in row.values())]))
     wrappers = [data.draw(_WRAPPERS) for _ in range(3)]
-    encode = emit.Encoder()
-    assert dumps(encode.matrix(m)) == oracles.indented_json(matrix_to_json(m))
-    leaves = (encode.matrix(m), encode.matrix(m), encode.scalar(entry))
+    assert dumps(m) == oracles.indented_json(matrix_to_json(m))
+    leaves = (m, m, entry)
     trees = (matrix_to_json(m), matrix_to_json(m), scalar_to_json(entry))
     assert dumps([_wrap(x, w) for x, w in zip(leaves, wrappers)]) == \
         oracles.indented_json([_wrap(x, w) for x, w in zip(trees, wrappers)])

@@ -22,7 +22,7 @@ from triality.checks import FAULT_H_SIGN, run_suite
 from triality.clifford import EUCLIDEAN
 from triality.field import HALF, I, MINUS_ONE, SQRT2, SQRT6, ExactScalar
 from triality.linalg import CoordSolver, is_closed
-from triality.matrix import Matrix, add_scaled, commutator, sub_scaled
+from triality.matrix import Matrix, add_scaled, commutator
 from triality.outer import graded_basis, signature_ops
 from triality.representations import (same_structure_constants, spinor_bases,
                                       structure_mismatches, vector_basis)
@@ -237,7 +237,7 @@ def test_the_row_kernel_builds_through_the_recorded_constructor(monkeypatch):
     row = dict(enumerate([HALF, I, MINUS_ONE, SQRT2, SQRT6 * I, -SQRT2 * HALF]))
     rec = _Recorder(monkeypatch)
     v = rec.row("add", add_scaled, {}, HALF, row)
-    rec.row("cancel", sub_scaled, v, HALF, row)
+    rec.row("cancel", add_scaled, v, HALF, row, -1)
     assert v == {}
     assert [counts for _, counts in rec.rows] == [(len(row), 0, 0, 0, 0),
                                                   (0, 0, 0, 0, 0)]
@@ -248,14 +248,14 @@ def test_the_row_kernel_never_runs_on_an_empty_row(monkeypatch, cold_caches):
     with no entries, so no call of the row kernel in a cold run is pure
     overhead."""
     empty = []
-    real = matrix._scaled
+    real = matrix.add_scaled
 
-    def scaled(v, c, w, sign):
+    def scaled(v, c, w, sign=1):
         if not w:
             empty.append(c)
         return real(v, c, w, sign)
 
-    monkeypatch.setattr(matrix, "_scaled", scaled)
+    monkeypatch.setattr(matrix, "add_scaled", scaled)
     assert not run_suite("all").failed
     assert not empty, f"{len(empty)} kernel calls on an empty row"
 
@@ -263,13 +263,17 @@ def test_the_row_kernel_never_runs_on_an_empty_row(monkeypatch, cold_caches):
 def test_every_row_update_enters_the_one_kernel_patch_point(monkeypatch,
                                                             cold_caches):
     """A cold ``run_suite("all")`` makes exactly 39,790 row-kernel calls,
-    counted by wrapping the module attribute ``matrix._scaled``.  A caller
+    counted by wrapping the module attribute ``matrix.add_scaled``.  A caller
     that binds the kernel by name at import escapes the wrapper and reads
     lower; a restructure that adds kernel calls reads higher."""
     calls = []
-    real = matrix._scaled
-    monkeypatch.setattr(matrix, "_scaled",
-                        lambda v, c, w, sign: calls.append(sign) or real(v, c, w, sign))
+    real = matrix.add_scaled
+
+    def counted(v, c, w, sign=1):
+        calls.append(sign)
+        return real(v, c, w, sign)
+
+    monkeypatch.setattr(matrix, "add_scaled", counted)
     assert not run_suite("all").failed
     assert len(calls) == 39_790
 
