@@ -233,7 +233,7 @@ def _check_05(fx, f, fault=None):
     rotation = outer.signature_ops(fx.sig)[0]
     v, left, right = fx.bases
     _cycle_exact(_faulted(rotation, fault), v, left, right, f, rotation.name)
-    f.check(outer.unpack(rotation).matrix.power(3) == Matrix.identity(28),
+    f.check(outer.unpack(rotation).power(3) == Matrix.identity(28),
             f"unpacked {rotation.name} does not cube to the identity")
 
 
@@ -354,11 +354,13 @@ def _check_12(fx, f):
     op = outer.signature_ops(fx.sig)[0]
     graded = fx.graded
     graded_left = outer.graded_basis(fx.bases[1], op)
-    # eigenvalue labeling, coefficient level (under the unpacked operator)
-    unpacked = outer.unpack(op)
-    for pos, vec in enumerate(graded.coeff_vectors):
+    # eigenvalue labeling, coefficient level: the coefficient vectors as
+    # the rows of one matrix, mapped by the unpacked operator in one product
+    vectors = graded.coeff_vectors
+    images = (Matrix._of(vectors, 28) @ outer.unpack(op)).rows
+    for pos, (vec, image) in enumerate(zip(vectors, images)):
         lam = graded.eigenvalue_of(pos)
-        f.check(unpacked.apply(vec) == {k: lam * x for k, x in vec.items()},
+        f.check(image == {k: lam * x for k, x in vec.items()},
                 f"{label}: coefficient eigencheck fails at position {pos}")
     # eigenvalue labeling, matrix level: the same combination built from the
     # successor basis equals the eigenvalue times the original

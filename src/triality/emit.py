@@ -5,21 +5,21 @@ A scalar is encoded as {"re": [4 reduced "p/q" strings], "im": [same]}
 with coordinate order (1, sqrt2, sqrt3, sqrt6); matrices are row-major
 nested arrays of scalars.  Both directions round-trip exactly.
 
-``dumps(obj)`` returns exactly ``json.dumps(tree, indent=2,
-sort_keys=True)``, where ``tree`` is ``obj`` with each ``Matrix`` replaced
-by ``matrix_to_json(m)`` and each ``ExactScalar`` by ``scalar_to_json(x)``,
-for payloads built from those two, dicts with str keys, lists, str, int,
-bool and None, and raises ``TypeError`` for anything else (a float, a
-tuple, a non-str key).  It checks each node's exact type once, and writes
-a subclass of str, int, dict or list (an ``IntEnum`` among them) as its
-base type, as the stdlib does, at any depth.  The stdlib never uses its C
-encoder when it indents, so a payload's matrices never become dicts and
-lists: ``dumps`` writes a matrix row by row from a memo of texts that
-lives for one call, which renders each distinct scalar and each distinct
-row once per depth (the 224 rows of a ``map`` payload take 31 row texts
-and 5 scalar texts).  ``dumps_line(obj)`` is ``dumps(obj) + "\\n"`` with
-the newline as the last piece of the one join, so a payload written to
-stdout is copied once.  ``matrix_to_json(m)`` builds dicts and lists.
+``dumps_line(obj)`` is the one JSON writer: it returns exactly
+``json.dumps(tree, indent=2, sort_keys=True) + "\\n"``, where ``tree`` is
+``obj`` with each ``Matrix`` replaced by ``matrix_to_json(m)`` and each
+``ExactScalar`` by ``scalar_to_json(x)``, for payloads built from those
+two, dicts with str keys, lists, str, int, bool and None.  It checks each
+node's exact type once and raises ``TypeError`` for anything else (a
+float, a tuple, a non-str key, a subclass of str, int, dict or list).
+The stdlib never uses its C encoder when it indents, so a payload's
+matrices never become dicts and lists: ``dumps_line`` writes a matrix row
+by row from a memo of texts that lives for one call, which renders each
+distinct scalar and each distinct row once per depth (the 224 rows of a
+``map`` payload take 31 row texts and 5 scalar texts), and the newline is
+the last piece of the one join, so a payload written to stdout is copied
+once.  ``matrix_to_json(m)`` is the plain reference tree of dicts and
+lists that the writer's bytes are compared with.
 """
 
 from __future__ import annotations
@@ -72,20 +72,8 @@ def scalar_from_json(obj) -> ExactScalar:
 
 
 def matrix_to_json(m: Matrix) -> list:
-    """Row-major JSON scalars; equal entries share one dict, equal rows one
-    list."""
-    scalars, rows = {}, {}
-
-    def scalar(x):
-        key = (x.den, x.nums)
-        return scalars.get(key) or scalars.setdefault(key, scalar_to_json(x))
-
-    def row(r):
-        key = tuple(sorted((j, x.den, x.nums) for j, x in r.items()))
-        return rows.get(key) or rows.setdefault(
-            key, [scalar(r.get(j, ZERO)) for j in range(m.n)])
-
-    return [row(r) for r in m.rows]
+    """Row-major JSON scalars, one fresh object per entry."""
+    return [[scalar_to_json(r.get(j, ZERO)) for j in range(m.n)] for r in m.rows]
 
 
 def matrix_from_json(rows) -> Matrix:
@@ -102,19 +90,13 @@ def matrix_from_json(rows) -> Matrix:
     return Matrix([[entry(obj) for obj in row] for row in rows])
 
 
-def dumps(obj) -> str:
-    """``json.dumps(obj, indent=2, sort_keys=True)`` for dicts with str
-    keys, lists, str, int, bool and None, with each ``Matrix`` written as
-    ``matrix_to_json(m)`` and each ``ExactScalar`` as ``scalar_to_json(x)``;
-    ``TypeError`` for anything else.  The memo of texts lives for the call."""
-    out = []
-    _write(obj, 0, out.append, {})
-    return "".join(out)
-
-
 def dumps_line(obj) -> str:
-    """``dumps(obj) + "\\n"`` in one join: the newline is the last piece,
-    so the payload's text is copied once."""
+    """``json.dumps(obj, indent=2, sort_keys=True) + "\\n"`` for dicts with
+    str keys, lists, str, int, bool and None, with each ``Matrix`` written
+    as ``matrix_to_json(m)`` and each ``ExactScalar`` as
+    ``scalar_to_json(x)``; ``TypeError`` for anything else.  The memo of
+    texts lives for the call, and the newline is the last piece of the one
+    join, so the payload's text is copied once."""
     out = []
     _write(obj, 0, out.append, {})
     out.append("\n")
@@ -122,8 +104,8 @@ def dumps_line(obj) -> str:
 
 
 def _write(o, depth, append, texts):
-    """Append the JSON of ``o``, laid out ``depth`` levels in: one check of
-    its exact type, and the ``isinstance`` rules for a subclass."""
+    """Append the JSON of ``o``, laid out ``depth`` levels in, by one check
+    of its exact type."""
     kind = type(o)
     if kind is str:
         append(_quote(o))
@@ -141,17 +123,9 @@ def _write(o, depth, append, texts):
         append(int.__repr__(o))
     elif kind is ExactScalar:
         append(_scalar_text(o, depth, texts))
-    elif isinstance(o, str):
-        append(_quote(o))
-    elif isinstance(o, list):
-        _items(o, depth, append, texts)
-    elif isinstance(o, dict):
-        _object(o, depth, append, texts)
-    elif isinstance(o, int):
-        append(int.__repr__(o))
     else:
-        raise TypeError(f"dumps writes dict, list, str, int, bool, None, Matrix "
-                        f"and ExactScalar, not {type(o).__name__}")
+        raise TypeError(f"dumps_line writes dict, list, str, int, bool, None, "
+                        f"Matrix and ExactScalar, not {kind.__name__}")
 
 
 def _object(o, depth, append, texts):
@@ -165,7 +139,7 @@ def _object(o, depth, append, texts):
     sep, comma = "{" + inner, "," + inner
     depth += 1
     for k, v in pairs:
-        if not isinstance(k, str):
+        if type(k) is not str:
             raise _key_error(o)
         append(sep + _quote(k) + ": ")
         sep = comma
@@ -174,8 +148,8 @@ def _object(o, depth, append, texts):
 
 
 def _key_error(o) -> TypeError:
-    bad = next(k for k in o if not isinstance(k, str))
-    return TypeError(f"dumps takes str keys, not {type(bad).__name__}")
+    bad = next(k for k in o if type(k) is not str)
+    return TypeError(f"dumps_line takes str keys, not {type(bad).__name__}")
 
 
 def _items(items, depth, append, texts):

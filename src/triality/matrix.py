@@ -243,12 +243,6 @@ class Matrix:
         """Conjugate transpose."""
         return self.conj().transpose()
 
-    def trace(self) -> ExactScalar:
-        out = ZERO
-        for i, row in enumerate(self.rows):
-            out = out + row.get(i, ZERO)
-        return out
-
     # -- exact predicates ----------------------------------------------------
     @property
     def is_zero(self) -> bool:

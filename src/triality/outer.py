@@ -6,14 +6,15 @@ K (order 2) generate the Euclidean S3; T (order 3) and complex
 conjugation generate the Lorentzian S3.  Diagonalizing the order-3
 operator splits each basis into a 14-dimensional invariant subalgebra
 (a copy of g2) plus two sets of seven generators carrying the conjugate
-third roots of unity as eigenvalues.
+third roots of unity as eigenvalues.  ``unpack`` spreads a core over the
+28 generator positions as one 28x28 ``Matrix`` that maps coefficient row
+vectors, x to x @ M.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
-from . import matrix
 from ._record import Record
 from .clifford import EUCLIDEAN, LORENTZIAN, Signature
 from .errors import ClosureExceeded, SignatureMismatch, TrialityError
@@ -140,39 +141,17 @@ def apply_outer(op: OuterOp, b: LieBasis) -> LieBasis:
     return _make_basis(_SUCCESSOR[op.name][b.kind], b.signature, gens)
 
 
-class UnpackedOp(Record):
-    """A 28x28 operator on coefficient space (with an antilinear flag).
+def unpack(op: OuterOp) -> Matrix:
+    """The 28x28 matrix of an operator on coefficient row vectors.
 
-    ``matrix`` is the matrix of the automorphism in the generator basis:
-    within each quartet its block is the TRANSPOSE of the 4x4 core, which
-    is what multiplies coefficient vectors when the core maps the
-    generators themselves.  For the symmetric cores K and T the transpose
-    is invisible; for H it is exactly what makes the eigenvalue labels of
-    the graded basis come out right.  ``apply`` takes and returns sparse
-    coefficient vectors ``{generator position: nonzero coefficient}``, an
-    absent position being zero.
+    Row p holds what a coefficient at generator position p becomes: the
+    quartet terms of the generator at p, so each quartet holds the 4x4
+    core itself, and a coefficient row vector x maps to x @ M.  The rows
+    are the terms' own scalars, so no scalar is built.
     """
-
-    __slots__ = ("matrix", "antilinear")
-
-    def apply(self, coeffs: dict) -> dict:
-        """The image of ``coeffs``: each of its positions c times column c
-        of ``matrix``, added up through the row kernel
-        ``matrix.add_scaled``, read from its module at call time, the
-        coefficient conjugated first when the operator is antilinear."""
-        rows, out = self.matrix.rows, {}
-        for c, x in coeffs.items():
-            column = {k: row[c] for k, row in enumerate(rows) if c in row}
-            matrix.add_scaled(out, x.conj() if self.antilinear else x, column)
-        return out
-
-
-def unpack(op: OuterOp) -> UnpackedOp:
-    """Unpack a 4x4 core to the full 28-dimensional coefficient operator."""
-    entries = {(_GEN_POS[old], _GEN_POS[new]): c
-               for new, pairs in quartet_terms(op.core).items()
-               for old, c in pairs}
-    return UnpackedOp(Matrix.from_entries(28, entries), op.antilinear)
+    terms = quartet_terms(op.core)
+    return Matrix._of(({_GEN_POS[old]: c for old, c in terms[new]}
+                       for new in GEN_INDICES), 28)
 
 
 # -- S3 closure ------------------------------------------------------------

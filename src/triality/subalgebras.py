@@ -227,11 +227,6 @@ class Su3Embedding(Record, eq=False):
                  "block_factor")
 
 
-def block_target(k: int) -> Matrix:
-    """diag(0, l_k, -l_k^T) as a 7x7 matrix, for k = 1..8."""
-    return _block(gell_mann()[k - 1])
-
-
 def _block(lam: Matrix) -> Matrix:
     """diag(0, lam, -lam^T) as a 7x7 matrix, for a 3x3 lam."""
     entries = {}

@@ -12,14 +12,17 @@ layout has the stdlib call itself as its reference.  The intertwiner
 oracle builds its own equations and takes only their kernel from
 ``linalg.kernel_basis``; the fixed-vector oracle takes coordinates by
 projection and ranks with ``naive_rank``, so it shares no elimination
-with ``linalg``.
+with ``linalg``.  A fingerprint is an object's whole value as plain
+tuples, so a test can tell whether a call changed what it was given.
 """
 
 import json
+from collections.abc import Mapping
 from fractions import Fraction
 
+from triality._record import Record
 from triality.emit import scalar_to_latex
-from triality.field import HALF, I, ONE, ZERO
+from triality.field import HALF, I, ONE, ZERO, ExactScalar
 from triality.linalg import kernel_basis
 from triality.matrix import Matrix, combination
 
@@ -140,6 +143,11 @@ def dense_product(a: Matrix, b: Matrix):
             row.append(acc)
         rows.append(row)
     return rows
+
+
+def dense_trace(m: Matrix):
+    """tr(M) = sum_i M_ii, read through m[i, i]."""
+    return sum((m[i, i] for i in range(m.n)), ZERO)
 
 
 def dense_trace_product(a: Matrix, b: Matrix):
@@ -298,17 +306,21 @@ def naive_add_scaled(v: dict, c, w: dict, sign: int) -> dict:
     return out
 
 
-def dense_apply(unpacked, coeffs: dict) -> dict:
-    """An unpacked outer operator on a sparse coefficient vector by the
-    sweep over every row: entry k is sum_c m[k, c] * x_c over all n
-    columns, read through m[i, j], with each x_c conjugated first when the
-    operator is antilinear, and kept when it is nonzero."""
-    m = unpacked.matrix
-    vec = ({c: x.conj() for c, x in coeffs.items()} if unpacked.antilinear
-           else coeffs)
+def dense_row_image(m: Matrix, coeffs: dict) -> dict:
+    """A sparse coefficient row vector times ``m`` by the sweep over every
+    column: entry k is sum_p x_p * m[p, k] over all n rows, read through
+    m[i, j], and kept when it is nonzero."""
     return {k: s for k in range(m.n)
-            if (s := sum((m[k, c] * vec[c] for c in range(m.n) if c in vec),
+            if (s := sum((coeffs[p] * m[p, k] for p in range(m.n) if p in coeffs),
                          ZERO))}
+
+
+def coefficient_rows(vectors) -> Matrix:
+    """Up to 28 sparse coefficient vectors as the rows of a 28x28 matrix,
+    built through ``Matrix.from_entries``: the form that the unpacked
+    operator multiplies from the right."""
+    return Matrix.from_entries(28, {(p, k): x for p, vec in enumerate(vectors)
+                                    for k, x in vec.items()})
 
 
 def dense_coefficients(coeffs: dict, size: int) -> list:
@@ -334,6 +346,17 @@ def t_core() -> Matrix:
     rows = ((-ONE, I, -I, -I), (I, ONE, ONE, ONE),
             (-I, ONE, ONE, -ONE), (-I, ONE, -ONE, ONE))
     return Matrix([[HALF * x for x in row] for row in rows])
+
+
+def su3_block(lam: Matrix) -> Matrix:
+    """diag(0, lam, -lam^T) as a 7x7 matrix for a 3x3 ``lam``, read entry by
+    entry through lam[i, j] into dense rows."""
+    rows = [[ZERO] * 7 for _ in range(7)]
+    for i in range(3):
+        for j in range(3):
+            rows[1 + i][1 + j] = lam[i, j]
+            rows[4 + j][4 + i] = -lam[i, j]
+    return Matrix(rows)
 
 
 def naive_combination(terms, n: int) -> Matrix:
@@ -368,5 +391,35 @@ def dense_matrix_latex(m: Matrix) -> str:
 
 
 def indented_json(obj) -> str:
-    """The stdlib's indented, key-sorted layout that ``emit.dumps`` must match."""
-    return json.dumps(obj, indent=2, sort_keys=True)
+    """The stdlib's indented, key-sorted layout, ended by a newline: what
+    ``emit.dumps_line`` must write."""
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+
+
+# -- fingerprints ----------------------------------------------------------------
+
+
+def fingerprint(obj):
+    """A plain value that changes whenever anything reachable from ``obj``
+    does: a ``Matrix`` as its size and its rows of sorted ``(column, den,
+    nums)`` entries, a scalar as ``(den, nums)``, a record as its type and
+    its slots, a mapping as its items in order, and a list or tuple as its
+    items.  str, int, bool and None stand for themselves; any other type
+    raises TypeError, so nothing is compared by identity unseen."""
+    if isinstance(obj, Matrix):
+        return ("Matrix", obj.n, tuple(
+            tuple(sorted((j, x.den, x.nums) for j, x in row.items()))
+            for row in obj.rows))
+    if isinstance(obj, ExactScalar):
+        return (obj.den, obj.nums)
+    if isinstance(obj, Record):
+        return (type(obj).__name__,
+                tuple(fingerprint(getattr(obj, name)) for name in obj.__slots__))
+    if isinstance(obj, Mapping):
+        return ("map", tuple((fingerprint(k), fingerprint(v))
+                             for k, v in obj.items()))
+    if isinstance(obj, (list, tuple)):
+        return (type(obj).__name__, tuple(fingerprint(x) for x in obj))
+    if obj is None or isinstance(obj, (str, int)):
+        return obj
+    raise TypeError(f"no fingerprint for {type(obj).__name__}")

@@ -10,7 +10,7 @@ import json
 import subprocess
 import sys
 
-from oracles import dense_coefficients
+from oracles import coefficient_rows, dense_coefficients, su3_block
 from triality.clifford import (EUCLIDEAN, LORENTZIAN, cl8_basis, cl17_basis,
                                volume_element)
 from triality.field import MINUS_ONE, ONE, ZERO, rational
@@ -22,7 +22,7 @@ from triality.outer import (apply_outer, diagonalize, graded_basis,
 from triality.representations import (GEN_INDICES, P_MATRIX, basis, same_span,
                                       same_structure_constants, spinor_bases,
                                       vector_basis)
-from triality.subalgebras import (BLOCK_FACTOR, block_target, g2_basis,
+from triality.subalgebras import (BLOCK_FACTOR, g2_basis, gell_mann,
                                   intersect, intersect_pair, lambda_gram,
                                   restrict, su3_embedding, su3_transform)
 
@@ -155,8 +155,8 @@ def test_criterion_10_g2(results_by_id):
 def test_criterion_11_su3_embedding(results_by_id):
     emb = su3_embedding(g2_basis())
     assert su3_transform().is_unitary and det(su3_transform()) == ONE
-    for k in range(1, 9):
-        assert emb.conjugated[k - 1] == block_target(k).scale(BLOCK_FACTOR)
+    for k, lam in enumerate(gell_mann(), start=1):
+        assert emb.conjugated[k - 1] == su3_block(lam).scale(BLOCK_FACTOR)
     _criterion(11, results_by_id, "11-su3-embedding",
                "U Lambda_k U+ hits diag(0, l_k, -l_k^T) blocks exactly "
                "(unit factor -i/2)")
@@ -165,10 +165,11 @@ def test_criterion_11_su3_embedding(results_by_id):
 def test_criterion_12_grading(results_by_id):
     for sig, op in ((EUCLIDEAN, outer_h()), (LORENTZIAN, outer_t())):
         graded = graded_basis(vector_basis(sig), op)
-        unpacked = unpack(op)
-        for pos, vec in enumerate(graded.coeff_vectors):
+        vectors = graded.coeff_vectors
+        images = (coefficient_rows(vectors) @ unpack(op)).rows
+        for pos, (vec, image) in enumerate(zip(vectors, images)):
             lam = graded.eigenvalue_of(pos)
-            out = dense_coefficients(unpacked.apply(vec), 28)
+            out = dense_coefficients(image, 28)
             assert out == [lam * x for x in dense_coefficients(vec, 28)]
         assert is_closed(graded.g2_part)
         assert not is_closed(graded.right_part + graded.left_part)

@@ -122,7 +122,7 @@ def _module_level_memos(module, memo_owner):
 
 
 def test_emit_keeps_no_memo_beyond_one_payload():
-    """``emit.dumps`` keeps its memo of texts in a dict made for the call,
+    """``emit.dumps_line`` keeps its memo of texts in a dict made for the call,
     so it dies with the payload; a dict, list or set at module level would
     outlive the call and become a cache across requests."""
     assert not _module_level_memos(emit, emit)

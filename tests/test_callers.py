@@ -3,12 +3,14 @@
 A public function or method of ``src/triality`` (neither it nor its class
 starts with ``_``) counts as called when its name occurs in ``src``,
 ``demos`` or ``bench``: a module-level function as a name or import, or
-as an attribute of its own module's name or of ``triality``, a method as
-an attribute of anything.  Matching is by name, so a homonym hides an
-unused method (and a bare name an unused function); the set errs towards
-fewer entries.  Every entry says why it stays.  A new function that
-nothing but a test calls shows up here as a diff: give it a caller,
-delete it, or add it with its reason.
+as an attribute of its own module's name or of ``triality``; a property
+as an attribute of anything; and a plain method as an attribute that is
+called, or that is passed as a call argument (``f(report.to_json_text)``),
+so a bare attribute load such as ``args.trace`` does not count.  Matching
+is by name, so a homonym still hides an unused method (and a bare name an
+unused function); the set errs towards fewer entries.  Every entry says
+why it stays.  A new function that nothing but a test calls shows up here
+as a diff: give it a caller, delete it, or add it with its reason.
 """
 
 import ast
@@ -17,22 +19,25 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 TEST_ONLY = {
-    "emit.dumps":
-        "the stdlib-equivalent writer that the JSON tests compare; "
-        "the verbs write through dumps_line",
     "emit.scalar_from_json":
         "reads back the scalar objects that `emit` and `map` write as JSON",
     "field.ExactScalar.coords":
         "the dense 8-tuple that the scalar oracles compare against",
     "linalg.kernel_basis":
         "exported; tests/oracles.py takes intertwiner kernels from it",
-    "subalgebras.block_target":
-        "the documented diag(0, l_k, -l_k^T) that su3_embedding checks",
 }
+
+_PROPERTIES = {"property", "cached_property"}
+
+
+def _is_property(node):
+    return any(getattr(d, "id", getattr(d, "attr", None)) in _PROPERTIES
+               for d in node.decorator_list)
 
 
 def _public_defs():
-    """{qualified name: (module, name, is a method)} over ``src/triality``."""
+    """{qualified name: (module, name, kind)} over ``src/triality``, the
+    kind being "function", "property" or "method"."""
     out = {}
     for path in sorted((ROOT / "src" / "triality").glob("*.py")):
         for node in ast.parse(path.read_text()).body:
@@ -45,15 +50,18 @@ def _public_defs():
                 continue
             for sub in members:
                 if isinstance(sub, ast.FunctionDef) and sub.name[0] != "_":
-                    out[f"{prefix}.{sub.name}"] = (path.stem, sub.name, method)
+                    kind = ("function" if not method else
+                            "property" if _is_property(sub) else "method")
+                    out[f"{prefix}.{sub.name}"] = (path.stem, sub.name, kind)
     return out
 
 
 def _references(paths):
-    """(names and imported names, attribute names, (owner, attribute
-    name) pairs) occurring in ``paths``; the owner of ``a.f`` and of
-    ``x.a.f`` is ``a``."""
-    names, attrs, owned = set(), set(), set()
+    """(names and imported names, attribute names, names of attributes
+    that are called or passed as call arguments, (owner, attribute name)
+    pairs) occurring in ``paths``; the owner of ``a.f`` and of ``x.a.f``
+    is ``a``."""
+    names, attrs, called, owned = set(), set(), set(), set()
     for path in paths:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
@@ -64,15 +72,20 @@ def _references(paths):
                 owned.add((owner, node.attr))
             elif isinstance(node, ast.alias):
                 names.add(node.name.rpartition(".")[2])
-    return names, attrs, owned
+            elif isinstance(node, ast.Call):
+                called.update(x.attr for x in (node.func, *node.args,
+                                               *(k.value for k in node.keywords))
+                              if isinstance(x, ast.Attribute))
+    return names, attrs, called, owned
 
 
 def test_only_the_pinned_api_lacks_a_caller_outside_the_tests():
-    names, attrs, owned = _references([*ROOT.glob("src/triality/*.py"),
-                                       *ROOT.glob("demos/*.py"),
-                                       *ROOT.glob("bench/*.py")])
-    uncalled = {qual for qual, (module, name, method) in _public_defs().items()
-                if (name not in attrs if method else
+    names, attrs, called, owned = _references([*ROOT.glob("src/triality/*.py"),
+                                               *ROOT.glob("demos/*.py"),
+                                               *ROOT.glob("bench/*.py")])
+    uncalled = {qual for qual, (module, name, kind) in _public_defs().items()
+                if (name not in called if kind == "method" else
+                    name not in attrs if kind == "property" else
                     name not in names and (module, name) not in owned
                     and ("triality", name) not in owned)}
     assert uncalled == set(TEST_ONLY)

@@ -80,6 +80,14 @@ def test_coordinates_must_be_exact():
     assert from_parts(im=(3, 0, 0, 0)).coords[4] == Fraction(3)
 
 
+def test_coordinates_may_come_from_any_iterable():
+    """Eight coordinates from a generator, and parts given as lists or
+    generators, build the same scalar as tuples do."""
+    assert ExactScalar(Fraction(k, 2) for k in (1, 0, 0, 0, 0, 0, 0, 0)) == HALF
+    assert from_parts(re=[0, 1, 0, 0], im=(c for c in (1, 0, 0, 0))) == SQRT2 + I
+    assert from_parts(re=(c for c in (1, 0, 0, 0))) == ONE
+
+
 def test_rationals_hash_like_the_numbers_they_equal():
     assert len({ONE, 1}) == 1
     assert hash(HALF) == hash(Fraction(1, 2))

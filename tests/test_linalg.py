@@ -534,10 +534,19 @@ def test_intersection_dimension_matches_the_rank_oracle(a, b):
                for v in meet.rows)
 
 
+def test_structure_calls_take_any_iterable():
+    """Generators, and image lists, given as one-shot iterators."""
+    gens = vector_basis().matrices()
+    assert structure_constants(iter(gens)) == structure_constants(gens)
+    assert same_structure(iter(gens), [iter(spinor_bases()[0].matrices())])
+    assert real_span(iter(gens)) == real_span(gens)
+
+
 def test_subspace_intersection_is_idempotent():
     gens = vector_basis().matrices()[:5]
     s = Subspace.from_matrices(gens)
     assert s.intersection(s) == s
+    assert Subspace.from_matrices(m for m in gens) == s
 
 
 def test_det_matches_cofactor_oracle():

@@ -84,9 +84,21 @@ def test_pauli_predicates():
     assert (SIGMA_Y.scale(I)).is_antisymmetric
 
 
+def test_constructors_take_any_iterable_and_equal_matrices_hash_equal():
+    rows = [[1, HALF], [I, 0]]
+    m = Matrix(rows)
+    assert Matrix(iter(rows)) == m and Matrix(iter(row) for row in rows) == m
+    assert Matrix.diag(x for x in (ONE, I)) == Matrix.diag([ONE, I])
+    # equal matrices hash equal, with objects held alive between the two
+    # hashes, so that a hash by the address of a temporary cannot match
+    h = hash(m)
+    held = [(x for x in ()) for _ in range(64)]
+    assert hash(Matrix([[1, HALF], [I, 0]])) == h and held
+
+
 def test_trace_and_dagger():
     m = Matrix(((I, ONE), (ZERO, -I)))
-    assert m.trace() == ZERO
+    assert trace_product(m, Matrix.identity(2)) == ZERO
     assert m.dagger()[0, 0] == -I
     assert m.dagger()[1, 0] == ONE
 

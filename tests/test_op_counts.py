@@ -3,9 +3,11 @@
 Five counters run in process: built scalars (``ExactScalar._of`` and the
 validated constructor), ``Matrix.__matmul__``, brackets
 (``matrix._bracket``: commutators and anticommutators), ``linalg.rref``
-and ``CoordSolver.solve``.  A cold ``run_suite`` gets one row per body
-call in run order (check 16's second clean control part is the
-``re-run`` row), then ``runner`` (checks 16 and 17) and ``total``.
+and ``CoordSolver.solve``.  A cold ``run_suite`` gets one row per
+(check, signature) part in run order, labelled by
+``test_checks_runner.label_parts`` (check 16's faulted control part is
+the ``h-sign`` row and its second clean one the ``re-run`` row), then
+``runner`` (checks 16 and 17) and ``total``.
 Two more tables count single layer calls and one cold CLI request of
 each read-only kind.  Entries are exact, not bounds, so that a count that falls cannot leave
 room for a later rise; the README says how to update them.
@@ -17,7 +19,8 @@ import io
 import pytest
 
 from test_caches import _lru_cached
-from triality import checks, cli, linalg, matrix, subalgebras
+from test_checks_runner import label_parts
+from triality import cli, linalg, matrix, subalgebras
 from triality.checks import FAULT_H_SIGN, run_suite
 from triality.clifford import EUCLIDEAN
 from triality.field import HALF, I, MINUS_ONE, SQRT2, SQRT6, ExactScalar
@@ -68,20 +71,10 @@ class _Recorder:
 
 
 def _cold_suite(monkeypatch, suite, fault):
-    """The table of one cold ``run_suite``."""
+    """The table of one cold ``run_suite``, one row per part as
+    ``label_parts`` labels it."""
     rec = _Recorder(monkeypatch)
-
-    def recording(check_id, body):
-        def part(fx, f, *fault):
-            label = f"{check_id[:2]} {fx.sig}" + (" h-sign" if fault else "")
-            if any(seen == label for seen, _ in rec.rows):
-                label += " re-run"  # check 16's second clean control part
-            rec.row(label, body, fx, f, *fault)
-        return part
-
-    monkeypatch.setattr(checks, "_CHECKS", tuple(
-        (check_id, claim, sigs, recording(check_id, body), detail)
-        for check_id, claim, sigs, body, detail in checks._CHECKS))
+    label_parts(monkeypatch, rec.row)
     report = rec.row("total", run_suite, suite, fault)
     assert report.failed == (fault is not None)
     *parts, (_, total) = rec.rows
@@ -111,8 +104,8 @@ OP_COUNTS = {
 09 (8,0)            2,671        0        0       13        0
 10 (8,0)            1,160        0       71        0       64
 11 (8,0)              463       29        0        0        0
-12 (8,0)            5,016        6      145        3       54
-12 (1,7)            5,004        6      145        3       54
+12 (8,0)            5,016        7      145        3       54
+12 (1,7)            5,004        7      145        3       54
 13 (8,0)            1,606        0        0        0        0
 13 (1,7)            1,597        0        0        0        0
 14 (8,0)              392       56        0        0        0
@@ -121,7 +114,7 @@ OP_COUNTS = {
 05 (8,0) h-sign     2,079        2        0        0        0
 05 (8,0) re-run     2,328        2        0        0        0
 runner                  0        0        0        0        0
-total              48,628      620    1,493       25      508
+total              48,628      622    1,493       25      508
 """,
     "euclidean": """
                   scalars        @ brackets     rref   solves
@@ -136,13 +129,13 @@ total              48,628      620    1,493       25      508
 09 (8,0)            2,671        0        0       13        0
 10 (8,0)            1,160        0       71        0       64
 11 (8,0)              463       29        0        0        0
-12 (8,0)            5,016        6      145        3       54
+12 (8,0)            5,016        7      145        3       54
 13 (8,0)            1,606        0        0        0        0
 14 (8,0)              392       56        0        0        0
 05 (8,0) h-sign     2,079        2        0        0        0
 05 (8,0) re-run     2,328        2        0        0        0
 runner                  0        0        0        0        0
-total              27,770      350      764       22      286
+total              27,770      351      764       22      286
 """,
     "lorentzian": """
                   scalars        @ brackets     rref   solves
@@ -153,7 +146,7 @@ total              27,770      350      764       22      286
 06 (1,7)               84        0        0        0        0
 07 (1,7)            1,048       34        0        0        0
 08 (1,7)              344        8        0        0        0
-12 (1,7)            5,004        6      145        3       54
+12 (1,7)            5,004        7      145        3       54
 13 (1,7)            1,597        0        0        0        0
 14 (1,7)              364       56        0        0        0
 15 (1,7)              168        0        0        0        0
@@ -161,7 +154,7 @@ total              27,770      350      764       22      286
 05 (8,0) h-sign     2,079        2        0        0        0
 05 (8,0) re-run     2,328        2        0        0        0
 runner                  0        0        0        0        0
-total              29,285      367      729        3      222
+total              29,285      368      729        3      222
 """,
 }
 

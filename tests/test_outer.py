@@ -2,8 +2,8 @@
 
 import pytest
 
-from oracles import (dense, dense_apply, dense_coefficients, h_core,
-                     naive_combination, t_core)
+from oracles import (coefficient_rows, dense, dense_coefficients,
+                     dense_row_image, h_core, naive_combination, t_core)
 from triality.clifford import EUCLIDEAN, LORENTZIAN, Signature
 from triality.errors import SignatureMismatch, TrialityError
 from triality.field import (HALF, I, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO,
@@ -70,13 +70,12 @@ def test_signature_ops_pair_each_signature():
 
 def test_graded_coefficients_are_the_unpacked_eigenvectors():
     u = diagonalize("H").change_of_basis
-    columns = unpack(OuterOp("U^T", u.T, False, EUCLIDEAN)).matrix
+    rows = unpack(OuterOp("U^T", u.T, False, EUCLIDEAN))
     graded = graded_basis(vector_basis(EUCLIDEAN), outer_h())
     order = [idx for row in QUARTETS for idx in row]
     for vec, idx in zip(graded.coeff_vectors, order):
-        col = GEN_INDICES.index(idx)
-        assert dense_coefficients(vec, 28) == [columns[r, col]
-                                               for r in range(28)]
+        p = GEN_INDICES.index(idx)
+        assert dense_coefficients(vec, 28) == [rows[p, k] for k in range(28)]
 
 
 def test_h_core_as_printed():
@@ -96,45 +95,58 @@ def test_t_core_identities():
 
 
 def test_unpack_orders():
-    assert unpack(outer_h()).matrix.power(3) == Matrix.identity(28)
-    assert unpack(outer_k()).matrix.power(2) == Matrix.identity(28)
+    assert unpack(outer_h()).power(3) == Matrix.identity(28)
+    assert unpack(outer_k()).power(2) == Matrix.identity(28)
     t28 = unpack(outer_t())
-    assert t28.matrix.power(3) == Matrix.identity(28)
-    assert t28.matrix.power(2) == t28.matrix.conj()
+    assert t28.power(3) == Matrix.identity(28)
+    assert t28.power(2) == t28.conj()
+
+
+def _mapped(op, vectors: Matrix) -> Matrix:
+    """Coefficient row vectors mapped by an operator: conjugated first when
+    it is antilinear, then times the unpacked matrix."""
+    return (vectors.conj() if op.antilinear else vectors) @ unpack(op)
 
 
 @pytest.mark.parametrize("op_name, order",
                          [("H", 3), ("K", 2), ("T", 3), ("conj", 2)])
-def test_apply_maps_sparse_coefficient_vectors(op_name, order):
-    """The image of c times a unit vector is (conj) c times a column of the
-    unpacked matrix, read through m[i, j]; applying the operator up to
-    its order comes back to the start, so every sum that cancels on the
-    way is dropped, not stored."""
-    unpacked = unpack(outer_op(op_name))
+def test_unpack_maps_sparse_coefficient_rows(op_name, order):
+    """The image of c times unit vector p is (conj) c times row p of the
+    unpacked matrix, read through m[i, j]; mapping up to the operator's
+    order comes back to the start, so every sum that cancels on the way
+    is dropped, not stored."""
+    op = outer_op(op_name)
     c = ONE + I
-    scaled = c.conj() if unpacked.antilinear else c
-    for p in range(28):
-        out = unpacked.apply({p: c})
-        assert dense_coefficients(out, 28) == [
-            unpacked.matrix[k, p] * scaled for k in range(28)]
-        for _ in range(order - 1):
-            out = unpacked.apply(out)
-        assert out == {p: c}
+    scaled = c.conj() if op.antilinear else c
+    start = Matrix.identity(28).scale(c)
+    out = _mapped(op, start)
+    assert dense(out) == [[unpack(op)[p, k] * scaled for k in range(28)]
+                          for p in range(28)]
+    for _ in range(order - 1):
+        out = _mapped(op, out)
+    assert out == start
 
 
 @pytest.mark.parametrize("op_name", ["H", "K", "T", "conj"])
-def test_apply_matches_the_dense_row_sweep(op_name):
-    """The sparse ``apply``, which adds up only the vector's own columns,
-    against the sweep over all 28 rows: on every unit vector, with a
-    one-term and a multi-term coefficient, and on the graded coefficient
-    vectors of both signatures."""
-    unpacked = unpack(outer_op(op_name))
+def test_unpack_matches_the_dense_column_sweep(op_name):
+    """A product with the unpacked matrix, which adds up only each
+    vector's own rows, against the sweep over all 28 columns: on every
+    unit vector, with a one-term and a multi-term coefficient, and on the
+    graded coefficient vectors of both signatures, each conjugated first
+    when the operator is antilinear."""
+    op = outer_op(op_name)
+    m = unpack(op)
     vectors = [{p: c} for p in range(28) for c in (-HALF, ONE + I)]
     for sig in (EUCLIDEAN, LORENTZIAN):
         vectors += graded_basis(vector_basis(sig),
                                 signature_ops(sig)[0]).coeff_vectors
-    for vec in vectors:
-        assert unpacked.apply(vec) == dense_apply(unpacked, vec)
+    for start in range(0, len(vectors), 28):
+        chunk = vectors[start:start + 28]
+        rows = _mapped(op, coefficient_rows(chunk)).rows
+        for vec, row in zip(chunk, rows):
+            if op.antilinear:
+                vec = {k: x.conj() for k, x in vec.items()}
+            assert row == dense_row_image(m, vec)
 
 
 def test_euclidean_cycle_hits_the_constructed_bases():
@@ -287,10 +299,11 @@ def test_graded_eigenvalue_labels(signature, op_name):
         assert b == a.scale(OMEGA)
     for a, b in zip(graded_v.left_part, graded_l.left_part):
         assert b == a.scale(OMEGA_BAR)
-    unpacked = unpack(op)
-    for pos, vec in enumerate(graded_v.coeff_vectors):
+    vectors = graded_v.coeff_vectors
+    images = (coefficient_rows(vectors) @ unpack(op)).rows
+    for pos, (vec, image) in enumerate(zip(vectors, images)):
         lam = graded_v.eigenvalue_of(pos)
-        out = dense_coefficients(unpacked.apply(vec), 28)
+        out = dense_coefficients(image, 28)
         assert out == [lam * x for x in dense_coefficients(vec, 28)]
 
 

@@ -18,8 +18,7 @@ from triality.clifford import (EUCLIDEAN, GammaBasis, Signature, VolumeElement,
 from triality.field import ONE, ZERO
 from triality.linalg import CoordSolver, StructureConstants, Subspace
 from triality.matrix import Matrix
-from triality.outer import (Diagonalization, GradedBasis,
-                            S3Closure, UnpackedOp, outer_op)
+from triality.outer import Diagonalization, GradedBasis, S3Closure, outer_op
 from triality.representations import (LieBasis, SpanReport,
                                       StructureMatchReport, vector_basis)
 from triality.subalgebras import (Constraint, G2Basis, IntersectionSystem,
@@ -34,7 +33,6 @@ def _value_records():
         lambda: GammaBasis(EUCLIDEAN, (m,)),
         lambda: VolumeElement(m, True, False, True),
         lambda: outer_op("H"),
-        lambda: UnpackedOp(m, False),
         lambda: S3Closure(((m, False),), False, {1: 1}, False),
         lambda: Diagonalization(m, m),
         lambda: SpanReport(True, 28, 28, 28),
