@@ -8,7 +8,9 @@ operators), ``g2`` (the Lambda basis or the solved constraints), ``su3``
 
 Every request takes one path: argparse validates the arguments, ``main``
 refuses an ``--out`` it cannot write, the verb's handler returns its text
-and exit code, and ``main`` writes the text to ``--out`` or stdout.  Exit
+and exit code, and ``main`` writes the text to ``--out`` or stdout.  A
+verb's arguments are parsed once, by that verb's own parser; the top-level
+parser reads an argv that does not start with a verb (see ``_parse``).  Exit
 codes: 0 all checks pass, 1 at least one check failed, 2 internal
 construction error, 64 usage error.  Output is deterministic: identical
 arguments produce byte-identical stdout.
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from gettext import gettext
 
 from . import __version__
 from .emit import dumps_line, matrix_to_latex
@@ -296,7 +299,9 @@ def cmd_su3(args):
     return dumps_line(payload), 0
 
 
-def build_parser() -> _Parser:
+def build_parser():
+    """The top-level parser and its subparsers action's map of verb name
+    to verb parser: the same parser objects, so each verb has one."""
     parser = _Parser(prog="triality",
                      description="Exact verification and emission of the "
                                  "so(8)/spin(1,7) triality constructions.")
@@ -348,17 +353,43 @@ def build_parser() -> _Parser:
     # the other verbs take --out last; main checks and writes it for all
     for verb in ("emit", "map", "grade", "s3", "g2", "su3"):
         sub.choices[verb].add_argument("--out", default=None)
-    return parser
+    return parser, sub.choices
 
 
 # built once: parsing reuses it, so a warm caller pays for it at import only
-_PARSER = build_parser()
+_PARSER, _VERBS = build_parser()
 _HANDLERS = {"verify": cmd_verify, "emit": cmd_emit, "map": cmd_map,
              "grade": cmd_grade, "s3": cmd_s3, "g2": cmd_g2, "su3": cmd_su3}
 
 
+def _parse(argv):
+    """``_PARSER.parse_args(argv)``, reading a verb's arguments once.
+
+    The top-level parser reads every token of a verb's argv only to hand
+    all but the verb to the verb's parser, so this hands them over itself
+    and reports leftover tokens in the top-level parser's words.  An argv
+    that does not start with a verb goes through ``_PARSER``, and so does
+    one with a token that starts with ``--=``: the top-level parser reads
+    that as an ambiguous abbreviation of its own ``--help`` and
+    ``--version`` and refuses it before the verb sees it."""
+    if argv is None:
+        argv = sys.argv[1:]
+    verb = _VERBS.get(argv[0]) if argv else None
+    if verb is None or any(token.startswith("--=") for token in argv):
+        return _PARSER.parse_args(argv)
+    args, extras = verb.parse_known_args(argv[1:])
+    if extras:
+        _PARSER.error(gettext("unrecognized arguments: %s") % " ".join(extras))
+    args.command = argv[0]
+    return args
+
+
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
+    """Run one request, ``argv`` or else ``sys.argv[1:]``, and return its
+    exit code.  A verb's arguments are parsed once, by its own parser.
+    argparse ends a usage error with ``SystemExit(64)``, and ``--help``
+    and ``--version`` with ``SystemExit(0)``."""
+    args = _parse(argv)
     try:
         if args.out is not None:
             _check_writable(args.out)

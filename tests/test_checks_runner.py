@@ -218,8 +218,11 @@ class _OnePatch:
         self._monkeypatch.setattr(owner, name, value)
 
 
-@pytest.mark.parametrize("fault, suite, failing, parts", FAULT_MATRIX,
-                         ids=lambda p: getattr(p, "__name__", None))
+# each case's id is its fault's name and its suite, so adding a case
+# renames no other
+@pytest.mark.parametrize("fault, suite, failing, parts", [
+    pytest.param(*case, id=f"{case[0].__name__}-{case[1]}")
+    for case in FAULT_MATRIX])
 def test_a_fault_fails_exactly_its_rows_and_parts(monkeypatch, cold_caches,
                                                   fault, suite, failing, parts):
     patch = _OnePatch(monkeypatch)

@@ -1,12 +1,18 @@
 """CLI behavior: exit codes, determinism, schema, round trips."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from test_checks_runner import _negate_gamma1_entry
+from test_outputs import workloads
 
+import triality.cli as cli
 from triality.emit import matrix_from_json
 from triality.matrix import Matrix, anticommutator
 from triality.field import rational
@@ -88,7 +94,7 @@ def test_emit_graded_latex_euclidean():
     assert out.stdout.count(r"\begin{pmatrix}") == 28
 
 
-@pytest.mark.parametrize("argv", [
+USAGE_ERRORS = [
     [],
     ["verify", "--suite", "bogus"],
     ["emit", "--object", "bogus"],
@@ -97,11 +103,97 @@ def test_emit_graded_latex_euclidean():
     ["emit", "--object", "vector", "--signature", "(8,0)"],
     ["emit", "--object", "g2-constraints", "--signature", "8,0"],
     ["grade", "--signature", "(1,7)"],
-], ids=lambda argv: " ".join(argv) or "no verb")
+    ["emit", "--object", "H", "extra"],
+    ["emit", "--object", "H", "--version"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ERRORS,
+                         ids=lambda argv: " ".join(argv) or "no verb")
 def test_usage_errors_exit_64(argv):
     out = run_cli(*argv)
     assert out.returncode == 64
     assert out.stdout == "" and out.stderr
+
+
+TOP_USAGE = "usage: triality [-h] [--version] {verify,emit,map,grade,s3,g2,su3} ...\n"
+
+
+@pytest.mark.parametrize("argv, extra", [
+    (["emit", "--object", "H", "extra"], "extra"),
+    (["emit", "--object", "H", "--version"], "--version"),
+    (["map", "--op", "H", "x", "--from", "V", "y"], "x y"),
+])
+def test_leftover_tokens_are_refused_by_the_top_level_parser(
+        monkeypatch, capsys, argv, extra):
+    """The verb's parser reads a verb's argv, but the top-level parser
+    reports what it leaves, under the top-level usage line."""
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(argv)
+    assert exit_info.value.code == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"{TOP_USAGE}triality: error: unrecognized arguments: {extra}\n")
+
+
+def _parsed(parse, argv):
+    """What ``parse(argv)`` gives: the namespace as a dict, or else the
+    ``SystemExit`` code, each with what was written to stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+def _agrees_with_the_top_level_parser(argv):
+    assert (_parsed(cli._parse, list(argv))
+            == _parsed(cli._PARSER.parse_args, list(argv))), argv
+
+
+PARSE_CORPUS = [*workloads.LIBRARY_REQUESTS, *workloads.CLI_VERBS,
+                *USAGE_ERRORS,
+                ["emit", "--object=H"], ["emit", "--obj", "H"],
+                ["emit", "--=x"], ["--", "emit"], ["-h", "emit"],
+                ["--version", "emit"], ["emit", "--", "--object", "H"]]
+
+
+def test_the_verb_parse_agrees_with_the_top_level_parser(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    for argv in PARSE_CORPUS:
+        _agrees_with_the_top_level_parser(argv)
+
+
+def _tokens():
+    """Every verb, option string and choice, each choice also as
+    ``--opt=value``, each long option less its last letter, and the
+    top-level parser's own tokens, ``--=x`` and one junk token."""
+    tokens = [*cli._VERBS, "-h", "--version", "--", "--=x", "bogus"]
+    for parser in cli._VERBS.values():
+        for action in parser._actions:
+            for option in action.option_strings:
+                tokens += [option, option[:-1]] if option[1] == "-" else [option]
+                tokens += [f"{option}={value}" for value in action.choices or ()]
+            tokens += action.choices or ()
+    return list(dict.fromkeys(tokens))
+
+
+# a verb or nothing first, so that most draws reach a verb's parser
+_ARGV = st.builds(lambda head, rest: head + rest,
+                  st.sampled_from([[verb] for verb in cli._VERBS] + [[]]),
+                  st.lists(st.sampled_from(_tokens()), max_size=7))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ARGV)
+def test_drawn_argv_parse_as_the_top_level_parser_does(argv):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("COLUMNS", "80")
+        _agrees_with_the_top_level_parser(argv)
 
 
 def test_a_fault_the_suite_cannot_apply_exits_64():
@@ -115,7 +207,6 @@ def test_an_unwritable_out_is_refused_before_the_fault_check(tmp_path,
                                                                capsys):
     """``main`` checks ``--out`` before any handler runs, so of two usage
     errors in one request the unwritable path is the one reported."""
-    import triality.cli as cli
     path = str(tmp_path / "missing" / "x")
     assert cli.main(["verify", "--suite", "lorentzian", "--inject-fault",
                      "h-sign", "--out", path]) == 64
@@ -146,7 +237,6 @@ def test_out_flag_writes_a_file(tmp_path):
 
 def test_a_failed_su3_check_exits_1_and_writes_nothing(tmp_path, capsys,
                                                         monkeypatch):
-    import triality.cli as cli
     import triality.subalgebras as subalgebras
     from triality.errors import TrialityError
 
@@ -183,7 +273,6 @@ _UNWRITABLE = ([(argv, "missing/report") for argv, _ in _VERB_BUILDERS]
 def test_out_to_an_unwritable_path_is_a_usage_error(tmp_path, capsys, argv,
                                                     target):
     """An empty path is refused too, not taken for stdout."""
-    import triality.cli as cli
     path = str(tmp_path / target) if target else ""
     assert cli.main([*argv, "--out", path]) == 64
     captured = capsys.readouterr()
@@ -205,7 +294,6 @@ def _failing_run(monkeypatch):
 def test_verify_finds_an_unwritable_out_before_the_run(tmp_path, capsys,
                                                       monkeypatch):
     """A run that would raise is never reached: the path is refused first."""
-    import triality.cli as cli
     _failing_run(monkeypatch)
     (tmp_path / "file").write_text("")
     for target, reason in ((tmp_path / "missing" / "report",
@@ -220,7 +308,6 @@ def test_verify_finds_an_unwritable_out_before_the_run(tmp_path, capsys,
 
 def test_out_keeps_its_bytes_when_the_run_errors(tmp_path, capsys,
                                                  monkeypatch):
-    import triality.cli as cli
     _failing_run(monkeypatch)
     target = tmp_path / "report"
     target.write_bytes(b"earlier report\n")
@@ -231,7 +318,6 @@ def test_out_keeps_its_bytes_when_the_run_errors(tmp_path, capsys,
 
 def test_construction_error_exits_2(monkeypatch, capsys):
     import importlib
-    import triality.cli as cli
 
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic construction failure")
@@ -248,7 +334,6 @@ def test_a_check_that_raises_is_a_failed_row_with_a_report(
         monkeypatch, cold_caches, capsys):
     """With Gamma_1[0, 9] of the Cl(8,0) ladder negated, check 04's
     ``structure_constants`` raises NotClosed on the broken bases."""
-    import triality.cli as cli
     _negate_gamma1_entry(monkeypatch)
     assert cli.main(["verify", "--suite", "all", "--format", "json"]) == 1
     out = capsys.readouterr()
@@ -265,7 +350,6 @@ def test_a_check_that_raises_is_a_failed_row_with_a_report(
 
 
 def test_any_other_error_in_a_check_body_exits_2(monkeypatch, capsys):
-    import triality.cli as cli
     import triality.representations as representations
 
     def boom(*args, **kwargs):
@@ -293,7 +377,6 @@ def test_map_verb_lands_on_the_left_basis():
 
 @pytest.mark.parametrize("op_name", ["H", "K", "T", "conj"])
 def test_map_coefficients_rebuild_every_matrix(capsys, op_name):
-    import triality.cli as cli
     from triality.emit import scalar_from_json
     from triality.outer import outer_op
     from triality.representations import basis

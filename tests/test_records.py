@@ -164,17 +164,16 @@ HELP_SHA256 = {
 @pytest.mark.parametrize("verb", sorted(HELP_SHA256))
 def test_help_text_is_pinned(monkeypatch, capsys, verb):
     monkeypatch.setenv("COLUMNS", "80")
-    with pytest.raises(SystemExit) as exit_info:
-        cli.main([*verb, "--help"])
-    assert exit_info.value.code == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[verb]
+    for flag in ("--help", "-h"):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*verb, flag])
+        assert exit_info.value.code == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == HELP_SHA256[verb], flag
 
 
 def test_parser_choices_are_the_checks_names():
-    verb_parsers = next(action.choices for action in cli._PARSER._actions
-                        if action.dest == "command")
     choices = {action.dest: action.choices
-               for action in verb_parsers["verify"]._actions}
+               for action in cli._VERBS["verify"]._actions}
     assert tuple(choices["suite"]) == checks.SUITES
     assert tuple(choices["inject_fault"]) == tuple(checks.FAULTS)
