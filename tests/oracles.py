@@ -12,7 +12,10 @@ layout has the stdlib call itself as its reference.  The intertwiner
 oracle builds its own equations and takes only their kernel from
 ``linalg.kernel_basis``; the fixed-vector oracle takes coordinates by
 projection and ranks with ``naive_rank``, so it shares no elimination
-with ``linalg``.  A fingerprint is an object's whole value as plain
+with ``linalg``.  The local-triality oracle multiplies octonions by a
+table built from the Fano lines and solves its equations with
+``naive_solve``, ``naive_rank``'s elimination followed by back
+substitution.  A fingerprint is an object's whole value as plain
 tuples, so a test can tell whether a call changed what it was given.
 """
 
@@ -22,7 +25,7 @@ from fractions import Fraction
 
 from triality._record import Record
 from triality.emit import scalar_to_latex
-from triality.field import HALF, I, ONE, ZERO, ExactScalar
+from triality.field import HALF, I, ONE, ZERO, ExactScalar, rational
 from triality.linalg import kernel_basis
 from triality.matrix import Matrix, combination
 
@@ -193,17 +196,15 @@ def naive_anticommutator(a: Matrix, b: Matrix) -> Matrix:
                    for ab, ba in zip(dense_product(a, b), dense_product(b, a))])
 
 
-def naive_rank(vectors) -> int:
-    """Row rank by plain forward elimination (no pivot normalization)."""
+def _echelon(vectors) -> list:
+    """The rows of an echelon form, each with its pivot column, by plain
+    forward elimination (no pivot normalization)."""
     rows = [list(v) for v in vectors]
-    rank = 0
+    pivots = []
     ncols = len(rows[0]) if rows else 0
     for c in range(ncols):
-        pivot = None
-        for r in range(rank, len(rows)):
-            if rows[r][c]:
-                pivot = r
-                break
+        rank = len(pivots)
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][c]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
@@ -212,8 +213,31 @@ def naive_rank(vectors) -> int:
             if rows[r][c]:
                 f = rows[r][c] * inv
                 rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
+        pivots.append((c, rows[rank]))
+    return pivots
+
+
+def naive_rank(vectors) -> int:
+    """Row rank by plain forward elimination (no pivot normalization)."""
+    return len(_echelon(vectors))
+
+
+def naive_solve(rows, rhs) -> list:
+    """The columns x_1 .. x_r with rows x_t = the t-th column of ``rhs``,
+    for ``rows`` m x n and ``rhs`` m x r, by ``naive_rank``'s elimination
+    of the augmented rows and back substitution.  Raises ValueError when
+    some column has no solution (a pivot right of column n) or when the
+    solutions are not unique (a column left of n with no pivot)."""
+    n, r = len(rows[0]), len(rhs[0])
+    pivots = _echelon([list(row) + list(b) for row, b in zip(rows, rhs)])
+    if [c for c, _ in pivots] != list(range(n)):
+        raise ValueError("no unique solution")
+    xs = [[None] * n for _ in range(r)]
+    for c, row in reversed(pivots):
+        for t, x in enumerate(xs):
+            x[c] = (row[n + t] - sum((row[j] * x[j] for j in range(c + 1, n)),
+                                     ZERO)) / row[c]
+    return xs
 
 
 def in_span(vectors, target) -> bool:
@@ -290,6 +314,70 @@ def fixed_vectors(gens, families) -> tuple:
     return tuple(8 - naive_rank([row for c in coords for row in
                                  dense(combination(zip(c, family), 8))])
                  for family in families)
+
+
+# -- octonions: Cartan's local triality --------------------------------------
+
+# e_i e_j = e_k around each line of the Fano plane, read cyclically
+FANO_LINES = ((1, 2, 4), (2, 3, 5), (3, 4, 6), (4, 5, 7), (5, 6, 1), (6, 7, 2),
+              (7, 1, 3))
+
+
+def octonion_table() -> dict:
+    """(sign, k) with e_a e_b = sign * e_k for a, b in 0..7: e_0 is the
+    unit, e_a^2 = -1 for a > 0, and e_i e_j = e_k = -e_j e_i around each
+    Fano line."""
+    table = {}
+    for a in range(8):
+        table[0, a] = table[a, 0] = (1, a)
+        if a:
+            table[a, a] = (-1, 0)
+    for line in FANO_LINES:
+        for r in range(3):
+            i, j, k = line[r:] + line[:r]
+            table[i, j], table[j, i] = (1, k), (-1, k)
+    return table
+
+
+def local_triality(gens) -> tuple:
+    """For each A of ``gens`` (in so(8), acting on column vectors), the
+    antisymmetric B and C with A(xy) = B(x)y + xC(y) for all octonions x
+    and y (Cartan's principle of local triality: Baez, "The Octonions",
+    Bull. AMS 39 (2002), 2.4); returns the B family and the C family.
+
+    The unknowns are B_pq, then C_pq, for p < q (X_qp = -X_pq).  Each basis
+    pair x = e_a, y = e_b and component k gives one equation:
+    sum_p B_pa [e_p e_b]_k + sum_p C_pb [e_a e_p]_k = [A(e_a e_b)]_k, 512
+    in 56 unknowns, with one right-hand side per A, solved together by
+    ``naive_solve``; it raises unless every solution exists and is unique.
+    Nothing here comes from ``clifford``, ``representations`` or
+    ``linalg``.
+    """
+    table = octonion_table()
+    pairs = [(p, q) for p in range(8) for q in range(p + 1, 8)]
+    column = {pq: j for j, pq in enumerate(pairs)}
+    rows, rhs = [], []
+    for x in range(8):
+        for y in range(8):
+            eqs = [[0] * 56 for _ in range(8)]
+            for p in range(8):
+                # B_px [e_p e_y] and C_py [e_x e_p]; a diagonal entry is 0
+                for offset, (i, j), (sign, k) in ((0, (p, x), table[p, y]),
+                                                  (28, (p, y), table[x, p])):
+                    if i != j:
+                        eqs[k][offset + column[min(i, j), max(i, j)]] += (
+                            sign if i < j else -sign)
+            sign, c = table[x, y]
+            rows += eqs
+            rhs += [[a[k, c] * sign for a in gens] for k in range(8)]
+    solutions = naive_solve([[rational(v) for v in row] for row in rows], rhs)
+
+    def antisymmetric(values):
+        return Matrix.from_entries(8, {e: v for (p, q), x in zip(pairs, values)
+                                       for e, v in (((p, q), x), ((q, p), -x))})
+
+    return ([antisymmetric(x[:28]) for x in solutions],
+            [antisymmetric(x[28:]) for x in solutions])
 
 
 def naive_add_scaled(v: dict, c, w: dict, sign: int) -> dict:

@@ -11,11 +11,17 @@ conjugation in SO(8) keeps all three counts.
 
 Every generator family is orthogonal under tr(X^dagger Y), with one norm
 per family: its Gram matrix is read entry by entry.
+
+Octonionic local triality builds L and R a second way, with no code shared
+with ``clifford``: for each Euclidean V_ij, the B and C of
+A(xy) = B(x)y + xC(y) on the octonions.  The B family is L and the C family
+is R, each up to a change of basis, and neither is V.
 """
 
 import pytest
 
-from oracles import dense_trace_product, fixed_vectors, intertwiner_dim
+from oracles import (dense, dense_trace_product, fixed_vectors,
+                     intertwiner_dim, local_triality, octonion_table)
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.field import ONE, ZERO, rational
 from triality.matrix import Matrix
@@ -65,6 +71,49 @@ def test_the_three_spin7s_each_fix_a_vector_of_another_eight(axis):
 
 def test_g2_fixes_one_vector_of_each_eight():
     assert fixed_vectors(g2_basis().lambdas, _eights()) == (1, 1, 1)
+
+
+@pytest.fixture(scope="module")
+def local_triality_families():
+    v = basis("V", EUCLIDEAN).matrices()
+    return (v, *local_triality(v))
+
+
+def test_local_triality_holds_on_every_pair_of_basis_octonions(
+        local_triality_families):
+    """A(e_a e_b) = B(e_a) e_b + e_a C(e_b), with each side expanded through
+    the octonion table into the coordinates of the product."""
+    table = octonion_table()
+
+    def times(u, v, out):  # out + uv, octonions as {basis index: coordinate}
+        for a, x in u.items():
+            for b, y in v.items():
+                sign, k = table[a, b]
+                out[k] = out.get(k, ZERO) + x * y * sign
+        return out
+
+    def column(m, a):  # m e_a
+        return {k: row[a] for k, row in enumerate(dense(m))}
+
+    for am, bm, cm in zip(*local_triality_families):
+        for x in range(8):
+            for y in range(8):
+                sign, k = table[x, y]
+                left = {i: z * sign for i, z in column(am, k).items()}
+                right = times({x: ONE}, column(cm, y),
+                              times(column(bm, x), {y: ONE}, {}))
+                assert left == right, (x, y)
+
+
+def test_the_b_family_is_l_and_the_c_family_is_r(local_triality_families):
+    _, bs, cs = local_triality_families
+    assert intertwiner_dim(bs, basis("L", EUCLIDEAN).matrices()) == 1
+    assert intertwiner_dim(cs, basis("R", EUCLIDEAN).matrices()) == 1
+
+
+def test_neither_local_triality_family_is_v(local_triality_families):
+    v, bs, cs = local_triality_families
+    assert intertwiner_dim(bs, v) == intertwiner_dim(cs, v) == 0
 
 
 
