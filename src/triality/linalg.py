@@ -333,7 +333,9 @@ def same_structure(gens, images=()) -> bool:
     each seed's ad, grown by ``_eliminate``, until it is all of it.  Each
     seed's brackets [X_s, X_y] are solved in W = span X, and each image
     bracket [Y_a, Y_b] over the same pairs must be the combination of the
-    solved coefficients over the images, each list independent.  The
+    solved coefficients over the images, each list independent: one
+    ``is_combination`` call per image list, which flattens the list once
+    and cancels each term from the bracket's entry vector.  The
     Jacobi identity proves the rest:
     - the idealizer {x in W : [x, W] in W} is a subalgebra holding the
       seeds, so it holds the orbit, which is W: W is closed;
@@ -358,6 +360,6 @@ def same_structure(gens, images=()) -> bool:
     except LinearlyDependent:
         return False
     coeffs = _seed_brackets(gens, solver)
-    return all(is_combination(commutator(img[a], img[b]),
-                              ((val, img[c]) for c, val in terms.items()))
-               for img in images for (a, b), terms in coeffs.items())
+    return all(is_combination(((commutator(img[a], img[b]), terms.items())
+                               for (a, b), terms in coeffs.items()), img)
+               for img in images)

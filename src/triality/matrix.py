@@ -6,6 +6,10 @@ operation costs time in proportion to the nonzeros and the stored form is
 canonical: two matrices are equal exactly when their rows are.  All
 predicates are exact: a matrix either is Hermitian or it is not, with no
 tolerance anywhere.
+
+Linear combinations of whole matrices work on entry vectors, the
+row-major ``vector()``, so each term is one call of the row kernel
+``add_scaled``; a call flattens each matrix once and keeps nothing.
 """
 
 from __future__ import annotations
@@ -164,6 +168,16 @@ class Matrix:
         n = self.n
         return {i * n + j: x for i, row in enumerate(self.rows)
                 for j, x in row.items()}
+
+    @classmethod
+    def _from_vector(cls, v: dict, n: int) -> "Matrix":
+        """The n x n matrix whose ``vector()`` is ``v``, a sparse vector of
+        nonzero ExactScalars at indices below n*n: each entry keeps its
+        place in its row, and no scalar is built."""
+        rows = [{} for _ in range(n)]
+        for k, x in v.items():
+            rows[k // n][k % n] = x
+        return cls._of(rows, n)
 
     # -- algebra -----------------------------------------------------------
     def _merge(self, other, op):
@@ -348,42 +362,64 @@ def commutator(a: Matrix, b: Matrix) -> Matrix:
     return _bracket(a, b, -1)
 
 
-def _accumulate(rows, terms, sign: int) -> list:
-    """Add (``sign`` 1) or subtract (-1) c * m for each (c, m) of
-    ``terms``, c nonzero, to ``rows`` in place through the row kernel,
-    skipping m's empty rows; returns ``rows``."""
-    n = len(rows)
-    for c, m in terms:
-        if m.n != n:
-            raise DimensionMismatch(f"{m.n} vs {n}")
-        if c:
-            for acc, row in zip(rows, m.rows):
-                if row:
-                    add_scaled(acc, c, row, sign)
-    return rows
+def _accumulate(v: dict, terms, mats, flat: dict, n: int, sign: int) -> dict:
+    """Add (``sign`` 1) or subtract (-1) c * mats[key] for each (key, c)
+    of ``terms`` to the entry vector ``v`` in place, one row-kernel call
+    per term, skipping zero coefficients and empty matrices; returns v.
+    ``flat`` holds the entry vectors the calling function has made so
+    far.  DimensionMismatch for a matrix that is not n x n."""
+    for k, c in terms:
+        if (w := flat.get(k)) is None:
+            m = mats[k]
+            if m.n != n:
+                raise DimensionMismatch(f"{m.n} vs {n}")
+            w = flat[k] = m.vector()
+        if c and w:
+            add_scaled(v, c, w, sign)
+    return v
 
 
-def combination(terms, n: int) -> Matrix:
-    """The n x n linear combination sum c * m over (c, m) in ``terms``.
+def combination(rows, mats, n: int) -> list:
+    """The n x n matrix sum c * mats[key] over the (key, c) terms of each
+    row of ``rows``, each row a sequence.
 
-    Each output row accumulates straight from the terms' rows through
-    the row kernel, with no zero matrix, scaled copy or intermediate sum;
-    every entry is ``s + c * x``, the value of adding up ``m.scale(c)``.
-    A zero coefficient adds nothing, and one term with coefficient one is
-    its matrix itself, not a copy.
+    ``mats`` is a mapping or a sequence.  Each matrix is flattened to its
+    entry vector once per call, however many rows it enters; each term is
+    one row-kernel call into the row's accumulator, split back into rows
+    once.  Every entry is ``s + c * x``, the value of adding up
+    ``m.scale(c)``.  A zero coefficient adds nothing, and a row of one
+    term with coefficient one is its matrix itself, not a copy.  Raises
+    DimensionMismatch for a matrix that is not n x n.
     """
-    terms = list(terms)
-    if len(terms) == 1 and terms[0][0] == ONE and terms[0][1].n == n:
-        return terms[0][1]
-    return Matrix._of(_accumulate([{} for _ in range(n)], terms, 1), n)
+    flat, out = {}, []
+    for terms in rows:
+        if len(terms) == 1 and terms[0][1] == ONE and mats[terms[0][0]].n == n:
+            out.append(mats[terms[0][0]])
+        else:
+            out.append(Matrix._from_vector(
+                _accumulate({}, terms, mats, flat, n, 1), n))
+    return out
 
 
-def is_combination(m: Matrix, terms) -> bool:
-    """Whether ``m == combination(terms, m.n)``, by cancellation: each
-    c * y comes off a copy of m's rows through the row kernel, so equal
-    entries cancel and build no scalar.  Raises DimensionMismatch for a
-    term of another size than m."""
-    return not any(_accumulate([dict(row) for row in m.rows], terms, -1))
+def is_combination(pairs, mats) -> bool:
+    """Whether m == sum c * mats[key] over (key, c) in ``terms`` for each
+    (m, terms) of ``pairs``, stopping at the first that is not.
+
+    By cancellation: each c * y comes off m's entry vector through the
+    row kernel, so equal entries cancel and build no scalar, and nothing
+    may be left.  ``mats`` are flattened as in ``combination``.  Raises
+    DimensionMismatch unless every m and every matrix named are of one
+    size.
+    """
+    flat, size = {}, None
+    for m, terms in pairs:
+        if size is None:
+            size = m.n
+        elif m.n != size:
+            raise DimensionMismatch(f"{m.n} vs {size}")
+        if _accumulate(m.vector(), terms, mats, flat, size, -1):
+            return False
+    return True
 
 
 def trace_product(a: Matrix, b: Matrix) -> ExactScalar:

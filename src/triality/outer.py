@@ -6,8 +6,11 @@ K (order 2) generate the Euclidean S3; T (order 3) and complex
 conjugation generate the Lorentzian S3.  Diagonalizing the order-3
 operator splits each basis into a 14-dimensional invariant subalgebra
 (a copy of g2) plus two sets of seven generators carrying the conjugate
-third roots of unity as eigenvalues.  ``unpack`` spreads a core over the
-28 generator positions as one 28x28 ``Matrix`` that maps coefficient row
+third roots of unity as eigenvalues.  ``apply_outer`` and
+``graded_basis`` build all 28 new generators in one
+``matrix.combination`` call, which flattens each old generator once for
+the four new ones it enters.  ``unpack`` spreads a core over the 28
+generator positions as one 28x28 ``Matrix`` that maps coefficient row
 vectors, x to x @ M.
 """
 
@@ -118,10 +121,10 @@ def quartet_terms(core: Matrix) -> dict:
 
 
 def _combine(b: LieBasis, terms, antilinear=False) -> dict:
-    """Each new generator as its terms' combination of the old ones."""
+    """Each new generator as its terms' combination of the old ones, all
+    in one ``combination`` call."""
     olds = {idx: m.conj() for idx, m in b.items()} if antilinear else b.gens
-    return {new: combination(((c, olds[old]) for old, c in pairs), 8)
-            for new, pairs in terms.items()}
+    return dict(zip(terms, combination(terms.values(), olds, 8)))
 
 
 def _require_signature(op: OuterOp, b: LieBasis):
@@ -183,8 +186,11 @@ def _op_order(e, ident):
 def s3_closure(ops) -> S3Closure:
     """Close a generator set of outer operators under composition.
 
-    Raises ClosureExceeded past 12 distinct elements, which would signal a
-    transcription bug rather than a mathematical possibility.
+    The closure grows breadth first by right multiplication alone: in a
+    finite group every element is a product of generators, so the words
+    current * g reach all of it.  Raises ClosureExceeded past 12 distinct
+    elements, which would signal a transcription bug rather than a
+    mathematical possibility.
     """
     gens = [(op.core, op.antilinear) for op in ops]
     ident = (Matrix.identity(4), False)
@@ -193,12 +199,12 @@ def s3_closure(ops) -> S3Closure:
     while frontier:
         current = frontier.pop(0)
         for g in gens:
-            for nxt in (_compose(current, g), _compose(g, current)):
-                if not any(nxt[1] == e[1] and nxt[0] == e[0] for e in elements):
-                    elements.append(nxt)
-                    frontier.append(nxt)
-                    if len(elements) > 12:
-                        raise ClosureExceeded(len(elements), elements)
+            nxt = _compose(current, g)
+            if not any(nxt[1] == e[1] and nxt[0] == e[0] for e in elements):
+                elements.append(nxt)
+                frontier.append(nxt)
+                if len(elements) > 12:
+                    raise ClosureExceeded(len(elements), elements)
     orders = [_op_order(e, ident) for e in elements]
     counts = dict(Counter(orders))
     is_s3 = counts == {1: 1, 2: 3, 3: 2}

@@ -305,14 +305,12 @@ def fixed_vectors(gens, families) -> tuple:
     vector = families[0]
     support = [[(i, j, x) for i, row in enumerate(dense(v))
                 for j, x in enumerate(row) if x] for v in vector]
-    coords = []
-    for x in gens:
-        c = [sum(v_ij * x[i, j] for i, j, v_ij in entries) / 2
-             for entries in support]
-        assert combination(zip(c, vector), 8) == x, "generator outside so(8)"
-        coords.append(c)
-    return tuple(8 - naive_rank([row for c in coords for row in
-                                 dense(combination(zip(c, family), 8))])
+    gens = list(gens)
+    coords = [tuple(enumerate(sum(v_ij * x[i, j] for i, j, v_ij in entries) / 2
+                              for entries in support)) for x in gens]
+    assert combination(coords, vector, 8) == gens, "generator outside so(8)"
+    return tuple(8 - naive_rank([row for m in combination(coords, family, 8)
+                                 for row in dense(m)])
                  for family in families)
 
 

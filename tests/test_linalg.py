@@ -304,6 +304,49 @@ def test_the_seed_certificate_agrees_with_the_full_arrays(sig, kind, change):
     assert expected is False
 
 
+def _negated_entry(m: Matrix) -> Matrix:
+    """``m`` with its first stored entry negated."""
+    i = next(i for i, row in enumerate(m.rows) if row)
+    j, x = next(iter(m.rows[i].items()))
+    return Matrix._of([{**row, j: -x} if k == i else row
+                       for k, row in enumerate(m.rows)], m.n)
+
+
+@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN])
+def test_one_negated_entry_of_one_image_fails_the_certificate(sig):
+    """One entry of one spinor generator negated, in a list that stays
+    independent, so only the image brackets can catch it, wherever the
+    image list stands."""
+    v, left, right = (_six_basis(sig, k) for k in range(3))
+    for pos in (0, 13, 27):
+        changed = list(left)
+        changed[pos] = _negated_entry(changed[pos])
+        CoordSolver(changed)
+        assert same_structure(v, (changed,)) is False
+        assert same_structure(v, (right, changed)) is False
+
+
+@pytest.mark.parametrize("sig", [EUCLIDEAN, LORENTZIAN])
+def test_a_dropped_term_fails_the_certificate(monkeypatch, sig):
+    """A solved bracket with one of its terms dropped: the first and the
+    last nonzero one the certificate walks.  The images, V itself
+    included, no longer match, so the certificate must say False."""
+    v, left, right = (_six_basis(sig, k) for k in range(3))
+    real = linalg._seed_brackets
+    for pick in (0, -1):
+        def dropped(gens, solver):
+            coeffs = real(gens, solver)
+            key = [key for key, terms in coeffs.items() if terms][pick]
+            coeffs[key] = dict(list(coeffs[key].items())[1:])
+            return coeffs
+
+        monkeypatch.setattr(linalg, "_seed_brackets", dropped)
+        for images in ((v,), (left, right), (right,)):
+            assert same_structure(v, images) is False, (pick, len(images))
+        monkeypatch.undo()
+        assert same_structure(v, (v, left, right))
+
+
 def _plain_mismatches(bases):
     """The oracle of ``structure_mismatches``: every array solved, with no
     certificate, and consecutive arrays compared; or the error raised."""

@@ -175,51 +175,104 @@ coefficients = st.builds(lambda nums, den: ExactScalar([Fraction(k, den) for k i
                          st.tuples(*([st.integers(-2, 2)] * 8)), st.integers(1, 3))
 
 
-@given(st.lists(st.tuples(coefficients, sparse_matrix(4)), max_size=4))
-@settings(max_examples=40, deadline=None)
-def test_combination_matches_scale_then_add(terms):
-    got = combination(terms, 4)
-    assert _canonical(got) and got == naive_combination(terms, 4)
-
-
-# Coefficients of is_combination's terms: a zero one, one-term ones and
-# multi-term ones; a term is 4x4, or now and then 3x3, a mixed size.
+# Coefficients of combination terms: a zero one, one-term ones and
+# multi-term ones.  The combined matrices are 4x4 with unit entries, so
+# sums cancel often, or with drawn entries, or now and then 3x3, a mixed
+# size; each row of terms names them by position, and may end with the
+# negation of its own terms, so that it cancels to zero.
 term_coefficients = (st.just(ZERO) | st.sampled_from([ONE, -HALF, I, SQRT2])
                      | coefficients)
-cancel_terms = st.lists(st.tuples(
-    term_coefficients, sparse_matrix(4, values=units) | sparse_matrix(4)
-    | sparse_matrix(3, entries=1)), max_size=4)
+term_matrices = st.lists(sparse_matrix(4, values=units) | sparse_matrix(4)
+                         | sparse_matrix(3, entries=1), min_size=1, max_size=4)
 
 
-@given(cancel_terms, st.none() | sparse_matrix(4, entries=1, values=units))
-@settings(max_examples=150, deadline=None)
-def test_is_combination_matches_building_the_combination(terms, delta):
-    """The cancellation test against ``combination(terms, n) == m``, for
-    m the sum itself, built by scale-then-add, or that sum plus a one-entry
-    matrix; a term of another size raises DimensionMismatch in both."""
+@st.composite
+def combination_rows(draw, mats):
+    """Rows of (position, coefficient) terms over ``mats``."""
+    terms = st.tuples(st.integers(0, len(mats) - 1), term_coefficients)
+    rows = []
+    for row in draw(st.lists(st.lists(terms, max_size=4), max_size=4)):
+        if draw(st.booleans()):
+            row += [(k, -c) for k, c in row]
+        rows.append(tuple(row))
+    return rows
+
+
+@given(st.data(), term_matrices)
+@settings(max_examples=80, deadline=None)
+def test_combination_matches_scale_then_add(data, mats):
+    """Every row against scale-then-add, canonical, with a row of one
+    unit term its matrix itself; a row that names a matrix of another
+    size raises DimensionMismatch in both."""
+    rows = data.draw(combination_rows(mats))
     try:
-        m = naive_combination([(c, t) for c, t in terms if t.n == 4], 4)
-        m = m + delta if delta is not None else m
-        want = combination(terms, 4) == m
+        want = [naive_combination([(c, mats[k]) for k, c in row], 4)
+                for row in rows]
     except DimensionMismatch:
         with pytest.raises(DimensionMismatch):
-            is_combination(m, terms)
+            combination(rows, mats, 4)
         return
-    assert is_combination(m, terms) == want
-    if delta is None:
-        assert want
+    got = combination(rows, mats, 4)
+    assert got == want
+    for m, row in zip(got, rows):
+        assert _canonical(m)
+        if len(row) == 1 and row[0][1] == ONE:
+            assert m is mats[row[0][0]]
+
+
+@given(st.data(), term_matrices,
+       st.none() | sparse_matrix(4, entries=1, values=units))
+@settings(max_examples=150, deadline=None)
+def test_is_combination_matches_building_the_combination(data, mats, delta):
+    """The cancellation test against building each combination, for
+    targets that are the sums themselves, built by scale-then-add, or with
+    a nonzero one-entry matrix added to the last one, which must fail; a
+    term of another size raises DimensionMismatch."""
+    rows = data.draw(combination_rows(mats))
+    pairs = []
+    for row in rows:
+        try:
+            m = naive_combination([(c, mats[k]) for k, c in row], 4)
+        except DimensionMismatch:
+            with pytest.raises(DimensionMismatch):
+                is_combination(pairs + [(Matrix.zero(4), row)], mats)
+            return
+        pairs.append((m, row))
+    assert is_combination(pairs, mats)
+    if delta is not None and pairs:
+        pairs[-1] = (pairs[-1][0] + delta, pairs[-1][1])
+        assert not is_combination(pairs, mats)
 
 
 def test_is_combination_on_empty_and_cancelling_terms():
     a = Matrix(((ONE, I), (ZERO, -ONE)))
     c = I + ONE
-    assert is_combination(Matrix.zero(2), [])
-    assert not is_combination(a, [])
-    assert is_combination(Matrix.zero(2), [(c, a), (-c, a)])
-    assert is_combination(a.scale(c), [(ZERO, a), (c, a)])
-    assert not is_combination(a, [(c, a)])
+    mats = [a]
+    assert is_combination([], mats)
+    assert is_combination([(Matrix.zero(2), [])], mats)
+    assert not is_combination([(a, [])], mats)
+    assert is_combination([(Matrix.zero(2), [(0, c), (0, -c)])], mats)
+    assert is_combination([(a.scale(c), [(0, ZERO), (0, c)])], mats)
+    assert not is_combination([(a, [(0, c)])], mats)
+    assert not is_combination([(a, [(0, ONE)]), (a, [(0, c)])], mats)
+    assert not is_combination([(a, [(0, c)]), (Matrix.identity(3), [])], mats)
     with pytest.raises(DimensionMismatch):
-        is_combination(Matrix.identity(3), [(ZERO, a)])
+        is_combination([(Matrix.identity(3), [(0, ZERO)])], mats)
+    with pytest.raises(DimensionMismatch):
+        is_combination([(a, [(0, ONE)]), (Matrix.identity(3), [])], mats)
+
+
+@given(st.integers(1, 5).flatmap(lambda n: sparse_matrix(n, entries=12)))
+@settings(max_examples=30, deadline=None)
+def test_from_vector_inverts_vector(m):
+    """Each entry back in its place, in the order of its row, as the
+    scalar object ``vector()`` gave."""
+    got = Matrix._from_vector(m.vector(), m.n)
+    assert got == m and got.n == m.n
+    assert [list(row.items()) for row in got.rows] == [
+        list(row.items()) for row in m.rows]
+    assert all(x is y for gr, mr in zip(got.rows, m.rows)
+               for x, y in zip(gr.values(), mr.values()))
 
 
 # One-term scalars on every coordinate with denominators 1-6, so that the
@@ -259,10 +312,13 @@ def test_the_row_kernel_matches_its_naive_oracle(v, c, w, sign, ratios):
 def test_combination_drops_cancelled_entries():
     a = Matrix(((ONE, I), (ZERO, -ONE)))
     c = I + ONE
-    assert combination([(c, a), (-c, a)], 2).rows == ({}, {})
-    assert combination([], 3) == Matrix.zero(3)
+    assert combination([((0, c), (0, -c))], [a], 2)[0].rows == ({}, {})
+    assert combination([(), ((0, ONE),)], [a], 2) == [Matrix.zero(2), a]
+    assert combination([], [a], 3) == []
     with pytest.raises(DimensionMismatch):
-        combination([(ONE, a)], 3)
+        combination([((0, ONE),)], [a], 3)
+    with pytest.raises(DimensionMismatch):
+        combination([((0, c),)], [a], 3)
 
 
 def test_power_zero_is_the_identity():

@@ -1,9 +1,9 @@
 """The op counts of the verify pipeline, committed as one exact table.
 
-Five counters run in process: built scalars (``ExactScalar._of`` and the
+Six counters run in process: built scalars (``ExactScalar._of`` and the
 validated constructor), ``Matrix.__matmul__``, brackets
-(``matrix._bracket``: commutators and anticommutators), ``linalg.rref``
-and ``CoordSolver.solve``.  A cold ``run_suite`` gets one row per
+(``matrix._bracket``: commutators and anticommutators), ``linalg.rref``,
+``CoordSolver.solve`` and calls of the row kernel ``matrix.add_scaled``.  A cold ``run_suite`` gets one row per
 (check, signature) part in run order, labelled by
 ``test_checks_runner.label_parts`` (check 16's faulted control part is
 the ``h-sign`` row and its second clean one the ``re-run`` row), then
@@ -31,11 +31,11 @@ from triality.representations import (same_structure_constants, spinor_bases,
                                       structure_mismatches, vector_basis)
 from triality.subalgebras import g2_basis, intersect_pair, lambda_gram, restrict
 
-_COLUMNS = ("scalars", "@", "brackets", "rref", "solves")
+_COLUMNS = ("scalars", "@", "brackets", "rref", "solves", "kernel")
 
 
 class _Recorder:
-    """The five counters, and one row of their deltas per recorded call."""
+    """The six counters, and one row of their deltas per recorded call."""
 
     def __init__(self, monkeypatch):
         self.counts = [0] * len(_COLUMNS)
@@ -47,6 +47,7 @@ class _Recorder:
         patch(matrix, "_bracket", counting(2, matrix._bracket))
         patch(linalg, "rref", counting(3, linalg.rref))
         patch(CoordSolver, "solve", counting(4, CoordSolver.solve))
+        patch(matrix, "add_scaled", counting(5, matrix.add_scaled))
 
     def _counting(self, column, real):
         def call(*args):
@@ -85,76 +86,76 @@ def _cold_suite(monkeypatch, suite, fault):
 
 OP_COUNTS = {
     "all": """
-                  scalars        @ brackets     rref   solves
-01 (8,0)            1,159        7       36        0        0
-01 (1,7)            2,634       16       72        0        0
-02 (8,0)              320       10        8        0        0
-02 (1,7)              392        8        8        0        0
-03 (8,0)            1,825       84        0        6        0
-04 (8,0)            4,581        0      504        0      168
-04 (1,7)            6,899      140      504        0      168
-05 (8,0)            2,328        2        0        0        0
-05 (1,7)            2,324        2        0        0        0
-06 (8,0)              638      112        0        0        0
-06 (1,7)               84        0        0        0        0
-07 (8,0)              992       34        0        0        0
-07 (1,7)            1,048       34        0        0        0
-08 (8,0)              212        6        0        0        0
-08 (1,7)              344        8        0        0        0
-09 (8,0)            2,671        0        0       13        0
-10 (8,0)            1,160        0       71        0       64
-11 (8,0)              463       29        0        0        0
-12 (8,0)            5,016        7      145        3       54
-12 (1,7)            5,004        7      145        3       54
-13 (8,0)            1,606        0        0        0        0
-13 (1,7)            1,597        0        0        0        0
-14 (8,0)              392       56        0        0        0
-14 (1,7)              364       56        0        0        0
-15 (1,7)              168        0        0        0        0
-05 (8,0) h-sign     2,079        2        0        0        0
-05 (8,0) re-run     2,328        2        0        0        0
-runner                  0        0        0        0        0
-total              48,628      622    1,493       25      508
+                  scalars        @ brackets     rref   solves   kernel
+01 (8,0)            1,159        7       36        0        0    1,180
+01 (1,7)            2,634       16       72        0        0    2,816
+02 (8,0)              320       10        8        0        0      400
+02 (1,7)              392        8        8        0        0      384
+03 (8,0)            1,825       84        0        6        0    1,092
+04 (8,0)            4,581        0      504        0      168    5,888
+04 (1,7)            6,899      140      504        0      168    7,232
+05 (8,0)            2,328        2        0        0        0      560
+05 (1,7)            2,324        2        0        0        0      560
+06 (8,0)              638      112        0        0        0      574
+06 (1,7)               84        0        0        0        0        0
+07 (8,0)              688       22        0        0        0      280
+07 (1,7)              720       22        0        0        0      280
+08 (8,0)              212        6        0        0        0       81
+08 (1,7)              344        8        0        0        0      116
+09 (8,0)            2,671        0        0       13        0      616
+10 (8,0)            1,160        0       71        0       64      657
+11 (8,0)              463       29        0        0        0      284
+12 (8,0)            5,016        7      145        3       54    2,521
+12 (1,7)            5,004        7      145        3       54    2,521
+13 (8,0)            1,606        0        0        0        0        0
+13 (1,7)            1,597        0        0        0        0        0
+14 (8,0)              392       56        0        0        0      364
+14 (1,7)              364       56        0        0        0      364
+15 (1,7)              168        0        0        0        0        0
+05 (8,0) h-sign     2,079        2        0        0        0      560
+05 (8,0) re-run     2,328        2        0        0        0      560
+runner                  0        0        0        0        0        0
+total              47,996      598    1,493       25      508   29,890
 """,
     "euclidean": """
-                  scalars        @ brackets     rref   solves
-01 (8,0)            1,159        7       36        0        0
-02 (8,0)              320       10        8        0        0
-03 (8,0)            1,825       84        0        6        0
-04 (8,0)            4,581        0      504        0      168
-05 (8,0)            2,328        2        0        0        0
-06 (8,0)              638      112        0        0        0
-07 (8,0)              992       34        0        0        0
-08 (8,0)              212        6        0        0        0
-09 (8,0)            2,671        0        0       13        0
-10 (8,0)            1,160        0       71        0       64
-11 (8,0)              463       29        0        0        0
-12 (8,0)            5,016        7      145        3       54
-13 (8,0)            1,606        0        0        0        0
-14 (8,0)              392       56        0        0        0
-05 (8,0) h-sign     2,079        2        0        0        0
-05 (8,0) re-run     2,328        2        0        0        0
-runner                  0        0        0        0        0
-total              27,770      351      764       22      286
+                  scalars        @ brackets     rref   solves   kernel
+01 (8,0)            1,159        7       36        0        0    1,180
+02 (8,0)              320       10        8        0        0      400
+03 (8,0)            1,825       84        0        6        0    1,092
+04 (8,0)            4,581        0      504        0      168    5,888
+05 (8,0)            2,328        2        0        0        0      560
+06 (8,0)              638      112        0        0        0      574
+07 (8,0)              688       22        0        0        0      280
+08 (8,0)              212        6        0        0        0       81
+09 (8,0)            2,671        0        0       13        0      616
+10 (8,0)            1,160        0       71        0       64      657
+11 (8,0)              463       29        0        0        0      284
+12 (8,0)            5,016        7      145        3       54    2,521
+13 (8,0)            1,606        0        0        0        0        0
+14 (8,0)              392       56        0        0        0      364
+05 (8,0) h-sign     2,079        2        0        0        0      560
+05 (8,0) re-run     2,328        2        0        0        0      560
+runner                  0        0        0        0        0        0
+total              27,466      339      764       22      286   15,617
 """,
     "lorentzian": """
-                  scalars        @ brackets     rref   solves
-01 (1,7)            2,770       23       72        0        0
-02 (1,7)              392        8        8        0        0
-04 (1,7)            6,899      140      504        0      168
-05 (1,7)            2,324        2        0        0        0
-06 (1,7)               84        0        0        0        0
-07 (1,7)            1,048       34        0        0        0
-08 (1,7)              344        8        0        0        0
-12 (1,7)            5,004        7      145        3       54
-13 (1,7)            1,597        0        0        0        0
-14 (1,7)              364       56        0        0        0
-15 (1,7)              168        0        0        0        0
-05 (8,0)            3,884       86        0        0        0
-05 (8,0) h-sign     2,079        2        0        0        0
-05 (8,0) re-run     2,328        2        0        0        0
-runner                  0        0        0        0        0
-total              29,285      368      729        3      222
+                  scalars        @ brackets     rref   solves   kernel
+01 (1,7)            2,770       23       72        0        0    2,844
+02 (1,7)              392        8        8        0        0      384
+04 (1,7)            6,899      140      504        0      168    7,232
+05 (1,7)            2,324        2        0        0        0      560
+06 (1,7)               84        0        0        0        0        0
+07 (1,7)              720       22        0        0        0      280
+08 (1,7)              344        8        0        0        0      116
+12 (1,7)            5,004        7      145        3       54    2,521
+13 (1,7)            1,597        0        0        0        0        0
+14 (1,7)              364       56        0        0        0      364
+15 (1,7)              168        0        0        0        0        0
+05 (8,0)            3,884       86        0        0        0    1,456
+05 (8,0) h-sign     2,079        2        0        0        0      560
+05 (8,0) re-run     2,328        2        0        0        0      560
+runner                  0        0        0        0        0        0
+total              28,957      356      729        3      222   16,877
 """,
 }
 
@@ -169,17 +170,17 @@ def test_a_cold_suite_makes_exactly_its_op_counts(monkeypatch, cold_caches,
 
 
 LAYER_COUNTS = """
-                  scalars        @ brackets     rref   solves
-L(8,0) brackets     4,368        0      378        0        0
-L(8,0) solves       1,092        0        0        0      378
-intersect_pair        569        0        0        2        0
-intersection          182        0        0        2        0
-V/L (8,0)           2,432        0      336        0      168
-V/L/R (8,0)         4,581        0      504        0      168
-lambda_gram           200        0        0        0        0
-g2_basis              728        0       46        0       46
-is_closed su3         190        0       18        0       18
-is_closed R+L         354        0        8        0        8
+                  scalars        @ brackets     rref   solves   kernel
+L(8,0) brackets     4,368        0      378        0        0    6,048
+L(8,0) solves       1,092        0        0        0      378      378
+intersect_pair        569        0        0        2        0      112
+intersection          182        0        0        2        0       56
+V/L (8,0)           2,432        0      336        0      168    3,102
+V/L/R (8,0)         4,581        0      504        0      168    5,888
+lambda_gram           200        0        0        0        0        0
+g2_basis              728        0       46        0       46      430
+is_closed su3         190        0       18        0       18      150
+is_closed R+L         354        0        8        0        8      148
 """
 
 
@@ -232,14 +233,14 @@ def test_the_row_kernel_builds_through_the_recorded_constructor(monkeypatch):
     v = rec.row("add", add_scaled, {}, HALF, row)
     rec.row("cancel", add_scaled, v, HALF, row, -1)
     assert v == {}
-    assert [counts for _, counts in rec.rows] == [(len(row), 0, 0, 0, 0),
-                                                  (0, 0, 0, 0, 0)]
+    assert [counts for _, counts in rec.rows] == [(len(row), 0, 0, 0, 0, 0),
+                                                  (0, 0, 0, 0, 0, 0)]
 
 
 def test_the_row_kernel_never_runs_on_an_empty_row(monkeypatch, cold_caches):
-    """``@``, the brackets, ``_accumulate`` and ``linalg._ad`` skip a row
-    with no entries, so no call of the row kernel in a cold run is pure
-    overhead."""
+    """``@``, the brackets, ``combination``, ``is_combination`` and
+    ``linalg._ad`` skip a row or entry vector with no entries, so no call
+    of the row kernel in a cold run is pure overhead."""
     empty = []
     real = matrix.add_scaled
 
@@ -255,7 +256,7 @@ def test_the_row_kernel_never_runs_on_an_empty_row(monkeypatch, cold_caches):
 
 def test_every_row_update_enters_the_one_kernel_patch_point(monkeypatch,
                                                             cold_caches):
-    """A cold ``run_suite("all")`` makes exactly 39,790 row-kernel calls,
+    """A cold ``run_suite("all")`` makes exactly 29,890 row-kernel calls,
     counted by wrapping the module attribute ``matrix.add_scaled``.  A caller
     that binds the kernel by name at import escapes the wrapper and reads
     lower; a restructure that adds kernel calls reads higher."""
@@ -268,7 +269,7 @@ def test_every_row_update_enters_the_one_kernel_patch_point(monkeypatch,
 
     monkeypatch.setattr(matrix, "add_scaled", counted)
     assert not run_suite("all").failed
-    assert len(calls) == 39_790
+    assert len(calls) == 29_890
 
 
 def test_one_run_builds_the_lambda_gram_once(monkeypatch, cold_caches):
@@ -294,15 +295,15 @@ CLI_REQUESTS = {
 }
 
 CLI_COUNTS = """
-                  scalars        @ brackets     rref   solves
-emit L 1,7          3,227      163        0        0        0
-map T L             4,011      163        0        0        0
-map K L             1,748       91        0        0        0
-map conj R          3,311      163        0        0        0
-grade 1,7             312        3        0        0        0
-s3 8,0                992       34        0        0        0
-g2 constraints      2,261       91        0        2        0
-su3                 1,132       28       46        0       46
+                  scalars        @ brackets     rref   solves   kernel
+emit L 1,7          3,227      163        0        0        0    1,884
+map T L             4,011      163        0        0        0    1,996
+map K L             1,748       91        0        0        0      931
+map conj R          3,311      163        0        0        0    1,884
+grade 1,7             312        3        0        0        0      133
+s3 8,0                688       22        0        0        0      280
+g2 constraints      2,261       91        0        2        0    1,036
+su3                 1,132       28       46        0       46      698
 """
 
 

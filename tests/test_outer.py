@@ -5,9 +5,9 @@ import pytest
 from oracles import (coefficient_rows, dense, dense_coefficients,
                      dense_row_image, h_core, naive_combination, t_core)
 from triality.clifford import EUCLIDEAN, LORENTZIAN, Signature
-from triality.errors import SignatureMismatch, TrialityError
-from triality.field import (HALF, I, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, ZERO,
-                            rational)
+from triality.errors import ClosureExceeded, SignatureMismatch, TrialityError
+from triality.field import (HALF, I, MINUS_ONE, OMEGA, OMEGA_BAR, ONE, SQRT2,
+                            ZERO, rational)
 from triality.linalg import Subspace, is_closed
 from triality.matrix import Matrix, commutator
 from triality.outer import (QUARTETS, OuterOp, apply_outer, diagonalize,
@@ -247,6 +247,21 @@ def test_s3_closures():
     assert lorentz.is_s3 and lorentz.relation_holds
     cyclic = s3_closure([outer_h()])
     assert len(cyclic.elements) == 3
+
+
+def test_a_closure_past_twelve_elements_raises():
+    """A cyclic group of order 12 (a 3-cycle beside i) closes; one of
+    order 24 (beside a primitive eighth root of unity) raises
+    ClosureExceeded at its 13th distinct element, holding all 13."""
+    def cyclic(root):
+        core = Matrix.from_entries(4, {(0, 1): 1, (1, 2): 1, (2, 0): 1, (3, 3): root})
+        return [OuterOp("c", core, False, EUCLIDEAN)]
+
+    closure = s3_closure(cyclic(I))
+    assert len(closure.elements) == 12 and closure.order_counts[12] == 4
+    with pytest.raises(ClosureExceeded) as err:
+        s3_closure(cyclic(SQRT2 * HALF * (ONE + I)))
+    assert err.value.count == 13 == len(err.value.elements)
 
 
 def test_diagonalize_h():

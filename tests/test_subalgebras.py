@@ -10,8 +10,8 @@ from triality.field import HALF, I, ONE, ZERO, rational
 from triality.linalg import Subspace, det, is_closed, kernel_basis
 from triality.matrix import Matrix, combination, commutator
 from triality.outer import graded_basis, killing_form, outer_h, outer_k, unpack
-from triality.representations import (GEN_INDICES, P_MATRIX, LieBasis,
-                                      spinor_bases, vector_basis)
+from triality.representations import (P_MATRIX, LieBasis, spinor_bases,
+                                      vector_basis)
 from triality.subalgebras import (BLOCK_FACTOR, g2_basis, gell_mann,
                                   intersect, intersect_pair, lambda_gram,
                                   restrict, su3_embedding, su3_transform)
@@ -236,8 +236,7 @@ def test_the_space_fixed_by_h_and_k_is_the_lambda_span():
     fixed = kernel_basis(system, 28)
     assert len(fixed) == 14
     v = vector_basis(EUCLIDEAN)
-    mats = [combination(((c, v[GEN_INDICES[k]]) for k, c in vec.items()), 8)
-            for vec in fixed]
+    mats = combination([tuple(vec.items()) for vec in fixed], v.matrices(), 8)
     assert Subspace.from_matrices(mats) == Subspace.from_matrices(g2_basis().lambdas)
 
 

@@ -132,8 +132,9 @@ def _matrix_calls(a, b, c):
         (Matrix.block, a, 1, 1, n - 1), (Matrix.vector, a), (Matrix.__eq__, a, b),
         (str, a), (commutator, a, b), (anticommutator, a, b),
         (trace_product, a, b), (kron, a, b), (common_size, [a, b]),
-        (combination, [(c, a), (ONE, b)], n), (combination, [(ONE, a)], n),
-        (is_combination, a, [(c, b)]), (is_combination, a, [(ONE, a)]),
+        (combination, [((0, c), (1, ONE)), ((0, ONE),)], [a, b], n),
+        (is_combination, [(a, [(1, c)])], [a, b]),
+        (is_combination, [(a, [(0, ONE)]), (b, [(1, c)])], [a, b]),
         (_add_scaled_to_a_new_row, c, a.rows[0]), (det, a),
         (rref, list(a.rows)), (kernel_basis, list(a.rows), n),
         (Subspace.from_vectors, list(a.rows), n),
