@@ -48,7 +48,7 @@ import sys
 from gettext import gettext
 
 from . import __version__
-from .emit import dumps_line, matrix_to_latex
+from .emit import _latex, _text, dumps_line
 from .suites import FAULT_NAMES, SUITES
 
 USAGE_EXIT = 64
@@ -153,7 +153,7 @@ def _emit_constraints(fmt):
                            "dimension": system.subspace.dim,
                            "constraints": records})
     if fmt == "latex":
-        lines = [f"{c.dependent} &= {str(c).split(' = ')[1]} \\\\"
+        lines = [f"{c.dependent} &= {c.right_side} \\\\"
                  for c in system.constraints]
         return "\n".join(lines) + "\n"
     return "".join(str(c) + "\n" for c in system.constraints)
@@ -167,10 +167,14 @@ def _render(obj, named, fmt, signature):
             "items": [{"name": name, "matrix": m} for name, m in named],
         }
         return dumps_line(payload)
-    if fmt == "latex":
-        return "".join(f"% {name}\n{matrix_to_latex(m)}\n"
-                       for name, m in named)
-    return "".join(f"{name} =\n{m}\n\n" for name, m in named)
+    write, head, tail = ((_latex, "% {}\n", "\n") if fmt == "latex"
+                         else (_text, "{} =\n", "\n\n"))
+    out, texts = [], {}  # the payload's one memo of texts
+    for name, m in named:
+        out.append(head.format(name))
+        write(m, out.append, texts)
+        out.append(tail)
+    return "".join(out)
 
 
 def _emitted(obj, signature, fmt):

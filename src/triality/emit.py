@@ -1,5 +1,5 @@
 """Serialization: the JSON scalar/matrix encoding, the indented JSON
-writer and LaTeX pmatrix output.
+writer, and the text and LaTeX layouts of a matrix.
 
 A scalar is encoded as {"re": [4 reduced "p/q" strings], "im": [same]}
 with coordinate order (1, sqrt2, sqrt3, sqrt6); matrices are row-major
@@ -13,13 +13,14 @@ two, dicts with str keys, lists, str, int, bool and None.  It checks each
 node's exact type once and raises ``TypeError`` for anything else (a
 float, a tuple, a non-str key, a subclass of str, int, dict or list).
 The stdlib never uses its C encoder when it indents, so a payload's
-matrices never become dicts and lists: ``dumps_line`` writes a matrix row
-by row from a memo of texts that lives for one call, which renders each
-distinct scalar and each distinct row once per depth (the 224 rows of a
-``map`` payload take 31 row texts and 5 scalar texts), and the newline is
-the last piece of the one join, so a payload written to stdout is copied
-once.  ``matrix_to_json(m)`` is the plain reference tree of dicts and
-lists that the writer's bytes are compared with.
+matrices never become dicts and lists, and the newline is the last piece
+of the one join, so a payload written to stdout is copied once.
+``matrix_to_json(m)`` is the plain reference tree that the writer's bytes
+are compared with.  Every matrix layout (JSON at a depth, ``str(m)`` and
+``matrix_to_latex(m)``) goes through one grid writer, ``_grid``, with one
+memo of texts per payload, made by the call that writes it: each distinct
+scalar and row is rendered once per payload and layout (the 224 rows of a
+``map`` payload take 31 row texts and 5 scalar texts).
 """
 
 from __future__ import annotations
@@ -36,6 +37,9 @@ from .matrix import Matrix
 
 _P_OVER_Q = re.compile(r"-?[0-9]+/0*[1-9][0-9]*")
 _RADICAL_LATEX = ("", r"\sqrt{2}", r"\sqrt{3}", r"\sqrt{6}")
+# (begin, row separator, end, row opener, cell separator, row closer)
+_TEXT = ("", "\n", "", "[ ", "  ", " ]")
+_LATEX = (r"\begin{pmatrix} ", r" \\ ", r" \end{pmatrix}", "", " & ", "")
 
 
 def scalar_to_json(x: ExactScalar) -> dict:
@@ -176,43 +180,48 @@ def _scalar_text(x, depth, texts):
 
 
 def _matrix(m, depth, append, texts):
-    """The rows of ``m``, each row's text keyed in ``texts`` by ``(depth, n,
-    sorted (column, den, nums) entries)``: an empty row's key is ``(depth,
-    n)`` and a one-entry row's ``(depth, n, column, den, nums)``, with
-    nothing to sort.  Each row's text is appended once, after its
-    separator."""
+    """``matrix_to_json(m)`` laid out ``depth`` levels in: the grid in the
+    JSON layout under the tag ``depth``, each cell a scalar's text two
+    levels further in.  A row's text starts with its own line break, so
+    the rows are joined by a bare comma, and an empty matrix is ``[]``."""
+    line = "\n" + "  " * depth
+    row_line, cell_line = line + "  ", line + "    "
+    _grid(m, depth, lambda x: _scalar_text(x, depth + 2, texts),
+          ("[", ",", line + "]" if m.n else "]", row_line + "[" + cell_line,
+           "," + cell_line, row_line + "]"), append, texts)
+
+
+def _grid(m, tag, cell, layout, append, texts):
+    """Append ``m`` in ``layout``: begin, the rows joined by the row
+    separator, then end; a row is its opener, its cells joined by the cell
+    separator, and its closer.  A cell is ``cell(x)`` for an entry x and
+    ``cell(ZERO)``, fetched once a row has an empty cell, elsewhere.  A
+    row's text is keyed in ``texts`` by ``(tag, n, sorted (column, den,
+    nums) entries)``, an empty row's by ``(tag, n)`` and a one-entry row's
+    by ``(tag, n, column, den, nums)``, with nothing to sort."""
+    begin, row_sep, end, opener, cell_sep, closer = layout
     n = m.n
-    inner = "\n" + "  " * (depth + 1)
-    sep, comma = "[" + inner, "," + inner
+    sep = zero = ""
+    append(begin)
     for r in m.rows:
         if len(r) == 1:
             for j, x in r.items():
-                key = (depth, n, j, x.den, x.nums)
+                key = (tag, n, j, x.den, x.nums)
         elif r:
-            key = (depth, n, *sorted([(j, x.den, x.nums) for j, x in r.items()]))
+            key = (tag, n, *sorted([(j, x.den, x.nums) for j, x in r.items()]))
         else:
-            key = (depth, n)
+            key = (tag, n)
         if (text := texts.get(key)) is None:
-            text = texts[key] = _row(r, n, depth + 2, texts)
+            if not zero and len(r) < n:
+                zero = cell(ZERO)
+            cells = [zero] * n
+            for j, x in r.items():
+                cells[j] = cell(x)
+            text = texts[key] = opener + cell_sep.join(cells) + closer
         append(sep)
         append(text)
-        sep = comma
-    append(inner[:-2] + "]" if n else "[]")
-
-
-def _row(r, n, depth, texts):
-    """The text of a row of ``n >= 1`` cells, each ``depth`` levels in:
-    ZERO's text in every cell if one is empty, each entry's text in its
-    own cell, and the separators between them, in one join.  So a payload
-    renders no scalar that none of its cells holds."""
-    inner = "\n" + "  " * depth
-    zero = _scalar_text(ZERO, depth, texts) if len(r) < n else None
-    pieces = ["," + inner, zero] * n
-    pieces[0] = "[" + inner
-    for j, x in r.items():
-        pieces[2 * j + 1] = _scalar_text(x, depth, texts)
-    pieces.append(inner[:-2] + "]")
-    return "".join(pieces)
+        sep = row_sep
+    append(end)
 
 
 def _frac_latex(num: int, den: int, radical: str) -> str:
@@ -243,26 +252,39 @@ def scalar_to_latex(x: ExactScalar) -> str:
     return out
 
 
-def matrix_to_latex(m: Matrix) -> str:
-    """A pmatrix of the entries, row by row.
+def _memo(x, render, texts):
+    """``render(x)``, keyed in a one-layout memo by ``(den, nums)``."""
+    if (text := texts.get(key := (x.den, x.nums))) is None:
+        text = texts[key] = render(x)
+    return text
 
-    Rows start as ``"0"`` cells and get only their nonzero entries, and
-    an empty row's line is built once; each distinct entry, keyed by
-    ``(den, nums)``, goes through ``scalar_to_latex`` once per call.
-    """
-    texts = {}
-    empty = None
-    lines = []
-    for row in m.rows:
-        if not row:
-            empty = empty or " & ".join(["0"] * m.n)
-            lines.append(empty)
-            continue
-        line = ["0"] * m.n
-        for j, x in row.items():
-            key = (x.den, x.nums)
-            if (text := texts.get(key)) is None:
-                text = texts[key] = scalar_to_latex(x)
-            line[j] = text
-        lines.append(" & ".join(line))
-    return r"\begin{pmatrix} %s \end{pmatrix}" % r" \\ ".join(lines)
+
+def _text(m, append, texts):
+    """``str(m)``, each cell right-justified to the longest entry of ``m``
+    (or 1): the row tag holds that width, as a payload's matrices differ."""
+    width = 1
+    for r in m.rows:
+        for x in r.values():
+            if (text := texts.get(key := (x.den, x.nums))) is None:
+                text = texts[key] = str(x)
+            if len(text) > width:
+                width = len(text)
+    _grid(m, ("str", width), lambda x: _memo(x, str, texts).rjust(width),
+          _TEXT, append, texts)
+
+
+def _latex(m, append, texts):
+    _grid(m, "latex", lambda x: _memo(x, scalar_to_latex, texts),
+          _LATEX, append, texts)
+
+
+def _alone(write, m) -> str:
+    """``m`` written by ``write`` as a payload of its own."""
+    out = []
+    write(m, out.append, {})
+    return "".join(out)
+
+
+def matrix_to_latex(m: Matrix) -> str:
+    """A pmatrix of the entries, row by row."""
+    return _alone(_latex, m)

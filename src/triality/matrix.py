@@ -302,35 +302,10 @@ class Matrix:
         return f"Matrix({self.n}x{self.n})"
 
     def __str__(self):
-        """One bracketed line per row, every cell right-justified to the
-        longest entry, or to width 1 when all are zero.
-
-        Rows start as ``"0"`` cells and get only their nonzero entries,
-        and an empty row's line is built once.  Each distinct entry, keyed
-        by ``(den, nums)`` because that hashes faster than the scalar, is
-        rendered and padded once; the memo lives for this call only.
-        """
-        texts = {}
-        for row in self.rows:
-            for x in row.values():
-                key = (x.den, x.nums)
-                if key not in texts:
-                    texts[key] = str(x)
-        width = max(map(len, texts.values()), default=1)
-        cells = {key: text.rjust(width) for key, text in texts.items()}
-        blank = ["0".rjust(width)] * self.n
-        empty = None
-        lines = []
-        for row in self.rows:
-            if not row:
-                empty = empty or "[ " + "  ".join(blank) + " ]"
-                lines.append(empty)
-                continue
-            line = blank.copy()
-            for j, x in row.items():
-                line[j] = cells[x.den, x.nums]
-            lines.append("[ " + "  ".join(line) + " ]")
-        return "\n".join(lines)
+        """One bracketed line per row: ``emit``'s text layout, imported at
+        call time as ``emit`` imports this module."""
+        from .emit import _alone, _text
+        return _alone(_text, self)
 
 
 def _bracket(a: Matrix, b: Matrix, sign: int) -> Matrix:

@@ -35,21 +35,15 @@ class Constraint(Record):
     __slots__ = ("dependent",
                  "terms")       # ((ExactScalar, str), ...)
 
+    @property
+    def right_side(self) -> str:
+        """The terms as text, as ``str`` writes them after "dependent = "."""
+        parts = [f"+{var}" if c == ONE else f"-{var}" if c == MINUS_ONE
+                 else f"+({c})*{var}" for c, var in self.terms]
+        return " ".join(parts).removeprefix("+") or "0"
+
     def __str__(self):
-        if not self.terms:
-            return f"{self.dependent} = 0"
-        parts = []
-        for coeff, var in self.terms:
-            if coeff == ONE:
-                parts.append(f"+{var}")
-            elif coeff == MINUS_ONE:
-                parts.append(f"-{var}")
-            else:
-                parts.append(f"+({coeff})*{var}")
-        joined = " ".join(parts)
-        if joined.startswith("+"):
-            joined = joined[1:]
-        return f"{self.dependent} = {joined}"
+        return f"{self.dependent} = {self.right_side}"
 
 
 class IntersectionSystem(Record, eq=False):

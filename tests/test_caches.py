@@ -129,9 +129,9 @@ def test_emit_keeps_no_memo_beyond_one_payload():
 
 
 def test_matrix_keeps_no_memo_beyond_one_call():
-    """``Matrix.__str__`` keeps its per-entry render memo in a local, so it
-    dies with the call; module or class state would turn it into a cache
-    across matrices and requests."""
+    """``str(m)`` writes through ``emit``'s text writer with a memo of texts
+    made for the call, so no ``Matrix`` state holds a text; module or class
+    state would be a cache across matrices and requests."""
     assert not _module_level_memos(matrix, matrix.Matrix)
 
 

@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -20,7 +20,7 @@ from triality.clifford import EUCLIDEAN, LORENTZIAN, cl7_basis
 from triality.emit import (dumps_line, matrix_from_json, matrix_to_json,
                            matrix_to_latex, scalar_from_json, scalar_to_json,
                            scalar_to_latex)
-from triality.field import (HALF, I, OMEGA, SQRT2, SQRT3, SQRT6, ZERO,
+from triality.field import (HALF, I, OMEGA, ONE, SQRT2, SQRT3, SQRT6, ZERO,
                             ExactScalar, from_parts, rational)
 from triality.linalg import Subspace
 from triality.matrix import Matrix, anticommutator
@@ -142,16 +142,21 @@ SPINOR_LEFT_LORENTZ = ["emit", "--object", "spinor-left", "--signature", "1,7"]
 
 
 @pytest.mark.parametrize("argv,owner,name,count", [
-    (SPINOR_LEFT_LORENTZ + ["--format", "text"], ExactScalar, "__str__", 84),
-    (SPINOR_LEFT_LORENTZ + ["--format", "latex"], emit, "scalar_to_latex", 84),
+    (SPINOR_LEFT_LORENTZ + ["--format", "text"], ExactScalar, "__str__", 5),
+    (SPINOR_LEFT_LORENTZ + ["--format", "latex"], emit, "scalar_to_latex", 5),
+    (["emit", "--object", "su3-blocks", "--format", "text"], ExactScalar,
+     "__str__", 15),
     (["emit", "--object", "su3-blocks", "--format", "latex"], emit,
-     "scalar_to_latex", 48),
-], ids=["spinor-left 1,7 text", "spinor-left 1,7 latex", "su3-blocks latex"])
-def test_emit_renders_each_distinct_entry_once_per_matrix(monkeypatch, argv, owner,
-                                                         name, count):
-    """An exact count: each matrix renders its distinct nonzero entries
-    once (1,792 renders for spinor-left and 686 for su3-blocks when every
-    cell was rendered)."""
+     "scalar_to_latex", 15),
+], ids=["spinor-left 1,7 text", "spinor-left 1,7 latex", "su3-blocks text",
+        "su3-blocks latex"])
+def test_emit_renders_each_distinct_entry_once_per_payload(monkeypatch, argv, owner,
+                                                           name, count):
+    """An exact count: a text or LaTeX payload renders each distinct entry of
+    its matrices once, and ZERO once (1,792 renders for spinor-left and 686
+    for su3-blocks when every cell was rendered; 84 and 48 when each matrix
+    rendered its own nonzero entries).  A second request renders them all
+    again: no text outlives its payload."""
     calls = 0
     render = getattr(owner, name)
 
@@ -161,9 +166,39 @@ def test_emit_renders_each_distinct_entry_once_per_matrix(monkeypatch, argv, own
         return render(x)
 
     monkeypatch.setattr(owner, name, counted)
-    with contextlib.redirect_stdout(io.StringIO()):
-        code = cli.main(argv)
-    assert code == 0 and calls == count
+    for _ in range(2):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+    assert calls == 2 * count
+
+
+# Entries of different widths, so that matrices drawn together differ in
+# their widest entry while sharing sparse rows.
+_CELLS = st.sampled_from([ZERO, ZERO, ONE, -ONE, I, HALF, rational(1, 3),
+                          HALF * SQRT2, -HALF + I * SQRT3])
+_SMALL_MATRICES = st.integers(1, 3).flatmap(
+    lambda n: st.lists(st.lists(_CELLS, min_size=n, max_size=n),
+                       min_size=n, max_size=n).map(Matrix))
+_WIDTHS_APART = [Matrix([[1, 0], [0, 0]]), Matrix([[1, 0], [0, -HALF + I * SQRT3]])]
+
+
+@given(st.lists(_SMALL_MATRICES, min_size=1, max_size=4))
+@example(_WIDTHS_APART)
+@example([Matrix([[HALF, 1], [rational(1, 3), 1]])])
+@settings(max_examples=60, deadline=None)
+def test_a_text_payload_renders_each_matrix_as_the_dense_oracles(mats):
+    """One text payload and one LaTeX payload of drawn matrices, which
+    share one memo of row texts, are the dense oracles of each matrix in
+    turn.  A row's text holds its cells padded to its matrix's widest
+    entry, so the text rows' key holds that width: the row ``[1, 0]`` is
+    ``[ 1  0 ]`` in the first matrix of the first example and padded wider
+    in the second.  In the second example two rows differ only in the
+    denominator of one entry, so a row's key holds each entry's ``den``."""
+    named = [(f"m_{k}", m) for k, m in enumerate(mats)]
+    assert cli._render("x", named, "text", None) == "".join(
+        f"{name} =\n{oracles.dense_matrix_text(m)}\n\n" for name, m in named)
+    assert cli._render("x", named, "latex", None) == "".join(
+        f"% {name}\n{oracles.dense_matrix_latex(m)}\n" for name, m in named)
 
 
 # -- the indented JSON writer ------------------------------------------------
@@ -288,6 +323,14 @@ def test_dumps_line_writes_empty_containers_at_depth():
     assert dumps_line([]) == "[]\n" and dumps_line({}) == "{}\n"
 
 
+def test_a_0x0_matrix_is_empty_in_every_layout():
+    empty = Matrix.zero(0)
+    assert dumps_line({"m": empty, "l": [empty]}) == \
+        oracles.indented_json({"m": [], "l": [[]]})
+    assert str(empty) == ""
+    assert matrix_to_latex(empty) == oracles.dense_matrix_latex(empty)
+
+
 SHARED_ENTRY_MATRICES = ([outer_op(name).core for name in ("H", "K", "T", "conj")]
                          + list(g2_basis().lambdas))
 
@@ -388,16 +431,18 @@ def _rendered_scalars(monkeypatch):
 
 
 def _renders(monkeypatch, argv):
-    """The scalars whose texts a request renders, in order, and the sparse
-    rows whose texts it renders."""
+    """The scalars whose texts a request renders, in order, and the keys of
+    the row texts it renders: each key that a call of the grid writer adds
+    to the memo under the call's ``(tag, n)``."""
     scalars, rows = _rendered_scalars(monkeypatch), []
-    render_row = emit._row
+    grid = emit._grid
 
-    def row(r, *args):
-        rows.append(r)
-        return render_row(r, *args)
+    def counted(m, tag, cell, layout, append, texts):
+        before = set(texts)
+        grid(m, tag, cell, layout, append, texts)
+        rows.extend(k for k in texts.keys() - before if k[:2] == (tag, m.n))
 
-    monkeypatch.setattr(emit, "_row", row)
+    monkeypatch.setattr(emit, "_grid", counted)
     _stdout(argv)
     return scalars, rows
 

@@ -6,7 +6,7 @@ from oracles import cofactor_det, dense_trace, naive_matmul, su3_block
 from triality import subalgebras
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.errors import NotClosed
-from triality.field import HALF, I, ONE, ZERO, rational
+from triality.field import HALF, I, MINUS_ONE, ONE, ZERO, rational
 from triality.linalg import Subspace, det, is_closed, kernel_basis
 from triality.matrix import Matrix, combination, commutator
 from triality.outer import graded_basis, killing_form, outer_h, outer_k, unpack
@@ -89,6 +89,18 @@ def test_constraints_match_the_expected_relations(vl_system):
         "b17 = b24 +b35",
         "b23 = b45 +b67",
     }
+
+
+def test_a_constraint_writes_every_kind_of_term():
+    """The g2 constraints hold only unit coefficients, so a general one, a
+    leading plus sign and an empty right side are pinned here; the LaTeX
+    constraints write the same right side after "&="."""
+    c = subalgebras.Constraint("b12", ((ONE, "b1"), (MINUS_ONE, "b2"),
+                                       (HALF * I, "b3"), (rational(-2, 3), "b4")))
+    assert str(c) == "b12 = b1 -b2 +(1/2*i)*b3 +(-2/3)*b4"
+    assert c.right_side == "b1 -b2 +(1/2*i)*b3 +(-2/3)*b4"
+    assert str(subalgebras.Constraint("b13", ((MINUS_ONE, "b1"),))) == "b13 = -b1"
+    assert str(subalgebras.Constraint("b14", ())) == "b14 = 0"
 
 
 def test_a_coefficients_equal_b_coefficients(vl_system):
