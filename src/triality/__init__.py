@@ -26,7 +26,7 @@ _EXPORTS = {
               "OMEGA_BAR", "SQRT2", "SQRT3", "SQRT6", "ZERO", "from_parts",
               "rational", "scalar"),
     "linalg": ("CoordSolver", "StructureConstants", "Subspace", "det",
-               "is_closed", "kernel_basis", "rref", "structure_constants"),
+               "is_closed", "rref", "structure_constants"),
     "matrix": ("Matrix", "anticommutator", "commutator", "kron"),
     "outer": ("GradedBasis", "OuterOp", "apply_outer", "diagonalize",
               "graded_basis", "killing_form", "killing_trace", "outer_conj",

@@ -13,18 +13,11 @@ class Record:
     """An immutable record; its fields are the subclass's ``__slots__``.
 
     Fields are given by position or keyword, and all of them are required.
-    Records compare and hash by class and field values, unless the
-    subclass is declared with ``eq=False``; then equality is identity.
-    The repr is ``Name(field=value, ...)``.
+    Every record compares by class and field values, and hashes exactly
+    when all its field values do.  The repr is ``Name(field=value, ...)``.
     """
 
     __slots__ = ()
-
-    def __init_subclass__(cls, eq=True, **kwargs):
-        super().__init_subclass__(**kwargs)
-        if not eq:
-            cls.__eq__ = object.__eq__
-            cls.__hash__ = object.__hash__
 
     def __init__(self, *args, **kwargs):
         names = self.__slots__

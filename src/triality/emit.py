@@ -60,19 +60,8 @@ def _strings(obj) -> tuple:
     return (*parts[0], *parts[1])
 
 
-def _decode(strings: tuple, obj) -> ExactScalar:
-    if not all(_P_OVER_Q.fullmatch(s) for s in strings):
-        raise _malformed(obj)
-    return ExactScalar([Fraction(s) for s in strings])
-
-
 def _malformed(obj) -> ValueError:
     return ValueError(f'a scalar is {{"re": [4 "p/q"], "im": [4 "p/q"]}}, not {obj!r}')
-
-
-def scalar_from_json(obj) -> ExactScalar:
-    """Decode a scalar; "re" and "im" must each be four "p/q" strings."""
-    return _decode(_strings(obj), obj)
 
 
 def matrix_to_json(m: Matrix) -> list:
@@ -82,13 +71,16 @@ def matrix_to_json(m: Matrix) -> list:
 
 def matrix_from_json(rows) -> Matrix:
     """Decode a matrix of JSON scalars, each distinct one once: entries with
-    the same eight strings share one decoded scalar."""
+    the same eight strings share one decoded scalar.  Each scalar's "re"
+    and "im" must be four "p/q" strings."""
     decoded = {}
 
     def entry(obj):
         strings = _strings(obj)
         if (x := decoded.get(strings)) is None:
-            x = decoded[strings] = _decode(strings, obj)
+            if not all(_P_OVER_Q.fullmatch(s) for s in strings):
+                raise _malformed(obj)
+            x = decoded[strings] = ExactScalar([Fraction(s) for s in strings])
         return x
 
     return Matrix([[entry(obj) for obj in row] for row in rows])

@@ -43,8 +43,7 @@ class ExactScalar:
     element is ``sum(c * e_k for k, c in nums) / den``, where e_k runs
     over (1, sqrt2, sqrt3, sqrt6) and then the same four multiplied by i;
     ``nums`` holds only nonzero numerators, sorted by index, and
-    ``den > 0`` shares no factor with all of them.  ``coords`` is the
-    dense 8-tuple of Fractions, a view built on demand.
+    ``den > 0`` shares no factor with all of them.
     """
 
     __slots__ = ("den", "nums")
@@ -76,14 +75,6 @@ class ExactScalar:
 
     def __delattr__(self, name):
         raise AttributeError("ExactScalar is immutable")
-
-    @property
-    def coords(self) -> tuple:
-        """All eight coordinates as Fractions, zeros included."""
-        out = [_F0] * 8
-        for k, c in self.nums:
-            out[k] = Fraction(c, self.den)
-        return tuple(out)
 
     # -- predicates ------------------------------------------------------
     @property

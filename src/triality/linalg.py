@@ -97,15 +97,6 @@ def _free_expansion(red, pivots, ncols: int):
             for f in range(ncols) if f not in pivots]
 
 
-def kernel_basis(rows, ncols: int):
-    """Exact basis of the right kernel of the system ``rows`` x = 0.
-
-    The basis is itself returned in reduced row echelon form, so the
-    presentation of a kernel is canonical.
-    """
-    return rref(_free_expansion(*rref(rows), ncols))[0]
-
-
 def stacked_solve(a_vecs, b_vecs):
     """Solve sum_i x_i a_i = sum_j y_j b_j exactly.
 
@@ -176,10 +167,6 @@ class Subspace(Record):
         _eliminate(v, self.rows, self.pivots)
         return not v
 
-    def __hash__(self):
-        # the rows are dicts, which the record hash of all fields cannot take
-        return hash((self.ambient_dim, self.pivots))
-
     def intersection(self, other: "Subspace") -> "Subspace":
         """Exact intersection of two spans via the stacked-kernel method."""
         if self.ambient_dim != other.ambient_dim:
@@ -191,7 +178,7 @@ class Subspace(Record):
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
 
-class CoordSolver(Record, eq=False):
+class CoordSolver(Record):
     """Expands matrices in a fixed list of linearly independent generators.
 
     Generator i goes in as its flattened matrix with -1 at column n2 + i,
@@ -235,10 +222,6 @@ class StructureConstants(Record):
     def __getitem__(self, abc):
         a, b, c = abc
         return -self[b, a, c] if a > b else self.entries.get(abc, ZERO)
-
-    def __hash__(self):
-        # the record hash of all fields cannot take the entries dict
-        return hash((self.size, tuple(sorted(self.entries.items()))))
 
     def first_mismatch(self, other: "StructureConstants"):
         """The first stored key (a, b, c) where the two arrays differ, or

@@ -269,7 +269,7 @@ def diagonalize(op_name: str) -> Diagonalization:
 
 # -- graded basis ------------------------------------------------------------
 
-class GradedBasis(Record, eq=False):
+class GradedBasis(Record):
     """A basis arranged by triality eigenvalue.
 
     ``g2_part`` holds the 14 invariant generators (7 lambda3-like then 7

@@ -38,14 +38,14 @@ P_MATRIX = Matrix.diag((MINUS_ONE,) + (ONE,) * 7)
 M_MATRIX = Matrix.diag((I,) + (ONE,) * 7)
 
 
-class LieBasis(Record, eq=False):
+class LieBasis(Record):
     """An ordered set of generators indexed by (i, j) pairs: all 28, or
     the 21 of a ``subalgebras.restrict``.
 
-    Equality is identity (``eq=False``).  ``vector_basis`` and
-    ``spinor_bases`` intern their results per signature, so
-    ``basis(kind, signature) is basis(kind, signature)`` holds; no cache
-    is keyed on a basis.
+    Bases compare by value, like every record, and are unhashable, as
+    ``gens`` is a mapping.  ``vector_basis`` and ``spinor_bases`` intern
+    their results per signature, so ``basis(kind, signature) is
+    basis(kind, signature)`` holds; no cache is keyed on a basis.
     """
 
     __slots__ = ("kind",        # "V" | "L" | "R"
@@ -77,7 +77,6 @@ def _make_basis(kind, signature, gens) -> LieBasis:
 def _apply_flips(gens):
     for idx in SIGN_FLIPS:
         gens[idx] = -gens[idx]
-    return gens
 
 
 @lru_cache(maxsize=None)

@@ -46,7 +46,7 @@ class Constraint(Record):
         return f"{self.dependent} = {self.right_side}"
 
 
-class IntersectionSystem(Record, eq=False):
+class IntersectionSystem(Record):
     """The stacked linear system sum a_ij V_ij = sum b_ij L_ij, solved.
 
     ``subspace`` is the 14-dimensional common span (of flattened 8x8
@@ -114,7 +114,7 @@ _FAMILY_ROOT3 = (
 )
 
 
-class G2Basis(Record, eq=False):
+class G2Basis(Record):
     """The 14 orthogonal generators Lambda_1..Lambda_14 of the intersection.
 
     Lambda_1..Lambda_7 carry entries +-1/2 and are "like" the first seven
@@ -139,7 +139,11 @@ class G2Basis(Record, eq=False):
         """The relabeling exchanging generators 8 and 10.
 
         In the swapped naming the su(3) subalgebra is less obvious but
-        [Lambda_k, Lambda_{k+7}] = 0 holds for k = 1..7.
+        [Lambda_k, Lambda_{k+7}] = 0 holds for k = 1..7.  With this table
+        it holds in the original naming too: Lambda_1 and Lambda_3, the
+        partners the swap changes, commute with both Lambda_8 and
+        Lambda_10.  So check 10's seven swap sub-checks cannot tell the
+        two namings apart.
         """
         out = list(self.lambdas)
         out[7], out[9] = out[9], out[7]
@@ -213,7 +217,7 @@ def su3_transform() -> Matrix:
 BLOCK_FACTOR = -I * HALF
 
 
-class Su3Embedding(Record, eq=False):
+class Su3Embedding(Record):
     """The conjugated Lambda family with its verified block decomposition."""
 
     __slots__ = ("transform",     # the 7x7 special unitary

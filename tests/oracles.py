@@ -6,11 +6,15 @@ produce count as independent evidence: scalars as dense 8-tuples of
 Fractions, matrices read entry by entry through m[i, j] into dense rows,
 products by the definition sum, rank by a from-scratch elimination,
 determinants by cofactor expansion, linear combinations by scaling and
-adding whole matrices, scalar text through ``Fraction``, and text and
-LaTeX by rendering every one of the n*n entries.  The indented JSON
-layout has the stdlib call itself as its reference.  The intertwiner
-oracle builds its own equations and takes only their kernel from
-``linalg.kernel_basis``; the fixed-vector oracle takes coordinates by
+adding whole matrices, scalar text and LaTeX through ``Fraction``, and
+matrix text and LaTeX by rendering every one of the n*n entries.  The
+indented JSON layout has the stdlib call itself as its reference.  A few
+helpers only read the library's values in another shape, from API that
+the program itself calls: ``coords`` reads a scalar's ``den`` and
+``nums``, ``scalar_from_json`` decodes through ``emit.matrix_from_json``,
+and ``kernel_basis`` expands ``linalg.rref``'s free columns.  The
+intertwiner oracle builds its own equations and takes only their rank
+from ``linalg.rref``; the fixed-vector oracle takes coordinates by
 projection and ranks with ``naive_rank``, so it shares no elimination
 with ``linalg``.  The local-triality oracle multiplies octonions by a
 table built from the Fano lines and solves its equations with
@@ -24,9 +28,9 @@ from collections.abc import Mapping
 from fractions import Fraction
 
 from triality._record import Record
-from triality.emit import scalar_to_latex
+from triality.emit import matrix_from_json
 from triality.field import HALF, I, ONE, ZERO, ExactScalar, rational
-from triality.linalg import kernel_basis
+from triality.linalg import rref
 from triality.matrix import Matrix, combination
 
 # -- scalars: dense 8-tuples over {1, sqrt2, sqrt3, sqrt6} x {1, i} ----------
@@ -39,6 +43,17 @@ _RADICAL_MUL = (
     ((3, 1), (2, 2), (1, 3), (0, 6)),
 )
 _NAMES = ("1", "sqrt2", "sqrt3", "sqrt6", "i", "i*sqrt2", "i*sqrt3", "i*sqrt6")
+_LATEX_NAMES = ("", r"\sqrt{2}", r"\sqrt{3}", r"\sqrt{6}",
+                "i", r"i \sqrt{2}", r"i \sqrt{3}", r"i \sqrt{6}")
+
+
+def coords(x: ExactScalar) -> tuple:
+    """The eight coordinates of ``x`` as Fractions, zeros included: each
+    stored numerator over ``den``."""
+    out = [Fraction(0)] * 8
+    for k, c in x.nums:
+        out[k] = Fraction(c, x.den)
+    return tuple(out)
 
 
 def dense_add(a, b):
@@ -97,6 +112,23 @@ def dense_str(a):
     for t in terms[1:]:
         out += " - " + t[1:] if t.startswith("-") else " + " + t
     return out
+
+
+def dense_scalar_latex(a) -> str:
+    """The nonzero coordinates as LaTeX terms in index order, each Fraction
+    in lowest terms: a sign ("+" only between terms), then the numerator
+    and the radical (a numerator of 1 left out before a radical), over the
+    denominator in a ``\\frac`` unless it is 1."""
+    out = ""
+    for k, c in enumerate(a):
+        if not c:
+            continue
+        p, q = abs(c.numerator), c.denominator
+        name = _LATEX_NAMES[k]
+        top = name if name and p == 1 else f"{p}{name}"
+        out += "-" if c < 0 else "+" if out else ""
+        out += top if q == 1 else r"\frac{%s}{%d}" % (top, q)
+    return out or "0"
 
 
 def fraction_str(x):
@@ -272,8 +304,8 @@ def intertwiner_dim(xs, ys) -> int:
 
     Each entry (i, j) of each pair is one linear equation in the n*n
     unknowns S_pq (column p*n + q): sum_k S_ik X_kj - sum_k Y_ik S_kj = 0,
-    with the entries read through m[i, j].  The kernel comes from
-    ``linalg.kernel_basis``.  By Schur's lemma the dimension is 1 when
+    with the entries read through m[i, j].  The dimension is n*n minus
+    the rank that ``linalg.rref`` finds.  By Schur's lemma it is 1 when
     both families are the same absolutely irreducible representation up
     to a change of basis, and 0 when they are inequivalent irreducibles.
     """
@@ -287,7 +319,18 @@ def intertwiner_dim(xs, ys) -> int:
                     row[i * n + k] = row.get(i * n + k, 0) + x[k, j]
                     row[k * n + j] = row.get(k * n + j, 0) - y[i, k]
                 rows.append(row)
-    return len(kernel_basis(rows, n * n))
+    return n * n - len(rref(rows)[0])
+
+
+def kernel_basis(rows, ncols: int) -> tuple:
+    """A basis of the right kernel of the system ``rows`` x = 0, in reduced
+    row echelon form: from the RREF of ``rows`` (``linalg.rref``), one
+    vector per free column f, 1 there and minus column f of each pivot row
+    at that row's pivot."""
+    red, pivots = rref(rows)
+    free = [{f: ONE, **{p: -row[f] for row, p in zip(red, pivots) if f in row}}
+            for f in range(ncols) if f not in pivots]
+    return rref(free)[0]
 
 
 def fixed_vectors(gens, families) -> tuple:
@@ -467,13 +510,20 @@ def dense_matrix_text(m: Matrix) -> str:
 
 
 def dense_matrix_latex(m: Matrix) -> str:
-    """A pmatrix with every entry, zeros included, through scalar_to_latex."""
-    body = r" \\ ".join(" & ".join(scalar_to_latex(x) for x in row)
+    """A pmatrix with every entry, zeros included, through
+    ``dense_scalar_latex``."""
+    body = r" \\ ".join(" & ".join(dense_scalar_latex(coords(x)) for x in row)
                         for row in dense(m))
     return r"\begin{pmatrix} %s \end{pmatrix}" % body
 
 
 # -- JSON ----------------------------------------------------------------------
+
+
+def scalar_from_json(obj) -> ExactScalar:
+    """One JSON scalar, decoded and checked as the one entry of a 1 x 1
+    matrix by ``emit.matrix_from_json``."""
+    return matrix_from_json([[obj]])[0, 0]
 
 
 def indented_json(obj) -> str:

@@ -33,7 +33,7 @@ SURVIVING_CACHES = {
     "clifford.chiral_transform": _LADDER,
     "clifford.cl17_basis": _LADDER,
     "representations.vector_basis":
-        "interns LieBasis, which is eq=False, so identity is its equality",
+        "interns LieBasis, so each signature's V is built once per process",
     "representations.spinor_bases":
         "interns LieBasis; 5-7 ms per build; the bench times its __wrapped__",
     "subalgebras.g2_basis":

@@ -1,4 +1,5 @@
-"""The public API that only the tests call, pinned as an exact set.
+"""Every public function and method of ``src/triality`` has a caller
+outside the tests.
 
 A public function or method of ``src/triality`` (neither it nor its class
 starts with ``_``) counts as called when its name occurs in ``src``,
@@ -8,24 +9,15 @@ as an attribute of anything; and a plain method as an attribute that is
 called, or that is passed as a call argument (``f(report.to_json_text)``),
 so a bare attribute load such as ``args.trace`` does not count.  Matching
 is by name, so a homonym still hides an unused method (and a bare name an
-unused function); the set errs towards fewer entries.  Every entry says
-why it stays.  A new function that nothing but a test calls shows up here
-as a diff: give it a caller, delete it, or add it with its reason.
+unused function); the check errs towards passing.  A function that
+nothing but a test calls fails it: give it a caller, or delete it and
+rebuild what the tests need in ``tests/oracles.py``.
 """
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-
-TEST_ONLY = {
-    "emit.scalar_from_json":
-        "reads back the scalar objects that `emit` and `map` write as JSON",
-    "field.ExactScalar.coords":
-        "the dense 8-tuple that the scalar oracles compare against",
-    "linalg.kernel_basis":
-        "exported; tests/oracles.py takes intertwiner kernels from it",
-}
 
 _PROPERTIES = {"property", "cached_property"}
 
@@ -79,7 +71,7 @@ def _references(paths):
     return names, attrs, called, owned
 
 
-def test_only_the_pinned_api_lacks_a_caller_outside_the_tests():
+def test_every_public_api_has_a_caller_outside_the_tests():
     names, attrs, called, owned = _references([*ROOT.glob("src/triality/*.py"),
                                                *ROOT.glob("demos/*.py"),
                                                *ROOT.glob("bench/*.py")])
@@ -88,7 +80,4 @@ def test_only_the_pinned_api_lacks_a_caller_outside_the_tests():
                     name not in attrs if kind == "property" else
                     name not in names and (module, name) not in owned
                     and ("triality", name) not in owned)}
-    assert uncalled == set(TEST_ONLY)
-    tests = "".join(p.read_text() for p in ROOT.glob("tests/*.py")
-                    if p.name != Path(__file__).name)
-    assert all(qual.rpartition(".")[2] in tests for qual in TEST_ONLY)
+    assert uncalled == set()

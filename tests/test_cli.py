@@ -377,7 +377,7 @@ def test_map_verb_lands_on_the_left_basis():
 
 @pytest.mark.parametrize("op_name", ["H", "K", "T", "conj"])
 def test_map_coefficients_rebuild_every_matrix(capsys, op_name):
-    from triality.emit import scalar_from_json
+    from oracles import scalar_from_json
     from triality.outer import outer_op
     from triality.representations import basis
     signature = outer_op(op_name).signature

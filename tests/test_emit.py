@@ -18,8 +18,7 @@ import oracles
 from triality import cli, emit
 from triality.clifford import EUCLIDEAN, LORENTZIAN, cl7_basis
 from triality.emit import (dumps_line, matrix_from_json, matrix_to_json,
-                           matrix_to_latex, scalar_from_json, scalar_to_json,
-                           scalar_to_latex)
+                           matrix_to_latex, scalar_to_json, scalar_to_latex)
 from triality.field import (HALF, I, OMEGA, ONE, SQRT2, SQRT3, SQRT6, ZERO,
                             ExactScalar, from_parts, rational)
 from triality.linalg import Subspace
@@ -36,7 +35,7 @@ def test_scalar_json_schema():
     obj = scalar_to_json(x)
     assert obj == {"re": ["1/2", "0/1", "0/1", "0/1"],
                    "im": ["0/1", "0/1", "1/1", "0/1"]}
-    assert scalar_from_json(obj) == x
+    assert oracles.scalar_from_json(obj) == x
 
 
 MALFORMED = [
@@ -52,7 +51,7 @@ MALFORMED = [
 @pytest.mark.parametrize("obj", MALFORMED)
 def test_scalar_json_needs_four_exact_strings_per_part(obj):
     with pytest.raises(ValueError):
-        scalar_from_json(obj)
+        oracles.scalar_from_json(obj)
 
 
 @pytest.mark.parametrize("obj", MALFORMED)
@@ -87,6 +86,28 @@ def test_scalar_latex():
     x = from_parts(re=(Fraction(-1, 2),) + (0,) * 3,
                    im=(0, 0, Fraction(1, 2), 0))
     assert scalar_to_latex(x) == r"-\frac{1}{2}+\frac{i \sqrt{3}}{2}"
+    # 1/2 + sqrt2 is stored as (1 + 2 sqrt2) / 2: each term is reduced on
+    # its own, and a later negative term joins with its own "-"
+    assert scalar_to_latex(HALF + SQRT2) == r"\frac{1}{2}+\sqrt{2}"
+    assert scalar_to_latex(ONE - SQRT2) == r"1-\sqrt{2}"
+
+
+# Two to four nonzero coordinates whose denominators share factors, so the
+# stored numerators over the common ``den`` often reduce term by term.
+_TERMS = st.builds(Fraction, st.integers(-6, 6).filter(bool),
+                   st.sampled_from([1, 2, 3, 4, 6]))
+_MULTI_TERM = st.dictionaries(st.integers(0, 7), _TERMS, min_size=2, max_size=4).map(
+    lambda d: tuple(d.get(k, Fraction(0)) for k in range(8)))
+
+
+@given(_MULTI_TERM)
+@example((Fraction(1, 2), Fraction(1)) + (Fraction(0),) * 6)
+@example((Fraction(1), Fraction(-1)) + (Fraction(0),) * 6)
+@settings(max_examples=100, deadline=None)
+def test_multi_term_scalar_latex_matches_the_dense_oracle(a):
+    """Each term is reduced and signed on its own, as the dense oracle
+    writes it from the Fraction coordinates."""
+    assert scalar_to_latex(ExactScalar(a)) == oracles.dense_scalar_latex(a)
 
 
 def test_matrix_latex_is_a_pmatrix():

@@ -10,15 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (cofactor_det, dense, dense_coefficients, in_span,
-                     matrix_in_span, naive_bracket, naive_combination,
-                     naive_rank)
+                     kernel_basis, matrix_in_span, naive_bracket,
+                     naive_combination, naive_rank)
 from triality import linalg, subalgebras
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.errors import DimensionMismatch, LinearlyDependent, NotClosed
 from triality.field import HALF, I, ONE, SQRT2, ZERO, rational
 from triality.linalg import (CoordSolver, StructureConstants, Subspace, det,
-                             is_closed, kernel_basis, rref, same_structure,
-                             structure_constants)
+                             is_closed, rref, same_structure, structure_constants)
 from triality.matrix import Matrix, commutator
 from triality.outer import graded_basis, signature_ops
 from triality.representations import (GEN_INDICES, _make_basis, basis,

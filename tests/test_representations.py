@@ -2,7 +2,7 @@
 
 import pytest
 
-from oracles import dense
+from oracles import coords, dense
 from triality import checks
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.field import MINUS_ONE, ONE
@@ -114,7 +114,7 @@ def test_every_basis_has_rank_28():
 
 def test_spinor_generators_carry_the_half_normalization():
     left, _ = spinor_bases(EUCLIDEAN)
-    entries = {abs(x.coords[0]) for row in dense(left[(0, 1)]) for x in row if x}
+    entries = {abs(coords(x)[0]) for row in dense(left[(0, 1)]) for x in row if x}
     assert entries == {0.5}
 
 

@@ -2,12 +2,13 @@
 
 import pytest
 
-from oracles import cofactor_det, dense_trace, naive_matmul, su3_block
+from oracles import (cofactor_det, dense_trace, kernel_basis, naive_matmul,
+                     su3_block)
 from triality import subalgebras
 from triality.clifford import EUCLIDEAN, LORENTZIAN
 from triality.errors import NotClosed
 from triality.field import HALF, I, MINUS_ONE, ONE, ZERO, rational
-from triality.linalg import Subspace, det, is_closed, kernel_basis
+from triality.linalg import Subspace, det, is_closed
 from triality.matrix import Matrix, combination, commutator
 from triality.outer import graded_basis, killing_form, outer_h, outer_k, unpack
 from triality.representations import (P_MATRIX, LieBasis, spinor_bases,
@@ -220,10 +221,17 @@ def test_trace_forms_equal_product_then_trace():
 
 
 def test_swap_8_10_gives_commuting_pairs():
+    """[Lambda_k, Lambda_{k+7}] = 0 for k = 1..7 in both namings: Lambda_1
+    and Lambda_3, whose partners the swap changes, commute with both
+    Lambda_8 and Lambda_10, so check 10's swap sub-checks pass either way."""
     swapped = g2_basis().swapped()
+    plain = g2_basis().lambdas
     for k in range(7):
         assert commutator(swapped[k], swapped[k + 7]).is_zero
-    plain = g2_basis().lambdas
+        assert commutator(plain[k], plain[k + 7]).is_zero
+    for k in (0, 2):
+        assert commutator(plain[k], plain[7]).is_zero
+        assert commutator(plain[k], plain[9]).is_zero
     assert swapped[7] == plain[9] and swapped[9] == plain[7]
     assert (swapped[:7] + swapped[8:9] + swapped[10:]
             == plain[:7] + plain[8:9] + plain[10:])

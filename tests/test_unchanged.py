@@ -19,7 +19,7 @@ from types import MappingProxyType
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fingerprint
+from oracles import fingerprint, kernel_basis
 from test_matrix import sparse_matrix, units
 from triality import cli
 from triality._record import Record
@@ -27,9 +27,8 @@ from triality.checks import FAULT_H_SIGN, run_suite
 from triality.clifford import (EUCLIDEAN, LORENTZIAN, chiral_transform,
                                cl7_basis, cl8_basis, cl17_basis, dirac_gammas)
 from triality.field import HALF, I, ONE
-from triality.linalg import (CoordSolver, Subspace, det, is_closed,
-                             kernel_basis, rref, same_structure, stacked_solve,
-                             structure_constants)
+from triality.linalg import (CoordSolver, Subspace, det, is_closed, rref,
+                             same_structure, stacked_solve, structure_constants)
 from triality.matrix import (Matrix, add_scaled, anticommutator, combination,
                              commutator, common_size, is_combination, kron,
                              trace_product)
